@@ -254,24 +254,6 @@ class SweepRunner {
   uint64_t base_seed_;
 };
 
-// Reads the `adaptive` entry's knobs (the flags its KnobSpec schema
-// advertises; see qo/registry.cc). Shared by ReadQonKnobs/ReadQohKnobs —
-// always read, like every other knob, so the unread-flag warning stays
-// honest when `adaptive` is not among the selected optimizers.
-inline void ReadAdaptiveKnobs(const Flags& flags, AdaptiveKnobs* knobs) {
-  knobs->fallback = flags.GetString("fallback", knobs->fallback);
-  knobs->candidates =
-      flags.GetString("adaptive-candidates", knobs->candidates);
-  knobs->quality_target =
-      flags.GetDouble("quality-target", knobs->quality_target);
-  knobs->k_neighbors =
-      static_cast<int>(flags.GetInt("knn-k", knobs->k_neighbors));
-  knobs->min_trials =
-      static_cast<int>(flags.GetInt("min-trials", knobs->min_trials));
-  knobs->seed = static_cast<uint64_t>(
-      flags.GetInt("adaptive-seed", static_cast<int64_t>(knobs->seed)));
-}
-
 // Reads every QO_N knob flag unconditionally, whether or not the selected
 // --optimizers= subset uses it. That keeps the unread-flag warning honest:
 // deselecting `sa` must not turn a legitimate --sa-iterations= into a
@@ -308,7 +290,6 @@ inline OptimizerOptions ReadQonKnobs(const Flags& flags,
     AQO_CHECK(ParseEvalTier(tier, &o.eval_tier))
         << "--eval-tier= must be 'exact' or 'fast', got: " << tier;
   }
-  ReadAdaptiveKnobs(flags, &o.adaptive);
   return o;
 }
 
@@ -334,7 +315,6 @@ inline QohOptimizerOptions ReadQohKnobs(const Flags& flags,
     AQO_CHECK(ParseEvalTier(tier, &o.eval_tier))
         << "--eval-tier= must be 'exact' or 'fast', got: " << tier;
   }
-  ReadAdaptiveKnobs(flags, &o.adaptive);
   return o;
 }
 

@@ -16,8 +16,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::string bytes(reinterpret_cast<const char*>(data), size);
 
   for (aqo::PersistFileKind kind :
-       {aqo::PersistFileKind::kSnapshot, aqo::PersistFileKind::kLog,
-        aqo::PersistFileKind::kFeedback}) {
+       {aqo::PersistFileKind::kSnapshot, aqo::PersistFileKind::kLog}) {
     aqo::FramedFileInfo scanned = aqo::ScanFramedFile(bytes, kind);
     AQO_CHECK(scanned.valid_bytes <= bytes.size());
     AQO_CHECK(scanned.ends.size() == scanned.payloads.size());

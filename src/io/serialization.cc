@@ -9,7 +9,6 @@
 #include <sstream>
 #include <tuple>
 
-#include "util/check.h"
 #include "util/fault_injection.h"
 
 namespace aqo {
@@ -106,12 +105,6 @@ ParseResult<Graph> ParseGraph(std::istream& is) {
   return out;
 }
 
-Graph ReadGraph(std::istream& is) {
-  ParseResult<Graph> r = ParseGraph(is);
-  AQO_CHECK(r.ok()) << r.error;
-  return *std::move(r.value);
-}
-
 void WriteDimacs(const CnfFormula& f, std::ostream& os) {
   os << "p cnf " << f.num_vars() << " " << f.NumClauses() << "\n";
   for (const Clause& c : f.clauses()) {
@@ -159,12 +152,6 @@ ParseResult<CnfFormula> ParseDimacs(std::istream& is) {
   if (read != clauses) return Fail<CnfFormula>("truncated DIMACS body");
   out.value = std::move(f);
   return out;
-}
-
-CnfFormula ReadDimacs(std::istream& is) {
-  ParseResult<CnfFormula> r = ParseDimacs(is);
-  AQO_CHECK(r.ok()) << r.error;
-  return *std::move(r.value);
 }
 
 void WriteQonInstance(const QonInstance& inst, std::ostream& os) {
@@ -281,12 +268,6 @@ ParseResult<QonInstance> ParseQonInstance(std::istream& is) {
   return out;
 }
 
-QonInstance ReadQonInstance(std::istream& is) {
-  ParseResult<QonInstance> r = ParseQonInstance(is);
-  AQO_CHECK(r.ok()) << r.error;
-  return *std::move(r.value);
-}
-
 void WriteQohInstance(const QohInstance& inst, std::ostream& os) {
   int n = inst.NumRelations();
   char memory[40];
@@ -372,32 +353,16 @@ ParseResult<QohInstance> ParseQohInstance(std::istream& is) {
   return out;
 }
 
-QohInstance ReadQohInstance(std::istream& is) {
-  ParseResult<QohInstance> r = ParseQohInstance(is);
-  AQO_CHECK(r.ok()) << r.error;
-  return *std::move(r.value);
-}
-
 std::string GraphToString(const Graph& g) {
   std::ostringstream os;
   WriteGraph(g, os);
   return os.str();
 }
 
-Graph GraphFromString(const std::string& s) {
-  std::istringstream is(s);
-  return ReadGraph(is);
-}
-
 std::string QonToString(const QonInstance& inst) {
   std::ostringstream os;
   WriteQonInstance(inst, os);
   return os.str();
-}
-
-QonInstance QonFromString(const std::string& s) {
-  std::istringstream is(s);
-  return ReadQonInstance(is);
 }
 
 }  // namespace aqo

@@ -20,10 +20,8 @@
 // Error handling: the Parse* readers never abort on malformed input —
 // they validate every line (tags, indices, ranges, duplicates, semantic
 // constraints like selectivity <= 1) and return a ParseResult carrying
-// either the value or a one-line reason. The legacy Read* readers are
-// thin AQO_CHECK wrappers over them, for callers whose inputs are
-// program-generated and therefore trusted. User-facing tools must use
-// Parse* and report `error: <file>: <reason>`.
+// either the value or a one-line reason. Tools report it as
+// `error: <file>: <reason>`.
 
 #include <iosfwd>
 #include <optional>
@@ -58,23 +56,13 @@ ParseResult<QonInstance> ParseQonInstance(std::istream& is);
 ParseResult<QohInstance> ParseQohInstance(std::istream& is);
 
 void WriteGraph(const Graph& g, std::ostream& os);
-// Aborts on malformed input (AQO_CHECK wrapper over ParseGraph).
-Graph ReadGraph(std::istream& is);
-
 void WriteDimacs(const CnfFormula& f, std::ostream& os);
-CnfFormula ReadDimacs(std::istream& is);
-
 void WriteQonInstance(const QonInstance& inst, std::ostream& os);
-QonInstance ReadQonInstance(std::istream& is);
-
 void WriteQohInstance(const QohInstance& inst, std::ostream& os);
-QohInstance ReadQohInstance(std::istream& is);
 
-// Convenience string round-trips (used by tests and the CLI tools).
+// Convenience string writers (used by tests and the CLI tools).
 std::string GraphToString(const Graph& g);
-Graph GraphFromString(const std::string& s);
 std::string QonToString(const QonInstance& inst);
-QonInstance QonFromString(const std::string& s);
 
 }  // namespace aqo
 

@@ -53,23 +53,11 @@ JoinSequence OrderCrossover(const JoinSequence& a, const JoinSequence& b,
 
 OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
                                  const OptimizerOptions& options) {
-  GeneticOptions legacy;
-  legacy.population = options.ga.population;
-  legacy.generations = options.ga.generations;
-  legacy.crossover_rate = options.ga.crossover_rate;
-  legacy.mutation_rate = options.ga.mutation_rate;
-  legacy.tournament = options.ga.tournament;
-  legacy.elites = options.ga.elites;
-  legacy.base = options;
-  return GeneticOptimizer(inst, rng, legacy);
-}
-
-OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
-                                 const GeneticOptions& options) {
+  const GaKnobs& ga = options.ga;
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
-  AQO_CHECK(options.population >= 4);
-  AQO_CHECK(options.elites < options.population);
+  AQO_CHECK(ga.population >= 4);
+  AQO_CHECK(ga.elites < ga.population);
 
   static obs::Counter& generations =
       obs::Registry::Get().GetCounter("qon.ga.generations");
@@ -90,7 +78,7 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
   // therefore the sort order, elite survival, tournament winners, and the
   // final (cost, sequence) — is bit-identical to the exact tier, and no
   // pricing path consumes RNG. See docs/performance.md.
-  const bool use_fast = options.base.eval_tier == EvalTier::kFast &&
+  const bool use_fast = options.eval_tier == EvalTier::kFast &&
                         !cost_eval_internal::ForceNaive();
   std::optional<QonNeighborhoodEvaluator> fast;
   if (use_fast) fast.emplace(inst);
@@ -106,7 +94,7 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
     ++result.evaluations;
   };
   auto evaluate = [&](Individual* ind) {
-    ind->valid = !options.base.forbid_cartesian ||
+    ind->valid = !options.forbid_cartesian ||
                  !HasCartesianProduct(inst.graph(), ind->sequence);
     if (!ind->valid) {
       invalid.Increment();
@@ -162,7 +150,7 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
     return x.sequence < y.sequence;
   };
 
-  std::vector<Individual> population(static_cast<size_t>(options.population));
+  std::vector<Individual> population(static_cast<size_t>(ga.population));
   for (Individual& ind : population) {
     ind.sequence = IdentitySequence(n);
     rng->Shuffle(&ind.sequence);
@@ -172,8 +160,8 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
   // Checked once per generation (after the initial population, so a capped
   // run always carries the best initial individual). `evaluate` folds the
   // best-so-far continuously, making the cut lossless.
-  RunGuard guard(options.base.budget, options.base.cancel);
-  for (int gen = 0; gen < options.generations; ++gen) {
+  RunGuard guard(options.budget, options.cancel);
+  for (int gen = 0; gen < ga.generations; ++gen) {
     if (guard.ShouldStop(result.evaluations)) break;
     generations.Increment();
     std::sort(population.begin(), population.end(),
@@ -181,20 +169,20 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
                 return better(x, y);
               });
     std::vector<Individual> next(population.begin(),
-                                 population.begin() + options.elites);
+                                 population.begin() + ga.elites);
     auto tournament_pick = [&]() -> const Individual& {
       const Individual* best = &population[static_cast<size_t>(
-          rng->UniformInt(0, options.population - 1))];
-      for (int t = 1; t < options.tournament; ++t) {
+          rng->UniformInt(0, ga.population - 1))];
+      for (int t = 1; t < ga.tournament; ++t) {
         const Individual& cand = population[static_cast<size_t>(
-            rng->UniformInt(0, options.population - 1))];
+            rng->UniformInt(0, ga.population - 1))];
         if (better(cand, *best)) best = &cand;
       }
       return *best;
     };
-    while (static_cast<int>(next.size()) < options.population) {
+    while (static_cast<int>(next.size()) < ga.population) {
       Individual child;
-      if (rng->Bernoulli(options.crossover_rate)) {
+      if (rng->Bernoulli(ga.crossover_rate)) {
         crossovers.Increment();
         child.sequence =
             OrderCrossover(tournament_pick().sequence,
@@ -202,7 +190,7 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
       } else {
         child.sequence = tournament_pick().sequence;
       }
-      if (rng->Bernoulli(options.mutation_rate)) {
+      if (rng->Bernoulli(ga.mutation_rate)) {
         mutations.Increment();
         size_t a = static_cast<size_t>(rng->UniformInt(0, n - 1));
         size_t b = static_cast<size_t>(rng->UniformInt(0, n - 1));

@@ -12,27 +12,11 @@
 
 namespace aqo {
 
-// DEPRECATED (one PR of grace): the GA knobs now live on
-// OptimizerOptions.ga (see optimizers.h); this struct only feeds the
-// legacy overload below.
-struct GeneticOptions {
-  int population = 64;
-  int generations = 120;
-  double crossover_rate = 0.9;
-  double mutation_rate = 0.3;
-  int tournament = 3;
-  int elites = 2;
-  OptimizerOptions base;
-};
-
+// Knobs read from options.ga; options.forbid_cartesian, options.budget,
+// options.cancel and options.eval_tier apply as for the other local-search
+// optimizers.
 OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
-                                 const GeneticOptions& options = {});
-
-// Registry-uniform entry point: knobs read from options.ga. (No default
-// argument — the two-argument call keeps resolving to the legacy overload
-// until that one is removed.)
-OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
-                                 const OptimizerOptions& options);
+                                 const OptimizerOptions& options = {});
 
 }  // namespace aqo
 

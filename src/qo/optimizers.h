@@ -8,7 +8,6 @@
 // competitive ratio the paper proves cannot be polylogarithmic.
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 #include "qo/qoh.h"
@@ -19,57 +18,6 @@
 namespace aqo {
 
 class ThreadPool;
-class FeedbackStore;  // qo/adaptive.h
-
-// One finished optimizer invocation, as reported to a FeedbackSink by the
-// registry invoke path (qo/registry.h). Carries exactly what an observer
-// needs to attribute quality/effort to (family, optimizer) without a
-// reference to the instance.
-struct RunOutcome {
-  std::string family;     // "qon" | "qoh"
-  std::string optimizer;  // canonical registry entry name
-  int n = 0;              // relations in the instance
-  int edges = 0;          // query-graph edges
-  bool feasible = false;
-  double cost_log2 = 0.0;  // LogDouble::Log2() bits; meaningless if infeasible
-  uint64_t evaluations = 0;
-  PlanStatus status = PlanStatus::kComplete;
-};
-
-// Observer for RunOutcome reports. Implementations must tolerate calls
-// from pool workers (the batch service invokes entries in parallel).
-class FeedbackSink {
- public:
-  virtual ~FeedbackSink() = default;
-  virtual void ReportOutcome(const RunOutcome& outcome) = 0;
-};
-
-// Knobs for the `adaptive` meta-optimizer (qo/adaptive.h), nested in both
-// options structs so the registry signature stays closed. All decisions
-// are a pure function of (committed store state, canonical instance,
-// these knobs, the caller's Rng state) — see docs/adaptive.md.
-struct AdaptiveKnobs {
-  // Feedback store consulted and recorded into; null = the process-wide
-  // FeedbackStore::Default().
-  FeedbackStore* store = nullptr;
-  // Safety net: adaptive always also runs this entry and never returns a
-  // plan worse than its result (ties go to the fallback).
-  std::string fallback = "greedy";
-  // Comma-separated candidate entry names; empty = the family default
-  // (see docs/adaptive.md). "adaptive" itself is rejected.
-  std::string candidates;
-  // Allowed predicted cost ratio over the best candidate: a candidate
-  // qualifies when its predicted regret is <= log2(quality_target).
-  double quality_target = 1.1;
-  // Neighbors consulted per prediction.
-  int k_neighbors = 8;
-  // A candidate with fewer committed trials than this is explored before
-  // any exploitation happens.
-  int min_trials = 1;
-  // Extra seed folded into the exploration stream (on top of the
-  // fingerprint-derived draw from the caller's Rng).
-  uint64_t seed = 0;
-};
 
 struct OptimizerResult {
   bool feasible = false;    // false when constraints rule out every sequence
@@ -167,15 +115,6 @@ struct OptimizerOptions {
   // Optional shared stop signal (e.g. a batch-wide deadline owned by
   // qo/service.h). Not owned; may be null. An un-armed token is inert.
   CancelToken* cancel = nullptr;
-
-  // Knobs for the `adaptive` registry entry (ignored by every other
-  // optimizer).
-  AdaptiveKnobs adaptive;
-
-  // When set, the registry invoke path reports a RunOutcome here after
-  // every entry invocation. Observational only: never changes results.
-  // Not owned; may be null.
-  FeedbackSink* feedback = nullptr;
 
   // Candidate-pricing tier for the local-search family (ii, sa, genetic).
   // kFast never changes final results — see EvalTier above.

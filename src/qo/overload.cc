@@ -69,9 +69,7 @@ double EstimateQonCostUnits(std::string_view optimizer,
   } else if (optimizer == "genetic") {
     estimate = static_cast<double>(std::max(options.ga.population, 1)) *
                static_cast<double>(std::max(options.ga.generations, 1));
-  } else if (optimizer == "dp" || optimizer == "cout" ||
-             optimizer == "adaptive") {
-    // adaptive may run anything up to the DP; budget for the worst.
+  } else if (optimizer == "dp" || optimizer == "cout") {
     estimate = nd * PowN(2.0, n);
   } else if (optimizer == "bnb") {
     estimate = options.bnb_node_limit > 0
@@ -101,7 +99,7 @@ double EstimateQohCostUnits(std::string_view optimizer,
     estimate = static_cast<double>(std::max(options.sa.restarts, 1)) *
                static_cast<double>(std::max(options.sa.iterations, 1));
   } else {
-    // exhaustive, adaptive, unknown.
+    // exhaustive, unknown.
     estimate = Factorial(n);
   }
   return ApplyBudget(estimate, options.budget);
@@ -111,7 +109,7 @@ std::string DegradeQon(std::string_view optimizer, OptimizerOptions* options) {
   // Exact/exponential entries fall back to the declared cheap heuristic;
   // stochastic entries keep their identity with clamped effort.
   if (optimizer == "exhaustive" || optimizer == "dp" || optimizer == "bnb" ||
-      optimizer == "cout" || optimizer == "adaptive") {
+      optimizer == "cout") {
     return "greedy";
   }
   if (optimizer == "random") {
@@ -136,9 +134,7 @@ std::string DegradeQon(std::string_view optimizer, OptimizerOptions* options) {
 
 std::string DegradeQoh(std::string_view optimizer,
                        QohOptimizerOptions* options) {
-  if (optimizer == "exhaustive" || optimizer == "adaptive") {
-    return "greedy";
-  }
+  if (optimizer == "exhaustive") return "greedy";
   if (optimizer == "random") {
     options->samples = std::min(options->samples, 64);
   } else if (optimizer == "ii") {

@@ -181,8 +181,6 @@ const char* KindName(PersistFileKind kind) {
       return "snapshot";
     case PersistFileKind::kLog:
       return "log";
-    case PersistFileKind::kFeedback:
-      return "feedback";
   }
   return "unknown";
 }

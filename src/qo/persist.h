@@ -74,9 +74,8 @@ inline constexpr uint32_t kPersistFormatVersion = 1;
 enum class PersistFileKind : uint32_t {
   kSnapshot = 1,
   kLog = 2,
-  // Adaptive feedback-store records (qo/adaptive.h): same header and
-  // framing, payload owned by the feedback store's codec.
-  kFeedback = 3,
+  // 3 is retired and stays unassigned, so a file of that kind is
+  // rejected as the wrong kind.
 };
 
 // Circuit-breaker configuration for PlanStore write failures
@@ -161,9 +160,8 @@ std::string EncodePersistHeader(PersistFileKind kind);
 // --- Generic framed-record layer ---
 //
 // The raw header + (u32 len | u32 crc | payload) framing, independent of
-// what the payloads mean. The plan-cache codec above and the adaptive
-// feedback store (qo/adaptive.h) both persist through this layer, so
-// every AQO state file shares one torn-tail/corruption contract.
+// what the payloads mean. The plan-cache codec above persists through
+// this layer.
 
 // Frames one opaque payload (length + CRC32 prefix).
 std::string EncodeFramedRecord(std::string_view payload);

@@ -45,15 +45,6 @@ struct QohOptimizerOptions {
   Budget budget;
   CancelToken* cancel = nullptr;
 
-  // Knobs for the `adaptive` registry entry (ignored by every other
-  // optimizer). Shared struct with OptimizerOptions: the decision logic
-  // is family-agnostic.
-  AdaptiveKnobs adaptive;
-
-  // Optional RunOutcome observer — same semantics as
-  // OptimizerOptions.feedback. Not owned; may be null.
-  FeedbackSink* feedback = nullptr;
-
   // Candidate-pricing tier for the local-search family (ii, sa) — same
   // semantics as OptimizerOptions.eval_tier: kFast ranks swap candidates
   // with the certified approximate evaluator and re-prices every possible

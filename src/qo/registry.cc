@@ -5,7 +5,6 @@
 
 #include "obs/histogram.h"
 #include "obs/metrics.h"
-#include "qo/adaptive.h"
 #include "qo/analysis.h"
 #include "qo/bnb.h"
 #include "qo/genetic.h"
@@ -99,21 +98,6 @@ QohOptimizerResult RunQohSa(const QohInstance& inst,
   return SimulatedAnnealingQohOptimizer(inst, rng, options);
 }
 
-// The adaptive knob schema is family-independent (AdaptiveKnobs is shared
-// between the options structs).
-std::vector<KnobSpec> AdaptiveKnobSchema() {
-  return {
-      {"--fallback=", "safety-net entry; result never costs more than it"},
-      {"--adaptive-candidates=", "CSV of candidate entries (default family"
-       " set)"},
-      {"--quality-target=", "allowed predicted cost ratio over the best"
-       " candidate"},
-      {"--knn-k=", "neighbors consulted per prediction"},
-      {"--min-trials=", "explore candidates with fewer committed trials"},
-      {"--adaptive-seed=", "extra seed for the exploration stream"},
-  };
-}
-
 }  // namespace
 
 namespace registry_internal {
@@ -149,7 +133,6 @@ std::string RegistryT<Entry>::Describe() const {
     for (size_t pad = e.name.size(); pad < 12; ++pad) out << ' ';
     out << ' ' << e.description;
     if (e.deterministic) out << " [deterministic]";
-    if (!e.cacheable) out << " [stateful: never plan-cached]";
     out << '\n';
     for (const KnobSpec& k : e.knobs) {
       out << "      " << k.flag;
@@ -191,10 +174,6 @@ typename Entry::Result RegistryT<Entry>::Run(std::string_view name,
         family_ + "." + entry->name + ".invoke_us"));
     result = entry->run(inst, options, rng);
   }
-  if (options.feedback != nullptr) {
-    options.feedback->ReportOutcome(
-        MakeRunOutcome(family_, entry->name, inst, result));
-  }
   return result;
 }
 
@@ -206,26 +185,26 @@ template class RegistryT<QohOptimizerEntry>;
 const OptimizerRegistry& OptimizerRegistry::Qon() {
   static const OptimizerRegistry* registry = [] {
     std::vector<QonOptimizerEntry> entries = {
-        {"exhaustive", "all n! permutations (n <= 10)", true, true, {},
+        {"exhaustive", "all n! permutations (n <= 10)", true, {},
          RunExhaustive},
-        {"dp", "exact left-deep subset DP (n <= 24)", true, true, {}, RunDp},
-        {"greedy", "cheapest-next-join from every start", true, true, {},
+        {"dp", "exact left-deep subset DP (n <= 24)", true, {}, RunDp},
+        {"greedy", "cheapest-next-join from every start", true, {},
          RunGreedy},
-        {"random", "best of options.samples random sequences", false, true,
+        {"random", "best of options.samples random sequences", false,
          {{"--samples=", "random sequences drawn"}}, RunRandom},
         {"ii", "first-improvement local search, options.restarts starts",
-         false, true,
+         false,
          {{"--restarts=", "random restarts"},
           {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
          RunIi},
-        {"sa", "simulated annealing (knobs: options.sa)", false, true,
+        {"sa", "simulated annealing (knobs: options.sa)", false,
          {{"--sa-iterations=", "moves per restart"},
           {"--sa-temperature=", "initial temperature (log2-cost units)"},
           {"--sa-cooling=", "geometric cooling factor"},
           {"--sa-restarts=", "independent annealing runs"},
           {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
          RunSa},
-        {"genetic", "genetic algorithm (knobs: options.ga)", false, true,
+        {"genetic", "genetic algorithm (knobs: options.ga)", false,
          {{"--ga-population=", "individuals per generation"},
           {"--ga-generations=", "generations evolved"},
           {"--ga-crossover=", "crossover probability"},
@@ -233,15 +212,11 @@ const OptimizerRegistry& OptimizerRegistry::Qon() {
           {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
          RunGenetic},
         {"bnb", "branch & bound (options.bnb_node_limit, 0 = exact)", true,
-         true, {{"--bnb-node-limit=", "node budget (0 = unlimited)"}},
-         RunBnb},
-        {"cout", "exact optimum under the C_out cost metric", true, true, {},
+         {{"--bnb-node-limit=", "node budget (0 = unlimited)"}}, RunBnb},
+        {"cout", "exact optimum under the C_out cost metric", true, {},
          RunCout},
         {"kbz", "IK/KBZ, exact on tree query graphs (else infeasible)", true,
-         true, {}, RunKbz},
-        {"adaptive", "learned selection over the feedback store"
-         " (docs/adaptive.md)", false, false, AdaptiveKnobSchema(),
-         AdaptiveQonOptimizer},
+         {}, RunKbz},
     };
     return new OptimizerRegistry(std::move(entries), {{"ga", "genetic"}});
   }();
@@ -252,25 +227,22 @@ const QohOptimizerRegistry& QohOptimizerRegistry::Get() {
   static const QohOptimizerRegistry* registry = [] {
     std::vector<QohOptimizerEntry> entries = {
         {"exhaustive", "all n! permutations, optimal decomposition (n <= 9)",
-         true, true, {}, RunQohExhaustive},
-        {"greedy", "min-next-intermediate construction", true, true, {},
+         true, {}, RunQohExhaustive},
+        {"greedy", "min-next-intermediate construction", true, {},
          RunQohGreedy},
-        {"random", "best of options.samples random sequences", false, true,
+        {"random", "best of options.samples random sequences", false,
          {{"--samples=", "random sequences drawn"}}, RunQohRandom},
-        {"ii", "adjacent-transposition local search", false, true,
+        {"ii", "adjacent-transposition local search", false,
          {{"--restarts=", "random restarts"},
           {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
          RunQohIi},
-        {"sa", "simulated annealing (knobs: options.sa)", false, true,
+        {"sa", "simulated annealing (knobs: options.sa)", false,
          {{"--sa-iterations=", "moves per restart"},
           {"--sa-temperature=", "initial temperature (log2-cost units)"},
           {"--sa-cooling=", "geometric cooling factor"},
           {"--sa-restarts=", "independent annealing runs"},
           {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
          RunQohSa},
-        {"adaptive", "learned selection over the feedback store"
-         " (docs/adaptive.md)", false, false, AdaptiveKnobSchema(),
-         AdaptiveQohOptimizer},
     };
     return new QohOptimizerRegistry(std::move(entries),
                                     {{"sample", "random"}});

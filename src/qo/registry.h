@@ -12,9 +12,9 @@
 // Both families share one entry shape (OptimizerEntryT) and one registry
 // implementation (registry_internal::RegistryT); only the instance /
 // options / result types differ. An entry carries metadata — name,
-// description, determinism, cacheability, and a knob schema naming the
-// harness flags that feed it — so front-ends render `--optimizers=help`
-// from Describe() instead of hand-maintaining flag docs.
+// description, determinism, and a knob schema naming the harness flags
+// that feed it — so front-ends render `--optimizers=help` from
+// Describe() instead of hand-maintaining flag docs.
 //
 // Benches and tools select optimizers by name (--optimizers=a,b,c)
 // instead of hand-rolling call lists; the batch service (qo/service.h)
@@ -23,15 +23,6 @@
 // may be null for them); stochastic ones consume it, and equal (instance,
 // options, rng-state) triples produce bit-identical results — the
 // registry wrappers add no randomness and no reordering of their own.
-// The one exception to "pure function of (instance, options, seed)" is
-// `adaptive` (qo/adaptive.h), whose result also depends on its feedback
-// store's committed state: its entry carries cacheable = false and the
-// batch service never probes or populates a PlanCache for it.
-//
-// The invoke path (Run) reports a RunOutcome to options.feedback when the
-// caller set one — that is how the adaptive feedback loop observes every
-// optimizer without the optimizers knowing about it. Reporting is
-// observational only and never changes results.
 //
 // Unknown names are a contract violation: Find returns nullptr so
 // front-ends can exit nonzero with the valid-name list (never a silent
@@ -68,10 +59,6 @@ struct OptimizerEntryT {
   std::string name;         // canonical registry name
   std::string description;  // one line, shown in --help style listings
   bool deterministic = false;  // true: ignores the Rng entirely
-  // False when the result depends on mutable process state (adaptive's
-  // feedback store) — such entries must never be served from or inserted
-  // into a PlanCache, and the batch service enforces exactly that.
-  bool cacheable = true;
   std::vector<KnobSpec> knobs;  // the flags this entry reads
   std::function<Result(const Instance&, const Options&, Rng*)> run;
 };
@@ -84,8 +71,8 @@ using QohOptimizerEntry =
 namespace registry_internal {
 
 // Shared registry implementation: alias resolution, name listing, the
-// Describe() help text, and the instrumented + feedback-reporting invoke
-// path. Instantiated once per family in registry.cc.
+// Describe() help text, and the instrumented invoke path. Instantiated
+// once per family in registry.cc.
 template <typename Entry>
 class RegistryT {
  public:
@@ -105,13 +92,12 @@ class RegistryT {
   }
 
   // Multi-line human-readable listing of every entry: name, description,
-  // determinism/cacheability markers, knob schema, and the alias table.
+  // determinism marker, knob schema, and the alias table.
   // This is what --optimizers=help prints.
   std::string Describe() const;
 
   // Runs a registered optimizer; CHECK-fails on unknown names. Records
-  // the invocation latency into <family>.<name>.invoke_us and reports a
-  // RunOutcome to options.feedback when set.
+  // the invocation latency into <family>.<name>.invoke_us.
   Result Run(std::string_view name, const Instance& inst,
              const Options& options, Rng* rng) const;
 
@@ -123,35 +109,18 @@ class RegistryT {
         aliases_(std::move(aliases)) {}
 
  private:
-  std::string family_;  // "qon" | "qoh": histogram prefix + RunOutcome tag
+  std::string family_;  // "qon" | "qoh": histogram prefix
   std::vector<Entry> entries_;
   std::vector<std::pair<std::string, std::string>> aliases_;
 };
 
 }  // namespace registry_internal
 
-// Fills a RunOutcome from a finished run — shared by the registry invoke
-// path and qo/adaptive.cc (which reports its inner runs itself).
-template <typename Instance, typename Result>
-RunOutcome MakeRunOutcome(std::string_view family, std::string_view optimizer,
-                          const Instance& inst, const Result& result) {
-  RunOutcome out;
-  out.family = std::string(family);
-  out.optimizer = std::string(optimizer);
-  out.n = inst.NumRelations();
-  out.edges = inst.graph().NumEdges();
-  out.feasible = result.feasible;
-  out.cost_log2 = result.cost.Log2();
-  out.evaluations = result.evaluations;
-  out.status = result.status;
-  return out;
-}
-
 class OptimizerRegistry
     : public registry_internal::RegistryT<QonOptimizerEntry> {
  public:
   // The built-in QO_N registry: exhaustive, dp, greedy, random, ii, sa,
-  // genetic (alias: ga), bnb, cout, kbz, adaptive.
+  // genetic (alias: ga), bnb, cout, kbz.
   static const OptimizerRegistry& Qon();
 
  private:
@@ -164,7 +133,7 @@ class QohOptimizerRegistry
     : public registry_internal::RegistryT<QohOptimizerEntry> {
  public:
   // The built-in QO_H registry: exhaustive, greedy, random (alias:
-  // sample), ii, sa, adaptive.
+  // sample), ii, sa.
   static const QohOptimizerRegistry& Get();
 
  private:

@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/runlog.h"
 #include "obs/trace.h"
-#include "qo/adaptive.h"
 #include "util/cancellation.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
@@ -85,13 +84,7 @@ std::vector<typename Traits::Item> RunBatch(
   const auto* entry = Traits::Registry().Find(options.optimizer);
   AQO_CHECK(entry != nullptr)
       << "unknown " << Traits::kFamily << " optimizer: " << options.optimizer;
-
-  // Stateful entries (adaptive) must never be served from or inserted
-  // into a PlanCache: their results depend on feedback-store state, so a
-  // cached plan could go stale the moment the store learns. Gating here
-  // also disables in-batch dedup for them — every duplicate runs and
-  // records its own outcome, exactly what the cache-off baseline does.
-  PlanCache* cache = entry->cacheable ? options.cache : nullptr;
+  PlanCache* cache = options.cache;
 
   size_t count = instances.size();
   std::vector<typename Traits::Canonical> canon(count);
@@ -217,14 +210,6 @@ std::vector<typename Traits::Item> RunBatch(
       if (!text.empty()) obs::RunLog::Global()->WriteRaw(text);
     }
   }
-  // Adaptive epilogue: fold this batch's pending feedback into committed
-  // state, serially and after the log replay, so (a) every decision in
-  // the batch saw the same pre-batch store regardless of scheduling, and
-  // (b) the adaptive_commit record lands after every decision record it
-  // covers — the order the replay tool reconstructs.
-  if (entry->name == "adaptive") {
-    CommitAdaptiveFeedback(Traits::Adaptive(options));
-  }
   if (cache != nullptr) {
     for (size_t r = 0; r < reps.size(); ++r) {
       if (hit[r]) continue;
@@ -299,9 +284,6 @@ struct QonTraits {
                                 const CanonicalQon&) {
     return options.qon;
   }
-  static const AdaptiveKnobs& Adaptive(const BatchOptions& options) {
-    return options.qon.adaptive;
-  }
   static CachedPlan ToPlan(const OptimizerResult& r) {
     return CachedPlan{r.feasible, r.sequence, {}, r.cost, r.evaluations,
                       r.status};
@@ -349,9 +331,6 @@ struct QohTraits {
                            Knobs(options, canon),
                            entry.deterministic ? kDeterministicSeed
                                                : options.seed);
-  }
-  static const AdaptiveKnobs& Adaptive(const BatchOptions& options) {
-    return options.qoh.adaptive;
   }
   static CachedPlan ToPlan(const QohOptimizerResult& r) {
     return CachedPlan{r.feasible, r.sequence, r.decomposition.starts, r.cost,
@@ -410,14 +389,6 @@ Hash128 QonPlanCacheKey(const Hash128& fingerprint, std::string_view optimizer,
   // tokens are deliberately absent — deadline-cut plans are never
   // inserted in the first place.
   acc.Add(options.budget.max_evaluations);
-  // Adaptive knobs (the adaptive entry itself is never cached, but the
-  // key must still be injective over everything that shapes a result).
-  AddString(&acc, options.adaptive.fallback);
-  AddString(&acc, options.adaptive.candidates);
-  acc.AddDouble(options.adaptive.quality_target);
-  acc.Add(static_cast<uint64_t>(options.adaptive.k_neighbors));
-  acc.Add(static_cast<uint64_t>(options.adaptive.min_trials));
-  acc.Add(options.adaptive.seed);
   acc.Add(seed);
   return acc.Digest();
 }
@@ -440,13 +411,6 @@ Hash128 QohPlanCacheKey(const Hash128& fingerprint, std::string_view optimizer,
   acc.Add(static_cast<uint64_t>(options.sa.restarts));
   // See QonPlanCacheKey: the eval cap shapes the cached plan bits.
   acc.Add(options.budget.max_evaluations);
-  // See QonPlanCacheKey on the adaptive knobs.
-  AddString(&acc, options.adaptive.fallback);
-  AddString(&acc, options.adaptive.candidates);
-  acc.AddDouble(options.adaptive.quality_target);
-  acc.Add(static_cast<uint64_t>(options.adaptive.k_neighbors));
-  acc.Add(static_cast<uint64_t>(options.adaptive.min_trials));
-  acc.Add(options.adaptive.seed);
   acc.Add(seed);
   return acc.Digest();
 }

@@ -31,8 +31,8 @@ TEST(Genetic, ProducesValidSequences) {
   for (int trial = 0; trial < 10; ++trial) {
     int n = static_cast<int>(rng.UniformInt(4, 14));
     QonInstance inst = RandomInstance(n, 0.6, &rng);
-    GeneticOptions options;
-    options.generations = 30;
+    OptimizerOptions options;
+    options.ga.generations = 30;
     OptimizerResult r = GeneticOptimizer(inst, &rng, options);
     ASSERT_TRUE(r.feasible);
     EXPECT_TRUE(IsPermutation(r.sequence, n));
@@ -68,9 +68,9 @@ TEST(Genetic, RespectsCartesianRestriction) {
   for (int trial = 0; trial < 10; ++trial) {
     QonInstance inst = RandomInstance(9, 0.6, &rng);
     if (!inst.graph().IsConnected()) continue;
-    GeneticOptions options;
-    options.base.forbid_cartesian = true;
-    options.generations = 60;
+    OptimizerOptions options;
+    options.forbid_cartesian = true;
+    options.ga.generations = 60;
     OptimizerResult r = GeneticOptimizer(inst, &rng, options);
     if (r.feasible) {
       EXPECT_FALSE(HasCartesianProduct(inst.graph(), r.sequence));
@@ -83,9 +83,9 @@ TEST(Genetic, BeatsRandomSamplingAtEqualBudget) {
   int wins = 0, trials = 12;
   for (int t = 0; t < trials; ++t) {
     QonInstance inst = RandomInstance(16, 0.6, &rng);
-    GeneticOptions options;
-    options.population = 50;
-    options.generations = 40;  // ~2000 evaluations
+    OptimizerOptions options;
+    options.ga.population = 50;
+    options.ga.generations = 40;  // ~2000 evaluations
     OptimizerResult ga = GeneticOptimizer(inst, &rng, options);
     OptimizerOptions rs_options;
     rs_options.samples = 2000;

@@ -1,9 +1,7 @@
 // Error-path coverage for the recoverable readers (io/serialization.h):
 // every malformed shape returns a structured ParseResult error — never an
 // abort — and the valid fixtures under examples/fixtures/ round-trip
-// bit-identically. The legacy abort-on-error wrappers are covered by
-// tests/io_test.cc's death tests; this file exercises the Parse* layer
-// the CLI tools use.
+// bit-identically.
 
 #include "io/serialization.h"
 
@@ -93,6 +91,7 @@ TEST(DimacsParse, MalformedInputsReturnStructuredErrors) {
   ExpectError(&ParseDimacs, "", "missing DIMACS header");
   ExpectError(&ParseDimacs, "p sat 2 1\n1 0\n", "bad DIMACS header");
   ExpectError(&ParseDimacs, "p cnf 2 2\n1 -2 0\n", "truncated DIMACS body");
+  ExpectError(&ParseDimacs, "p cnf 2 2\n1 0\n", "truncated DIMACS body");
   ExpectError(&ParseDimacs, "p cnf 2 1\n0\n", "empty DIMACS clause");
   ExpectError(&ParseDimacs, "p cnf 2 1\n1 -9 0\n",
               "DIMACS literal out of range");

@@ -38,7 +38,6 @@ TEST(EstimateCost, QonTableMatchesDeclaredFormulas) {
   EXPECT_DOUBLE_EQ(EstimateQonCostUnits("kbz", o, 7), 49.0);
   EXPECT_DOUBLE_EQ(EstimateQonCostUnits("dp", o, 7), 7.0 * 128.0);
   EXPECT_DOUBLE_EQ(EstimateQonCostUnits("cout", o, 7), 7.0 * 128.0);
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("adaptive", o, 7), 7.0 * 128.0);
   EXPECT_DOUBLE_EQ(EstimateQonCostUnits("random", o, 7), 1000.0 * 7.0);
   o.samples = 10;
   EXPECT_DOUBLE_EQ(EstimateQonCostUnits("random", o, 7), 70.0);
@@ -87,7 +86,7 @@ TEST(EstimateCost, BudgetCapsTheEstimate) {
 // Degradation rewrites.
 
 TEST(Degrade, QonExactEntriesFallToGreedy) {
-  for (const char* name : {"exhaustive", "dp", "bnb", "cout", "adaptive"}) {
+  for (const char* name : {"exhaustive", "dp", "bnb", "cout"}) {
     OptimizerOptions o;
     EXPECT_EQ(DegradeQon(name, &o), "greedy") << name;
   }
@@ -127,7 +126,6 @@ TEST(Degrade, FloorEntriesPassThroughUnchanged) {
 TEST(Degrade, QohTable) {
   QohOptimizerOptions o;
   EXPECT_EQ(DegradeQoh("exhaustive", &o), "greedy");
-  EXPECT_EQ(DegradeQoh("adaptive", &o), "greedy");
   o = QohOptimizerOptions{};
   EXPECT_EQ(DegradeQoh("sa", &o), "sa");
   EXPECT_EQ(o.sa.restarts, 1);

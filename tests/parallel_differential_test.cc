@@ -225,9 +225,9 @@ TEST(TieBreakRegression, BnbExploresLowestRelationFirstOnTies) {
 
 TEST(TieBreakRegression, GeneticElitesStableUnderAllEqualCosts) {
   QonInstance inst = SymmetricInstance(6);
-  GeneticOptions options;
-  options.population = 16;
-  options.generations = 12;
+  OptimizerOptions options;
+  options.ga.population = 16;
+  options.ga.generations = 12;
   auto run = [&] {
     Rng rng(99);
     return GeneticOptimizer(inst, &rng, options);

@@ -18,14 +18,12 @@
 #include "graph/clique.h"
 #include "graph/generators.h"
 #include "obs/runlog.h"
-#include "qo/adaptive.h"
 #include "qo/analysis.h"
 #include "qo/cost_eval.h"
 #include "qo/fast_eval.h"
 #include "qo/optimizers.h"
 #include "qo/qoh.h"
 #include "qo/registry.h"
-#include "qo/service.h"
 #include "qo/workloads.h"
 #include "reductions/clique_to_qon.h"
 #include "reductions/sat_to_clique.h"
@@ -429,92 +427,6 @@ TEST(RelabelingInvariance, QohOptimalCostSurvivesRelationPermutation) {
     };
     EXPECT_TRUE(optimum(relabeled).ApproxEquals(optimum(inst), 1e-9))
         << "trial=" << trial;
-  }
-}
-
-// The adaptive meta-optimizer decides in canonical (1-WL) space, so a
-// relabeled instance — same canonical class, different numeric ids — gets
-// the SAME decision: cost bits and evaluation counts match, and each
-// returned sequence prices correctly on its own labeling. Swept through
-// the service too, threads x {cache off, cache on}, where the feedback
-// store (not the plan cache) carries the state.
-TEST(RelabelingInvariance, AdaptiveDecisionsSurviveRelationPermutation) {
-  Rng rng(646464);
-  for (int trial = 0; trial < 10; ++trial) {
-    int n = static_cast<int>(rng.UniformInt(5, 8));
-    QonInstance inst = RandomQonInstance(n, rng.UniformReal(0.4, 0.9), &rng);
-    std::vector<int> perm = IdentitySequence(n);
-    rng.Shuffle(&perm);
-    QonInstance relabeled = PermuteQon(inst, perm);
-
-    FeedbackStore store_a;
-    OptimizerOptions options;
-    options.adaptive.store = &store_a;
-    OptimizerResult base = AdaptiveQonOptimizer(inst, options, nullptr);
-
-    FeedbackStore store_b;
-    options.adaptive.store = &store_b;
-    OptimizerResult mapped = AdaptiveQonOptimizer(relabeled, options, nullptr);
-
-    ASSERT_TRUE(base.feasible);
-    ASSERT_TRUE(mapped.feasible);
-    EXPECT_EQ(base.cost.Log2(), mapped.cost.Log2()) << "trial=" << trial;
-    EXPECT_EQ(base.evaluations, mapped.evaluations) << "trial=" << trial;
-    EXPECT_EQ(QonSequenceCost(inst, base.sequence).Log2(), base.cost.Log2());
-    EXPECT_EQ(QonSequenceCost(relabeled, mapped.sequence).Log2(),
-              mapped.cost.Log2());
-  }
-}
-
-TEST(RelabelingInvariance, AdaptiveServiceBatchAcrossThreadsAndCache) {
-  Rng rng(656565);
-  std::vector<QonInstance> batch;
-  for (int b = 0; b < 3; ++b) {
-    QonInstance base = RandomQonInstance(7, 0.6, &rng);
-    std::vector<int> perm = IdentitySequence(7);
-    rng.Shuffle(&perm);
-    batch.push_back(base);
-    batch.push_back(PermuteQon(base, perm));
-  }
-
-  auto run = [&batch](int threads, bool with_cache) {
-    FeedbackStore store;
-    PlanCache cache;
-    BatchOptions options;
-    options.optimizer = "adaptive";
-    options.seed = 9;
-    options.qon.adaptive.store = &store;
-    options.cache = with_cache ? &cache : nullptr;
-    if (threads > 1) {
-      ThreadPool pool(threads);
-      options.pool = &pool;
-      return OptimizeQonBatch(batch, options);
-    }
-    return OptimizeQonBatch(batch, options);
-  };
-
-  std::vector<QonBatchItem> reference = run(1, false);
-  // Relabeled pairs decide identically.
-  for (size_t i = 0; i + 1 < reference.size(); i += 2) {
-    EXPECT_EQ(reference[i].result.cost.Log2(),
-              reference[i + 1].result.cost.Log2())
-        << "pair " << i;
-    EXPECT_EQ(reference[i].fingerprint, reference[i + 1].fingerprint);
-  }
-  for (int threads : {1, 2, 4}) {
-    for (bool with_cache : {false, true}) {
-      std::vector<QonBatchItem> other = run(threads, with_cache);
-      ASSERT_EQ(reference.size(), other.size());
-      for (size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(reference[i].result.cost.Log2(),
-                  other[i].result.cost.Log2())
-            << "threads=" << threads << " cache=" << with_cache << " item "
-            << i;
-        EXPECT_EQ(reference[i].result.sequence, other[i].result.sequence)
-            << "threads=" << threads << " cache=" << with_cache << " item "
-            << i;
-      }
-    }
   }
 }
 

@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "qo/adaptive.h"
 #include "qo/analysis.h"
 #include "qo/bnb.h"
 #include "qo/genetic.h"
@@ -96,21 +95,12 @@ const std::map<std::string, QonDirect>& QonDirectCalls() {
          if (!IsTreeQueryGraph(i.graph())) return OptimizerResult{};
          return IkkbzOptimizer(i);
        }},
-      {"adaptive",
-       [](const QonInstance& i, const OptimizerOptions& o, Rng* rng) {
-         return AdaptiveQonOptimizer(i, o, rng);
-       }},
   };
   return calls;
 }
 
 void CheckQonEquivalenceOn(const QonInstance& inst) {
   OptimizerOptions knobs = FastQonKnobs();
-  // Isolate adaptive's feedback from the process-wide default store. Both
-  // invocations read the same (empty) committed state, so the registry
-  // path and the direct call still decide identically.
-  static FeedbackStore feedback_store;
-  knobs.adaptive.store = &feedback_store;
   for (const std::string& name : OptimizerRegistry::Qon().Names()) {
     auto it = QonDirectCalls().find(name);
     ASSERT_NE(it, QonDirectCalls().end())
@@ -165,10 +155,6 @@ const std::map<std::string, QohDirect>& QohDirectCalls() {
        [](const QohInstance& i, const QohOptimizerOptions& o, Rng* rng) {
          return SimulatedAnnealingQohOptimizer(i, rng, o);
        }},
-      {"adaptive",
-       [](const QohInstance& i, const QohOptimizerOptions& o, Rng* rng) {
-         return AdaptiveQohOptimizer(i, o, rng);
-       }},
   };
   return calls;
 }
@@ -181,8 +167,6 @@ TEST(QohRegistry, EveryEntryMatchesItsDirectCall) {
   knobs.restarts = 2;
   knobs.sa.iterations = 300;
   knobs.sa.restarts = 1;
-  static FeedbackStore feedback_store;  // see CheckQonEquivalenceOn
-  knobs.adaptive.store = &feedback_store;
   for (const std::string& name : QohOptimizerRegistry::Get().Names()) {
     auto it = QohDirectCalls().find(name);
     ASSERT_NE(it, QohDirectCalls().end())
@@ -222,38 +206,19 @@ TEST(Registry, ParseOptimizerListTrimsAndDropsEmpties) {
   EXPECT_TRUE(ParseOptimizerList("").empty());
 }
 
-TEST(Registry, AdaptiveIsAFirstClassStatefulEntry) {
-  const QonOptimizerEntry* qon = OptimizerRegistry::Qon().Find("adaptive");
-  ASSERT_NE(qon, nullptr);
-  EXPECT_FALSE(qon->deterministic);
-  EXPECT_FALSE(qon->cacheable);
-  EXPECT_FALSE(qon->knobs.empty());
-  const QohOptimizerEntry* qoh = QohOptimizerRegistry::Get().Find("adaptive");
-  ASSERT_NE(qoh, nullptr);
-  EXPECT_FALSE(qoh->cacheable);
-  // Every non-adaptive entry stays cacheable.
-  for (const std::string& name : OptimizerRegistry::Qon().Names()) {
-    if (name == "adaptive") continue;
-    EXPECT_TRUE(OptimizerRegistry::Qon().Find(name)->cacheable) << name;
-  }
-}
-
 TEST(Registry, DescribeListsEntriesKnobsAndAliases) {
   std::string qon = OptimizerRegistry::Qon().Describe();
   for (const std::string& name : OptimizerRegistry::Qon().Names()) {
     EXPECT_NE(qon.find(name), std::string::npos) << name;
   }
   EXPECT_NE(qon.find("--sa-iterations="), std::string::npos);
-  EXPECT_NE(qon.find("--fallback="), std::string::npos);
   EXPECT_NE(qon.find("ga -> genetic"), std::string::npos);
   EXPECT_NE(qon.find("[deterministic]"), std::string::npos);
-  EXPECT_NE(qon.find("[stateful: never plan-cached]"), std::string::npos);
   std::string qoh = QohOptimizerRegistry::Get().Describe();
   EXPECT_NE(qoh.find("sample -> random"), std::string::npos);
-  EXPECT_NE(qoh.find("adaptive"), std::string::npos);
   // Every knob flag advertised by an entry is a real harness flag, so
   // the schema doubles as flag documentation (bench_common reads them).
-  EXPECT_NE(qoh.find("--quality-target="), std::string::npos);
+  EXPECT_NE(qoh.find("--restarts="), std::string::npos);
 }
 
 }  // namespace

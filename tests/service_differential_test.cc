@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "qo/adaptive.h"
 #include "qo/fingerprint.h"
 #include "qo/plan_cache.h"
 #include "qo/registry.h"
@@ -197,24 +196,13 @@ TEST(ServiceDifferential, QohEvalTierNeverChangesAnyPlanBit) {
 TEST(ServiceDifferential, QonCacheAndThreadsNeverChangeAnyBit) {
   std::vector<QonInstance> batch = QonBatchInstances();
   for (const std::string& name : OptimizerRegistry::Qon().Names()) {
-    const bool cacheable = OptimizerRegistry::Qon().Find(name)->cacheable;
     BatchOptions options;
     options.optimizer = name;
     options.qon = FastQonKnobs();
     options.seed = kSeed;
 
-    // Stateful entries (adaptive) decide from their feedback store, so
-    // every run gets a fresh one: the differential contract is "same
-    // initial store state => same bits", not "same bits regardless of
-    // what the store learned in between".
-    auto run = [&batch](BatchOptions opts) {
-      FeedbackStore store;
-      opts.qon.adaptive.store = &store;
-      return OptimizeQonBatch(batch, opts);
-    };
-
     // Reference: cache off, serial.
-    std::vector<QonBatchItem> reference = run(options);
+    std::vector<QonBatchItem> reference = OptimizeQonBatch(batch, options);
 
     PlanCache shared_cache;
     for (int threads : kThreadCounts) {
@@ -223,29 +211,25 @@ TEST(ServiceDifferential, QonCacheAndThreadsNeverChangeAnyBit) {
 
       options.pool = &pool;
       options.cache = nullptr;
-      ExpectSameItems(label + " nocache", reference, run(options));
+      ExpectSameItems(label + " nocache", reference,
+                      OptimizeQonBatch(batch, options));
 
       PlanCache cold_cache;
       options.cache = &cold_cache;
-      std::vector<QonBatchItem> cold = run(options);
+      std::vector<QonBatchItem> cold = OptimizeQonBatch(batch, options);
       ExpectSameItems(label + " cold", reference, cold);
 
-      std::vector<QonBatchItem> warm = run(options);
+      std::vector<QonBatchItem> warm = OptimizeQonBatch(batch, options);
       ExpectSameItems(label + " warm", reference, warm);
       for (size_t i = 0; i < warm.size(); ++i) {
-        EXPECT_EQ(warm[i].from_cache, cacheable)
-            << label << " warm item " << i;
+        EXPECT_TRUE(warm[i].from_cache) << label << " warm item " << i;
       }
-      if (cacheable) {
-        EXPECT_GT(cold_cache.GetStats().hits, 0u) << label;
-      } else {
-        // Stateful entries must never be served from (or fill) the cache.
-        EXPECT_EQ(cold_cache.GetStats().entries, 0u) << label;
-      }
+      EXPECT_GT(cold_cache.GetStats().hits, 0u) << label;
 
       // A cache shared across different thread counts must agree too.
       options.cache = &shared_cache;
-      ExpectSameItems(label + " shared", reference, run(options));
+      ExpectSameItems(label + " shared", reference,
+                      OptimizeQonBatch(batch, options));
     }
   }
 }
@@ -253,20 +237,12 @@ TEST(ServiceDifferential, QonCacheAndThreadsNeverChangeAnyBit) {
 TEST(ServiceDifferential, QohCacheAndThreadsNeverChangeAnyBit) {
   std::vector<QohInstance> batch = QohBatchInstances();
   for (const std::string& name : QohOptimizerRegistry::Get().Names()) {
-    const bool cacheable = QohOptimizerRegistry::Get().Find(name)->cacheable;
     BatchOptions options;
     options.optimizer = name;
     options.qoh = FastQohKnobs();
     options.seed = kSeed;
 
-    // Fresh feedback store per run; see the QO_N test above.
-    auto run = [&batch](BatchOptions opts) {
-      FeedbackStore store;
-      opts.qoh.adaptive.store = &store;
-      return OptimizeQohBatch(batch, opts);
-    };
-
-    std::vector<QohBatchItem> reference = run(options);
+    std::vector<QohBatchItem> reference = OptimizeQohBatch(batch, options);
 
     PlanCache shared_cache;
     for (int threads : kThreadCounts) {
@@ -275,7 +251,7 @@ TEST(ServiceDifferential, QohCacheAndThreadsNeverChangeAnyBit) {
 
       options.pool = &pool;
       options.cache = nullptr;
-      std::vector<QohBatchItem> parallel = run(options);
+      std::vector<QohBatchItem> parallel = OptimizeQohBatch(batch, options);
       ExpectSameItems(label + " nocache", reference, parallel);
       for (size_t i = 0; i < parallel.size(); ++i) {
         if (!reference[i].result.feasible) continue;
@@ -286,27 +262,23 @@ TEST(ServiceDifferential, QohCacheAndThreadsNeverChangeAnyBit) {
 
       PlanCache cold_cache;
       options.cache = &cold_cache;
-      std::vector<QohBatchItem> cold = run(options);
+      std::vector<QohBatchItem> cold = OptimizeQohBatch(batch, options);
       ExpectSameItems(label + " cold", reference, cold);
 
-      std::vector<QohBatchItem> warm = run(options);
+      std::vector<QohBatchItem> warm = OptimizeQohBatch(batch, options);
       ExpectSameItems(label + " warm", reference, warm);
       for (size_t i = 0; i < warm.size(); ++i) {
-        EXPECT_EQ(warm[i].from_cache, cacheable)
-            << label << " warm item " << i;
+        EXPECT_TRUE(warm[i].from_cache) << label << " warm item " << i;
         if (!reference[i].result.feasible) continue;
         EXPECT_EQ(reference[i].result.decomposition.starts,
                   warm[i].result.decomposition.starts)
             << label << " item " << i;
       }
-      if (cacheable) {
-        EXPECT_GT(cold_cache.GetStats().hits, 0u) << label;
-      } else {
-        EXPECT_EQ(cold_cache.GetStats().entries, 0u) << label;
-      }
+      EXPECT_GT(cold_cache.GetStats().hits, 0u) << label;
 
       options.cache = &shared_cache;
-      ExpectSameItems(label + " shared", reference, run(options));
+      ExpectSameItems(label + " shared", reference,
+                      OptimizeQohBatch(batch, options));
     }
   }
 }

@@ -25,9 +25,8 @@
 // is a pure function of --seed.
 //
 // --optimizer=<name> stamps an `optimizer=` token into every request
-// header so the server runs that registry entry (e.g. `adaptive` — the CI
-// adaptive smoke drives same-seed streams through it twice and diffs the
-// bytes); --optimizer=help prints both registries' listings.
+// header so the server runs that registry entry; --optimizer=help prints
+// both registries' listings.
 
 #include <sys/types.h>
 #include <sys/wait.h>

@@ -33,9 +33,7 @@
 // every insert is written through to the journal; a graceful shutdown
 // (stdin EOF, SIGTERM, SIGINT) rotates a fresh snapshot. SIGKILL loses
 // nothing but the snapshot rotation — the journal already holds every
-// insert. --feedback-dir=<dir> does the same for the adaptive feedback
-// store (docs/adaptive.md): warm from <dir>/feedback.bin, append every
-// committed record write-through.
+// insert.
 //
 // Admission control: --max-n= rejects instances above a relation-count
 // ceiling before any optimization work; --request-deadline-ms= (or the
@@ -48,14 +46,16 @@
 // qo.persist.* for storage, plus --json-out/--trace-out/--latency-table
 // from the shared harness flags.
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -64,7 +64,6 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/runlog.h"
-#include "qo/adaptive.h"
 #include "qo/overload.h"
 #include "qo/persist.h"
 #include "qo/plan_cache.h"
@@ -114,15 +113,61 @@ void LogOverloadDecision(const std::string& id, const OverloadDecision& d,
   }
 }
 
-// One optimize request: parses, admits, runs a single-instance batch
-// through the shared cache, formats the response payload. A non-empty
-// `optimizer` (the per-request `optimizer=<name>` header token) overrides
-// the configured entry for this request only.
-std::string ServeOptimize(const std::string& id, double deadline_ms,
-                          const std::string& optimizer,
-                          const std::string& body, const ServerConfig& config,
-                          PlanCache* cache, ThreadPool* pool,
-                          LoadGovernor* governor) {
+// What differs between the QO_N and QO_H halves of ServeOptimize; the
+// request flow itself is shared, in the shape of RunBatch<Traits> in
+// qo/service.cc.
+struct QonServe {
+  using Options = OptimizerOptions;
+  static constexpr std::string_view kLabel = "QO_N";
+  static constexpr auto Parse = &ParseQonInstance;
+  static constexpr auto Registry = &OptimizerRegistry::Qon;
+  static constexpr auto Estimate = &EstimateQonCostUnits;
+  static constexpr auto Degrade = &DegradeQon;
+  static constexpr auto Optimize = &OptimizeQonBatch;
+  static constexpr BatchOptions ServerConfig::*kConfig =
+      &ServerConfig::qon_batch;
+  static constexpr OptimizerOptions BatchOptions::*kKnobs = &BatchOptions::qon;
+
+  // QO_N runs the optimizer itself on the pool (the parallel DP); the
+  // single-instance batch stays serial.
+  static void UsePool(OptimizerOptions* knobs, ThreadPool* pool) {
+    knobs->pool = pool;
+  }
+  static void WritePipelines(std::ostream&, const OptimizerResult&) {}
+};
+
+struct QohServe {
+  using Options = QohOptimizerOptions;
+  static constexpr std::string_view kLabel = "QO_H";
+  static constexpr auto Parse = &ParseQohInstance;
+  static constexpr auto Registry = &QohOptimizerRegistry::Get;
+  static constexpr auto Estimate = &EstimateQohCostUnits;
+  static constexpr auto Degrade = &DegradeQoh;
+  static constexpr auto Optimize = &OptimizeQohBatch;
+  static constexpr BatchOptions ServerConfig::*kConfig =
+      &ServerConfig::qoh_batch;
+  static constexpr QohOptimizerOptions BatchOptions::*kKnobs =
+      &BatchOptions::qoh;
+
+  static void UsePool(QohOptimizerOptions*, ThreadPool*) {}
+  static void WritePipelines(std::ostream& out,
+                             const QohOptimizerResult& result) {
+    out << "\npipelines";
+    for (int v : result.decomposition.starts) out << " " << v;
+  }
+};
+
+// One optimize request of family `family` (the instance's first token):
+// parses, admits, runs a single-instance batch through the shared cache,
+// formats the response payload. A non-empty `optimizer` (the per-request
+// `optimizer=<name>` header token) overrides the configured entry for
+// this request only.
+template <typename Family>
+std::string ServeFamily(const std::string& id, const std::string& family,
+                        double deadline_ms, const std::string& optimizer,
+                        std::istream& in, const ServerConfig& config,
+                        PlanCache* cache, ThreadPool* pool,
+                        LoadGovernor* governor) {
   static obs::Counter& rejects =
       obs::Registry::Get().GetCounter("qo.serve.admission_rejects");
   static obs::Counter& cache_hits =
@@ -131,146 +176,92 @@ std::string ServeOptimize(const std::string& id, double deadline_ms,
       obs::Registry::Get().GetCounter("qo.serve.sheds");
   static obs::Counter& degrade_counter =
       obs::Registry::Get().GetCounter("qo.serve.degraded");
+  std::ostringstream out;
+  auto parsed = Family::Parse(in);
+  if (!parsed.ok()) {
+    out << "err " << id << " parse: " << parsed.error;
+    return out.str();
+  }
+  const auto& inst = *parsed.value;
+  if (config.max_n > 0 && inst.NumRelations() > config.max_n) {
+    rejects.Increment();
+    out << "err " << id << " admission: n=" << inst.NumRelations()
+        << " exceeds --max-n=" << config.max_n;
+    return out.str();
+  }
+  BatchOptions options = config.*Family::kConfig;
+  typename Family::Options& knobs = options.*Family::kKnobs;
+  options.cache = cache;
+  options.pool = nullptr;
+  Family::UsePool(&knobs, pool);
+  options.deadline_ms = deadline_ms;
+  if (!optimizer.empty()) {
+    const auto* entry = Family::Registry().Find(optimizer);
+    if (entry == nullptr) {
+      rejects.Increment();
+      out << "err " << id << " optimizer: unknown " << Family::kLabel
+          << " entry '" << optimizer << "'";
+      return out.str();
+    }
+    options.optimizer = entry->name;
+  }
+  bool degraded = false;
+  if (governor != nullptr && governor->armed()) {
+    typename Family::Options degraded_knobs = knobs;
+    std::string fallback = Family::Degrade(options.optimizer, &degraded_knobs);
+    OverloadDecision d = governor->OnArrival(
+        Family::Estimate(options.optimizer, knobs, inst.NumRelations()),
+        Family::Estimate(fallback, degraded_knobs, inst.NumRelations()));
+    if (d.tier == OverloadTier::kShed) {
+      shed_counter.Increment();
+      LogOverloadDecision(id, d, options.optimizer, fallback);
+      out << "err " << id << " shed: " << d.reason;
+      return out.str();
+    }
+    if (d.tier == OverloadTier::kDegrade) {
+      degrade_counter.Increment();
+      LogOverloadDecision(id, d, options.optimizer, fallback);
+      options.optimizer = fallback;
+      knobs = degraded_knobs;
+      degraded = true;
+    }
+  }
+  auto items = Family::Optimize({inst}, options);
+  const auto& item = items.front();
+  if (item.from_cache) cache_hits.Increment();
+  out << "ok " << id << " " << family
+      << " feasible=" << (item.result.feasible ? 1 : 0)
+      << " status=" << PlanStatusName(item.result.status)
+      << " cost_log2=" << FormatG17(item.result.cost.Log2())
+      << " evaluations=" << item.result.evaluations;
+  if (degraded) out << " degraded=1";
+  if (item.result.feasible) {
+    out << "\nseq";
+    for (int v : item.result.sequence) out << " " << v;
+    Family::WritePipelines(out, item.result);
+  }
+  return out.str();
+}
+
+std::string ServeOptimize(const std::string& id, double deadline_ms,
+                          const std::string& optimizer,
+                          const std::string& body, const ServerConfig& config,
+                          PlanCache* cache, ThreadPool* pool,
+                          LoadGovernor* governor) {
   std::istringstream in(body);
   std::string family;
   in >> family;
   in.seekg(0);
-  std::ostringstream out;
   if (family == "qon") {
-    ParseResult<QonInstance> parsed = ParseQonInstance(in);
-    if (!parsed.ok()) {
-      out << "err " << id << " parse: " << parsed.error;
-      return out.str();
-    }
-    const QonInstance& inst = *parsed.value;
-    if (config.max_n > 0 && inst.NumRelations() > config.max_n) {
-      rejects.Increment();
-      out << "err " << id << " admission: n=" << inst.NumRelations()
-          << " exceeds --max-n=" << config.max_n;
-      return out.str();
-    }
-    BatchOptions options = config.qon_batch;
-    options.cache = cache;
-    options.pool = nullptr;  // single instance; optimizer-level pool below
-    options.qon.pool = pool;
-    options.deadline_ms = deadline_ms;
-    if (!optimizer.empty()) {
-      const auto* entry = OptimizerRegistry::Qon().Find(optimizer);
-      if (entry == nullptr) {
-        rejects.Increment();
-        out << "err " << id << " optimizer: unknown QO_N entry '" << optimizer
-            << "'";
-        return out.str();
-      }
-      options.optimizer = entry->name;
-    }
-    bool degraded = false;
-    if (governor != nullptr && governor->armed()) {
-      OptimizerOptions degraded_knobs = options.qon;
-      std::string fallback = DegradeQon(options.optimizer, &degraded_knobs);
-      OverloadDecision d = governor->OnArrival(
-          EstimateQonCostUnits(options.optimizer, options.qon,
-                               inst.NumRelations()),
-          EstimateQonCostUnits(fallback, degraded_knobs,
-                               inst.NumRelations()));
-      if (d.tier == OverloadTier::kShed) {
-        shed_counter.Increment();
-        LogOverloadDecision(id, d, options.optimizer, fallback);
-        out << "err " << id << " shed: " << d.reason;
-        return out.str();
-      }
-      if (d.tier == OverloadTier::kDegrade) {
-        degrade_counter.Increment();
-        LogOverloadDecision(id, d, options.optimizer, fallback);
-        options.optimizer = fallback;
-        options.qon = degraded_knobs;
-        options.qon.pool = pool;
-        degraded = true;
-      }
-    }
-    std::vector<QonBatchItem> items = OptimizeQonBatch({inst}, options);
-    const QonBatchItem& item = items.front();
-    if (item.from_cache) cache_hits.Increment();
-    out << "ok " << id << " qon feasible=" << (item.result.feasible ? 1 : 0)
-        << " status=" << PlanStatusName(item.result.status)
-        << " cost_log2=" << FormatG17(item.result.cost.Log2())
-        << " evaluations=" << item.result.evaluations;
-    if (degraded) out << " degraded=1";
-    if (item.result.feasible) {
-      out << "\nseq";
-      for (int v : item.result.sequence) out << " " << v;
-    }
-    return out.str();
+    return ServeFamily<QonServe>(id, family, deadline_ms, optimizer, in,
+                                 config, cache, pool, governor);
   }
   if (family == "qoh") {
-    ParseResult<QohInstance> parsed = ParseQohInstance(in);
-    if (!parsed.ok()) {
-      out << "err " << id << " parse: " << parsed.error;
-      return out.str();
-    }
-    const QohInstance& inst = *parsed.value;
-    if (config.max_n > 0 && inst.NumRelations() > config.max_n) {
-      rejects.Increment();
-      out << "err " << id << " admission: n=" << inst.NumRelations()
-          << " exceeds --max-n=" << config.max_n;
-      return out.str();
-    }
-    BatchOptions options = config.qoh_batch;
-    options.cache = cache;
-    options.pool = nullptr;
-    options.deadline_ms = deadline_ms;
-    if (!optimizer.empty()) {
-      const auto* entry = QohOptimizerRegistry::Get().Find(optimizer);
-      if (entry == nullptr) {
-        rejects.Increment();
-        out << "err " << id << " optimizer: unknown QO_H entry '" << optimizer
-            << "'";
-        return out.str();
-      }
-      options.optimizer = entry->name;
-    }
-    bool degraded = false;
-    if (governor != nullptr && governor->armed()) {
-      QohOptimizerOptions degraded_knobs = options.qoh;
-      std::string fallback = DegradeQoh(options.optimizer, &degraded_knobs);
-      OverloadDecision d = governor->OnArrival(
-          EstimateQohCostUnits(options.optimizer, options.qoh,
-                               inst.NumRelations()),
-          EstimateQohCostUnits(fallback, degraded_knobs,
-                               inst.NumRelations()));
-      if (d.tier == OverloadTier::kShed) {
-        shed_counter.Increment();
-        LogOverloadDecision(id, d, options.optimizer, fallback);
-        out << "err " << id << " shed: " << d.reason;
-        return out.str();
-      }
-      if (d.tier == OverloadTier::kDegrade) {
-        degrade_counter.Increment();
-        LogOverloadDecision(id, d, options.optimizer, fallback);
-        options.optimizer = fallback;
-        options.qoh = degraded_knobs;
-        degraded = true;
-      }
-    }
-    std::vector<QohBatchItem> items = OptimizeQohBatch({inst}, options);
-    const QohBatchItem& item = items.front();
-    if (item.from_cache) cache_hits.Increment();
-    out << "ok " << id << " qoh feasible=" << (item.result.feasible ? 1 : 0)
-        << " status=" << PlanStatusName(item.result.status)
-        << " cost_log2=" << FormatG17(item.result.cost.Log2())
-        << " evaluations=" << item.result.evaluations;
-    if (degraded) out << " degraded=1";
-    if (item.result.feasible) {
-      out << "\nseq";
-      for (int v : item.result.sequence) out << " " << v;
-      out << "\npipelines";
-      for (int v : item.result.decomposition.starts) out << " " << v;
-    }
-    return out.str();
+    return ServeFamily<QohServe>(id, family, deadline_ms, optimizer, in,
+                                 config, cache, pool, governor);
   }
-  out << "err " << id << " parse: unknown instance family '" << family
-      << "' (expected qon or qoh)";
-  return out.str();
+  return "err " + id + " parse: unknown instance family '" + family +
+         "' (expected qon or qoh)";
 }
 
 int Main(int argc, char** argv) {
@@ -348,11 +339,27 @@ int Main(int argc, char** argv) {
     return 2;
   }
 
+  // The PlanCache constructor CHECK-fails on an empty budget, no shards,
+  // or fewer budget bytes than shards; refuse those sizes here instead.
+  // The upper bounds keep the MiB shift and the int narrowing exact.
+  int64_t cache_mb = flags.GetInt("plan-cache-mb", 64);
+  int64_t cache_shards = flags.GetInt("plan-cache-shards", 16);
+  constexpr int64_t kMaxCacheMb = int64_t{1} << 40;
+  if (cache_mb < 1 || cache_mb > kMaxCacheMb) {
+    std::cerr << "error: --plan-cache-mb must be in [1, " << kMaxCacheMb
+              << "], got " << cache_mb << "\n";
+    return 2;
+  }
+  int64_t max_shards =
+      std::min<int64_t>(cache_mb << 20, std::numeric_limits<int>::max());
+  if (cache_shards < 1 || cache_shards > max_shards) {
+    std::cerr << "error: --plan-cache-shards must be in [1, " << max_shards
+              << "], got " << cache_shards << "\n";
+    return 2;
+  }
   PlanCacheOptions cache_options;
-  cache_options.byte_budget =
-      static_cast<size_t>(flags.GetInt("plan-cache-mb", 64)) << 20;
-  cache_options.shards =
-      static_cast<int>(flags.GetInt("plan-cache-shards", 16));
+  cache_options.byte_budget = static_cast<size_t>(cache_mb) << 20;
+  cache_options.shards = static_cast<int>(cache_shards);
   PlanCache cache(cache_options);
   cache.LogConfig();
 
@@ -390,31 +397,6 @@ int Main(int argc, char** argv) {
     }
     std::cerr << "\n";
     store->AttachTo(&cache);
-  }
-
-  // Adaptive feedback durability: warm the default store from
-  // <dir>/feedback.bin (salvaging up to any damage point), then make
-  // every commit append write-through. The batch service commits after
-  // each adaptive request, so learning survives restarts.
-  std::string feedback_dir = flags.GetString("feedback-dir");
-  if (!feedback_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(feedback_dir, ec);
-    std::string feedback_path = feedback_dir + "/feedback.bin";
-    FeedbackStore& feedback = FeedbackStore::Default();
-    FeedbackLoadStats loaded = feedback.LoadFrom(feedback_path);
-    std::cerr << "aqo_serve: feedback store loaded " << loaded.records
-              << " records (" << loaded.duplicates << " duplicates)";
-    if (loaded.torn_tail) std::cerr << " [torn tail]";
-    if (!loaded.damage.empty()) {
-      std::cerr << " [damage: " << loaded.damage << "]";
-    }
-    std::cerr << "\n";
-    std::string attach_error;
-    if (!feedback.AttachFile(feedback_path, &attach_error)) {
-      std::cerr << "error: --feedback-dir: " << attach_error << "\n";
-      return 1;
-    }
   }
 
   // SIGTERM/SIGINT end the serve loop for a graceful snapshot; no
@@ -503,8 +485,7 @@ int Main(int argc, char** argv) {
            << governor.PressurePermille() << " sheds=" << governor.sheds()
            << " degrades=" << governor.degrades() << " persist="
            << (store != nullptr ? PersistHealthName(store->health())
-                                : "none")
-           << " feedback=" << (feedback_dir.empty() ? "none" : "attached");
+                                : "none");
       response = pong.str();
     } else if (verb == "health" && !id.empty()) {
       governor.OnControlFrame();
@@ -527,8 +508,7 @@ int Main(int argc, char** argv) {
       }
       health << "\ncache entries=" << stats.entries
              << " bytes=" << stats.bytes << " hits=" << stats.hits
-             << " misses=" << stats.misses << "\nfeedback "
-             << (feedback_dir.empty() ? "none" : "attached");
+             << " misses=" << stats.misses;
       response = health.str();
     } else if (verb == "snapshot" && !id.empty()) {
       governor.OnControlFrame();

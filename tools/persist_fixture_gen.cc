@@ -16,7 +16,6 @@
 // Also emits the fuzz-corpus seed fixtures one level up (fuzz/ and
 // tests/serve_corrupt_frame use them):
 //
-//   feedback_valid.bin   — one canonical EncodeFeedbackPayload record
 //   frames_valid.bin     — three well-formed serve-protocol frames
 //   frames_garbage.bin   — the same frames with raw garbage spliced
 //                          between frames #1 and #2 (resync exercise)
@@ -30,7 +29,6 @@
 #include <string>
 
 #include "io/framing.h"
-#include "qo/adaptive.h"
 #include "qo/persist.h"
 #include "util/log_double.h"
 
@@ -93,31 +91,6 @@ int Main(int argc, char** argv) {
                                    (record1.size() - 8) / 2));
 
   std::string fixtures_root = argc > 2 ? argv[2] : "examples/fixtures";
-
-  FeedbackRecord feedback;
-  feedback.family = AdaptiveFamily::kQon;
-  feedback.optimizer = "greedy";
-  feedback.knob_hash = 0x0123456789abcdefULL;
-  feedback.features.n = 7;
-  feedback.features.edges = 9;
-  feedback.features.edge_density = 0.4285714285714286;
-  feedback.features.log_size_mean = 10.25;
-  feedback.features.log_size_min = 8.0;
-  feedback.features.log_size_max = 12.5;
-  feedback.features.sel_log_mean = -3.5;
-  feedback.features.sel_log_min = -7.0;
-  feedback.features.access_log_mean = 9.5;
-  feedback.features.access_log_max = 11.0;
-  feedback.features.memory_log2 = 20.0;
-  feedback.features.eta = 0.5;
-  feedback.features.wl_class = 42;
-  feedback.feasible = true;
-  feedback.cost_log2 = 33.125;
-  feedback.regret_log2 = 0.5;
-  feedback.evaluations = 49;
-  feedback.status = PlanStatus::kComplete;
-  WriteFixture(fixtures_root, "feedback_valid.bin",
-               EncodeFeedbackPayload(feedback));
 
   auto framed = [](const std::string& payload) {
     std::ostringstream os;
