@@ -285,11 +285,6 @@ inline OptimizerOptions ReadQonKnobs(const Flags& flags,
   o.budget.max_evaluations = static_cast<uint64_t>(flags.GetInt(
       "budget-evals", static_cast<int64_t>(o.budget.max_evaluations)));
   o.budget.deadline_ms = flags.GetDouble("deadline-ms", o.budget.deadline_ms);
-  {
-    std::string tier = flags.GetString("eval-tier", EvalTierName(o.eval_tier));
-    AQO_CHECK(ParseEvalTier(tier, &o.eval_tier))
-        << "--eval-tier= must be 'exact' or 'fast', got: " << tier;
-  }
   return o;
 }
 
@@ -310,11 +305,6 @@ inline QohOptimizerOptions ReadQohKnobs(const Flags& flags,
   o.budget.max_evaluations = static_cast<uint64_t>(flags.GetInt(
       "budget-evals", static_cast<int64_t>(o.budget.max_evaluations)));
   o.budget.deadline_ms = flags.GetDouble("deadline-ms", o.budget.deadline_ms);
-  {
-    std::string tier = flags.GetString("eval-tier", EvalTierName(o.eval_tier));
-    AQO_CHECK(ParseEvalTier(tier, &o.eval_tier))
-        << "--eval-tier= must be 'exact' or 'fast', got: " << tier;
-  }
   return o;
 }
 

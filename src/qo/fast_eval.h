@@ -1,31 +1,24 @@
 #ifndef AQO_QO_FAST_EVAL_H_
 #define AQO_QO_FAST_EVAL_H_
 
-// The fast (approximate, certified) evaluation tier for neighborhood
-// pricing — the opt-in second tier behind OptimizerOptions::eval_tier.
+// Certified swap pricing for QO_N iterative improvement.
 //
-// The exact evaluators in qo/cost_eval.h are pinned to the naive code's
+// The exact evaluator in qo/cost_eval.h is pinned to the naive code's
 // left-to-right expression tree: LogDouble addition is log-sum-exp and is
 // not associative, so the bit-identity contract forbids re-associating the
-// cost fold, and the exact tier's incremental speedup has a mathematical
-// ceiling (BENCH_COST_EVAL.json). The evaluators below deliberately give
-// that constraint up. They keep every per-target quantity as flat
-// structure-of-arrays of raw log2-domain doubles (access costs,
-// masked-selectivity rows where a non-edge contributes an exactly
-// representable +0.0, running min/sum prefix matrices), accumulate in the
-// log domain with free re-association, and price a whole swap neighborhood
-// of a loaded sequence in one batched pass: all n-1 adjacent
-// transpositions cost O(1) each after an O(n^2) Load, and an arbitrary
-// swap (i, j) costs O((j-i) * n). The inner loops are contiguous,
-// branch-free, and AQO_RESTRICT-qualified; an explicit AVX2 path (see
-// fast_eval.cc) covers the elementwise min/add kernels and is guarded
-// behind a scalar fallback that produces bit-identical kernel outputs —
-// only IEEE-exact operations (add of disjoint rows, elementwise min) are
-// vectorized, while the log-sum-exp reduction stays scalar in both paths.
+// cost fold, and a swap at positions (i, j) costs a Θ(n - i)-long suffix
+// re-fold. QonNeighborhoodEvaluator deliberately gives that constraint up.
+// It keeps every per-target quantity as flat structure-of-arrays of raw
+// log2-domain doubles (access costs, masked-selectivity rows where a
+// non-edge contributes an exactly representable +0.0, running min/sum
+// prefix matrices), accumulates in the log domain with free
+// re-association, and prices an arbitrary swap (i, j) of a loaded sequence
+// in O((j - i) * n) after an O(n^2) Load: joins outside the swapped span
+// reuse precomputed log-sum-exp partials.
 //
-// Correctness contract (docs/performance.md, "Evaluation tiers"):
+// Correctness contract (docs/performance.md, "Ranked swaps in `ii`"):
 //
-//   |fast_log2(candidate) - naive_log2(candidate)| <= EpsLog2()
+//   |PriceSwap(i, j) - naive_log2(candidate)| <= EpsLog2()
 //
 // where naive_log2 is LogDouble::Log2() of the exact fold. The bound is a
 // worst-case interval/ulp argument over the fold length: in real
@@ -36,79 +29,27 @@
 // constant A = sum |log2 t_v| + sum |log2 masked selectivities| +
 // max |log2 access cost| + 1. EpsLog2() = C * n^2 * DBL_EPSILON * A with a
 // generous constant C; tests/fast_eval_test.cc and tests/property_test.cc
-// assert the bound across 1000 seeded instances. Fast costs are only ever
-// used to *rank* candidates: every candidate an optimizer might accept
-// (anything not provably worse than the incumbent by more than EpsLog2())
-// is re-priced through the exact evaluator before acceptance, so final
-// (cost, sequence, status) triples are bit-identical to the exact tier.
-//
-// The QO_H evaluator prices pipeline-swap neighborhoods the same way. Its
-// feasibility verdict is *exact*, not approximate: memory floors are
-// folded in join order with the same linear-domain doubles the exact DP
-// uses, and reachability in the decomposition DP is cost-independent, so
-// the fast tier's feasible/infeasible answer is bit-identical to the
-// naive DP's. Only the cost carries the eps bound (its DP prunes against
-// the incumbent with an EpsLog2() slack so pruning cannot push the
-// returned minimum outside the certified interval).
+// assert the bound for every swap pair at the sizes where `ii` ranks.
+// Prices only ever *rank*: IterativeImprovementOptimizer skips the exact
+// evaluation of a swap only when its price proves the exact cost is no
+// better than the incumbent's, and re-prices everything else exactly.
 //
 // Telemetry: qo.fast_eval.neighborhoods counts Load calls,
-// qo.fast_eval.candidates counts priced candidates. The optimizer
-// adoption sites add qo.fast_eval.certified_rejects,
-// qo.fast_eval.exact_repricings, and qo.fast_eval.ambiguous.
+// qo.fast_eval.candidates counts priced swaps. The `ii` loop adds
+// qo.fast_eval.certified_rejects and qo.fast_eval.exact_repricings.
 //
 // Thread safety: same model as qo/cost_eval.h — one evaluator per
 // optimizer run; the instance must outlive it.
 
 #include <vector>
 
-#include "qo/qoh.h"
 #include "qo/qon.h"
 
 namespace aqo {
 
-namespace fast_eval_internal {
-
-// "avx2" when the vector kernels below were compiled with the AVX2
-// intrinsic path, "scalar" otherwise. Recorded by tools/bench_snapshot so
-// committed speedup curves are comparable across machines.
-const char* SimdPath();
-
-// Elementwise kernels over contiguous double rows. The AVX2 and scalar
-// builds are bit-identical: vector min/add on doubles is the lanewise IEEE
-// operation. The *Scalar variants are always compiled (they are the
-// fallback bodies) so tests can assert SIMD/scalar parity on AVX2 builds.
-void RowMin(double* AQO_RESTRICT dst, const double* AQO_RESTRICT a,
-            const double* AQO_RESTRICT b, int n);
-void RowAdd(double* AQO_RESTRICT dst, const double* AQO_RESTRICT a,
-            const double* AQO_RESTRICT b, int n);
-void RowMinScalar(double* AQO_RESTRICT dst, const double* AQO_RESTRICT a,
-                  const double* AQO_RESTRICT b, int n);
-void RowAddScalar(double* AQO_RESTRICT dst, const double* AQO_RESTRICT a,
-                  const double* AQO_RESTRICT b, int n);
-// In-place folds: dst = min(dst, src) / dst += src.
-void RowMinInPlace(double* AQO_RESTRICT dst, const double* AQO_RESTRICT src,
-                   int n);
-void RowAddInPlace(double* AQO_RESTRICT dst, const double* AQO_RESTRICT src,
-                   int n);
-void RowMinInPlaceScalar(double* AQO_RESTRICT dst,
-                         const double* AQO_RESTRICT src, int n);
-void RowAddInPlaceScalar(double* AQO_RESTRICT dst,
-                         const double* AQO_RESTRICT src, int n);
-
-// log2(2^a + 2^b) with -infinity as the additive identity — the raw-double
-// twin of LogDouble::operator+ (same hi + log1p(exp2(lo - hi)) / ln2
-// form, so the per-operation rounding profile matches the exact fold's).
-double Lse2(double a, double b);
-
-}  // namespace fast_eval_internal
-
-// --- QO_N ---------------------------------------------------------------
-
 class QonNeighborhoodEvaluator {
  public:
   explicit QonNeighborhoodEvaluator(const QonInstance& inst);
-
-  int NumRelations() const { return n_; }
 
   // Certified bound on |fast log2 cost - exact log2 cost| for any
   // candidate priced by this evaluator (see header comment).
@@ -116,137 +57,34 @@ class QonNeighborhoodEvaluator {
 
   // Lays out the swap-neighborhood state of `seq`: log2 prefix sizes,
   // running per-target min-access and selectivity-sum matrices, and
-  // forward/backward log-sum-exp partials of the per-join terms. O(n^2),
-  // row-vectorized. Must be called before the Price* methods; call again
-  // whenever the base sequence changes.
+  // forward/backward log-sum-exp partials of the per-join terms. O(n^2).
+  // Must be called before PriceSwap; call again whenever the base
+  // sequence changes.
   void Load(const JoinSequence& seq);
-  bool loaded() const { return loaded_; }
-  const JoinSequence& sequence() const { return seq_; }
-
-  // Fast log2 cost of the loaded sequence itself.
-  double BaseCostLog2() const;
-
-  // Prices all n-1 adjacent transpositions (i, i+1) of the loaded
-  // sequence in one batched pass: the returned array holds the fast log2
-  // cost of each candidate at index i. One contiguous gather, one
-  // branch-free batched add/min pass over all candidates, one scalar
-  // log-sum-exp pass. Valid until the next Load. Requires n >= 2.
-  const double* PriceAdjacentAll();
 
   // Fast log2 cost of the candidate obtained by swapping positions i < j
   // of the loaded sequence. O((j - i) * n): terms outside (i-1, j+1) reuse
   // the loaded partials (their real value is unchanged by the swap — the
-  // re-association freedom the exact tier does not have).
+  // re-association freedom the exact evaluator does not have).
   double PriceSwap(int i, int j);
-
-  // Fast log2 cost of an arbitrary sequence, without touching the loaded
-  // neighborhood state (scratch rows only). O(n^2), branch-free inner
-  // loops. Used by population optimizers that price unrelated candidates.
-  double SequenceCostLog2(const JoinSequence& seq);
 
  private:
   int n_ = 0;
   double eps_log2_ = 0.0;
   // Instance data as raw log2 doubles, structure-of-arrays.
   std::vector<double> lt_;     // lt_[v] = log2 t_v
-  std::vector<double> lw_;     // lw_[t*n+k] = log2 AccessCost(k, t); +inf diag
-  std::vector<double> lwt_;    // transpose: lwt_[k*n+t] = lw_[t*n+k]
+  std::vector<double> lwt_;    // lwt_[k*n+t] = log2 AccessCost(k, t); +inf diag
   std::vector<double> mselt_;  // mselt_[u*n+t] = edge(t,u) ? log2 sel(u,t) : +0.0
   // Loaded neighborhood state.
   bool loaded_ = false;
   JoinSequence seq_;
   std::vector<double> lp_;    // lp_[p] = log2 N(first p relations), p in [0,n]
-  std::vector<double> mp_;    // mp_[p*n+t] = min_{q<p} lw_[t*n+seq_[q]]
-  std::vector<double> ps_;    // ps_[p*n+t] = sum_{q<p} msel_[t*n+seq_[q]]
-  std::vector<double> h_;     // h_[p] = per-join log2 term, p in [1, n-1]
-  std::vector<double> fwd_;   // fwd_[p] = lse(h_[1..p]); fwd_[0] = -inf
-  std::vector<double> bwd_;   // bwd_[p] = lse(h_[p..n-1]); bwd_[n] = -inf
-  // Adjacent-batch scratch (gathered per-candidate operands + outputs).
-  std::vector<double> g_mpb_, g_mpa_, g_psb_, g_ltb_, g_lwab_;
-  std::vector<double> b_h1_, b_h2_;
-  std::vector<double> out_;
-  // PriceSwap / SequenceCostLog2 scratch rows.
-  std::vector<double> cur_min_, cur_ps_;
-};
-
-// --- QO_H ---------------------------------------------------------------
-
-class QohNeighborhoodEvaluator {
- public:
-  // Same n >= 2 contract as QohCostEvaluator; the memory budget is
-  // captured at construction.
-  explicit QohNeighborhoodEvaluator(const QohInstance& inst);
-
-  int NumRelations() const { return n_; }
-  double EpsLog2() const { return eps_log2_; }
-
-  // Loads the base sequence: log2 prefix sizes via the masked selectivity
-  // prefix-sum matrix, per-join hash-build shapes, and the full
-  // decomposition DP in raw log2 doubles. O(n^2) rows + the DP.
-  void Load(const JoinSequence& seq);
-  bool loaded() const { return loaded_; }
-
-  // Base verdicts for the loaded sequence. BaseFeasible() is bit-identical
-  // to the exact DP's feasibility; BaseCostLog2() carries the eps bound.
-  bool BaseFeasible() const { return base_feasible_; }
-  double BaseCostLog2() const { return base_cost_log2_; }
-
-  // Fast price of the candidate = loaded sequence with positions i < j
-  // swapped. `*feasible` receives the exact feasibility verdict (memory
-  // floors and DP reachability are replicated with the exact tier's own
-  // linear-domain arithmetic); the returned log2 cost is within EpsLog2()
-  // of the exact optimal-decomposition cost when feasible.
-  double PriceSwap(int i, int j, bool* feasible);
-
- private:
-  // Shared DP driver over the candidate join-shape arrays, starting at
-  // join `first_join` (earlier DP rows are read from `dp`/`reach`).
-  void RunDp(int first_join, const double* jlp, const double* jopi,
-             const double* jh1, const double* jslope, const double* jinner,
-             const double* jhjmin_lin, const double* jextra_cap,
-             const unsigned char* jinfeasible, double* dp,
-             unsigned char* reach);
-  bool PipelineCostFast(int first, int last, bool bounded, double bound,
-                        const double* jlp, const double* jopi,
-                        const double* jh1, const double* jinner,
-                        const double* jhjmin_lin, const double* jextra_cap,
-                        double* cost);
-
-  int n_ = 0;
-  int total_joins_ = 0;
-  double memory_linear_ = 0.0;
-  double eps_log2_ = 0.0;
-  // Per-relation shape scalars (computed once through the same LogDouble
-  // expressions the exact evaluator uses, then stored as raw log2/linear
-  // doubles — bit-identical inputs to both tiers).
-  std::vector<double> lt_;              // log2 t_v
-  std::vector<double> rel_hjmin_lin_;   // linear hjmin
-  std::vector<double> rel_extra_cap_;   // linear b - hjmin
-  std::vector<double> rel_denom_log2_;  // log2 (b - hjmin) when cap > 0
-  std::vector<unsigned char> rel_build_infeasible_;
-  std::vector<double> mselt_;  // mselt_[k*n+t] = edge ? log2 sel(k,t) : +0.0
-  // Loaded base state.
-  bool loaded_ = false;
-  bool base_feasible_ = false;
-  double base_cost_log2_ = 0.0;
-  JoinSequence seq_;
-  std::vector<double> lp_;  // log2 prefix sizes, [0, n]
-  std::vector<double> ps_;  // ps_[p*n+t] masked selectivity prefix sums
-  // Base per-join shapes (1-based join index; join j's inner is seq_[j]).
-  std::vector<double> jopi_, jh1_, jslope_, jinner_, jhjmin_lin_, jextra_cap_;
-  std::vector<unsigned char> jinfeasible_;
-  std::vector<double> dp_;
-  std::vector<unsigned char> reach_;
-  // Candidate scratch (copies of the base arrays with the changed span
-  // overwritten, plus the candidate DP tail).
-  std::vector<double> c_jlp_, c_jopi_, c_jh1_, c_jslope_, c_jinner_,
-      c_jhjmin_lin_, c_jextra_cap_;
-  std::vector<unsigned char> c_jinfeasible_;
-  std::vector<double> c_dp_;
-  std::vector<unsigned char> c_reach_;
-  // Pipeline scratch.
-  std::vector<int> sorted_;
-  std::vector<double> extra_;
+  std::vector<double> mp_;    // mp_[p*n+t] = min_{q<p} lwt_[seq_[q]*n+t]
+  std::vector<double> ps_;    // ps_[p*n+t] = sum_{q<p} mselt_[seq_[q]*n+t]
+  std::vector<double> fwd_;   // fwd_[p] = lse(join terms 1..p); -inf at 0
+  std::vector<double> bwd_;   // bwd_[p] = lse(join terms p..n-1); -inf at n
+  // PriceSwap scratch row.
+  std::vector<double> cur_min_;
 };
 
 }  // namespace aqo

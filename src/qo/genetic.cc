@@ -1,11 +1,9 @@
 #include "qo/genetic.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "obs/metrics.h"
 #include "qo/cost_eval.h"
-#include "qo/fast_eval.h"
 #include "util/check.h"
 
 namespace aqo {
@@ -14,14 +12,8 @@ namespace {
 
 struct Individual {
   JoinSequence sequence;
-  // Exact cost; meaningful only when has_exact. Mutable with has_exact
-  // because the fast tier memoizes exact re-pricing lazily from inside
-  // const comparator contexts (see `better` below) — the memoization
-  // never changes a comparison outcome, only who pays for it.
-  mutable LogDouble cost;
+  LogDouble cost;      // meaningful only when valid
   bool valid = false;  // meets the cartesian-product restriction
-  mutable bool has_exact = false;
-  double fast_log2 = 0.0;  // certified approximate price (fast tier only)
 };
 
 // OX1 order crossover: copy a random slice from parent a, fill the rest in
@@ -70,29 +62,6 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
 
   OptimizerResult result;
   QonCostEvaluator evaluator(inst);
-  // Fast tier: offspring are priced with the certified approximate
-  // evaluator first. An individual provably worse than the incumbent is
-  // not exactly evaluated up front (the exact tier's incumbent fold could
-  // not fire for it); comparisons fall back to exact re-pricing only when
-  // the certified error intervals overlap. Every comparison outcome — and
-  // therefore the sort order, elite survival, tournament winners, and the
-  // final (cost, sequence) — is bit-identical to the exact tier, and no
-  // pricing path consumes RNG. See docs/performance.md.
-  const bool use_fast = options.eval_tier == EvalTier::kFast &&
-                        !cost_eval_internal::ForceNaive();
-  std::optional<QonNeighborhoodEvaluator> fast;
-  if (use_fast) fast.emplace(inst);
-  static obs::Counter& certified =
-      obs::Registry::Get().GetCounter("qo.fast_eval.certified_rejects");
-  static obs::Counter& repricings =
-      obs::Registry::Get().GetCounter("qo.fast_eval.exact_repricings");
-  auto ensure_exact = [&](const Individual& ind) {
-    if (ind.has_exact) return;
-    ind.cost = evaluator.Cost(ind.sequence);
-    ind.has_exact = true;
-    repricings.Increment();
-    ++result.evaluations;
-  };
   auto evaluate = [&](Individual* ind) {
     ind->valid = !options.forbid_cartesian ||
                  !HasCartesianProduct(inst.graph(), ind->sequence);
@@ -100,22 +69,8 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
       invalid.Increment();
       return;
     }
-    if (!use_fast) {
-      ind->cost = evaluator.Cost(ind->sequence);
-      ind->has_exact = true;
-      ++result.evaluations;
-    } else {
-      ind->fast_log2 = fast->SequenceCostLog2(ind->sequence);
-      if (result.feasible &&
-          ind->fast_log2 - fast->EpsLog2() > result.cost.Log2()) {
-        // Certified: the exact cost is strictly above the incumbent, so
-        // the exact tier's strict-< incumbent update could not fire.
-        // Defer the exact evaluation until a comparison needs it.
-        certified.Increment();
-        return;
-      }
-      ensure_exact(*ind);
-    }
+    ind->cost = evaluator.Cost(ind->sequence);
+    ++result.evaluations;
     if (!result.feasible || ind->cost < result.cost) {
       result.feasible = true;
       result.cost = ind->cost;
@@ -126,26 +81,9 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
   // lexicographically on the sequence (lowest relation id first): a total
   // order, so the std::sort below — and therefore elite survival — cannot
   // depend on the unspecified order unstable sorting leaves ties in.
-  //
-  // Fast tier: when either side lacks an exact cost, the certified bounds
-  // decide first — |fast - exact| <= eps per side, so a gap wider than the
-  // summed slack proves the strict exact ordering. Overlapping intervals
-  // fall back to exact re-pricing of both sides, so the relation computed
-  // here *is* the exact tier's relation (a strict weak order) in every
-  // case.
-  auto better = [&](const Individual& x, const Individual& y) {
+  auto better = [](const Individual& x, const Individual& y) {
     if (x.valid != y.valid) return x.valid;
     if (!x.valid) return false;
-    if (use_fast && !(x.has_exact && y.has_exact)) {
-      double fx = x.has_exact ? x.cost.Log2() : x.fast_log2;
-      double fy = y.has_exact ? y.cost.Log2() : y.fast_log2;
-      double slack =
-          (x.has_exact || y.has_exact ? 1.0 : 2.0) * fast->EpsLog2();
-      if (fx + slack < fy) return true;
-      if (fy + slack < fx) return false;
-      ensure_exact(x);
-      ensure_exact(y);
-    }
     if (x.cost != y.cost) return x.cost < y.cost;
     return x.sequence < y.sequence;
   };
@@ -164,10 +102,7 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
   for (int gen = 0; gen < ga.generations; ++gen) {
     if (guard.ShouldStop(result.evaluations)) break;
     generations.Increment();
-    std::sort(population.begin(), population.end(),
-              [&](const Individual& x, const Individual& y) {
-                return better(x, y);
-              });
+    std::sort(population.begin(), population.end(), better);
     std::vector<Individual> next(population.begin(),
                                  population.begin() + ga.elites);
     auto tournament_pick = [&]() -> const Individual& {

@@ -14,22 +14,6 @@
 
 namespace aqo {
 
-const char* EvalTierName(EvalTier tier) {
-  return tier == EvalTier::kFast ? "fast" : "exact";
-}
-
-bool ParseEvalTier(std::string_view text, EvalTier* tier) {
-  if (text == "exact") {
-    *tier = EvalTier::kExact;
-    return true;
-  }
-  if (text == "fast") {
-    *tier = EvalTier::kFast;
-    return true;
-  }
-  return false;
-}
-
 namespace {
 
 // Telemetry counters (see docs/observability.md for naming conventions).
@@ -520,27 +504,11 @@ OptimizerResult SimulatedAnnealingOptimizer(const QonInstance& inst, Rng* rng,
   static obs::Counter& accepts = CounterRef("qon.sa.accepts");
   static obs::Counter& rejects = CounterRef("qon.sa.rejects");
   static obs::Counter& uphill = CounterRef("qon.sa.uphill_accepts");
-  static obs::Counter& certified = CounterRef("qo.fast_eval.certified_rejects");
-  static obs::Counter& repricings = CounterRef("qo.fast_eval.exact_repricings");
-  static obs::Counter& ambiguous = CounterRef("qo.fast_eval.ambiguous");
   RunGuard guard(options.budget, options.cancel);
   OptimizerResult result;
   // Swap/relocate moves touch a suffix; the evaluator re-costs only from
   // the first changed position of each candidate.
   QonCostEvaluator evaluator(inst);
-  // Fast tier (docs/performance.md, "Evaluation tiers"): swap candidates
-  // are priced by the certified approximate evaluator first. A candidate
-  // whose Boltzmann verdict is the same across the whole certified error
-  // interval is decided without the exact evaluation; everything else —
-  // including every accept, whose cost becomes the new current energy —
-  // is re-priced exactly, so the accept/reject trajectory, the RNG
-  // stream, and the final (cost, sequence, status) are bit-identical to
-  // the exact tier. Only `evaluations` (and hence budget cutoff points)
-  // reflects the skipped work.
-  const bool use_fast = options.eval_tier == EvalTier::kFast &&
-                        !cost_eval_internal::ForceNaive();
-  std::optional<QonNeighborhoodEvaluator> fast;
-  if (use_fast) fast.emplace(inst);
   for (int restart = 0; restart < options.sa.restarts; ++restart) {
     if (guard.ShouldStop(result.evaluations)) break;
     restarts.Increment();
@@ -548,7 +516,6 @@ OptimizerResult SimulatedAnnealingOptimizer(const QonInstance& inst, Rng* rng,
     if (!SequenceAllowed(inst, current, options)) continue;
     LogDouble current_cost = evaluator.Cost(current);
     ++result.evaluations;
-    bool fast_loaded = false;
     if (!result.feasible || current_cost < result.cost) {
       result.feasible = true;
       result.cost = current_cost;
@@ -560,16 +527,11 @@ OptimizerResult SimulatedAnnealingOptimizer(const QonInstance& inst, Rng* rng,
       // prefix of the uncapped one (the guard never consumes RNG state).
       if (guard.ShouldStop(result.evaluations)) break;
       JoinSequence candidate = current;
-      int swap_lo = -1, swap_hi = -1;
       if (rng->Bernoulli(0.5)) {
         // Swap two positions.
         size_t a = static_cast<size_t>(rng->UniformInt(0, n - 1));
         size_t b = static_cast<size_t>(rng->UniformInt(0, n - 1));
         std::swap(candidate[a], candidate[b]);
-        if (a != b) {
-          swap_lo = static_cast<int>(std::min(a, b));
-          swap_hi = static_cast<int>(std::max(a, b));
-        }
       } else {
         // Relocate one relation.
         size_t from = static_cast<size_t>(rng->UniformInt(0, n - 1));
@@ -580,63 +542,18 @@ OptimizerResult SimulatedAnnealingOptimizer(const QonInstance& inst, Rng* rng,
       }
       temperature *= options.sa.cooling;
       if (!SequenceAllowed(inst, candidate, options)) continue;
-      double tprime = std::max(temperature, 1e-9);
-      // decided/accept carry a verdict certified from the fast price
-      // alone; drew/u track the Boltzmann draw so the exact fallback
-      // reuses it — the exact tier draws exactly once per uphill
-      // candidate, and so does every path below.
-      bool decided = false, accept = false, drew = false;
-      double u = 0.0;
-      if (use_fast && swap_lo >= 0) {
-        if (!fast_loaded) {
-          fast->Load(current);
-          fast_loaded = true;
-        }
-        double eps = fast->EpsLog2();
-        double fd = fast->PriceSwap(swap_lo, swap_hi) - current_cost.Log2();
-        if (fd + eps < 0.0) {
-          // Downhill across the whole interval: the exact tier accepts
-          // without consuming a draw.
-          decided = true;
-          accept = true;
-        } else if (fd - eps > 0.0) {
-          // Uphill across the whole interval: the exact tier draws u and
-          // compares against exp(-delta/t) with delta in
-          // [fd - eps, fd + eps]. When u clears the interval's upper
-          // threshold the rejection is certain — no exact evaluation.
-          u = rng->UniformReal();
-          drew = true;
-          if (u >= std::exp(-(fd - eps) / tprime)) {
-            certified.Increment();
-            rejects.Increment();
-            continue;
-          }
-          if (u < std::exp(-(fd + eps) / tprime)) {
-            decided = true;
-            accept = true;
-          }
-        }
-      }
       LogDouble candidate_cost = evaluator.Cost(candidate);
-      if (use_fast) repricings.Increment();
       ++result.evaluations;
       // Energy is log2 cost; accept uphill moves with the Boltzmann rule.
       double delta = candidate_cost.Log2() - current_cost.Log2();
-      if (!decided) {
-        if (use_fast && swap_lo >= 0) ambiguous.Increment();
-        if (delta <= 0.0) {
-          accept = true;
-        } else {
-          if (!drew) u = rng->UniformReal();
-          accept = u < std::exp(-delta / tprime);
-        }
-      }
+      bool accept = delta <= 0.0 ||
+                    rng->UniformReal() <
+                        std::exp(-delta / std::max(temperature, 1e-9));
       if (accept) {
         accepts.Increment();
         if (delta > 0.0) uphill.Increment();
         current = std::move(candidate);
         current_cost = candidate_cost;
-        fast_loaded = false;
         if (current_cost < result.cost) {
           result.cost = current_cost;
           result.sequence = current;
@@ -663,17 +580,17 @@ OptimizerResult IterativeImprovementOptimizer(const QonInstance& inst,
   // The swap neighborhood is the evaluator's best case: each candidate
   // differs from the last evaluated one at two positions.
   QonCostEvaluator evaluator(inst);
-  // Fast tier: rank each swap candidate with the certified approximate
-  // price first. A candidate provably no better than `current` (fast
-  // price at least current + eps) is exactly what the exact tier would
-  // evaluate and reject, so it is skipped outright; everything else is
-  // re-priced exactly before the accept decision. The accepted-swap
-  // trajectory — and the final (cost, sequence, status) — is bit-identical
-  // to the exact tier; only `evaluations` shrinks.
-  const bool use_fast = options.eval_tier == EvalTier::kFast &&
-                        !cost_eval_internal::ForceNaive();
-  std::optional<QonNeighborhoodEvaluator> fast;
-  if (use_fast) fast.emplace(inst);
+  // Ranked swaps (docs/performance.md, "Ranked swaps in `ii`"): a swap
+  // whose certified price is at least current + eps has an exact cost no
+  // better than current_cost, so the exact loop would reject it too. It
+  // skips the exact evaluation but still counts one, keeping every
+  // result field and budget cut point equal to the exact loop's. The
+  // naive-evaluation toggle turns ranking off, so naive runs stay an
+  // independent reference.
+  std::optional<QonNeighborhoodEvaluator> ranker;
+  if (n >= kIiRankedSwapsMinRelations && !cost_eval_internal::ForceNaive()) {
+    ranker.emplace(inst);
+  }
   static obs::Counter& certified = CounterRef("qo.fast_eval.certified_rejects");
   static obs::Counter& repricings = CounterRef("qo.fast_eval.exact_repricings");
   for (int restart = 0; restart < options.restarts; ++restart) {
@@ -683,7 +600,6 @@ OptimizerResult IterativeImprovementOptimizer(const QonInstance& inst,
     if (!SequenceAllowed(inst, current, options)) continue;
     LogDouble current_cost = evaluator.Cost(current);
     ++result.evaluations;
-    bool fast_loaded = false;
     bool improved = true;
     bool cut_short = false;
     while (improved) {
@@ -694,37 +610,28 @@ OptimizerResult IterativeImprovementOptimizer(const QonInstance& inst,
         break;
       }
       improved = false;
+      if (ranker) ranker->Load(current);
       for (size_t a = 0; a < current.size() && !improved; ++a) {
         for (size_t b = a + 1; b < current.size() && !improved; ++b) {
-          if (use_fast) {
-            if (!fast_loaded) {
-              fast->Load(current);
-              fast_loaded = true;
-            }
-            double fd = fast->PriceSwap(static_cast<int>(a),
-                                        static_cast<int>(b));
-            if (fd >= current_cost.Log2() + fast->EpsLog2()) {
-              // Certified: the exact cost is at least current_cost, so
-              // the exact tier would reject this swap too.
-              certified.Increment();
-              continue;
-            }
-          }
           std::swap(current[a], current[b]);
-          bool ok = SequenceAllowed(inst, current, options);
-          if (ok) {
-            LogDouble cost = evaluator.Cost(current);
-            if (use_fast) repricings.Increment();
+          if (SequenceAllowed(inst, current, options)) {
             ++result.evaluations;
-            if (cost < current_cost) {
-              current_cost = cost;
-              improved = true;
-              improvements.Increment();
-              fast_loaded = false;
-              break;
+            if (ranker &&
+                ranker->PriceSwap(static_cast<int>(a), static_cast<int>(b)) >=
+                    current_cost.Log2() + ranker->EpsLog2()) {
+              certified.Increment();
+            } else {
+              LogDouble cost = evaluator.Cost(current);
+              if (ranker) repricings.Increment();
+              if (cost < current_cost) {
+                current_cost = cost;
+                improved = true;
+                improvements.Increment();
+                break;
+              }
             }
           }
-          if (!improved) std::swap(current[a], current[b]);  // undo
+          std::swap(current[a], current[b]);  // undo
         }
       }
     }

@@ -8,7 +8,6 @@
 // competitive ratio the paper proves cannot be polylogarithmic.
 
 #include <cstdint>
-#include <string_view>
 
 #include "qo/qoh.h"
 #include "qo/qon.h"
@@ -50,31 +49,6 @@ struct GaKnobs {
   int elites = 2;
 };
 
-// Which evaluator tier a local-search optimizer prices candidates with.
-//
-//   kExact — every candidate goes through the exact incremental evaluator
-//            (qo/cost_eval.h). The default.
-//   kFast  — candidates are *ranked* by the vectorized approximate
-//            evaluator (qo/fast_eval.h), which carries a certified log2
-//            error bound; any candidate not provably worse than the
-//            incumbent by more than that bound is re-priced exactly
-//            before the accept/reject decision. Final (cost, sequence,
-//            status) results are bit-identical to kExact — only the
-//            amount of exact evaluation work changes. Constructive and
-//            exact optimizers (dp, greedy, bnb, ...) ignore the knob.
-//
-// See docs/performance.md, "Evaluation tiers".
-enum class EvalTier {
-  kExact = 0,
-  kFast = 1,
-};
-
-// "exact" / "fast".
-const char* EvalTierName(EvalTier tier);
-// Parses "exact" or "fast"; returns false (leaving *tier untouched) on
-// anything else.
-bool ParseEvalTier(std::string_view text, EvalTier* tier);
-
 // The full QO_N optimizer knob surface. Every optimizer reads the knobs it
 // understands and ignores the rest, so one options value drives any
 // registry entry (see qo/registry.h) without per-algorithm positional
@@ -115,10 +89,6 @@ struct OptimizerOptions {
   // Optional shared stop signal (e.g. a batch-wide deadline owned by
   // qo/service.h). Not owned; may be null. An un-armed token is inert.
   CancelToken* cancel = nullptr;
-
-  // Candidate-pricing tier for the local-search family (ii, sa, genetic).
-  // kFast never changes final results — see EvalTier above.
-  EvalTier eval_tier = EvalTier::kExact;
 };
 
 // Tries all n! permutations. Guarded to n <= 10.
@@ -173,8 +143,21 @@ OptimizerResult SimulatedAnnealingOptimizer(const QonInstance& inst, Rng* rng,
 // Iterative improvement (first-improvement local search over swap moves)
 // from random starts until a local optimum; keeps the best of
 // `options.restarts` starts.
+//
+// From kIiRankedSwapsMinRelations relations up, each swap is first priced
+// by the certified evaluator of qo/fast_eval.h, and a swap whose price
+// proves it no cheaper than the current sequence skips its exact
+// evaluation. Such a certified reject still counts in `evaluations`,
+// exactly where the exact loop would have counted it, so
+// (cost, sequence, status, evaluations) — and every budget cut point —
+// are the same as pricing every swap exactly.
 OptimizerResult IterativeImprovementOptimizer(
     const QonInstance& inst, Rng* rng, const OptimizerOptions& options = {});
+
+// The size from which ranking pays for itself: below it, pricing a swap
+// costs more than the exact evaluations it saves. Measured crossover, see
+// docs/performance.md, "Ranked swaps in `ii`".
+inline constexpr int kIiRankedSwapsMinRelations = 28;
 
 // --- QO_H ---
 

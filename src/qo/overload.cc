@@ -116,19 +116,16 @@ std::string DegradeQon(std::string_view optimizer, OptimizerOptions* options) {
     options->samples = std::min(options->samples, 64);
   } else if (optimizer == "ii") {
     options->restarts = std::min(options->restarts, 2);
-    options->eval_tier = EvalTier::kFast;
   } else if (optimizer == "sa") {
     options->sa.restarts = std::min(options->sa.restarts, 1);
     options->sa.iterations = std::min(options->sa.iterations, 2000);
-    options->eval_tier = EvalTier::kFast;
   } else if (optimizer == "genetic") {
     options->ga.population = std::min(options->ga.population, 16);
     options->ga.generations = std::min(options->ga.generations, 16);
-    options->eval_tier = EvalTier::kFast;
   }
-  // greedy / kbz are already the floor. The fast tier never changes the
-  // plan — it only cuts exact-evaluation work — so degraded local-search
-  // responses stay bit-identical to undegraded ones with equal knobs.
+  // greedy / kbz are already the floor. A degraded stochastic entry
+  // answers exactly what an undegraded request with the clamped knobs
+  // would.
   return std::string(optimizer);
 }
 
@@ -139,11 +136,9 @@ std::string DegradeQoh(std::string_view optimizer,
     options->samples = std::min(options->samples, 64);
   } else if (optimizer == "ii") {
     options->restarts = std::min(options->restarts, 2);
-    options->eval_tier = EvalTier::kFast;
   } else if (optimizer == "sa") {
     options->sa.restarts = std::min(options->sa.restarts, 1);
     options->sa.iterations = std::min(options->sa.iterations, 1000);
-    options->eval_tier = EvalTier::kFast;
   }
   return std::string(optimizer);
 }

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "obs/metrics.h"
 #include "qo/cost_eval.h"
-#include "qo/fast_eval.h"
 #include "util/check.h"
 
 namespace aqo {
@@ -83,18 +81,6 @@ QohOptimizerResult IterativeImprovementQohOptimizer(
   // Adjacent transpositions change two positions; the evaluator resumes
   // its prefix-size and decomposition DP state from the first of them.
   QohCostEvaluator evaluator(inst);
-  // Fast tier: the approximate evaluator's feasibility verdict is exact,
-  // and its cost carries a certified bound — so a candidate that is
-  // infeasible, or provably no cheaper than `current`, is skipped without
-  // the exact decomposition. Possible accepts always go through the exact
-  // evaluator (the accepted plan needs its decomposition anyway), keeping
-  // the descent trajectory bit-identical. See docs/performance.md.
-  const bool use_fast = options.eval_tier == EvalTier::kFast &&
-                        !cost_eval_internal::ForceNaive();
-  std::optional<QohNeighborhoodEvaluator> fast;
-  if (use_fast) fast.emplace(inst);
-  static obs::Counter& certified = CounterRef("qo.fast_eval.certified_rejects");
-  static obs::Counter& repricings = CounterRef("qo.fast_eval.exact_repricings");
   for (int r = 0; r < options.restarts; ++r) {
     if (guard.ShouldStop(best.evaluations)) break;
     restart_count.Increment();
@@ -103,7 +89,6 @@ QohOptimizerResult IterativeImprovementQohOptimizer(
     ++best.evaluations;
     if (!plan.feasible) continue;
     LogDouble current_cost = plan.cost;
-    bool fast_loaded = false;
     if (!best.feasible || current_cost < best.cost) {
       best.feasible = true;
       best.cost = current_cost;
@@ -118,31 +103,13 @@ QohOptimizerResult IterativeImprovementQohOptimizer(
       if (guard.ShouldStop(best.evaluations)) break;
       improved = false;
       for (size_t a = lo; a + 1 < current.size() && !improved; ++a) {
-        if (use_fast) {
-          if (!fast_loaded) {
-            fast->Load(current);
-            fast_loaded = true;
-          }
-          bool feasible = false;
-          double fc = fast->PriceSwap(static_cast<int>(a),
-                                      static_cast<int>(a) + 1, &feasible);
-          if (!feasible ||
-              fc >= current_cost.Log2() + fast->EpsLog2()) {
-            // Infeasibility is the exact verdict; a cost at least
-            // current + eps certifies the exact tier's rejection.
-            certified.Increment();
-            continue;
-          }
-        }
         std::swap(current[a], current[a + 1]);
         const QohPlan& candidate = evaluator.Evaluate(current);
-        if (use_fast) repricings.Increment();
         ++best.evaluations;
         if (candidate.feasible && candidate.cost < current_cost) {
           current_cost = candidate.cost;
           improved = true;
           improvements.Increment();
-          fast_loaded = false;
           if (current_cost < best.cost) {
             best.cost = current_cost;
             best.sequence = current;
@@ -167,19 +134,6 @@ QohOptimizerResult SimulatedAnnealingQohOptimizer(
   RunGuard guard(options.budget, options.cancel);
   QohOptimizerResult best;
   QohCostEvaluator evaluator(inst);
-  // Fast tier — same scheme as the QO_N annealer: swap candidates whose
-  // Boltzmann verdict is identical across the certified error interval
-  // are decided without the exact decomposition (the feasibility verdict
-  // is exact either way); everything else is re-priced exactly. The
-  // accept/reject trajectory, the RNG stream, and the final result are
-  // bit-identical across tiers.
-  const bool use_fast = options.eval_tier == EvalTier::kFast &&
-                        !cost_eval_internal::ForceNaive();
-  std::optional<QohNeighborhoodEvaluator> fast;
-  if (use_fast) fast.emplace(inst);
-  static obs::Counter& certified = CounterRef("qo.fast_eval.certified_rejects");
-  static obs::Counter& repricings = CounterRef("qo.fast_eval.exact_repricings");
-  static obs::Counter& ambiguous = CounterRef("qo.fast_eval.ambiguous");
   size_t lo = FirstMovable(options.sentinel_first);
   for (int r = 0; r < options.sa.restarts; ++r) {
     if (guard.ShouldStop(best.evaluations)) break;
@@ -189,7 +143,6 @@ QohOptimizerResult SimulatedAnnealingQohOptimizer(
     ++best.evaluations;
     if (!plan.feasible) continue;
     LogDouble current_cost = plan.cost;
-    bool fast_loaded = false;
     if (!best.feasible || current_cost < best.cost) {
       best.feasible = true;
       best.cost = current_cost;
@@ -209,63 +162,17 @@ QohOptimizerResult SimulatedAnnealingQohOptimizer(
       size_t b = static_cast<size_t>(
           rng->UniformInt(static_cast<int64_t>(lo), n - 1));
       std::swap(candidate[a], candidate[b]);
-      double tprime = std::max(temperature, 1e-9);
-      bool decided = false, accept = false, drew = false;
-      double u = 0.0;
-      if (use_fast && a != b) {
-        if (!fast_loaded) {
-          fast->Load(current);
-          fast_loaded = true;
-        }
-        int swap_lo = static_cast<int>(std::min(a, b));
-        int swap_hi = static_cast<int>(std::max(a, b));
-        bool feasible = false;
-        double fc = fast->PriceSwap(swap_lo, swap_hi, &feasible);
-        if (!feasible) {
-          // Exact verdict: the exact tier would evaluate, see an
-          // infeasible plan, and fall through without touching the
-          // accept/reject counters or the RNG.
-          certified.Increment();
-          continue;
-        }
-        double eps = fast->EpsLog2();
-        double fd = fc - current_cost.Log2();
-        if (fd + eps < 0.0) {
-          decided = true;
-          accept = true;
-        } else if (fd - eps > 0.0) {
-          u = rng->UniformReal();
-          drew = true;
-          if (u >= std::exp(-(fd - eps) / tprime)) {
-            certified.Increment();
-            rejects.Increment();
-            continue;
-          }
-          if (u < std::exp(-(fd + eps) / tprime)) {
-            decided = true;
-            accept = true;
-          }
-        }
-      }
       const QohPlan& next = evaluator.Evaluate(candidate);
-      if (use_fast) repricings.Increment();
       ++best.evaluations;
       if (!next.feasible) continue;
       double delta = next.cost.Log2() - current_cost.Log2();
-      if (!decided) {
-        if (use_fast && a != b) ambiguous.Increment();
-        if (delta <= 0.0) {
-          accept = true;
-        } else {
-          if (!drew) u = rng->UniformReal();
-          accept = u < std::exp(-delta / tprime);
-        }
-      }
+      bool accept = delta <= 0.0 ||
+                    rng->UniformReal() <
+                        std::exp(-delta / std::max(temperature, 1e-9));
       if (accept) {
         accepts.Increment();
         current = std::move(candidate);
         current_cost = next.cost;
-        fast_loaded = false;
         if (current_cost < best.cost) {
           best.cost = current_cost;
           best.sequence = current;

@@ -44,12 +44,6 @@ struct QohOptimizerOptions {
   // nothing, bit for bit.
   Budget budget;
   CancelToken* cancel = nullptr;
-
-  // Candidate-pricing tier for the local-search family (ii, sa) — same
-  // semantics as OptimizerOptions.eval_tier: kFast ranks swap candidates
-  // with the certified approximate evaluator and re-prices every possible
-  // accept exactly, so results are bit-identical across tiers.
-  EvalTier eval_tier = EvalTier::kExact;
 };
 
 // Best of `options.samples` random sequences. Sequences start from a

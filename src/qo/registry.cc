@@ -149,10 +149,6 @@ std::string RegistryT<Entry>::Describe() const {
   }
   out << "common knobs: --budget-evals= (deterministic evaluation cap),"
          " --deadline-ms= (wall-clock deadline)\n";
-  out << "eval tiers: --eval-tier=exact|fast — `fast` ranks local-search"
-         " candidates with the certified vectorized evaluator"
-         " (qo/fast_eval.h) and re-prices possible accepts exactly;"
-         " final plans are bit-identical across tiers\n";
   return out.str();
 }
 
@@ -194,22 +190,18 @@ const OptimizerRegistry& OptimizerRegistry::Qon() {
          {{"--samples=", "random sequences drawn"}}, RunRandom},
         {"ii", "first-improvement local search, options.restarts starts",
          false,
-         {{"--restarts=", "random restarts"},
-          {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
-         RunIi},
+         {{"--restarts=", "random restarts"}}, RunIi},
         {"sa", "simulated annealing (knobs: options.sa)", false,
          {{"--sa-iterations=", "moves per restart"},
           {"--sa-temperature=", "initial temperature (log2-cost units)"},
           {"--sa-cooling=", "geometric cooling factor"},
-          {"--sa-restarts=", "independent annealing runs"},
-          {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
+          {"--sa-restarts=", "independent annealing runs"}},
          RunSa},
         {"genetic", "genetic algorithm (knobs: options.ga)", false,
          {{"--ga-population=", "individuals per generation"},
           {"--ga-generations=", "generations evolved"},
           {"--ga-crossover=", "crossover probability"},
-          {"--ga-mutation=", "mutation probability"},
-          {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
+          {"--ga-mutation=", "mutation probability"}},
          RunGenetic},
         {"bnb", "branch & bound (options.bnb_node_limit, 0 = exact)", true,
          {{"--bnb-node-limit=", "node budget (0 = unlimited)"}}, RunBnb},
@@ -233,15 +225,12 @@ const QohOptimizerRegistry& QohOptimizerRegistry::Get() {
         {"random", "best of options.samples random sequences", false,
          {{"--samples=", "random sequences drawn"}}, RunQohRandom},
         {"ii", "adjacent-transposition local search", false,
-         {{"--restarts=", "random restarts"},
-          {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
-         RunQohIi},
+         {{"--restarts=", "random restarts"}}, RunQohIi},
         {"sa", "simulated annealing (knobs: options.sa)", false,
          {{"--sa-iterations=", "moves per restart"},
           {"--sa-temperature=", "initial temperature (log2-cost units)"},
           {"--sa-cooling=", "geometric cooling factor"},
-          {"--sa-restarts=", "independent annealing runs"},
-          {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
+          {"--sa-restarts=", "independent annealing runs"}},
          RunQohSa},
     };
     return new QohOptimizerRegistry(std::move(entries),

@@ -1,24 +1,19 @@
-// Tests for the certified fast evaluation tier (qo/fast_eval.h):
+// Tests for certified swap pricing (qo/fast_eval.h) and the ranked swap
+// loop of QO_N iterative improvement that uses it:
 //
-//  - SIMD/scalar kernel parity: the vectorized row kernels are
-//    bit-identical to their scalar reference versions (only IEEE-exact
-//    add/min operations are vectorized).
-//  - Certified error bound: every fast price — base cost, the batched
-//    adjacent pass, arbitrary PriceSwap, SequenceCostLog2 — is within
-//    EpsLog2() of the exact evaluator across seeded random instances.
-//  - Exact feasibility (QO_H): the fast tier's feasibility verdict has no
-//    error bar at all.
-//  - Tier identity: every local-search optimizer returns a bit-identical
-//    (feasible, cost, sequence, status) under eval_tier=fast, including
-//    on adversarial near-tie instances where every adjacent swap is
-//    cost-neutral.
-//  - Counter attribution: fast probes are charged to the qo.fast_eval.*
-//    counter family.
+//  - Certified error bound: PriceSwap(i, j) is within EpsLog2() of the
+//    exact evaluator for every i < j pair, at the sizes where `ii` ranks,
+//    on random workloads and on f_N YES and NO instances.
+//  - Ranked `ii` is invisible: on both sides of kIiRankedSwapsMinRelations
+//    it returns bit-identical (feasible, cost, sequence, status,
+//    evaluations) to the naive reference, with and without budgets and
+//    cartesian products, directly and through the batch service, including
+//    on adversarial near-tie instances where every swap is cost-neutral.
+//  - Counter attribution: every priced swap is either a certified reject
+//    or an exact re-pricing.
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,248 +22,41 @@
 #include "obs/metrics.h"
 #include "qo/cost_eval.h"
 #include "qo/fast_eval.h"
-#include "qo/genetic.h"
-#include "qo/qoh.h"
-#include "qo/qoh_optimizers.h"
+#include "qo/optimizers.h"
 #include "qo/qon.h"
-#include "qo/registry.h"
+#include "qo/service.h"
 #include "qo/workloads.h"
+#include "reductions/clique_to_qon.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace aqo {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int kThreshold = kIiRankedSwapsMinRelations;
+constexpr double kC = 2.0 / 3.0;
+constexpr double kD = 1.0 / 3.0;
 
-// --- kernel parity ------------------------------------------------------
-
-std::vector<double> RandomRow(int n, Rng* rng, bool with_inf) {
-  std::vector<double> row(static_cast<size_t>(n));
-  for (double& x : row) {
-    x = rng->UniformReal(-1000.0, 1000.0);
-    if (with_inf && rng->UniformInt(0, 9) == 0) {
-      x = rng->UniformInt(0, 1) == 0 ? kInf : -kInf;
-    }
-  }
-  return row;
+// f_N YES instance: CLIQUE-class graph with a planted clique of size c*n.
+QonInstance GapYesInstance(int n, Rng* rng) {
+  QonGapParams params{.c = kC, .d = kD, .log2_alpha = 8.0};
+  std::vector<int> planted;
+  Graph g = CliqueClassGraph(n, 13, 1.0, static_cast<int>(kC * n), rng,
+                             &planted);
+  return ReduceCliqueToQon(g, params).instance;
 }
 
-TEST(FastEvalKernels, VectorizedRowKernelsMatchScalarBitForBit) {
-  Rng rng(17);
-  for (int n : {1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 64, 100, 257}) {
-    std::vector<double> a = RandomRow(n, &rng, /*with_inf=*/true);
-    std::vector<double> b = RandomRow(n, &rng, /*with_inf=*/true);
-    size_t bytes = static_cast<size_t>(n) * sizeof(double);
-
-    std::vector<double> out(static_cast<size_t>(n));
-    std::vector<double> ref(static_cast<size_t>(n));
-    fast_eval_internal::RowMin(out.data(), a.data(), b.data(), n);
-    fast_eval_internal::RowMinScalar(ref.data(), a.data(), b.data(), n);
-    EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), bytes)) << "RowMin n=" << n;
-
-    fast_eval_internal::RowAdd(out.data(), a.data(), b.data(), n);
-    fast_eval_internal::RowAddScalar(ref.data(), a.data(), b.data(), n);
-    EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), bytes)) << "RowAdd n=" << n;
-
-    out = a;
-    ref = a;
-    fast_eval_internal::RowMinInPlace(out.data(), b.data(), n);
-    fast_eval_internal::RowMinInPlaceScalar(ref.data(), b.data(), n);
-    EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), bytes))
-        << "RowMinInPlace n=" << n;
-
-    out = a;
-    ref = a;
-    fast_eval_internal::RowAddInPlace(out.data(), b.data(), n);
-    fast_eval_internal::RowAddInPlaceScalar(ref.data(), b.data(), n);
-    EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), bytes))
-        << "RowAddInPlace n=" << n;
-  }
-}
-
-TEST(FastEvalKernels, MinTiesResolveIdenticallyAcrossPaths) {
-  // Equal values in both rows: VMINPD returns its second operand on
-  // equality, and the scalar kernel is written to match. With only
-  // bit-identical equal inputs here, any resolution is byte-equal — this
-  // guards the +0.0 / -0.0 case where it is not.
-  std::vector<double> a = {0.0, -0.0, 1.0, -0.0, 0.0, 5.0, -0.0, 0.0, 3.0};
-  std::vector<double> b = {-0.0, 0.0, 1.0, -0.0, 0.0, 4.0, 0.0, -0.0, 3.0};
-  int n = static_cast<int>(a.size());
-  std::vector<double> out(a.size()), ref(a.size());
-  fast_eval_internal::RowMin(out.data(), a.data(), b.data(), n);
-  fast_eval_internal::RowMinScalar(ref.data(), a.data(), b.data(), n);
-  EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), a.size() * sizeof(double)));
-}
-
-// --- QO_N certified bound ----------------------------------------------
-
-TEST(QonNeighborhoodEvaluator, AllPricesWithinCertifiedBound) {
-  for (uint64_t seed = 0; seed < 120; ++seed) {
-    Rng rng(seed);
-    int n = 2 + static_cast<int>(rng.UniformInt(0, 18));
-    QonInstance inst = RandomQonWorkload(n, &rng);
-    QonCostEvaluator exact(inst);
-    QonNeighborhoodEvaluator fast(inst);
-    double eps = fast.EpsLog2();
-    ASSERT_GT(eps, 0.0);
-
-    JoinSequence seq = IdentitySequence(n);
-    rng.Shuffle(&seq);
-    LogDouble base = exact.Cost(seq);
-    fast.Load(seq);
-    EXPECT_NEAR(fast.BaseCostLog2(), base.Log2(), eps)
-        << "seed=" << seed << " n=" << n;
-    EXPECT_NEAR(fast.SequenceCostLog2(seq), base.Log2(), eps);
-
-    const double* adjacent = fast.PriceAdjacentAll();
-    for (int i = 0; i + 1 < n; ++i) {
-      LogDouble probe = exact.CostAfterSwap(i, i + 1);
-      exact.CostAfterSwap(i, i + 1);  // restore
-      EXPECT_NEAR(adjacent[i], probe.Log2(), eps)
-          << "seed=" << seed << " n=" << n << " i=" << i;
-      EXPECT_NEAR(fast.PriceSwap(i, i + 1), probe.Log2(), eps);
-    }
-    for (int trial = 0; trial < 8; ++trial) {
-      int i = static_cast<int>(rng.UniformInt(0, n - 1));
-      int j = static_cast<int>(rng.UniformInt(0, n - 1));
-      if (i == j) continue;
-      if (i > j) std::swap(i, j);
-      JoinSequence swapped = seq;
-      std::swap(swapped[static_cast<size_t>(i)],
-                swapped[static_cast<size_t>(j)]);
-      LogDouble want = exact.Cost(swapped);
-      exact.Cost(seq);  // restore the diff base
-      EXPECT_NEAR(fast.PriceSwap(i, j), want.Log2(), eps)
-          << "seed=" << seed << " n=" << n << " i=" << i << " j=" << j;
-    }
-  }
-}
-
-// --- QO_H certified bound + exact feasibility ---------------------------
-
-TEST(QohNeighborhoodEvaluator, PricesWithinBoundAndFeasibilityExact) {
-  for (uint64_t seed = 0; seed < 80; ++seed) {
-    Rng rng(seed);
-    int n = 2 + static_cast<int>(rng.UniformInt(0, 10));
-    QohInstance inst = RandomQohWorkload(n, &rng);
-    QohCostEvaluator exact(inst);
-    QohNeighborhoodEvaluator fast(inst);
-    double eps = fast.EpsLog2();
-
-    JoinSequence seq = IdentitySequence(n);
-    rng.Shuffle(&seq);
-    const QohPlan& base = exact.Evaluate(seq);
-    fast.Load(seq);
-    ASSERT_EQ(fast.BaseFeasible(), base.feasible) << "seed=" << seed;
-    if (base.feasible) {
-      EXPECT_NEAR(fast.BaseCostLog2(), base.cost.Log2(), eps);
-    }
-    for (int i = 0; i + 1 < n; ++i) {
-      JoinSequence swapped = seq;
-      std::swap(swapped[static_cast<size_t>(i)],
-                swapped[static_cast<size_t>(i + 1)]);
-      const QohPlan& probe = exact.Evaluate(swapped);
-      bool want_feasible = probe.feasible;
-      double want = probe.feasible ? probe.cost.Log2() : 0.0;
-      exact.Evaluate(seq);  // restore
-      bool feasible = false;
-      double got = fast.PriceSwap(i, i + 1, &feasible);
-      ASSERT_EQ(feasible, want_feasible)
-          << "seed=" << seed << " n=" << n << " i=" << i;
-      if (want_feasible) {
-        EXPECT_NEAR(got, want, eps) << "seed=" << seed << " n=" << n;
-      }
-    }
-    for (int trial = 0; trial < 6; ++trial) {
-      int i = static_cast<int>(rng.UniformInt(0, n - 1));
-      int j = static_cast<int>(rng.UniformInt(0, n - 1));
-      if (i == j) continue;
-      if (i > j) std::swap(i, j);
-      JoinSequence swapped = seq;
-      std::swap(swapped[static_cast<size_t>(i)],
-                swapped[static_cast<size_t>(j)]);
-      const QohPlan& probe = exact.Evaluate(swapped);
-      bool want_feasible = probe.feasible;
-      double want = probe.feasible ? probe.cost.Log2() : 0.0;
-      exact.Evaluate(seq);
-      bool feasible = false;
-      double got = fast.PriceSwap(i, j, &feasible);
-      ASSERT_EQ(feasible, want_feasible) << "seed=" << seed;
-      if (want_feasible) EXPECT_NEAR(got, want, eps) << "seed=" << seed;
-    }
-  }
-}
-
-// --- tier identity ------------------------------------------------------
-
-template <typename Result>
-void ExpectSameResult(const Result& exact, const Result& fast,
-                      const char* what) {
-  ASSERT_EQ(exact.feasible, fast.feasible) << what;
-  EXPECT_EQ(exact.sequence, fast.sequence) << what;
-  EXPECT_EQ(exact.status, fast.status) << what;
-  if (exact.feasible) {
-    EXPECT_EQ(exact.cost.Log2(), fast.cost.Log2()) << what;
-  }
-}
-
-TEST(EvalTierIdentity, QonLocalSearchBitIdenticalAcrossTiers) {
-  for (uint64_t seed : {1u, 7u, 23u}) {
-    for (int n : {5, 9, 14}) {
-      Rng gen(seed);
-      QonInstance inst = RandomQonWorkload(n, &gen);
-      for (const char* name : {"ii", "sa", "genetic"}) {
-        OptimizerOptions exact_opts;
-        exact_opts.restarts = 2;
-        exact_opts.sa.restarts = 1;
-        exact_opts.sa.iterations = 800;
-        exact_opts.ga.population = 16;
-        exact_opts.ga.generations = 10;
-        OptimizerOptions fast_opts = exact_opts;
-        fast_opts.eval_tier = EvalTier::kFast;
-        Rng rng_exact(seed * 1000 + static_cast<uint64_t>(n));
-        Rng rng_fast(seed * 1000 + static_cast<uint64_t>(n));
-        OptimizerResult re =
-            OptimizerRegistry::Qon().Run(name, inst, exact_opts, &rng_exact);
-        OptimizerResult rf =
-            OptimizerRegistry::Qon().Run(name, inst, fast_opts, &rng_fast);
-        ExpectSameResult(re, rf, name);
-      }
-    }
-  }
-}
-
-TEST(EvalTierIdentity, QohLocalSearchBitIdenticalAcrossTiers) {
-  for (uint64_t seed : {3u, 11u}) {
-    for (int n : {5, 8, 11}) {
-      Rng gen(seed);
-      QohInstance inst = RandomQohWorkload(n, &gen);
-      for (const char* name : {"ii", "sa"}) {
-        QohOptimizerOptions exact_opts;
-        exact_opts.restarts = 2;
-        exact_opts.sa.restarts = 1;
-        exact_opts.sa.iterations = 500;
-        QohOptimizerOptions fast_opts = exact_opts;
-        fast_opts.eval_tier = EvalTier::kFast;
-        Rng rng_exact(seed * 77 + static_cast<uint64_t>(n));
-        Rng rng_fast(seed * 77 + static_cast<uint64_t>(n));
-        QohOptimizerResult re = QohOptimizerRegistry::Get().Run(
-            name, inst, exact_opts, &rng_exact);
-        QohOptimizerResult rf = QohOptimizerRegistry::Get().Run(
-            name, inst, fast_opts, &rng_fast);
-        ExpectSameResult(re, rf, name);
-        if (re.feasible) {
-          EXPECT_EQ(re.decomposition.starts, rf.decomposition.starts) << name;
-        }
-      }
-    }
-  }
+// f_N NO instance: complete (c-d)n-partite source graph, as qon_gap builds.
+QonInstance GapNoInstance(int n) {
+  QonGapParams params{.c = kC, .d = kD, .log2_alpha = 8.0};
+  int parts = std::max(1, static_cast<int>((kC - kD) * n));
+  return ReduceCliqueToQon(CompleteMultipartite(n, parts), params).instance;
 }
 
 // Every relation identical, complete query graph, one shared selectivity:
-// every swap of two relations is exactly cost-neutral, so the fast tier
-// sees nothing but near-ties — the ambiguity band where a sloppy
-// implementation would diverge from the exact accept/reject trajectory.
+// every swap of two relations is exactly cost-neutral, so ranking sees
+// nothing but near-ties — the band where a sloppy certificate would
+// diverge from the exact accept/reject trajectory.
 QonInstance NearTieQonInstance(int n) {
   Graph g(n);
   for (int u = 0; u < n; ++u) {
@@ -285,60 +73,190 @@ QonInstance NearTieQonInstance(int n) {
   return inst;
 }
 
-TEST(EvalTierIdentity, AdversarialNearTiesStayBitIdentical) {
-  QonInstance inst = NearTieQonInstance(10);
-  for (const char* name : {"ii", "sa", "genetic"}) {
-    OptimizerOptions exact_opts;
-    exact_opts.restarts = 2;
-    exact_opts.sa.restarts = 1;
-    exact_opts.sa.iterations = 600;
-    exact_opts.ga.population = 12;
-    exact_opts.ga.generations = 8;
-    OptimizerOptions fast_opts = exact_opts;
-    fast_opts.eval_tier = EvalTier::kFast;
-    Rng rng_exact(99);
-    Rng rng_fast(99);
-    OptimizerResult re =
-        OptimizerRegistry::Qon().Run(name, inst, exact_opts, &rng_exact);
-    OptimizerResult rf =
-        OptimizerRegistry::Qon().Run(name, inst, fast_opts, &rng_fast);
-    ExpectSameResult(re, rf, name);
+// --- certified bound ------------------------------------------------------
+
+// Prices every i < j swap of a random start sequence and checks each
+// against the exact evaluator.
+void ExpectEveryPairWithinBound(const QonInstance& inst, uint64_t seed,
+                                const std::string& label) {
+  int n = inst.NumRelations();
+  Rng rng(seed);
+  JoinSequence seq = IdentitySequence(n);
+  rng.Shuffle(&seq);
+  QonCostEvaluator exact(inst);
+  QonNeighborhoodEvaluator fast(inst);
+  double eps = fast.EpsLog2();
+  ASSERT_GT(eps, 0.0) << label;
+  fast.Load(seq);
+  exact.Cost(seq);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      double want = exact.CostAfterSwap(i, j).Log2();
+      exact.CostAfterSwap(i, j);  // restore
+      ASSERT_NEAR(fast.PriceSwap(i, j), want, eps)
+          << label << " i=" << i << " j=" << j;
+    }
+  }
+}
+
+TEST(QonNeighborhoodEvaluator, EveryPairWithinBoundOnRandomWorkloads) {
+  for (int n : {kThreshold, 30, 60, 90}) {
+    for (uint64_t seed : {1u, 2u}) {
+      Rng rng(seed * 1000 + static_cast<uint64_t>(n));
+      QonInstance inst = RandomQonWorkload(n, &rng);
+      ExpectEveryPairWithinBound(
+          inst, seed, "random n=" + std::to_string(n) + " seed=" +
+                          std::to_string(seed));
+    }
+  }
+}
+
+TEST(QonNeighborhoodEvaluator, EveryPairWithinBoundOnGapInstances) {
+  for (int n : {30, 60, 90}) {
+    Rng rng(static_cast<uint64_t>(n));
+    ExpectEveryPairWithinBound(GapYesInstance(n, &rng), 3,
+                               "f_N YES n=" + std::to_string(n));
+    ExpectEveryPairWithinBound(GapNoInstance(n), 4,
+                               "f_N NO n=" + std::to_string(n));
+  }
+}
+
+// --- ranked ii against the naive reference ---------------------------------
+
+void ExpectSameResult(const OptimizerResult& ranked,
+                      const OptimizerResult& naive, const std::string& label) {
+  ASSERT_EQ(ranked.feasible, naive.feasible) << label;
+  EXPECT_EQ(ranked.sequence, naive.sequence) << label;
+  EXPECT_EQ(ranked.status, naive.status) << label;
+  EXPECT_EQ(ranked.evaluations, naive.evaluations) << label;
+  if (ranked.feasible) {
+    EXPECT_EQ(ranked.cost.Log2(), naive.cost.Log2()) << label;
+  }
+}
+
+struct NamedInstance {
+  std::string label;
+  QonInstance instance;
+};
+
+// ii's three input kinds at one size: a random workload, the near-tie
+// instance, and an f_N NO instance. The random query graph is dense: a
+// sparser one makes the naive descent at n = 60 several times longer,
+// enough to dominate the tier-1 suite.
+std::vector<NamedInstance> IiInputs(int n) {
+  Rng rng(static_cast<uint64_t>(n) * 31);
+  std::vector<NamedInstance> out;
+  out.push_back({"random n=" + std::to_string(n),
+                 RandomQonWorkload(n, &rng, {.edge_probability = 0.9})});
+  out.push_back({"near-tie n=" + std::to_string(n), NearTieQonInstance(n)});
+  out.push_back({"f_N n=" + std::to_string(n), GapNoInstance(n)});
+  return out;
+}
+
+const std::vector<int>& IiSizes() {
+  static const std::vector<int> sizes = {kThreshold - 1, kThreshold, 60};
+  return sizes;
+}
+
+TEST(RankedIi, MatchesNaiveReferenceOnBothSidesOfThreshold) {
+  obs::Counter& candidates =
+      obs::Registry::Get().GetCounter("qo.fast_eval.candidates");
+  for (int n : IiSizes()) {
+    for (const NamedInstance& input : IiInputs(n)) {
+      for (uint64_t cap : {uint64_t{0}, uint64_t{5}, uint64_t{1000}}) {
+        for (bool forbid : {false, true}) {
+          OptimizerOptions options;
+          options.restarts = 1;
+          options.budget.max_evaluations = cap;
+          options.forbid_cartesian = forbid;
+          std::string label = input.label + " cap=" + std::to_string(cap) +
+                              " forbid_cartesian=" + std::to_string(forbid);
+          uint64_t priced = candidates.Value();
+          Rng rng_ranked(77);
+          OptimizerResult ranked =
+              IterativeImprovementOptimizer(input.instance, &rng_ranked,
+                                            options);
+          priced = candidates.Value() - priced;
+          // Ranking runs exactly from the threshold up.
+          if (n >= kThreshold) {
+            EXPECT_GT(priced, 0u) << label;
+          } else {
+            EXPECT_EQ(priced, 0u) << label;
+          }
+          ScopedNaiveCostEvaluation naive_scope;
+          Rng rng_naive(77);
+          OptimizerResult naive =
+              IterativeImprovementOptimizer(input.instance, &rng_naive,
+                                            options);
+          ExpectSameResult(ranked, naive, label);
+        }
+      }
+    }
+  }
+}
+
+TEST(RankedIi, BatchMatchesNaiveReferenceAcrossThreads) {
+  std::vector<QonInstance> batch;
+  for (int n : IiSizes()) {
+    for (NamedInstance& input : IiInputs(n)) {
+      batch.push_back(std::move(input.instance));
+    }
+  }
+  BatchOptions options;
+  options.optimizer = "ii";
+  options.qon.restarts = 1;
+  options.seed = 19;
+  std::vector<QonBatchItem> naive;
+  {
+    ScopedNaiveCostEvaluation naive_scope;
+    naive = OptimizeQonBatch(batch, options);
+  }
+  for (int threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    options.pool = &pool;
+    std::vector<QonBatchItem> ranked = OptimizeQonBatch(batch, options);
+    ASSERT_EQ(ranked.size(), naive.size());
+    for (size_t i = 0; i < ranked.size(); ++i) {
+      ExpectSameResult(ranked[i].result, naive[i].result,
+                       "item " + std::to_string(i) + " threads=" +
+                           std::to_string(threads));
+    }
   }
 }
 
 // --- counter attribution ------------------------------------------------
 
-TEST(FastEvalCounters, FastProbesChargeTheFastEvalFamily) {
+TEST(RankedIi, EveryPricedSwapIsACertifiedRejectOrAnExactRepricing) {
+  obs::Registry& registry = obs::Registry::Get();
   obs::Counter& neighborhoods =
-      obs::Registry::Get().GetCounter("qo.fast_eval.neighborhoods");
-  obs::Counter& candidates =
-      obs::Registry::Get().GetCounter("qo.fast_eval.candidates");
+      registry.GetCounter("qo.fast_eval.neighborhoods");
+  obs::Counter& candidates = registry.GetCounter("qo.fast_eval.candidates");
+  obs::Counter& certified =
+      registry.GetCounter("qo.fast_eval.certified_rejects");
   obs::Counter& repricings =
-      obs::Registry::Get().GetCounter("qo.fast_eval.exact_repricings");
-
-  Rng gen(5);
-  QonInstance inst = RandomQonWorkload(10, &gen);
-
-  OptimizerOptions exact_opts;
-  exact_opts.restarts = 2;
+      registry.GetCounter("qo.fast_eval.exact_repricings");
   uint64_t n0 = neighborhoods.Value();
   uint64_t c0 = candidates.Value();
-  Rng rng_exact(1);
-  IterativeImprovementOptimizer(inst, &rng_exact, exact_opts);
-  EXPECT_EQ(neighborhoods.Value(), n0) << "exact tier must not charge fast";
-  EXPECT_EQ(candidates.Value(), c0);
-
-  OptimizerOptions fast_opts = exact_opts;
-  fast_opts.eval_tier = EvalTier::kFast;
+  uint64_t k0 = certified.Value();
   uint64_t r0 = repricings.Value();
-  Rng rng_fast(1);
-  OptimizerResult rf = IterativeImprovementOptimizer(inst, &rng_fast, fast_opts);
+
+  Rng gen(5);
+  QonInstance inst = RandomQonWorkload(kThreshold + 2, &gen);
+  OptimizerOptions options;
+  options.restarts = 2;
+  Rng rng(1);
+  OptimizerResult result = IterativeImprovementOptimizer(inst, &rng, options);
+
+  uint64_t priced = candidates.Value() - c0;
+  uint64_t rejects = certified.Value() - k0;
+  uint64_t exact = repricings.Value() - r0;
   EXPECT_GT(neighborhoods.Value(), n0);
-  EXPECT_GT(candidates.Value(), c0);
-  // Under the fast tier, result.evaluations counts exact re-pricings (plus
-  // the per-restart start evaluations); the fast probes are accounted in
-  // qo.fast_eval.candidates instead.
-  EXPECT_EQ(repricings.Value() - r0 + 2, rf.evaluations);
+  EXPECT_GT(rejects, 0u);
+  EXPECT_GT(exact, 0u);
+  EXPECT_EQ(rejects + exact, priced);
+  // Certified rejects count as evaluations; the restarts' start
+  // sequences are the only evaluations that are not priced swaps.
+  EXPECT_EQ(result.evaluations, priced + 2);
 }
 
 }  // namespace

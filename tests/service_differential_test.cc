@@ -108,91 +108,6 @@ void ExpectSameItems(const std::string& label, const std::vector<Item>& a,
   }
 }
 
-// Tier-differential variant of ExpectSameItems: the fast tier changes how
-// much exact evaluation work runs (result.evaluations counts exact
-// re-pricings only), so the contract is every *plan* bit — feasibility,
-// cost bits, sequence — not the effort counter.
-template <typename Item>
-void ExpectSamePlans(const std::string& label, const std::vector<Item>& a,
-                     const std::vector<Item>& b) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].fingerprint, b[i].fingerprint) << label << " item " << i;
-    EXPECT_EQ(a[i].result.feasible, b[i].result.feasible)
-        << label << " item " << i;
-    if (!a[i].result.feasible) continue;
-    EXPECT_EQ(a[i].result.cost.Log2(), b[i].result.cost.Log2())
-        << label << " item " << i;
-    EXPECT_EQ(a[i].result.sequence, b[i].result.sequence)
-        << label << " item " << i;
-  }
-}
-
-TEST(ServiceDifferential, QonEvalTierNeverChangesAnyPlanBit) {
-  std::vector<QonInstance> batch = QonBatchInstances();
-  for (const char* name : {"ii", "sa", "genetic"}) {
-    BatchOptions options;
-    options.optimizer = name;
-    options.qon = FastQonKnobs();
-    options.seed = kSeed;
-
-    // Reference: exact tier, serial, cache off.
-    std::vector<QonBatchItem> reference = OptimizeQonBatch(batch, options);
-
-    BatchOptions fast = options;
-    fast.qon.eval_tier = EvalTier::kFast;
-    for (int threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      std::string label =
-          std::string(name) + " fast threads=" + std::to_string(threads);
-      fast.pool = &pool;
-
-      fast.cache = nullptr;
-      ExpectSamePlans(label + " nocache", reference,
-                      OptimizeQonBatch(batch, fast));
-
-      PlanCache cold_cache;
-      fast.cache = &cold_cache;
-      ExpectSamePlans(label + " cold", reference,
-                      OptimizeQonBatch(batch, fast));
-      ExpectSamePlans(label + " warm", reference,
-                      OptimizeQonBatch(batch, fast));
-    }
-  }
-}
-
-TEST(ServiceDifferential, QohEvalTierNeverChangesAnyPlanBit) {
-  std::vector<QohInstance> batch = QohBatchInstances();
-  for (const char* name : {"ii", "sa"}) {
-    BatchOptions options;
-    options.optimizer = name;
-    options.qoh = FastQohKnobs();
-    options.seed = kSeed;
-
-    std::vector<QohBatchItem> reference = OptimizeQohBatch(batch, options);
-
-    BatchOptions fast = options;
-    fast.qoh.eval_tier = EvalTier::kFast;
-    for (int threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      std::string label =
-          std::string(name) + " fast threads=" + std::to_string(threads);
-      fast.pool = &pool;
-
-      fast.cache = nullptr;
-      ExpectSamePlans(label + " nocache", reference,
-                      OptimizeQohBatch(batch, fast));
-
-      PlanCache cold_cache;
-      fast.cache = &cold_cache;
-      ExpectSamePlans(label + " cold", reference,
-                      OptimizeQohBatch(batch, fast));
-      ExpectSamePlans(label + " warm", reference,
-                      OptimizeQohBatch(batch, fast));
-    }
-  }
-}
-
 TEST(ServiceDifferential, QonCacheAndThreadsNeverChangeAnyBit) {
   std::vector<QonInstance> batch = QonBatchInstances();
   for (const std::string& name : OptimizerRegistry::Qon().Names()) {

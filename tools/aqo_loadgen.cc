@@ -301,23 +301,9 @@ int Main(int argc, char** argv) {
   std::string serve_path = flags.GetString("serve");
   double pace_ms = flags.GetDouble("pace-ms", 0.0);
   BurstSpec burst = ParseBurst(flags.GetString("burst"));
-  // --eval-tier= forwards to the driven server's knob of the same name
-  // (validated here so typos fail in the driver, not three frames into a
-  // server run). Plans are bit-identical across tiers, so this only
-  // changes server-side evaluation effort.
-  std::string eval_tier = flags.GetString("eval-tier");
-  if (!eval_tier.empty()) {
-    EvalTier parsed_tier;
-    AQO_CHECK(ParseEvalTier(eval_tier, &parsed_tier))
-        << "--eval-tier= must be 'exact' or 'fast', got: " << eval_tier;
-  }
   if (!serve_path.empty()) {
-    std::string serve_args = flags.GetString("serve-args");
-    if (!eval_tier.empty()) {
-      if (!serve_args.empty()) serve_args += ' ';
-      serve_args += "--eval-tier=" + eval_tier;
-    }
-    return Drive(workload, serve_path, serve_args, pace_ms, burst);
+    return Drive(workload, serve_path, flags.GetString("serve-args"), pace_ms,
+                 burst);
   }
 
   std::string out_path = flags.GetString("out");

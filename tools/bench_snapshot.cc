@@ -13,9 +13,8 @@
 // (one invocation with both flags on the command line)
 //
 // One run emits both snapshots: the incremental-vs-naive comparison
-// (BENCH_COST_EVAL.json) and the certified fast tier vs exact
-// neighborhood pricing (BENCH_FAST_EVAL.json, which also records whether
-// the fast tier ran its SIMD or scalar kernels).
+// (BENCH_COST_EVAL.json) and QO_N certified swap pricing vs exact
+// neighborhood pricing (BENCH_FAST_EVAL.json).
 //
 // Workloads are fully seeded (instances, start sequences, and the swap
 // schedule), so reruns on the same machine are directly comparable; only
@@ -203,13 +202,14 @@ Row MeasureQohSwap(int n, double min_seconds) {
   return {"qoh", "swap", n, naive, fast};
 }
 
-// Double sink for the raw log2 prices of the fast tier.
+// Double sink for the raw log2 prices of QonNeighborhoodEvaluator.
 double g_fast_sink;
 
 // Neighborhood pricing: all n-1 adjacent transpositions of one sequence,
 // reported per candidate. "Exact" pays a CostAfterSwap probe plus the
 // restore that rebuilds the incremental state after the (typical)
-// rejection; "fast" is one Load plus the batched certified pass.
+// rejection; "fast" is one Load plus a certified PriceSwap per candidate,
+// the calls iterative improvement makes when it ranks swaps.
 Row MeasureQonNeighborhood(int n, double min_seconds) {
   QonInstance inst = MakeQonInstance(n, 42);
   JoinSequence seq = IdentitySequence(n);
@@ -229,57 +229,26 @@ Row MeasureQonNeighborhood(int n, double min_seconds) {
   QonNeighborhoodEvaluator fast_eval(inst);
   double fast = TimeNs(4, min_seconds, [&](long) {
     fast_eval.Load(seq);
-    const double* prices = fast_eval.PriceAdjacentAll();
-    g_fast_sink += prices[0];
+    for (int i = 0; i + 1 < n; ++i) {
+      g_fast_sink += fast_eval.PriceSwap(i, i + 1);
+    }
   }) / candidates;
   return {"qon", "neighborhood", n, exact, fast};
 }
 
-Row MeasureQohNeighborhood(int n, double min_seconds) {
-  QohInstance inst = MakeQohInstance(n, 5);
-  JoinSequence seq = IdentitySequence(n);
-  Rng rng(7);
-  rng.Shuffle(&seq);
-  double candidates = static_cast<double>(n - 1);
-
-  QohCostEvaluator eval(inst);
-  eval.Evaluate(seq);
-  double exact = TimeNs(4, min_seconds, [&](long) {
-    for (int i = 0; i + 1 < n; ++i) {
-      size_t a = static_cast<size_t>(i);
-      std::swap(seq[a], seq[a + 1]);
-      g_sink += eval.Evaluate(seq).cost;  // probe
-      std::swap(seq[a], seq[a + 1]);
-      g_sink += eval.Evaluate(seq).cost;  // restore
-    }
-  }) / candidates;
-
-  QohNeighborhoodEvaluator fast_eval(inst);
-  double fast = TimeNs(4, min_seconds, [&](long) {
-    fast_eval.Load(seq);
-    for (int i = 0; i + 1 < n; ++i) {
-      bool feasible = false;
-      g_fast_sink += fast_eval.PriceSwap(i, i + 1, &feasible);
-    }
-  }) / candidates;
-  return {"qoh", "neighborhood", n, exact, fast};
-}
-
 // Writes one snapshot file. `baseline_key`/`eval_key` name the two timing
 // columns ("naive"/"eval" for the cost-eval snapshot, "exact"/"fast" for
-// the fast-eval one), and `extra` is injected verbatim after the unit
-// field (used for the SIMD-path marker).
+// the fast-eval one).
 int WriteSnapshot(const std::string& out, const char* benchmark,
-                  const char* unit, const char* extra,
-                  const char* baseline_key, const char* eval_key,
-                  const std::vector<Row>& rows) {
+                  const char* unit, const char* baseline_key,
+                  const char* eval_key, const std::vector<Row>& rows) {
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", out.c_str());
     return 1;
   }
   std::fprintf(f, "{\n  \"benchmark\": \"%s\",\n", benchmark);
-  std::fprintf(f, "  \"unit\": \"%s\",\n%s  \"rows\": [\n", unit, extra);
+  std::fprintf(f, "  \"unit\": \"%s\",\n  \"rows\": [\n", unit);
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
@@ -329,17 +298,13 @@ int Main(int argc, char** argv) {
     rows.push_back(MeasureQohFull(n, min_seconds));
     rows.push_back(MeasureQohSwap(n, min_seconds));
     fast_rows.push_back(MeasureQonNeighborhood(n, min_seconds));
-    fast_rows.push_back(MeasureQohNeighborhood(n, min_seconds));
   }
 
-  int rc = WriteSnapshot(out, "cost_eval", "ns_per_evaluation", "",
-                         "naive", "eval", rows);
+  int rc = WriteSnapshot(out, "cost_eval", "ns_per_evaluation", "naive",
+                         "eval", rows);
   if (rc != 0) return rc;
-  std::string simd_field =
-      std::string("  \"simd\": \"") + fast_eval_internal::SimdPath() +
-      "\",\n";
-  rc = WriteSnapshot(fast_out, "fast_eval", "ns_per_candidate",
-                     simd_field.c_str(), "exact", "fast", fast_rows);
+  rc = WriteSnapshot(fast_out, "fast_eval", "ns_per_candidate", "exact",
+                     "fast", fast_rows);
   if (rc != 0) return rc;
   std::printf("(sink=%g fast_sink=%g)\n", g_sink.Log2(), g_fast_sink);
   return 0;
