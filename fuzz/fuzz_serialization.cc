@@ -1,13 +1,17 @@
 // Fuzz target: io/serialization.h Parse* readers. Malformed text must
 // come back as a ParseResult error (never a crash or unbounded
 // allocation — the kMaxSerializedRelations guard); accepted values must
-// survive a write/reparse round trip.
+// survive a write/reparse round trip. The instance readers must also
+// agree, through both entry points, with the iostreams reader they
+// replaced (tests/reference_reader.h): same decision, same error string,
+// same instance bits.
 
 #include <cstdint>
 #include <sstream>
 #include <string>
 
 #include "io/serialization.h"
+#include "tests/reference_reader.h"
 #include "util/check.h"
 
 namespace {
@@ -43,13 +47,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                          [](const aqo::CnfFormula& f, std::ostream& os) {
                            aqo::WriteDimacs(f, os);
                          });
-  Check<aqo::QonInstance>(text, aqo::ParseQonInstance,
-                          [](const aqo::QonInstance& inst, std::ostream& os) {
-                            aqo::WriteQonInstance(inst, os);
-                          });
-  Check<aqo::QohInstance>(text, aqo::ParseQohInstance,
-                          [](const aqo::QohInstance& inst, std::ostream& os) {
-                            aqo::WriteQohInstance(inst, os);
-                          });
+  Check<aqo::QonInstance>(
+      text, [](std::istream& is) { return aqo::ParseQonInstance(is); },
+      [](const aqo::QonInstance& inst, std::ostream& os) {
+        aqo::WriteQonInstance(inst, os);
+      });
+  Check<aqo::QohInstance>(
+      text, [](std::istream& is) { return aqo::ParseQohInstance(is); },
+      [](const aqo::QohInstance& inst, std::ostream& os) {
+        aqo::WriteQohInstance(inst, os);
+      });
+  std::string diff = aqo::reference::CompareWithReference(text);
+  AQO_CHECK(diff.empty()) << "differs from the reference reader: " << diff;
   return 0;
 }

@@ -1,13 +1,20 @@
 #include "io/serialization.h"
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 #include <tuple>
+#include <type_traits>
+#include <vector>
 
 #include "util/fault_injection.h"
 
@@ -15,20 +22,167 @@ namespace aqo {
 
 namespace {
 
-// Reads the next non-comment, non-empty line into `line`; returns false at
-// EOF.
+// False for the lines every reader skips: blank (only " \t\r"), '#'
+// comments and DIMACS "c " comments.
+bool IsContentLine(std::string_view line) {
+  size_t start = line.find_first_not_of(" \t\r");
+  if (start == std::string_view::npos) return false;
+  if (line[start] == '#') return false;
+  return !(line[start] == 'c' && start + 1 < line.size() &&
+           (line[start + 1] == ' ' || line[start + 1] == '\t'));
+}
+
+// Reads the next content line into `line`; returns false at EOF.
 bool NextLine(std::istream& is, std::string* line) {
   while (std::getline(is, *line)) {
-    size_t start = line->find_first_not_of(" \t\r");
-    if (start == std::string::npos) continue;
-    if ((*line)[start] == '#') continue;
-    if ((*line)[start] == 'c' && start + 1 < line->size() &&
-        ((*line)[start + 1] == ' ' || (*line)[start + 1] == '\t')) {
-      continue;  // DIMACS comment
-    }
-    return true;
+    if (IsContentLine(*line)) return true;
   }
   return false;
+}
+
+// The same over text: `line` views the next content line of `*text`,
+// which advances past it. Lines end at '\n'; a '\r' before it stays in
+// the line (and in error messages), as std::getline leaves it.
+bool NextLine(std::string_view* text, std::string_view* line) {
+  while (!text->empty()) {
+    size_t eol = text->find('\n');
+    *line = text->substr(0, eol);
+    text->remove_prefix(eol == std::string_view::npos ? text->size()
+                                                      : eol + 1);
+    if (IsContentLine(*line)) return true;
+  }
+  return false;
+}
+
+// The field separators of operator>> in the "C" locale.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+// Whether `field`, a decimal that std::from_chars found outside double's
+// range, lies above it rather than below: the power of ten of its leading
+// significant digit is positive. (Out of range means beyond 1e308 or
+// below 2.5e-324, so the sign alone decides.)
+bool AboveDoubleRange(std::string_view field) {
+  size_t k = field[0] == '+' || field[0] == '-' ? 1 : 0;
+  int64_t lead = 0;
+  bool point = false, significant = false;
+  for (; k < field.size() && field[k] != 'e' && field[k] != 'E'; ++k) {
+    if (field[k] == '.') {
+      point = true;
+    } else if (significant || field[k] != '0') {
+      significant = true;
+      if (!point) ++lead;
+    } else if (point) {
+      --lead;
+    }
+  }
+  if (k == field.size()) return lead > 0;
+  ++k;  // past the 'e' or 'E'
+  bool negative = k < field.size() && field[k] == '-';
+  if (k < field.size() && (field[k] == '+' || negative)) ++k;
+  constexpr int64_t kCap = int64_t{1} << 40;  // far past any exponent
+  int64_t exponent = 0;
+  for (; k < field.size(); ++k) {
+    exponent = std::min(kCap, exponent * 10 + (field[k] - '0'));
+  }
+  return lead + (negative ? -exponent : exponent) > 0;
+}
+
+// Reads one line's whitespace-separated fields the way operator>> on a
+// std::istringstream does in the "C" locale (the grammar is spelled out
+// in serialization.h). Every read first skips separators and fails at
+// the end of the line; a number ends at the first byte its grammar does
+// not take, and the next read starts there.
+class Fields {
+ public:
+  explicit Fields(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  // The next maximal run of non-separator bytes. Leaves `*token` as it
+  // was when only separators remain.
+  bool Token(std::string_view* token) {
+    if (!SkipSpace()) return false;
+    const char* start = p_;
+    while (p_ != end_ && !IsSpace(*p_)) ++p_;
+    *token = std::string_view(start, static_cast<size_t>(p_ - start));
+    return true;
+  }
+
+  // [+-]?[0-9]+ within int's range.
+  bool Int(int* value) {
+    if (!SkipSpace()) return false;
+    const char* start = p_;
+    if (*p_ == '+' || *p_ == '-') ++p_;
+    while (p_ != end_ && IsDigit(*p_)) ++p_;
+    return Convert(start, value);
+  }
+
+  // [+-]? then digits holding at most one '.', then optionally e or E,
+  // [+-]? and digits; the taken bytes must form a whole decimal.
+  bool Double(double* value) {
+    if (!SkipSpace()) return false;
+    const char* start = p_;
+    if (*p_ == '+' || *p_ == '-') ++p_;
+    for (bool point = false; p_ != end_; ++p_) {
+      if (*p_ == '.' && !point) {
+        point = true;
+      } else if (!IsDigit(*p_)) {
+        break;
+      }
+    }
+    if (p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
+      ++p_;
+      if (p_ != end_ && (*p_ == '+' || *p_ == '-')) ++p_;
+      while (p_ != end_ && IsDigit(*p_)) ++p_;
+    }
+    return Convert(start, value);
+  }
+
+ private:
+  bool SkipSpace() {
+    while (p_ != end_ && IsSpace(*p_)) ++p_;
+    return p_ != end_;
+  }
+
+  // Converts exactly [start, p_). std::from_chars takes no leading '+'
+  // (so "+-1" stays an error), and reports a decimal beyond double's
+  // range as out of range where strtod, the iostreams converter, returns
+  // a signed zero below it and an infinity, which it rejects, above it.
+  template <typename T>
+  bool Convert(const char* start, T* value) {
+    const char* first = *start == '+' ? start + 1 : start;
+    auto [end, error] = std::from_chars(first, p_, *value);
+    if (end != p_) return false;
+    if (error == std::errc()) return true;
+    if constexpr (std::is_floating_point_v<T>) {
+      std::string_view field(start, static_cast<size_t>(p_ - start));
+      if (error == std::errc::result_out_of_range &&
+          !AboveDoubleRange(field)) {
+        *value = *start == '-' ? -0.0 : 0.0;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
+// The rest of `is`, read in bulk through its buffer. A stream that is not
+// good() reads as empty, as std::getline would see it.
+std::string ReadRest(std::istream& is) {
+  std::string text;
+  if (!is.good()) return text;
+  char chunk[4096];
+  while (std::streamsize got = is.rdbuf()->sgetn(chunk, sizeof chunk)) {
+    text.append(chunk, static_cast<size_t>(got));
+  }
+  return text;
 }
 
 // Writes a log2 value with enough digits to round-trip.
@@ -60,8 +214,65 @@ ParseResult<T> Fail(const std::string& reason) {
 }
 
 template <typename T>
-ParseResult<T> Fail(const std::string& reason, const std::string& line) {
-  return Fail<T>(reason + ": " + line);
+ParseResult<T> Fail(const std::string& reason, std::string_view line) {
+  return Fail<T>(reason + ": " + std::string(line));
+}
+
+using Edges = std::vector<std::tuple<int, int, double>>;
+
+// The rel and edge lines after a `family` header ("qon" or "qoh"), plus
+// w lines when `costs` is given: relation sizes and the raw log2 edge and
+// access-cost values, validated line by line. Returns the error, empty on
+// success.
+std::string ReadBody(std::string_view text, std::string_view family, int n,
+                     std::vector<LogDouble>* sizes, Edges* edges,
+                     Edges* costs) {
+  sizes->assign(static_cast<size_t>(n), LogDouble::One());
+  // A line of separators alone (it holds a '\v' or '\f') reads no tag,
+  // so the previous line's tag stands, as it did in operator>>'s string.
+  std::string_view tag = family;
+  std::string_view line;
+  while (NextLine(&text, &line)) {
+    Fields fields(line);
+    fields.Token(&tag);
+    int i = -1, j = -1;
+    double lg = 0.0;
+    if (tag == "rel") {
+      if (!fields.Int(&i) || !fields.Double(&lg) || i < 0 || i >= n ||
+          !std::isfinite(lg)) {
+        return "bad rel line: " + std::string(line);
+      }
+      (*sizes)[static_cast<size_t>(i)] = LogDouble::FromLog2(lg);
+    } else if (tag == "edge" || (tag == "w" && costs != nullptr)) {
+      if (!fields.Int(&i) || !fields.Int(&j) || !fields.Double(&lg) ||
+          i < 0 || i >= n || j < 0 || j >= n || i == j || !std::isfinite(lg)) {
+        return "bad " + std::string(tag) + " line: " + std::string(line);
+      }
+      if (tag == "w") {
+        costs->emplace_back(i, j, lg);
+      } else if (lg > 0.0) {
+        return "edge selectivity above 1: " + std::string(line);
+      } else {
+        edges->emplace_back(i, j, lg);
+      }
+    } else {
+      return "unknown " + std::string(family) + " line: " + std::string(line);
+    }
+  }
+  return "";
+}
+
+// The n-relation query graph of `edges`; the duplicate-edge error when an
+// edge repeats.
+std::string BuildGraph(int n, const Edges& edges, Graph* g) {
+  *g = Graph(n);
+  for (const auto& [i, j, lg] : edges) {
+    if (g->HasEdge(i, j)) {
+      return "duplicate edge " + std::to_string(i) + " " + std::to_string(j);
+    }
+    g->AddEdge(i, j);
+  }
+  return "";
 }
 
 }  // namespace
@@ -181,71 +392,27 @@ void WriteQonInstance(const QonInstance& inst, std::ostream& os) {
   }
 }
 
-ParseResult<QonInstance> ParseQonInstance(std::istream& is) {
-  using R = ParseResult<QonInstance>;
-  R out;
+ParseResult<QonInstance> ParseQonInstance(std::string_view text) {
+  ParseResult<QonInstance> out;
   if (InjectedParseFault(&out.error)) return out;
-  std::string line;
-  if (!NextLine(is, &line)) return Fail<QonInstance>("missing qon header");
-  std::istringstream header(line);
-  std::string tag;
+  std::string_view line;
+  if (!NextLine(&text, &line)) return Fail<QonInstance>("missing qon header");
+  Fields header(line);
+  std::string_view tag;
   int n = -1;
-  header >> tag >> n;
-  if (header.fail() || tag != "qon" || n < 1) {
+  if (!header.Token(&tag) || !header.Int(&n) || tag != "qon" || n < 1) {
     return Fail<QonInstance>("bad qon header", line);
   }
   if (n > kMaxSerializedRelations) {
     return Fail<QonInstance>("qon header n exceeds supported maximum", line);
   }
 
-  std::vector<LogDouble> sizes(static_cast<size_t>(n), LogDouble::One());
-  std::vector<std::tuple<int, int, double>> edges;
-  std::vector<std::tuple<int, int, double>> costs;
-  while (NextLine(is, &line)) {
-    std::istringstream body(line);
-    body >> tag;
-    if (tag == "rel") {
-      int i = -1;
-      double lg = 0.0;
-      body >> i >> lg;
-      if (body.fail() || i < 0 || i >= n || !std::isfinite(lg)) {
-        return Fail<QonInstance>("bad rel line", line);
-      }
-      sizes[static_cast<size_t>(i)] = LogDouble::FromLog2(lg);
-    } else if (tag == "edge") {
-      int i = -1, j = -1;
-      double lg = 0.0;
-      body >> i >> j >> lg;
-      if (body.fail() || i < 0 || i >= n || j < 0 || j >= n || i == j ||
-          !std::isfinite(lg)) {
-        return Fail<QonInstance>("bad edge line", line);
-      }
-      if (lg > 0.0) {
-        return Fail<QonInstance>("edge selectivity above 1", line);
-      }
-      edges.emplace_back(i, j, lg);
-    } else if (tag == "w") {
-      int i = -1, j = -1;
-      double lg = 0.0;
-      body >> i >> j >> lg;
-      if (body.fail() || i < 0 || i >= n || j < 0 || j >= n || i == j ||
-          !std::isfinite(lg)) {
-        return Fail<QonInstance>("bad w line", line);
-      }
-      costs.emplace_back(i, j, lg);
-    } else {
-      return Fail<QonInstance>("unknown qon line", line);
-    }
-  }
-  Graph g(n);
-  for (const auto& [i, j, lg] : edges) {
-    if (g.HasEdge(i, j)) {
-      std::ostringstream os;
-      os << "duplicate edge " << i << " " << j;
-      return Fail<QonInstance>(os.str());
-    }
-    g.AddEdge(i, j);
-  }
+  std::vector<LogDouble> sizes;
+  Edges edges, costs;
+  Graph g;
+  std::string error = ReadBody(text, "qon", n, &sizes, &edges, &costs);
+  if (error.empty()) error = BuildGraph(n, edges, &g);
+  if (!error.empty()) return Fail<QonInstance>(error);
   QonInstance inst(std::move(g), std::move(sizes));
   for (const auto& [i, j, lg] : edges) {
     inst.SetSelectivity(i, j, LogDouble::FromLog2(lg));
@@ -268,6 +435,10 @@ ParseResult<QonInstance> ParseQonInstance(std::istream& is) {
   return out;
 }
 
+ParseResult<QonInstance> ParseQonInstance(std::istream& is) {
+  return ParseQonInstance(ReadRest(is));
+}
+
 void WriteQohInstance(const QohInstance& inst, std::ostream& os) {
   int n = inst.NumRelations();
   char memory[40];
@@ -287,63 +458,31 @@ void WriteQohInstance(const QohInstance& inst, std::ostream& os) {
   }
 }
 
-ParseResult<QohInstance> ParseQohInstance(std::istream& is) {
-  using R = ParseResult<QohInstance>;
-  R out;
+ParseResult<QohInstance> ParseQohInstance(std::string_view text) {
+  ParseResult<QohInstance> out;
   if (InjectedParseFault(&out.error)) return out;
-  std::string line;
-  if (!NextLine(is, &line)) return Fail<QohInstance>("missing qoh header");
-  std::istringstream header(line);
-  std::string tag;
+  std::string_view line;
+  if (!NextLine(&text, &line)) return Fail<QohInstance>("missing qoh header");
+  Fields header(line);
+  std::string_view tag;
   int n = -1;
   double memory = 0.0, eta = 0.5;
-  header >> tag >> n >> memory >> eta;
-  if (header.fail() || tag != "qoh" || n < 1 || !std::isfinite(memory) ||
-      memory <= 0.0 || !std::isfinite(eta) || eta <= 0.0 || eta >= 1.0) {
+  if (!header.Token(&tag) || !header.Int(&n) || !header.Double(&memory) ||
+      !header.Double(&eta) || tag != "qoh" || n < 1 ||
+      !std::isfinite(memory) || memory <= 0.0 || !std::isfinite(eta) ||
+      eta <= 0.0 || eta >= 1.0) {
     return Fail<QohInstance>("bad qoh header", line);
   }
   if (n > kMaxSerializedRelations) {
     return Fail<QohInstance>("qoh header n exceeds supported maximum", line);
   }
 
-  std::vector<LogDouble> sizes(static_cast<size_t>(n), LogDouble::One());
-  std::vector<std::tuple<int, int, double>> edges;
-  while (NextLine(is, &line)) {
-    std::istringstream body(line);
-    body >> tag;
-    if (tag == "rel") {
-      int i = -1;
-      double lg = 0.0;
-      body >> i >> lg;
-      if (body.fail() || i < 0 || i >= n || !std::isfinite(lg)) {
-        return Fail<QohInstance>("bad rel line", line);
-      }
-      sizes[static_cast<size_t>(i)] = LogDouble::FromLog2(lg);
-    } else if (tag == "edge") {
-      int i = -1, j = -1;
-      double lg = 0.0;
-      body >> i >> j >> lg;
-      if (body.fail() || i < 0 || i >= n || j < 0 || j >= n || i == j ||
-          !std::isfinite(lg)) {
-        return Fail<QohInstance>("bad edge line", line);
-      }
-      if (lg > 0.0) {
-        return Fail<QohInstance>("edge selectivity above 1", line);
-      }
-      edges.emplace_back(i, j, lg);
-    } else {
-      return Fail<QohInstance>("unknown qoh line", line);
-    }
-  }
-  Graph g(n);
-  for (const auto& [i, j, lg] : edges) {
-    if (g.HasEdge(i, j)) {
-      std::ostringstream os;
-      os << "duplicate edge " << i << " " << j;
-      return Fail<QohInstance>(os.str());
-    }
-    g.AddEdge(i, j);
-  }
+  std::vector<LogDouble> sizes;
+  Edges edges;
+  Graph g;
+  std::string error = ReadBody(text, "qoh", n, &sizes, &edges, nullptr);
+  if (error.empty()) error = BuildGraph(n, edges, &g);
+  if (!error.empty()) return Fail<QohInstance>(error);
   QohInstance inst(std::move(g), std::move(sizes), memory, eta);
   for (const auto& [i, j, lg] : edges) {
     inst.SetSelectivity(i, j, LogDouble::FromLog2(lg));
@@ -351,6 +490,10 @@ ParseResult<QohInstance> ParseQohInstance(std::istream& is) {
   inst.Validate();
   out.value = std::move(inst);
   return out;
+}
+
+ParseResult<QohInstance> ParseQohInstance(std::istream& is) {
+  return ParseQohInstance(ReadRest(is));
 }
 
 std::string GraphToString(const Graph& g) {

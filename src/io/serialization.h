@@ -22,10 +22,37 @@
 // constraints like selectivity <= 1) and return a ParseResult carrying
 // either the value or a one-line reason. Tools report it as
 // `error: <file>: <reason>`.
+//
+// The qon/qoh grammar, which the instance readers implement by hand in
+// one std::from_chars pass; it is the grammar operator>> on a
+// std::istringstream gives in the "C" locale (libstdc++ num_get, then
+// strtod), and tests/reference_reader.h keeps that reader to prove it:
+//
+//   lines      end at '\n'; a trailing '\r' is a separator. A line whose
+//              first byte outside " \t\r" is '#', or is 'c' followed by
+//              ' ' or '\t', is a comment; lines of " \t\r" are blank.
+//              Both are skipped.
+//   separators ' ', '\t', '\v', '\f', '\r'. Fields need none between
+//              them: a number ends at the first byte it cannot take, and
+//              the next field starts there. Text after a line's last
+//              field is ignored ("rel 0 3.5 trailing", "qon 2x").
+//   tag        a maximal run of non-separators. A line of separators
+//              alone (it holds '\v' or '\f') has none and keeps the
+//              previous line's tag, so it fails as that tag's line.
+//   integer    [+-]?[0-9]+ within int's range. "+3", "-0" and "007"
+//              read; "+-1" fails; "0x10" reads 0 and leaves "x10".
+//   real       [+-]? digits with at most one '.', then optionally e or E,
+//              [+-]? and digits; the bytes taken must form a whole
+//              decimal. "+1.5", ".5", "5." and "5.e3" read; "1e", "1e+",
+//              ".", "+-1", "inf" and "nan" fail; "0x1p3" reads 0 and
+//              leaves "x1p3". A decimal beyond double's range fails when
+//              too large and reads as a signed zero when too small
+//              ("1e-400" is 0, "-1e-400" is -0).
 
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "graph/graph.h"
@@ -49,9 +76,13 @@ inline constexpr int kMaxSerializedRelations = 4096;
 // Recoverable readers: structured error instead of abort, for any
 // malformed input reachable from files a user hands to a tool. Also the
 // "io.parse" fault-injection site (util/fault_injection.h): the k-th
-// Parse* call process-wide can be armed to fail with an injected error.
+// Parse* call process-wide can be armed to fail with an injected error;
+// each call takes one ordinal, whichever overload it enters through.
 ParseResult<Graph> ParseGraph(std::istream& is);
 ParseResult<CnfFormula> ParseDimacs(std::istream& is);
+ParseResult<QonInstance> ParseQonInstance(std::string_view text);
+ParseResult<QohInstance> ParseQohInstance(std::string_view text);
+// The rest of the stream, read in bulk and parsed as text.
 ParseResult<QonInstance> ParseQonInstance(std::istream& is);
 ParseResult<QohInstance> ParseQohInstance(std::istream& is);
 

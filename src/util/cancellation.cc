@@ -1,5 +1,7 @@
 #include "util/cancellation.h"
 
+#include <limits>
+
 #include "obs/metrics.h"
 
 namespace aqo {
@@ -18,13 +20,29 @@ const char* PlanStatusName(PlanStatus status) {
   return "unknown";
 }
 
+std::chrono::steady_clock::time_point DeadlineAfter(double deadline_ms) {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point now = Clock::now();
+  // Counted in ticks as a double first: the integer cast of a count past
+  // the rep's range is undefined, and in practice lands in the past.
+  double ticks = std::chrono::duration<double, Clock::period>(
+                     std::chrono::duration<double, std::milli>(deadline_ms))
+                     .count();
+  if (!(ticks < static_cast<double>(std::numeric_limits<Clock::rep>::max()))) {
+    return Clock::time_point::max();
+  }
+  auto count = static_cast<Clock::rep>(ticks);
+  if (count >= (Clock::time_point::max() - now).count()) {
+    return Clock::time_point::max();
+  }
+  return now + Clock::duration(count);
+}
+
 RunGuard::RunGuard(const Budget& budget, CancelToken* token)
     : max_evaluations_(budget.max_evaluations), token_(token) {
   if (budget.deadline_ms > 0) {
     has_deadline_ = true;
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(budget.deadline_ms));
+    deadline_ = DeadlineAfter(budget.deadline_ms);
   }
   // A token with nothing armed (no deadline, no stop request) leaves the
   // guard inert so unbudgeted runs stay bit-identical to a null token.

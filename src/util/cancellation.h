@@ -44,6 +44,13 @@ struct Budget {
   bool limited() const { return max_evaluations > 0 || deadline_ms > 0; }
 };
 
+// The steady-clock time `deadline_ms` from now, the milliseconds
+// truncated to clock ticks. A deadline past the clock's range (about
+// 9.2e12 ms, so 1e13 ms or +inf) saturates to time_point::max(), which
+// never comes. Callers arm only deadline_ms > 0, so NaN and values <= 0
+// mean "no deadline".
+std::chrono::steady_clock::time_point DeadlineAfter(double deadline_ms);
+
 // Shared stop signal, e.g. one per service batch. Arms an absolute
 // wall-clock deadline and/or an explicit stop request; many RunGuards may
 // observe one token concurrently. Copying is disabled — share by pointer.
@@ -56,9 +63,7 @@ class CancelToken {
   // Arms a wall-clock deadline `deadline_ms` from now (<= 0 clears it).
   void ArmDeadline(double deadline_ms) {
     if (deadline_ms > 0) {
-      deadline_ = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double, std::milli>(deadline_ms));
+      deadline_ = DeadlineAfter(deadline_ms);
       has_deadline_.store(true, std::memory_order_release);
     } else {
       has_deadline_.store(false, std::memory_order_release);

@@ -5,9 +5,12 @@
 
 #include "io/serialization.h"
 
+#include <cmath>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -184,6 +187,61 @@ TEST(QohParse, FixturesBehave) {
 }
 
 // ---------------------------------------------------------------------------
+// The instance grammar (io/serialization.h) as the std::istringstream
+// reader had it, pinned by name; tests/io_differential_test.cc compares
+// against that reader itself.
+
+// log2 of relation 0's size in `qon 1\nrel 0 <field>`, or the error.
+std::string RelField(const std::string& field, double* log2_size) {
+  ParseResult<QonInstance> r = ParseQonInstance("qon 1\nrel 0 " + field);
+  if (r.ok()) *log2_size = r.value->size(0).Log2();
+  return r.error;
+}
+
+TEST(InstanceGrammar, NumbersReadAsIostreamsReadThem) {
+  double lg = -1.0;
+  EXPECT_EQ(RelField("+1.5", &lg), "");  // a leading '+' is taken
+  EXPECT_EQ(lg, 1.5);
+  EXPECT_EQ(RelField("1e-400", &lg), "");  // underflow reads as zero
+  EXPECT_EQ(lg, 0.0);
+  EXPECT_FALSE(std::signbit(lg));
+  EXPECT_EQ(RelField("-1e-400", &lg), "");
+  EXPECT_TRUE(std::signbit(lg));
+  EXPECT_EQ(RelField("0x1p3", &lg), "");  // "0", then "x1p3" is ignored
+  EXPECT_EQ(lg, 0.0);
+  EXPECT_EQ(RelField("3.5 trailing", &lg), "");
+  EXPECT_EQ(lg, 3.5);
+  EXPECT_EQ(RelField("5.e1", &lg), "");
+  EXPECT_EQ(lg, 50.0);
+  for (const char* field : {"1e", "1e+", "inf", "nan", "-inf", "+-1", ".",
+                            "1e400", "x"}) {
+    EXPECT_EQ(RelField(field, &lg), "bad rel line: rel 0 " + std::string(field))
+        << field;
+  }
+}
+
+TEST(InstanceGrammar, LinesReadAsIostreamsReadThem) {
+  ParseResult<QonInstance> r = ParseQonInstance(
+      "# comment\n\nc comment\nqon 2x\r\nrel 0 3.5 trailing\r\n"
+      "  # indented\r\nedge 0 1 -1\r\n");
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.value->NumRelations(), 2);
+  EXPECT_EQ(r.value->size(0).Log2(), 3.5);
+  EXPECT_EQ(r.value->selectivity(0, 1).Log2(), -1.0);
+
+  // A line of separators alone reads no tag, and the previous one stands.
+  EXPECT_EQ(ParseQonInstance("qon 2\n\v\n").error, "unknown qon line: \v");
+  EXPECT_EQ(ParseQonInstance("qon 2\nrel 0 1\n\f\n").error,
+            "bad rel line: \f");
+  EXPECT_EQ(ParseQohInstance("qoh 2 170 0.5\n\v\n").error,
+            "unknown qoh line: \v");
+  // "c" needs a space or tab after it to start a comment.
+  EXPECT_EQ(ParseQonInstance("qon 2\nc\vx\n").error,
+            "unknown qon line: c\vx");
+  EXPECT_EQ(ParseQonInstance("qonx 2\n").error, "bad qon header: qonx 2");
+}
+
+// ---------------------------------------------------------------------------
 // The "io.parse" fault site: an armed k-th parse fails with an injected
 // error; everything before and after parses normally.
 
@@ -206,6 +264,39 @@ TEST(IoFaultInjection, ArmedParseFailsOnceThenRecovers) {
   EXPECT_TRUE(ParseString(&ParseGraph, good).ok());
   FaultInjector::Get().Disarm();
   EXPECT_TRUE(ParseString(&ParseGraph, good).ok());
+}
+
+// Every instance-reader call takes exactly one io.parse ordinal, whether
+// it enters through the std::string_view or the std::istream overload.
+TEST(IoFaultInjection, InstanceReadersTakeOneOrdinalPerCall) {
+  const std::string qon = ReadFile(FixturePath("qon_valid.txt"));
+  const std::string qoh = ReadFile(FixturePath("qoh_valid.txt"));
+  auto qon_stream = [&] { return ParseString(&ParseQonInstance, qon).error; };
+  auto qon_view = [&] { return ParseQonInstance(qon).error; };
+  auto qoh_stream = [&] { return ParseString(&ParseQohInstance, qoh).error; };
+  auto qoh_view = [&] { return ParseQohInstance(qoh).error; };
+
+  // One wildcard shot fails exactly the next call, through any overload.
+  const std::string kInjected = "injected fault at io.parse#";
+  for (const auto& call : std::vector<std::function<std::string()>>{
+           qon_stream, qon_view, qoh_stream, qoh_view}) {
+    FaultInjector::Get().Arm("io.parse", FaultInjector::kAnyOrdinal, 1);
+    EXPECT_EQ(call().rfind(kInjected, 0), 0u);
+    EXPECT_EQ(call(), "");
+    FaultInjector::Get().Disarm();
+  }
+
+  // Ordinals count calls: learn the next one, then hit the call two on.
+  FaultInjector::Get().Arm("io.parse", FaultInjector::kAnyOrdinal, 1);
+  std::string first = qon_stream();
+  FaultInjector::Get().Disarm();
+  ASSERT_EQ(first.rfind(kInjected, 0), 0u) << first;
+  uint64_t ordinal = std::stoull(first.substr(kInjected.size()));
+  FaultInjector::Get().Arm("io.parse", ordinal + 2, 1);
+  EXPECT_EQ(qoh_stream(), "");
+  EXPECT_EQ(qon_view(), kInjected + std::to_string(ordinal + 2));
+  EXPECT_EQ(qoh_view(), "");
+  FaultInjector::Get().Disarm();
 }
 
 }  // namespace

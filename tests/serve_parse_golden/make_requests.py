@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Writes requests.bin, the request stream of the serve_parse_golden test.
+
+    python3 tests/serve_parse_golden/make_requests.py > requests.bin
+
+Each request is one aqo_serve frame (a u32 little-endian length, then the
+payload; io/framing.h). The stream holds valid QO_N and QO_H instances at
+n = 1, 3 and 30, bodies with blank lines, comments and CRLF line ends,
+one request per edge of the number and line grammar (io/serialization.h),
+an empty body, an unknown family and a `qonx` family token.
+responses.bin is what `aqo_serve --seed=3` answers; regenerate it only
+when a response is meant to change:
+
+    aqo_serve --seed=3 < requests.bin > responses.bin
+"""
+
+import random
+import struct
+import sys
+
+
+def g17(x):
+    return "%.17g" % x
+
+
+def instance(family, n, edges, rng):
+    lines = [f"{family} {n}" + (f" {g17(rng.uniform(1e3, 1e9))} "
+                                f"{g17(rng.uniform(0.05, 0.95))}"
+                                if family == "qoh" else "")]
+    lines += [f"rel {i} {g17(rng.uniform(1.0, 40.0))}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(pairs)
+    lines += [f"edge {u} {v} {g17(-rng.uniform(0.0, 20.0))}"
+              for u, v in pairs[:edges]]
+    return "\n".join(lines) + "\n"
+
+
+def main():
+    rng = random.Random(15)
+    # Every optimizer but QO_N random aborts the server below n=2, and
+    # dp above n=24, so n=1 and n=30 requests pin one that runs. A QO_H
+    # n=1 request names no entry at all: it still parses, then gets the
+    # unknown-optimizer error instead of a parse error.
+    bodies = []
+    for family in ("qon", "qoh"):
+        for n, edges in ((1, 0), (3, 2), (30, 217)):
+            optimizer = {1: " optimizer=random" if family == "qon"
+                         else " optimizer=none",
+                         3: "", 30: " optimizer=greedy"}[n]
+            bodies.append((optimizer, instance(family, n, edges, rng)))
+
+    def rel0(field):
+        # Relation 0's size shows in the plan's cost.
+        return f"qon 2\nrel 0 {field}\nrel 1 3\nedge 0 1 -1\n"
+
+    three = "rel 0 3\nrel 1 4.5\nrel 2 2\nedge 0 1 -1\nedge 1 2 -2.5\n"
+    bodies += [
+        ("", "\n\n  \nqon 3\n" + three),
+        ("", "\vqon 3\n" + three),
+        ("", "qon 3\n# a comment\nc a DIMACS comment\n\t# indented\n" + three),
+        ("", "qon 3\r\n" + three.replace("\n", "\r\n")),
+        ("", "qoh 3 170 0.5\r\n" + three.replace("\n", "\r\n")),
+        ("", "# leading comment\nqon 3\n" + three),
+        ("", "c leading comment\nqon 3\n" + three),
+        ("", rel0("+1.5")),
+        ("", rel0("1e")),
+        ("", rel0("1e+")),
+        ("", rel0("1e-400")),
+        ("", rel0("-1e-400")),
+        ("", rel0("1e400")),
+        ("", rel0("0x1p3")),
+        ("", rel0("inf")),
+        ("", rel0("nan")),
+        ("", rel0("+-1")),
+        ("", "qon 2\nrel 0 3.5 trailing\nedge 0 1 -1 trailing\n"),
+        ("", "qon 2x\nrel 1 2\n"),
+        ("", "qon 2\n\v\n"),
+        ("", "qon 2\nrel 0 1\n\f\n"),
+        ("", "qoh 2 170 0.5\n\v\n"),
+        ("", "qoh 2 1e-400 0.5\n"),
+        ("", "qoh 2 +170 +.5\nedge 0 1 -.5e1\n"),
+        ("", "qon 2\nedge 0 1-5\n"),
+        ("", rel0("1\0x")),
+        ("", "qon"),
+        ("", ""),
+        (None, ""),
+        ("", "foo 3\nrel 0 1\n"),
+        ("", "qonx 2\nrel 0 1\n"),
+    ]
+    out = sys.stdout.buffer
+    for k, (optimizer, body) in enumerate(bodies):
+        # None: a header frame with no newline, so no body at all.
+        payload = (f"req g{k}{optimizer or ''}" +
+                   ("" if optimizer is None else "\n" + body)).encode()
+        out.write(struct.pack("<I", len(payload)) + payload)
+
+
+if __name__ == "__main__":
+    main()

@@ -42,9 +42,10 @@
 // deadline_exceeded — such plans are never cached. --budget-evals= is the
 // deterministic analogue and IS cacheable (docs/robustness.md).
 //
-// Telemetry: qo.serve.* counters, the qo.serve.request_us histogram,
-// qo.persist.* for storage, plus --json-out/--trace-out/--latency-table
-// from the shared harness flags.
+// Telemetry: qo.serve.* counters, the qo.serve.request_us histogram and
+// its qo.serve.parse_us part (with a serve.parse trace slice), qo.persist.*
+// for storage, plus --json-out/--trace-out/--latency-table from the
+// shared harness flags.
 
 #include <algorithm>
 #include <csignal>
@@ -64,6 +65,7 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/runlog.h"
+#include "obs/trace.h"
 #include "qo/overload.h"
 #include "qo/persist.h"
 #include "qo/plan_cache.h"
@@ -119,7 +121,9 @@ void LogOverloadDecision(const std::string& id, const OverloadDecision& d,
 struct QonServe {
   using Options = OptimizerOptions;
   static constexpr std::string_view kLabel = "QO_N";
-  static constexpr auto Parse = &ParseQonInstance;
+  static ParseResult<QonInstance> Parse(std::string_view body) {
+    return ParseQonInstance(body);
+  }
   static constexpr auto Registry = &OptimizerRegistry::Qon;
   static constexpr auto Estimate = &EstimateQonCostUnits;
   static constexpr auto Degrade = &DegradeQon;
@@ -139,7 +143,9 @@ struct QonServe {
 struct QohServe {
   using Options = QohOptimizerOptions;
   static constexpr std::string_view kLabel = "QO_H";
-  static constexpr auto Parse = &ParseQohInstance;
+  static ParseResult<QohInstance> Parse(std::string_view body) {
+    return ParseQohInstance(body);
+  }
   static constexpr auto Registry = &QohOptimizerRegistry::Get;
   static constexpr auto Estimate = &EstimateQohCostUnits;
   static constexpr auto Degrade = &DegradeQoh;
@@ -158,14 +164,14 @@ struct QohServe {
 };
 
 // One optimize request of family `family` (the instance's first token):
-// parses, admits, runs a single-instance batch through the shared cache,
-// formats the response payload. A non-empty `optimizer` (the per-request
-// `optimizer=<name>` header token) overrides the configured entry for
-// this request only.
+// parses `body`, admits, runs a single-instance batch through the shared
+// cache, formats the response payload. A non-empty `optimizer` (the
+// per-request `optimizer=<name>` header token) overrides the configured
+// entry for this request only.
 template <typename Family>
-std::string ServeFamily(const std::string& id, const std::string& family,
+std::string ServeFamily(const std::string& id, std::string_view family,
                         double deadline_ms, const std::string& optimizer,
-                        std::istream& in, const ServerConfig& config,
+                        std::string_view body, const ServerConfig& config,
                         PlanCache* cache, ThreadPool* pool,
                         LoadGovernor* governor) {
   static obs::Counter& rejects =
@@ -176,8 +182,14 @@ std::string ServeFamily(const std::string& id, const std::string& family,
       obs::Registry::Get().GetCounter("qo.serve.sheds");
   static obs::Counter& degrade_counter =
       obs::Registry::Get().GetCounter("qo.serve.degraded");
+  static obs::Histogram& parse_us =
+      obs::Registry::Get().GetHistogram("qo.serve.parse_us");
   std::ostringstream out;
-  auto parsed = Family::Parse(in);
+  auto parsed = [&] {
+    obs::TraceSpan slice("serve.parse", "serve");
+    obs::ScopedLatencyTimer timer(parse_us);
+    return Family::Parse(body);
+  }();
   if (!parsed.ok()) {
     out << "err " << id << " parse: " << parsed.error;
     return out.str();
@@ -245,23 +257,26 @@ std::string ServeFamily(const std::string& id, const std::string& family,
 
 std::string ServeOptimize(const std::string& id, double deadline_ms,
                           const std::string& optimizer,
-                          const std::string& body, const ServerConfig& config,
+                          std::string_view body, const ServerConfig& config,
                           PlanCache* cache, ThreadPool* pool,
                           LoadGovernor* governor) {
-  std::istringstream in(body);
-  std::string family;
-  in >> family;
-  in.seekg(0);
+  // The family is the body's first whitespace-separated token, even past
+  // blank lines; a body that opens with a comment line names the
+  // comment's first word ('#', 'c') and is refused.
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  std::string_view family = body.substr(
+      std::min(body.size(), body.find_first_not_of(kSpace)));
+  family = family.substr(0, family.find_first_of(kSpace));
   if (family == "qon") {
-    return ServeFamily<QonServe>(id, family, deadline_ms, optimizer, in,
+    return ServeFamily<QonServe>(id, family, deadline_ms, optimizer, body,
                                  config, cache, pool, governor);
   }
   if (family == "qoh") {
-    return ServeFamily<QohServe>(id, family, deadline_ms, optimizer, in,
+    return ServeFamily<QohServe>(id, family, deadline_ms, optimizer, body,
                                  config, cache, pool, governor);
   }
-  return "err " + id + " parse: unknown instance family '" + family +
-         "' (expected qon or qoh)";
+  return "err " + id + " parse: unknown instance family '" +
+         std::string(family) + "' (expected qon or qoh)";
 }
 
 int Main(int argc, char** argv) {
@@ -452,8 +467,9 @@ int Main(int argc, char** argv) {
     size_t eol = payload.find('\n');
     std::string head =
         eol == std::string::npos ? payload : payload.substr(0, eol);
-    std::string body =
-        eol == std::string::npos ? std::string() : payload.substr(eol + 1);
+    std::string_view body = eol == std::string::npos
+                                ? std::string_view()
+                                : std::string_view(payload).substr(eol + 1);
     std::istringstream header(head);
     std::string verb, id;
     header >> verb >> id;
