@@ -15,9 +15,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-// Same constant LogDouble::operator+ divides by, so Lse2's rounding
-// profile matches the exact fold's operation for operation.
-constexpr double kLn2 = 0.6931471805599453;
+// Largest magnitude bound of the integer regime: every partial sum either
+// evaluator forms stays within 2 * 2^52, where every integer is a double.
+constexpr double kExactBound = 0x1p52;
 
 obs::Counter& NeighborhoodsCounter() {
   static obs::Counter& c =
@@ -49,16 +49,8 @@ void RowMinInPlace(double* AQO_RESTRICT dst, const double* AQO_RESTRICT src,
   for (int i = 0; i < n; ++i) dst[i] = src[i] < dst[i] ? src[i] : dst[i];
 }
 
-// log2(2^a + 2^b) with -infinity as the additive identity — the raw-double
-// twin of LogDouble::operator+ (same hi + log1p(exp2(lo - hi)) / ln2
-// form, so the per-operation rounding profile matches the exact fold's).
-double Lse2(double a, double b) {
-  if (a == kNegInf) return b;
-  if (b == kNegInf) return a;
-  double hi = a, lo = b;
-  if (hi < lo) std::swap(hi, lo);
-  return hi + std::log1p(std::exp2(lo - hi)) / kLn2;
-}
+// Whether a log2-domain input is an integer: the integer regime's test.
+bool IsInteger(double x) { return std::isfinite(x) && std::floor(x) == x; }
 
 }  // namespace
 
@@ -69,15 +61,20 @@ QonNeighborhoodEvaluator::QonNeighborhoodEvaluator(const QonInstance& inst)
   lwt_.resize(n * n);
   mselt_.resize(n * n);
   double max_lt = 0.0, max_ms = 0.0, max_lw = 0.0;
+  bool integer = true;
   for (int t = 0; t < n_; ++t) {
     size_t st = static_cast<size_t>(t);
     lt_[st] = inst.size(t).Log2();
     max_lt = std::max(max_lt, std::fabs(lt_[st]));
+    integer = integer && IsInteger(lt_[st]);
     for (int k = 0; k < n_; ++k) {
       size_t sk = static_cast<size_t>(k);
       double lw = k == t ? kInf : inst.AccessCost(k, t).Log2();
       lwt_[sk * n + st] = lw;
-      if (k != t) max_lw = std::max(max_lw, std::fabs(lw));
+      if (k != t) {
+        max_lw = std::max(max_lw, std::fabs(lw));
+        integer = integer && IsInteger(lw);
+      }
       // mselt_ row u holds, for every target t, relation u's contribution
       // to the prefix-size fold when u joins the prefix: log2 sel(u, t)
       // when the join predicate exists, an exact +0.0 otherwise. Adding
@@ -88,6 +85,7 @@ QonNeighborhoodEvaluator::QonNeighborhoodEvaluator(const QonInstance& inst)
                                              : 0.0;
       mselt_[sk * n + st] = ms;
       max_ms = std::max(max_ms, std::fabs(ms));
+      integer = integer && IsInteger(ms);
     }
   }
   // Certified bound: the fast and naive folds each perform O(n^2)
@@ -101,13 +99,21 @@ QonNeighborhoodEvaluator::QonNeighborhoodEvaluator(const QonInstance& inst)
   // cushion; tests/fast_eval_test.cc and tests/property_test.cc check it.
   double nn = static_cast<double>(n_);
   double a_bound = 1.0 + nn * max_lt + nn * nn * max_ms + max_lw;
-  eps_log2_ = 64.0 * nn * nn * DBL_EPSILON * a_bound;
+  // Integer regime: integer inputs with every prefix size and join term
+  // within A <= 2^52, so every partial sum either evaluator forms is an
+  // integer of magnitude at most 2A <= 2^53 — exact in double, whatever
+  // the association. The fast join terms are then the exact evaluator's,
+  // bit for bit, and PriceSwap folds them in its order: the price is the
+  // exact cost.
+  exact_ = integer && a_bound <= kExactBound;
+  eps_log2_ = exact_ ? 0.0 : 64.0 * nn * nn * DBL_EPSILON * a_bound;
   seq_.resize(n);
   lp_.resize(n + 1);
   mp_.resize(n * n);
   ps_.resize(n * n);
+  term_.resize(n);
   fwd_.resize(std::max<size_t>(n, 1));
-  bwd_.resize(n + 1);
+  if (!exact_) bwd_.resize(n + 1);
   cur_min_.resize(n);
 }
 
@@ -134,17 +140,18 @@ void QonNeighborhoodEvaluator::Load(const JoinSequence& seq) {
     size_t u = static_cast<size_t>(seq_[n - 1]);
     lp_[n] = lp_[n - 1] + lt_[u] + ps_[(n - 1) * n + u];
   }
-  // Per-join log2 terms and their log-sum-exp partial folds. fwd_/bwd_
-  // let a swap reuse the untouched joins on either side of its span:
-  // their real values are unchanged, and this evaluator is free to
-  // re-associate.
-  auto join_term = [&](size_t p) {
-    return lp_[p] + mp_[p * n + static_cast<size_t>(seq_[p])];
-  };
+  // Per-join log2 terms and their log-sum-exp partial folds. fwd_ is the
+  // exact evaluator's left fold; bwd_ lets a certified price reuse the
+  // untouched joins after its span: their real values are unchanged, and
+  // outside the integer regime this evaluator is free to re-associate.
+  for (size_t p = 1; p < n; ++p) {
+    term_[p] = lp_[p] + mp_[p * n + static_cast<size_t>(seq_[p])];
+  }
   fwd_[0] = kNegInf;
+  for (size_t p = 1; p < n; ++p) fwd_[p] = LogAddExp2(fwd_[p - 1], term_[p]);
+  if (exact_) return;
   bwd_[n] = kNegInf;
-  for (size_t p = 1; p < n; ++p) fwd_[p] = Lse2(fwd_[p - 1], join_term(p));
-  for (size_t p = n; p-- > 1;) bwd_[p] = Lse2(join_term(p), bwd_[p + 1]);
+  for (size_t p = n; p-- > 1;) bwd_[p] = LogAddExp2(term_[p], bwd_[p + 1]);
 }
 
 double QonNeighborhoodEvaluator::PriceSwap(int i, int j) {
@@ -157,9 +164,9 @@ double QonNeighborhoodEvaluator::PriceSwap(int i, int j) {
   size_t y = static_cast<size_t>(seq_[sj]);
   // Joins before position i are untouched; joins after position j keep
   // their real value (same prefix multiset, same access-cost set), so the
-  // fast fold reuses fwd_/bwd_ and only walks the changed span.
+  // fold continues from fwd_ and only walks the changed span.
   double acc = i >= 1 ? fwd_[si - 1] : kNegInf;
-  if (i >= 1) acc = Lse2(acc, lp_[si] + mp_[si * n + y]);
+  if (i >= 1) acc = LogAddExp2(acc, lp_[si] + mp_[si * n + y]);
   // Running min-access row over {seq[0..i-1], y} and running candidate
   // prefix exponent; ps_ rows are corrected for the x -> y substitution
   // via the two masked-selectivity rows of x and y.
@@ -169,12 +176,22 @@ double QonNeighborhoodEvaluator::PriceSwap(int i, int j) {
   double clp = lp_[si] + lt_[y] + ps_[si * n + y];
   for (size_t p = si + 1; p < sj; ++p) {
     size_t v = static_cast<size_t>(seq_[p]);
-    acc = Lse2(acc, clp + cur_min_[v]);
+    acc = LogAddExp2(acc, clp + cur_min_[v]);
     clp += lt_[v] + (ps_[p * n + v] - msx[v] + msy[v]);
     RowMinInPlace(cur_min_.data(), lwt_.data() + v * n, n_);
   }
-  acc = Lse2(acc, clp + cur_min_[x]);
-  return Lse2(acc, bwd_[sj + 1]);
+  acc = LogAddExp2(acc, clp + cur_min_[x]);
+  if (!exact_) return LogAddExp2(acc, bwd_[sj + 1]);
+  // Integer regime: the joins after j have the loaded terms bit for bit,
+  // so the exact cost continues the left fold across them. Once the
+  // running value meets the loaded fold, the rest of the fold is the
+  // loaded one.
+  size_t p = sj;
+  while (acc != fwd_[p]) {
+    if (++p == n) return acc;
+    acc = LogAddExp2(acc, term_[p]);
+  }
+  return fwd_[n - 1];
 }
 
 }  // namespace aqo

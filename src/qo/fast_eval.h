@@ -1,38 +1,58 @@
 #ifndef AQO_QO_FAST_EVAL_H_
 #define AQO_QO_FAST_EVAL_H_
 
-// Certified swap pricing for QO_N iterative improvement.
+// Swap pricing for QO_N iterative improvement.
 //
 // The exact evaluator in qo/cost_eval.h is pinned to the naive code's
 // left-to-right expression tree: LogDouble addition is log-sum-exp and is
 // not associative, so the bit-identity contract forbids re-associating the
 // cost fold, and a swap at positions (i, j) costs a Θ(n - i)-long suffix
-// re-fold. QonNeighborhoodEvaluator deliberately gives that constraint up.
-// It keeps every per-target quantity as flat structure-of-arrays of raw
-// log2-domain doubles (access costs, masked-selectivity rows where a
-// non-edge contributes an exactly representable +0.0, running min/sum
-// prefix matrices), accumulates in the log domain with free
-// re-association, and prices an arbitrary swap (i, j) of a loaded sequence
-// in O((j - i) * n) after an O(n^2) Load: joins outside the swapped span
-// reuse precomputed log-sum-exp partials.
+// re-fold. QonNeighborhoodEvaluator keeps every per-target quantity as
+// flat structure-of-arrays of raw log2-domain doubles (access costs,
+// masked-selectivity rows where a non-edge contributes an exactly
+// representable +0.0, running min/sum prefix matrices), and prices an
+// arbitrary swap (i, j) of a loaded sequence after an O(n^2) Load by
+// walking only the changed span in O((j - i) * n).
 //
-// Correctness contract (docs/performance.md, "Ranked swaps in `ii`"):
+// The constructor puts each instance in one of two regimes; the contract
+// differs (docs/performance.md, "Ranked swaps in `ii`"):
 //
-//   |PriceSwap(i, j) - naive_log2(candidate)| <= EpsLog2()
+//  * Integer regime, EpsLog2() == 0: every log2 size, edge selectivity
+//    and off-diagonal access cost is an integer, and the magnitude bound
+//    A below is at most 2^52. Every prefix sum either evaluator forms is
+//    then an integer of magnitude at most 2^53, so exact in any
+//    association, and the per-join terms here are QonCostEvaluator's H_p
+//    bit for bit. PriceSwap folds them in the exact evaluator's order
+//    with the same log-sum-exp (LogAddExp2, util/log_double.h): the
+//    price has the exact cost's bits. The joins after j keep their
+//    terms, so the fold stops early once it meets the loaded fold. The
+//    f_N instances of the gap tables (reductions/clique_to_qon.h) are in
+//    this regime.
 //
-// where naive_log2 is LogDouble::Log2() of the exact fold. The bound is a
-// worst-case interval/ulp argument over the fold length: in real
-// arithmetic log-sum-exp *is* associative, so re-association contributes
-// nothing and the error is pure rounding — at most O(n^2) floating-point
-// operations on either side, each perturbing the running log2 value by at
-// most a few ulps of its magnitude, which is bounded by the per-instance
-// constant A = sum |log2 t_v| + sum |log2 masked selectivities| +
-// max |log2 access cost| + 1. EpsLog2() = C * n^2 * DBL_EPSILON * A with a
-// generous constant C; tests/fast_eval_test.cc and tests/property_test.cc
-// assert the bound for every swap pair at the sizes where `ii` ranks.
+//  * Otherwise, the certified bound
+//
+//      |PriceSwap(i, j) - naive_log2(candidate)| <= EpsLog2()
+//
+//    where naive_log2 is LogDouble::Log2() of the exact fold. The price
+//    re-associates: joins after the span reuse a precomputed backward
+//    log-sum-exp partial. The bound is a worst-case interval/ulp argument
+//    over the fold length: in real arithmetic log-sum-exp *is*
+//    associative, so re-association contributes nothing and the error is
+//    pure rounding — at most O(n^2) floating-point operations on either
+//    side, each perturbing the running log2 value by at most a few ulps
+//    of its magnitude, which is bounded by the per-instance constant
+//    A = sum |log2 t_v| + sum |log2 masked selectivities| +
+//    max |log2 access cost| + 1. EpsLog2() = C * n^2 * DBL_EPSILON * A
+//    with a generous constant C.
+//
+// tests/fast_eval_test.cc checks both contracts for every swap pair at the
+// sizes where `ii` ranks, and tests/property_test.cc sweeps the bound.
 // Prices only ever *rank*: IterativeImprovementOptimizer skips the exact
 // evaluation of a swap only when its price proves the exact cost is no
-// better than the incumbent's, and re-prices everything else exactly.
+// better than the incumbent's (price >= current + EpsLog2()), and
+// re-prices everything else exactly. In the integer regime that leaves
+// only the improvements, and the loop checks each price against the
+// exact cost's bits.
 //
 // Telemetry: qo.fast_eval.neighborhoods counts Load calls,
 // qo.fast_eval.candidates counts priced swaps. The `ii` loop adds
@@ -51,25 +71,30 @@ class QonNeighborhoodEvaluator {
  public:
   explicit QonNeighborhoodEvaluator(const QonInstance& inst);
 
-  // Certified bound on |fast log2 cost - exact log2 cost| for any
-  // candidate priced by this evaluator (see header comment).
+  // Bound on |price - exact log2 cost| for any candidate priced by this
+  // evaluator: 0 in the integer regime, where prices are exact, and the
+  // certified bound otherwise (see header comment).
   double EpsLog2() const { return eps_log2_; }
 
   // Lays out the swap-neighborhood state of `seq`: log2 prefix sizes,
-  // running per-target min-access and selectivity-sum matrices, and
-  // forward/backward log-sum-exp partials of the per-join terms. O(n^2).
+  // running per-target min-access and selectivity-sum matrices, the
+  // per-join terms, and their forward (and, outside the integer regime,
+  // backward) log-sum-exp partials. O(n^2).
   // Must be called before PriceSwap; call again whenever the base
   // sequence changes.
   void Load(const JoinSequence& seq);
 
-  // Fast log2 cost of the candidate obtained by swapping positions i < j
-  // of the loaded sequence. O((j - i) * n): terms outside (i-1, j+1) reuse
-  // the loaded partials (their real value is unchanged by the swap — the
-  // re-association freedom the exact evaluator does not have).
+  // Log2 cost of the candidate obtained by swapping positions i < j of the
+  // loaded sequence: exact in the integer regime, within EpsLog2()
+  // otherwise. O((j - i) * n) for the span; the joins after j reuse the
+  // loaded terms (their real value is unchanged by the swap) — a left
+  // fold until it meets the loaded one in the integer regime, one
+  // precomputed backward partial otherwise.
   double PriceSwap(int i, int j);
 
  private:
   int n_ = 0;
+  bool exact_ = false;  // integer regime
   double eps_log2_ = 0.0;
   // Instance data as raw log2 doubles, structure-of-arrays.
   std::vector<double> lt_;     // lt_[v] = log2 t_v
@@ -81,8 +106,10 @@ class QonNeighborhoodEvaluator {
   std::vector<double> lp_;    // lp_[p] = log2 N(first p relations), p in [0,n]
   std::vector<double> mp_;    // mp_[p*n+t] = min_{q<p} lwt_[seq_[q]*n+t]
   std::vector<double> ps_;    // ps_[p*n+t] = sum_{q<p} mselt_[seq_[q]*n+t]
+  std::vector<double> term_;  // term_[p] = log2 H_p, the join term at p >= 1
   std::vector<double> fwd_;   // fwd_[p] = lse(join terms 1..p); -inf at 0
-  std::vector<double> bwd_;   // bwd_[p] = lse(join terms p..n-1); -inf at n
+  std::vector<double> bwd_;   // bwd_[p] = lse(join terms p..n-1); -inf at n;
+                              // empty in the integer regime
   // PriceSwap scratch row.
   std::vector<double> cur_min_;
 };

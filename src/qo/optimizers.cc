@@ -581,12 +581,14 @@ OptimizerResult IterativeImprovementOptimizer(const QonInstance& inst,
   // differs from the last evaluated one at two positions.
   QonCostEvaluator evaluator(inst);
   // Ranked swaps (docs/performance.md, "Ranked swaps in `ii`"): a swap
-  // whose certified price is at least current + eps has an exact cost no
-  // better than current_cost, so the exact loop would reject it too. It
-  // skips the exact evaluation but still counts one, keeping every
-  // result field and budget cut point equal to the exact loop's. The
-  // naive-evaluation toggle turns ranking off, so naive runs stay an
-  // independent reference.
+  // whose price is at least current + eps has an exact cost no better
+  // than current_cost, so the exact loop would reject it too. It skips
+  // the exact evaluation but still counts one, keeping every result field
+  // and budget cut point equal to the exact loop's. On integer instances
+  // eps is 0 and the price is the exact cost, so ties are rejected too and
+  // only improvements reach the exact evaluator, which checks the price's
+  // bits. The naive-evaluation toggle turns ranking off, so naive runs
+  // stay an independent reference.
   std::optional<QonNeighborhoodEvaluator> ranker;
   if (n >= kIiRankedSwapsMinRelations && !cost_eval_internal::ForceNaive()) {
     ranker.emplace(inst);
@@ -616,13 +618,22 @@ OptimizerResult IterativeImprovementOptimizer(const QonInstance& inst,
           std::swap(current[a], current[b]);
           if (SequenceAllowed(inst, current, options)) {
             ++result.evaluations;
-            if (ranker &&
-                ranker->PriceSwap(static_cast<int>(a), static_cast<int>(b)) >=
-                    current_cost.Log2() + ranker->EpsLog2()) {
+            double price =
+                ranker ? ranker->PriceSwap(static_cast<int>(a),
+                                           static_cast<int>(b))
+                       : 0.0;
+            if (ranker && price >= current_cost.Log2() + ranker->EpsLog2()) {
               certified.Increment();
             } else {
               LogDouble cost = evaluator.Cost(current);
-              if (ranker) repricings.Increment();
+              if (ranker) {
+                repricings.Increment();
+                AQO_CHECK(ranker->EpsLog2() > 0.0 ||
+                          std::bit_cast<uint64_t>(price) ==
+                              std::bit_cast<uint64_t>(cost.Log2()))
+                    << "swap (" << a << ", " << b << "): exact price "
+                    << price << " differs from cost " << cost.Log2();
+              }
               if (cost < current_cost) {
                 current_cost = cost;
                 improved = true;

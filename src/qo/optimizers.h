@@ -145,12 +145,15 @@ OptimizerResult SimulatedAnnealingOptimizer(const QonInstance& inst, Rng* rng,
 // `options.restarts` starts.
 //
 // From kIiRankedSwapsMinRelations relations up, each swap is first priced
-// by the certified evaluator of qo/fast_eval.h, and a swap whose price
-// proves it no cheaper than the current sequence skips its exact
-// evaluation. Such a certified reject still counts in `evaluations`,
-// exactly where the exact loop would have counted it, so
-// (cost, sequence, status, evaluations) — and every budget cut point —
-// are the same as pricing every swap exactly.
+// by the evaluator of qo/fast_eval.h, and a swap whose price proves it no
+// cheaper than the current sequence skips its exact evaluation. Such a
+// certified reject still counts in `evaluations`, exactly where the exact
+// loop would have counted it, so (cost, sequence, status, evaluations) —
+// and every budget cut point — are the same as pricing every swap
+// exactly. On integer instances (the f_N instances among them) the price
+// is the exact cost, so ties are rejected by price too and only
+// improvements are evaluated exactly, each checked against its price's
+// bits; elsewhere the price carries a certified error bound.
 OptimizerResult IterativeImprovementOptimizer(
     const QonInstance& inst, Rng* rng, const OptimizerOptions& options = {});
 

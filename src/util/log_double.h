@@ -29,6 +29,21 @@
 
 namespace aqo {
 
+// log2(2^a + 2^b) on raw log2-domain doubles, with -infinity (zero) as the
+// additive identity. The one log-sum-exp of the project: LogDouble's
+// operator+ and the swap pricer of qo/fast_eval.h both call it, so a fold
+// of the same terms in the same order yields the same bits in either.
+inline double LogAddExp2(double a, double b) {
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  constexpr double kLn2 = 0.6931471805599453;
+  if (a == kNegInf) return b;
+  if (b == kNegInf) return a;
+  // log2(2^a + 2^b) = max + log2(1 + 2^(min-max)).
+  double hi = a, lo = b;
+  if (hi < lo) std::swap(hi, lo);
+  return hi + std::log1p(std::exp2(lo - hi)) / kLn2;
+}
+
 class LogDouble {
  public:
   // Default-constructs zero.
@@ -77,12 +92,7 @@ class LogDouble {
   }
 
   LogDouble operator+(LogDouble o) const {
-    if (IsZero()) return o;
-    if (o.IsZero()) return *this;
-    // log2(2^a + 2^b) = max + log2(1 + 2^(min-max)).
-    double hi = log2_, lo = o.log2_;
-    if (hi < lo) std::swap(hi, lo);
-    return FromLog2(hi + std::log1p(std::exp2(lo - hi)) / kLn2);
+    return FromLog2(LogAddExp2(log2_, o.log2_));
   }
 
   // Subtraction; requires *this >= o (up to exponent rounding). If the two

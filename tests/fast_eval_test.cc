@@ -1,24 +1,34 @@
-// Tests for certified swap pricing (qo/fast_eval.h) and the ranked swap
-// loop of QO_N iterative improvement that uses it:
+// Tests for swap pricing (qo/fast_eval.h) and the ranked swap loop of
+// QO_N iterative improvement that uses it:
 //
-//  - Certified error bound: PriceSwap(i, j) is within EpsLog2() of the
-//    exact evaluator for every i < j pair, at the sizes where `ii` ranks,
-//    on random workloads and on f_N YES and NO instances.
+//  - The two regimes, for every i < j pair at the sizes where `ii` ranks:
+//    on integer instances (f_N YES and NO, the near-tie instance, access
+//    cost overrides, a serialized round trip) EpsLog2() is 0 and
+//    PriceSwap(i, j) has the exact evaluator's bits; everywhere else
+//    (random workloads, one non-integer size, selectivity or access
+//    cost, a magnitude past 2^52) it is within EpsLog2() > 0.
 //  - Ranked `ii` is invisible: on both sides of kIiRankedSwapsMinRelations
 //    it returns bit-identical (feasible, cost, sequence, status,
 //    evaluations) to the naive reference, with and without budgets and
 //    cartesian products, directly and through the batch service, including
-//    on adversarial near-tie instances where every swap is cost-neutral.
+//    on adversarial near-tie instances where every swap is cost-neutral,
+//    in both regimes.
 //  - Counter attribution: every priced swap is either a certified reject
-//    or an exact re-pricing.
+//    or an exact re-pricing, and on integer instances only improvements
+//    are re-priced.
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "io/serialization.h"
 #include "obs/metrics.h"
 #include "qo/cost_eval.h"
 #include "qo/fast_eval.h"
@@ -38,8 +48,8 @@ constexpr double kC = 2.0 / 3.0;
 constexpr double kD = 1.0 / 3.0;
 
 // f_N YES instance: CLIQUE-class graph with a planted clique of size c*n.
-QonInstance GapYesInstance(int n, Rng* rng) {
-  QonGapParams params{.c = kC, .d = kD, .log2_alpha = 8.0};
+QonInstance GapYesInstance(int n, Rng* rng, double log2_alpha = 8.0) {
+  QonGapParams params{.c = kC, .d = kD, .log2_alpha = log2_alpha};
   std::vector<int> planted;
   Graph g = CliqueClassGraph(n, 13, 1.0, static_cast<int>(kC * n), rng,
                              &planted);
@@ -47,8 +57,8 @@ QonInstance GapYesInstance(int n, Rng* rng) {
 }
 
 // f_N NO instance: complete (c-d)n-partite source graph, as qon_gap builds.
-QonInstance GapNoInstance(int n) {
-  QonGapParams params{.c = kC, .d = kD, .log2_alpha = 8.0};
+QonInstance GapNoInstance(int n, double log2_alpha = 8.0) {
+  QonGapParams params{.c = kC, .d = kD, .log2_alpha = log2_alpha};
   int parts = std::max(1, static_cast<int>((kC - kD) * n));
   return ReduceCliqueToQon(CompleteMultipartite(n, parts), params).instance;
 }
@@ -56,29 +66,72 @@ QonInstance GapNoInstance(int n) {
 // Every relation identical, complete query graph, one shared selectivity:
 // every swap of two relations is exactly cost-neutral, so ranking sees
 // nothing but near-ties — the band where a sloppy certificate would
-// diverge from the exact accept/reject trajectory.
-QonInstance NearTieQonInstance(int n) {
+// diverge from the exact accept/reject trajectory. The default inputs
+// (2^10, 2^-3) are in the integer regime; (1000, 0.1) is its non-integer
+// twin, priced with the certified bound.
+QonInstance NearTieQonInstance(int n, double size = 1024.0,
+                               double selectivity = 0.125) {
   Graph g(n);
   for (int u = 0; u < n; ++u) {
     for (int v = u + 1; v < n; ++v) g.AddEdge(u, v);
   }
   std::vector<LogDouble> sizes(static_cast<size_t>(n),
-                               LogDouble::FromLinear(1024.0));
+                               LogDouble::FromLinear(size));
   QonInstance inst(g, std::move(sizes));
   for (int u = 0; u < n; ++u) {
     for (int v = u + 1; v < n; ++v) {
-      inst.SetSelectivity(u, v, LogDouble::FromLinear(0.125));
+      inst.SetSelectivity(u, v, LogDouble::FromLinear(selectivity));
     }
   }
   return inst;
 }
 
-// --- certified bound ------------------------------------------------------
+// An integer instance that is not f_N: G(n, 0.2), so many non-edges,
+// with integer log2 sizes and selectivities of varied magnitude, and
+// integer access costs between t_j s_kj and t_j set on about half the
+// edges.
+QonInstance IntegerOverrideInstance(int n, uint64_t seed) {
+  Rng rng(seed);
+  Graph g = Gnp(n, 0.2, &rng);
+  std::vector<LogDouble> sizes;
+  for (int v = 0; v < n; ++v) {
+    sizes.push_back(LogDouble::FromLog2(
+        static_cast<double>(rng.UniformInt(1, 40))));
+  }
+  QonInstance inst(g, std::move(sizes));
+  for (const auto& [u, v] : g.Edges()) {
+    inst.SetSelectivity(
+        u, v,
+        LogDouble::FromLog2(-static_cast<double>(rng.UniformInt(1, 12))));
+  }
+  for (const auto& [u, v] : g.Edges()) {
+    if (rng.UniformInt(0, 1) == 0) continue;
+    // Halfway between the perfect index and a full scan, rounded down.
+    double lo = (inst.size(v) * inst.selectivity(u, v)).Log2();
+    double hi = inst.size(v).Log2();
+    inst.SetAccessCost(u, v, LogDouble::FromLog2(std::floor((lo + hi) / 2)));
+  }
+  return inst;
+}
+
+// `inst` after WriteQonInstance and ParseQonInstance.
+QonInstance RoundTrip(const QonInstance& inst) {
+  std::ostringstream os;
+  WriteQonInstance(inst, os);
+  ParseResult<QonInstance> parsed = ParseQonInstance(os.str());
+  EXPECT_TRUE(parsed.ok()) << parsed.error;
+  return parsed.ok() ? std::move(*parsed.value) : inst;
+}
+
+// --- the two pricing regimes ----------------------------------------------
+
+enum class Regime { kExact, kCertified };
 
 // Prices every i < j swap of a random start sequence and checks each
-// against the exact evaluator.
-void ExpectEveryPairWithinBound(const QonInstance& inst, uint64_t seed,
-                                const std::string& label) {
+// against the exact evaluator: bit-equal in the integer regime, within
+// the certified bound otherwise. `regime` is the one `inst` must be in.
+void ExpectEveryPairPriced(const QonInstance& inst, Regime regime,
+                           uint64_t seed, const std::string& label) {
   int n = inst.NumRelations();
   Rng rng(seed);
   JoinSequence seq = IdentitySequence(n);
@@ -86,15 +139,25 @@ void ExpectEveryPairWithinBound(const QonInstance& inst, uint64_t seed,
   QonCostEvaluator exact(inst);
   QonNeighborhoodEvaluator fast(inst);
   double eps = fast.EpsLog2();
-  ASSERT_GT(eps, 0.0) << label;
+  if (regime == Regime::kExact) {
+    ASSERT_EQ(eps, 0.0) << label;
+  } else {
+    ASSERT_GT(eps, 0.0) << label;
+  }
   fast.Load(seq);
   exact.Cost(seq);
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
       double want = exact.CostAfterSwap(i, j).Log2();
       exact.CostAfterSwap(i, j);  // restore
-      ASSERT_NEAR(fast.PriceSwap(i, j), want, eps)
-          << label << " i=" << i << " j=" << j;
+      double price = fast.PriceSwap(i, j);
+      if (regime == Regime::kExact) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(price), std::bit_cast<uint64_t>(want))
+            << label << " i=" << i << " j=" << j << " price=" << price
+            << " exact=" << want;
+      } else {
+        ASSERT_NEAR(price, want, eps) << label << " i=" << i << " j=" << j;
+      }
     }
   }
 }
@@ -104,20 +167,63 @@ TEST(QonNeighborhoodEvaluator, EveryPairWithinBoundOnRandomWorkloads) {
     for (uint64_t seed : {1u, 2u}) {
       Rng rng(seed * 1000 + static_cast<uint64_t>(n));
       QonInstance inst = RandomQonWorkload(n, &rng);
-      ExpectEveryPairWithinBound(
-          inst, seed, "random n=" + std::to_string(n) + " seed=" +
-                          std::to_string(seed));
+      ExpectEveryPairPriced(inst, Regime::kCertified, seed,
+                            "random n=" + std::to_string(n) + " seed=" +
+                                std::to_string(seed));
     }
   }
 }
 
-TEST(QonNeighborhoodEvaluator, EveryPairWithinBoundOnGapInstances) {
+TEST(QonNeighborhoodEvaluator, EveryPairExactOnIntegerInstances) {
   for (int n : {30, 60, 90}) {
-    Rng rng(static_cast<uint64_t>(n));
-    ExpectEveryPairWithinBound(GapYesInstance(n, &rng), 3,
-                               "f_N YES n=" + std::to_string(n));
-    ExpectEveryPairWithinBound(GapNoInstance(n), 4,
-                               "f_N NO n=" + std::to_string(n));
+    std::string at = " n=" + std::to_string(n);
+    for (double lg : {2.0, 8.0}) {
+      std::string with = at + " lg_alpha=" + std::to_string(lg);
+      Rng rng(static_cast<uint64_t>(n));
+      ExpectEveryPairPriced(GapYesInstance(n, &rng, lg), Regime::kExact, 3,
+                            "f_N YES" + with);
+      ExpectEveryPairPriced(GapNoInstance(n, lg), Regime::kExact, 4,
+                            "f_N NO" + with);
+    }
+    ExpectEveryPairPriced(NearTieQonInstance(n), Regime::kExact, 5,
+                          "near-tie" + at);
+    ExpectEveryPairPriced(IntegerOverrideInstance(n, 6), Regime::kExact, 6,
+                          "access overrides" + at);
+    ExpectEveryPairPriced(RoundTrip(GapNoInstance(n)), Regime::kExact, 7,
+                          "f_N NO round trip" + at);
+  }
+}
+
+TEST(QonNeighborhoodEvaluator, FallsBackToTheBoundOutsideTheIntegerRegime) {
+  for (int n : {30, 60}) {
+    std::string at = " n=" + std::to_string(n);
+    // One non-integer log2 input of any kind leaves the regime. On the
+    // complete near-tie graph every access cost toward a relation is an
+    // edge's, so a half-integer size can keep integer access costs.
+    int mid = n / 2;
+    QonInstance size = NearTieQonInstance(n);
+    size.SetSize(mid, LogDouble::FromLog2(10.5));
+    for (int k = 0; k < n; ++k) {
+      if (k != mid) size.SetAccessCost(k, mid, LogDouble::FromLog2(10.0));
+    }
+    ExpectEveryPairPriced(size, Regime::kCertified, 8,
+                          "one non-integer size" + at);
+    QonInstance selectivity = GapNoInstance(n);
+    auto [u, v] = selectivity.graph().Edges().front();
+    selectivity.SetSelectivity(u, v, LogDouble::FromLog2(-7.5));
+    // Full scans keep the edge's access costs integers.
+    selectivity.SetAccessCost(u, v, selectivity.size(v));
+    selectivity.SetAccessCost(v, u, selectivity.size(u));
+    ExpectEveryPairPriced(selectivity, Regime::kCertified, 9,
+                          "one non-integer selectivity" + at);
+    QonInstance access = GapNoInstance(n);
+    access.SetAccessCost(u, v,
+                         LogDouble::FromLog2(access.size(v).Log2() - 0.5));
+    ExpectEveryPairPriced(access, Regime::kCertified, 10,
+                          "one non-integer access cost" + at);
+    // Integer inputs whose magnitude bound exceeds 2^52.
+    ExpectEveryPairPriced(GapNoInstance(n, 0x1p45), Regime::kCertified, 11,
+                          "f_N NO lg_alpha=2^45" + at);
   }
 }
 
@@ -139,17 +245,23 @@ struct NamedInstance {
   QonInstance instance;
 };
 
-// ii's three input kinds at one size: a random workload, the near-tie
-// instance, and an f_N NO instance. The random query graph is dense: a
-// sparser one makes the naive descent at n = 60 several times longer,
-// enough to dominate the tier-1 suite.
+// ii's input kinds at one size: a random workload, the near-tie instance
+// and its non-integer twin, and f_N NO instances at lg alpha 8 and 2. The
+// integer inputs price exactly; the random workload and the twin take
+// the certified bound, so that path still sees ties. The random query
+// graph is dense: a sparser one makes the naive descent at n = 60 several
+// times longer, enough to dominate the tier-1 suite.
 std::vector<NamedInstance> IiInputs(int n) {
   Rng rng(static_cast<uint64_t>(n) * 31);
+  std::string at = " n=" + std::to_string(n);
   std::vector<NamedInstance> out;
-  out.push_back({"random n=" + std::to_string(n),
+  out.push_back({"random" + at,
                  RandomQonWorkload(n, &rng, {.edge_probability = 0.9})});
-  out.push_back({"near-tie n=" + std::to_string(n), NearTieQonInstance(n)});
-  out.push_back({"f_N n=" + std::to_string(n), GapNoInstance(n)});
+  out.push_back({"near-tie" + at, NearTieQonInstance(n)});
+  out.push_back({"non-integer near-tie" + at,
+                 NearTieQonInstance(n, 1000.0, 0.1)});
+  out.push_back({"f_N" + at, GapNoInstance(n)});
+  out.push_back({"f_N lg_alpha=2" + at, GapNoInstance(n, 2.0)});
   return out;
 }
 
@@ -257,6 +369,27 @@ TEST(RankedIi, EveryPricedSwapIsACertifiedRejectOrAnExactRepricing) {
   // Certified rejects count as evaluations; the restarts' start
   // sequences are the only evaluations that are not priced swaps.
   EXPECT_EQ(result.evaluations, priced + 2);
+}
+
+// On an integer instance the price is exact, so ties and worse swaps are
+// certified rejects and only the accepted improvements are re-priced.
+TEST(RankedIi, IntegerInstancesRepriceOnlyImprovements) {
+  obs::Registry& registry = obs::Registry::Get();
+  obs::Counter& improvements = registry.GetCounter("qon.ii.improvements");
+  obs::Counter& repricings =
+      registry.GetCounter("qo.fast_eval.exact_repricings");
+  uint64_t i0 = improvements.Value();
+  uint64_t r0 = repricings.Value();
+
+  QonInstance inst = GapNoInstance(60);
+  OptimizerOptions options;
+  options.restarts = 2;
+  Rng rng(1);
+  IterativeImprovementOptimizer(inst, &rng, options);
+
+  uint64_t improved = improvements.Value() - i0;
+  EXPECT_GT(improved, 0u);
+  EXPECT_EQ(repricings.Value() - r0, improved);
 }
 
 }  // namespace

@@ -13,8 +13,10 @@
 // (one invocation with both flags on the command line)
 //
 // One run emits both snapshots: the incremental-vs-naive comparison
-// (BENCH_COST_EVAL.json) and QO_N certified swap pricing vs exact
-// neighborhood pricing (BENCH_FAST_EVAL.json).
+// (BENCH_COST_EVAL.json) and QO_N swap pricing vs exact neighborhood
+// pricing (BENCH_FAST_EVAL.json), on a random instance ("neighborhood",
+// certified prices) and on the f_N NO instance the gap tables build
+// ("neighborhood_fN", integer regime: exact prices).
 //
 // Workloads are fully seeded (instances, start sequences, and the swap
 // schedule), so reruns on the same machine are directly comparable; only
@@ -36,6 +38,7 @@
 #include "qo/fast_eval.h"
 #include "qo/qoh.h"
 #include "qo/qon.h"
+#include "reductions/clique_to_qon.h"
 #include "util/random.h"
 
 namespace aqo {
@@ -57,6 +60,13 @@ QonInstance MakeQonInstance(int n, uint64_t seed) {
                         LogDouble::FromLinear(rng.UniformReal(0.001, 1.0)));
   }
   return inst;
+}
+
+// The f_N NO instance of qon_gap at lg alpha = 8: complete
+// (n/3)-partite source graph, every log2 input an integer.
+QonInstance MakeGapNoInstance(int n) {
+  QonGapParams params{.c = 2.0 / 3.0, .d = 1.0 / 3.0, .log2_alpha = 8.0};
+  return ReduceCliqueToQon(CompleteMultipartite(n, n / 3), params).instance;
 }
 
 QohInstance MakeQohInstance(int n, uint64_t seed) {
@@ -208,10 +218,11 @@ double g_fast_sink;
 // Neighborhood pricing: all n-1 adjacent transpositions of one sequence,
 // reported per candidate. "Exact" pays a CostAfterSwap probe plus the
 // restore that rebuilds the incremental state after the (typical)
-// rejection; "fast" is one Load plus a certified PriceSwap per candidate,
-// the calls iterative improvement makes when it ranks swaps.
-Row MeasureQonNeighborhood(int n, double min_seconds) {
-  QonInstance inst = MakeQonInstance(n, 42);
+// rejection; "fast" is one Load plus a PriceSwap per candidate, the calls
+// iterative improvement makes when it ranks swaps.
+Row MeasureQonNeighborhood(const QonInstance& inst, const char* workload,
+                           double min_seconds) {
+  int n = inst.NumRelations();
   JoinSequence seq = IdentitySequence(n);
   Rng rng(7);
   rng.Shuffle(&seq);
@@ -233,7 +244,7 @@ Row MeasureQonNeighborhood(int n, double min_seconds) {
       g_fast_sink += fast_eval.PriceSwap(i, i + 1);
     }
   }) / candidates;
-  return {"qon", "neighborhood", n, exact, fast};
+  return {"qon", workload, n, exact, fast};
 }
 
 // Writes one snapshot file. `baseline_key`/`eval_key` name the two timing
@@ -297,7 +308,12 @@ int Main(int argc, char** argv) {
     rows.push_back(MeasureQonSwap(n, min_seconds));
     rows.push_back(MeasureQohFull(n, min_seconds));
     rows.push_back(MeasureQohSwap(n, min_seconds));
-    fast_rows.push_back(MeasureQonNeighborhood(n, min_seconds));
+    fast_rows.push_back(MeasureQonNeighborhood(MakeQonInstance(n, 42),
+                                               "neighborhood", min_seconds));
+  }
+  for (int n : kSizes) {
+    fast_rows.push_back(MeasureQonNeighborhood(
+        MakeGapNoInstance(n), "neighborhood_fN", min_seconds));
   }
 
   int rc = WriteSnapshot(out, "cost_eval", "ns_per_evaluation", "naive",
