@@ -11,6 +11,7 @@
 #include "bench/bench_common.h"
 #include "graph/clique.h"
 #include "graph/generators.h"
+#include "qo/cost_eval.h"
 #include "qo/optimizers.h"
 #include "reductions/sparse.h"
 #include "util/table.h"
@@ -49,7 +50,8 @@ void Run(const bench::Flags& flags) {
     // Sentinel check: swapping R_0 out of the front kills feasibility.
     JoinSequence bad = witness.sequence;
     std::swap(bad[0], bad[3]);
-    bool forced = !OptimalDecomposition(yes.instance, bad).feasible;
+    QohCostEvaluator yes_eval(yes.instance);
+    bool forced = !yes_eval.Evaluate(bad).feasible;
 
     // NO: omega = 3.
     Graph no_g1 = CompleteMultipartite(n, 3);
@@ -59,13 +61,14 @@ void Run(const bench::Flags& flags) {
     double floor = no.GBound(epsilon).Log2();
     double min_above_floor = 1e300;
     int samples = flags.Quick() ? 5 : 15;
+    QohCostEvaluator no_eval(no.instance);
     for (int s = 0; s < samples; ++s) {
       JoinSequence seq = {0};
       JoinSequence rest;
       for (int v = 1; v < no.m; ++v) rest.push_back(v);
       rng.Shuffle(&rest);
       seq.insert(seq.end(), rest.begin(), rest.end());
-      QohPlan plan = OptimalDecomposition(no.instance, seq);
+      const QohPlan& plan = no_eval.Evaluate(seq);
       if (plan.feasible) {
         min_above_floor = std::min(min_above_floor, plan.cost.Log2() - floor);
       }

@@ -76,9 +76,6 @@ class Span {
   std::chrono::steady_clock::time_point start_;
 };
 
-// The issue-facing alias: a ScopedTimer *is* a span.
-using ScopedTimer = Span;
-
 }  // namespace aqo::obs
 
 #endif  // AQO_OBS_SPAN_H_

@@ -132,12 +132,6 @@ struct QohPlan {
 // break points (O(n^2) pipeline evaluations).
 QohPlan OptimalDecomposition(const QohInstance& inst, const JoinSequence& seq);
 
-// Convenience: cost of the best decomposition of `seq`; infeasible plans
-// yield feasible=false.
-inline QohPlan QohSequenceCost(const QohInstance& inst, const JoinSequence& seq) {
-  return OptimalDecomposition(inst, seq);
-}
-
 }  // namespace aqo
 
 #endif  // AQO_QO_QOH_H_

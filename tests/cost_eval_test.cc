@@ -8,8 +8,10 @@
 
 #include "qo/cost_eval.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,8 @@
 #include "qo/qoh.h"
 #include "qo/qon.h"
 #include "qo/workloads.h"
+#include "reductions/clique_to_qoh.h"
+#include "reductions/sparse.h"
 #include "util/random.h"
 
 namespace aqo {
@@ -250,6 +254,127 @@ TEST(QohCostEvaluator, DensePrimitiveMatchesNaiveFold) {
     ASSERT_EQ(Bits(eval.ExtendSize(intermediate, prefix, target)),
               Bits(naive_ext));
   }
+}
+
+// --- QO_H: the gap-table shapes -----------------------------------------
+//
+// RandomQohWorkload builds at most 10 relations, none past 2^52 pages.
+// The gap constructions have a sentinel R_0 far past 2^52 pages, and
+// f_{H,e} has 81 or 144 relations, so the evaluator's adjacency rows span
+// several words. E6 (bench/sparse_qoh) prices its plans on these
+// instances through the evaluator, so one evaluator per instance walks
+// the plans E6 prices and every result is checked against
+// OptimalDecomposition.
+
+// Evaluates `plans` in order on one evaluator. Each plan's feasibility,
+// cost bits, fragment starts and counter deltas must equal the naive DP's;
+// returns the feasibility of each plan.
+std::vector<bool> ExpectNaiveAlongPlans(const QohInstance& inst,
+                                        const std::vector<JoinSequence>& plans) {
+  auto& reg = obs::Registry::Get();
+  QohCostEvaluator eval(inst);
+  std::vector<bool> feasible;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    SCOPED_TRACE("plan " + std::to_string(i));
+    obs::CounterSnapshot before = reg.Counters();
+    QohPlan naive = OptimalDecomposition(inst, plans[i]);
+    obs::CounterSnapshot mid = reg.Counters();
+    const QohPlan& fast = eval.Evaluate(plans[i]);
+    obs::CounterSnapshot after = reg.Counters();
+    EXPECT_EQ(obs::Registry::Delta(before, mid),
+              obs::Registry::Delta(mid, after));
+    EXPECT_EQ(fast.feasible, naive.feasible);
+    if (fast.feasible && naive.feasible) {
+      EXPECT_EQ(Bits(fast.cost), Bits(naive.cost));
+      EXPECT_EQ(fast.decomposition.starts, naive.decomposition.starts);
+    }
+    feasible.push_back(naive.feasible);
+  }
+  return feasible;
+}
+
+// E6's plans: the YES witness order, E6's sentinel check (R_0 swapped out
+// of the front), then `shuffles` sentinel-first shuffles as E6 samples
+// them; the last shuffle is followed by a copy with its second half
+// reshuffled, so the evaluator also resumes from mid-sequence.
+std::vector<JoinSequence> TablePlans(const JoinSequence& witness,
+                                     int shuffles, Rng* rng) {
+  std::vector<JoinSequence> plans = {witness, witness};
+  std::swap(plans[1][0], plans[1][3]);
+  JoinSequence seq = IdentitySequence(static_cast<int>(witness.size()));
+  for (int s = 0; s < shuffles; ++s) {
+    rng->Shuffle(&seq);
+    std::swap(*std::find(seq.begin(), seq.end(), 0), seq[0]);
+    plans.push_back(seq);
+  }
+  JoinSequence tail(seq.begin() + static_cast<ptrdiff_t>(seq.size() / 2),
+                    seq.end());
+  rng->Shuffle(&tail);
+  std::copy(tail.begin(), tail.end(),
+            seq.begin() + static_cast<ptrdiff_t>(seq.size() / 2));
+  plans.push_back(seq);
+  return plans;
+}
+
+// YES: the witness is feasible and the sentinel check kills feasibility.
+// NO: the witness order is not a witness there; every sentinel-first
+// shuffle is feasible, as E6's sampled-G column needs.
+void ExpectTableShape(const std::vector<bool>& yes,
+                      const std::vector<bool>& no) {
+  ASSERT_GE(yes.size(), 2u);
+  EXPECT_TRUE(yes[0]);
+  EXPECT_FALSE(yes[1]);
+  ASSERT_EQ(no.size(), yes.size());
+  EXPECT_FALSE(no[1]);
+  for (size_t i = 2; i < no.size(); ++i) EXPECT_TRUE(no[i]) << "plan " << i;
+}
+
+SparseQohParams E6Params(int n) {
+  SparseQohParams params;
+  params.base.log2_alpha = 2.0;
+  params.k = 2;
+  params.edge_budget = SparseEdgeBudget(n * n, 0.9);
+  return params;
+}
+
+std::vector<int> FirstTwoThirds(int n) {
+  std::vector<int> clique;
+  for (int v = 0; v < 2 * n / 3; ++v) clique.push_back(v);
+  return clique;
+}
+
+void ExpectSparseTableShapes(int n, int shuffles) {
+  Rng rng(6);
+  Graph yes_g1 = Graph::Complete(n);
+  SparseQohGapInstance yes =
+      ReduceTwoThirdsCliqueToSparseQoh(yes_g1, E6Params(n), &rng);
+  SparseQohGapInstance no = ReduceTwoThirdsCliqueToSparseQoh(
+      CompleteMultipartite(n, 3), E6Params(n), &rng);
+  JoinSequence witness =
+      SparseQohWitness(yes, yes_g1, FirstTwoThirds(n)).sequence;
+  std::vector<JoinSequence> plans = TablePlans(witness, shuffles, &rng);
+  ExpectTableShape(ExpectNaiveAlongPlans(yes.instance, plans),
+                   ExpectNaiveAlongPlans(no.instance, plans));
+}
+
+TEST(QohCostEvaluator, BitIdenticalOnSparseGapInstancesM81) {
+  ExpectSparseTableShapes(9, 3);
+}
+
+TEST(QohCostEvaluator, BitIdenticalOnSparseGapInstancesM144) {
+  ExpectSparseTableShapes(12, 1);
+}
+
+TEST(QohCostEvaluator, BitIdenticalOnDenseGapInstances) {
+  Rng rng(3);
+  QohGapInstance yes =
+      ReduceTwoThirdsCliqueToQoh(Graph::Complete(9), QohGapParams{});
+  QohGapInstance no = ReduceTwoThirdsCliqueToQoh(CompleteMultipartite(9, 3),
+                                                 QohGapParams{});
+  JoinSequence witness = QohYesWitness(yes, FirstTwoThirds(9)).sequence;
+  std::vector<JoinSequence> plans = TablePlans(witness, 20, &rng);
+  ExpectTableShape(ExpectNaiveAlongPlans(yes.instance, plans),
+                   ExpectNaiveAlongPlans(no.instance, plans));
 }
 
 // --- Degenerate sizes (regression: size_t underflow in QonJoinCosts) ----

@@ -16,7 +16,9 @@
 // (BENCH_COST_EVAL.json) and QO_N swap pricing vs exact neighborhood
 // pricing (BENCH_FAST_EVAL.json), on a random instance ("neighborhood",
 // certified prices) and on the f_N NO instance the gap tables build
-// ("neighborhood_fN", integer regime: exact prices).
+// ("neighborhood_fN", integer regime: exact prices). The cost-eval rows
+// "sentinel_first" price the plans E6 samples on its f_{H,e} NO instance
+// (m = 81 and 144 relations).
 //
 // Workloads are fully seeded (instances, start sequences, and the swap
 // schedule), so reruns on the same machine are directly comparable; only
@@ -39,6 +41,7 @@
 #include "qo/qoh.h"
 #include "qo/qon.h"
 #include "reductions/clique_to_qon.h"
+#include "reductions/sparse.h"
 #include "util/random.h"
 
 namespace aqo {
@@ -79,6 +82,20 @@ QohInstance MakeQohInstance(int n, uint64_t seed) {
     inst.SetSelectivity(u, v, LogDouble::FromLinear(0.25));
   }
   return inst;
+}
+
+// The NO instance of E6 (bench/sparse_qoh) at source size n: f_{H,e} over
+// the complete 3-partite graph, m = n^2 relations, R_0 a sentinel past
+// 2^52 pages.
+QohInstance MakeSparseQohNoInstance(int n) {
+  SparseQohParams params;
+  params.base.log2_alpha = 2.0;
+  params.k = 2;
+  params.edge_budget = SparseEdgeBudget(n * n, 0.9);
+  Rng rng(6);
+  return ReduceTwoThirdsCliqueToSparseQoh(CompleteMultipartite(n, 3), params,
+                                          &rng)
+      .instance;
 }
 
 std::vector<std::pair<int, int>> SwapSchedule(int n, int count,
@@ -212,6 +229,31 @@ Row MeasureQohSwap(int n, double min_seconds) {
   return {"qoh", "swap", n, naive, fast};
 }
 
+// E6's sampling: R_0 first and the other relations reshuffled for every
+// plan, so each evaluation recomputes from position 1.
+Row MeasureQohSentinelFirst(int n, double min_seconds) {
+  QohInstance inst = MakeSparseQohNoInstance(n);
+  int m = inst.NumRelations();
+  Rng rng(7);
+  std::vector<JoinSequence> pool;
+  for (int i = 0; i < 16; ++i) {
+    JoinSequence rest;
+    for (int v = 1; v < m; ++v) rest.push_back(v);
+    rng.Shuffle(&rest);
+    JoinSequence seq = {0};
+    seq.insert(seq.end(), rest.begin(), rest.end());
+    pool.push_back(std::move(seq));
+  }
+  double naive = TimeNs(4, min_seconds, [&](long it) {
+    g_sink += OptimalDecomposition(inst, pool[static_cast<size_t>(it) % 16]).cost;
+  });
+  QohCostEvaluator eval(inst);
+  double fast = TimeNs(4, min_seconds, [&](long it) {
+    g_sink += eval.Evaluate(pool[static_cast<size_t>(it) % 16]).cost;
+  });
+  return {"qoh", "sentinel_first", m, naive, fast};
+}
+
 // Double sink for the raw log2 prices of QonNeighborhoodEvaluator.
 double g_fast_sink;
 
@@ -311,6 +353,7 @@ int Main(int argc, char** argv) {
     fast_rows.push_back(MeasureQonNeighborhood(MakeQonInstance(n, 42),
                                                "neighborhood", min_seconds));
   }
+  for (int n : {9, 12}) rows.push_back(MeasureQohSentinelFirst(n, min_seconds));
   for (int n : kSizes) {
     fast_rows.push_back(MeasureQonNeighborhood(
         MakeGapNoInstance(n), "neighborhood_fN", min_seconds));
