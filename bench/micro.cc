@@ -1,6 +1,8 @@
 // Experiment E11 — micro-benchmarks (google-benchmark) of the primitives
 // every other experiment is built on: log-domain arithmetic, cost
-// evaluation, the exact solvers, and BigInt.
+// evaluation, the exact solvers, and BigInt. The incremental and
+// certified evaluators are timed by tools/bench_snapshot instead
+// (BENCH_COST_EVAL.json, BENCH_FAST_EVAL.json).
 //
 // Unlike the other benches this one delegates timing to google-benchmark,
 // so --json-out is honored by a reporter shim that mirrors every finished
@@ -19,12 +21,9 @@
 #include "bench/bench_common.h"
 #include "graph/clique.h"
 #include "graph/generators.h"
-#include "qo/cost_eval.h"
-#include "qo/fast_eval.h"
 #include "qo/optimizers.h"
 #include "qo/qoh.h"
 #include "qo/qon.h"
-#include "sat/cdcl.h"
 #include "sat/dpll.h"
 #include "sat/gen.h"
 #include "util/bigint.h"
@@ -105,158 +104,6 @@ void BM_QohDecomposition(benchmark::State& state) {
 }
 BENCHMARK(BM_QohDecomposition)->Arg(10)->Arg(30)->Unit(benchmark::kMicrosecond);
 
-// --- Incremental cost evaluators (docs/performance.md) ------------------
-//
-// Swap-neighborhood workloads: each candidate differs from its predecessor
-// by one uniform random transposition — the move simulated annealing and
-// iterative improvement generate. The *Full variants re-price every
-// candidate from scratch through the naive entry points; the *Incremental
-// variants resume the evaluator's fold at the first changed position. Same
-// instances and swap schedules as tools/bench_snapshot, which freezes the
-// measured ratios in BENCH_COST_EVAL.json; CI's perf-smoke job asserts
-// Incremental beats Full on these.
-
-QohInstance MakeQohInstance(int n, uint64_t seed) {
-  Rng rng(seed);
-  Graph g = Gnp(n, 0.6, &rng);
-  std::vector<LogDouble> sizes(static_cast<size_t>(n),
-                               LogDouble::FromLinear(4096.0));
-  QohInstance inst(g, std::move(sizes), 8192.0);
-  for (const auto& [u, v] : g.Edges()) {
-    inst.SetSelectivity(u, v, LogDouble::FromLinear(0.25));
-  }
-  return inst;
-}
-
-std::vector<std::pair<int, int>> SwapSchedule(int n, int count,
-                                              uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::pair<int, int>> swaps;
-  swaps.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    swaps.emplace_back(static_cast<int>(rng.UniformInt(0, n - 1)),
-                       static_cast<int>(rng.UniformInt(0, n - 1)));
-  }
-  return swaps;
-}
-
-void BM_QonSwapFull(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  QonInstance inst = MakeQonInstance(n, 42);
-  std::vector<std::pair<int, int>> swaps = SwapSchedule(n, 1024, 11);
-  JoinSequence seq = IdentitySequence(n);
-  Rng rng(7);
-  rng.Shuffle(&seq);
-  size_t it = 0;
-  for (auto _ : state) {
-    auto [i, j] = swaps[it++ % swaps.size()];
-    std::swap(seq[static_cast<size_t>(i)], seq[static_cast<size_t>(j)]);
-    benchmark::DoNotOptimize(QonSequenceCost(inst, seq));
-  }
-}
-BENCHMARK(BM_QonSwapFull)->Arg(10)->Arg(30)->Arg(100)->Arg(300);
-
-void BM_QonSwapIncremental(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  QonInstance inst = MakeQonInstance(n, 42);
-  std::vector<std::pair<int, int>> swaps = SwapSchedule(n, 1024, 11);
-  JoinSequence seq = IdentitySequence(n);
-  Rng rng(7);
-  rng.Shuffle(&seq);
-  QonCostEvaluator eval(inst);
-  eval.Cost(seq);
-  size_t it = 0;
-  for (auto _ : state) {
-    auto [i, j] = swaps[it++ % swaps.size()];
-    benchmark::DoNotOptimize(eval.CostAfterSwap(i, j));
-  }
-}
-BENCHMARK(BM_QonSwapIncremental)->Arg(10)->Arg(30)->Arg(100)->Arg(300);
-
-void BM_QohSwapFull(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  QohInstance inst = MakeQohInstance(n, 5);
-  std::vector<std::pair<int, int>> swaps = SwapSchedule(n, 1024, 13);
-  JoinSequence seq = IdentitySequence(n);
-  Rng rng(7);
-  rng.Shuffle(&seq);
-  size_t it = 0;
-  for (auto _ : state) {
-    auto [i, j] = swaps[it++ % swaps.size()];
-    std::swap(seq[static_cast<size_t>(i)], seq[static_cast<size_t>(j)]);
-    benchmark::DoNotOptimize(OptimalDecomposition(inst, seq));
-  }
-}
-BENCHMARK(BM_QohSwapFull)
-    ->Arg(10)
-    ->Arg(30)
-    ->Arg(100)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_QohSwapIncremental(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  QohInstance inst = MakeQohInstance(n, 5);
-  std::vector<std::pair<int, int>> swaps = SwapSchedule(n, 1024, 13);
-  JoinSequence seq = IdentitySequence(n);
-  Rng rng(7);
-  rng.Shuffle(&seq);
-  QohCostEvaluator eval(inst);
-  eval.Evaluate(seq);
-  size_t it = 0;
-  for (auto _ : state) {
-    auto [i, j] = swaps[it++ % swaps.size()];
-    std::swap(seq[static_cast<size_t>(i)], seq[static_cast<size_t>(j)]);
-    benchmark::DoNotOptimize(eval.Evaluate(seq));
-  }
-}
-BENCHMARK(BM_QohSwapIncremental)
-    ->Arg(10)
-    ->Arg(30)
-    ->Arg(100)
-    ->Unit(benchmark::kMicrosecond);
-
-// Neighborhood pricing: all n-1 adjacent transpositions of one sequence.
-// "Exact" pays what a local-search loop pays per candidate — a probe
-// evaluation plus the restore that rebuilds the evaluator's incremental
-// state after the (typical) rejection. "Fast" is one Load plus a
-// certified PriceSwap per candidate, the calls iterative improvement
-// makes when it ranks swaps. items_processed = candidates, so the
-// reported rate is per-candidate and directly comparable across the two.
-void BM_QonNeighborhoodExact(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  QonInstance inst = MakeQonInstance(n, 42);
-  JoinSequence seq = IdentitySequence(n);
-  Rng rng(7);
-  rng.Shuffle(&seq);
-  QonCostEvaluator eval(inst);
-  eval.Cost(seq);
-  for (auto _ : state) {
-    for (int i = 0; i + 1 < n; ++i) {
-      benchmark::DoNotOptimize(eval.CostAfterSwap(i, i + 1));  // probe
-      benchmark::DoNotOptimize(eval.CostAfterSwap(i, i + 1));  // restore
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * (n - 1));
-}
-BENCHMARK(BM_QonNeighborhoodExact)->Arg(10)->Arg(30)->Arg(100)->Arg(300);
-
-void BM_QonNeighborhoodFast(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  QonInstance inst = MakeQonInstance(n, 42);
-  JoinSequence seq = IdentitySequence(n);
-  Rng rng(7);
-  rng.Shuffle(&seq);
-  QonNeighborhoodEvaluator fast(inst);
-  for (auto _ : state) {
-    fast.Load(seq);
-    for (int i = 0; i + 1 < n; ++i) {
-      benchmark::DoNotOptimize(fast.PriceSwap(i, i + 1));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * (n - 1));
-}
-BENCHMARK(BM_QonNeighborhoodFast)->Arg(10)->Arg(30)->Arg(100)->Arg(300);
-
 void BM_MaxClique(benchmark::State& state) {
   Rng rng(11);
   Graph g = Gnp(static_cast<int>(state.range(0)), 0.5, &rng);
@@ -275,24 +122,6 @@ void BM_Dpll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Dpll)->Arg(20)->Arg(40)->Unit(benchmark::kMicrosecond);
-
-void BM_Cdcl(benchmark::State& state) {
-  Rng rng(13);
-  CnfFormula f = RandomThreeSat(static_cast<int>(state.range(0)),
-                                static_cast<int>(state.range(0) * 4), &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveCdcl(f));
-  }
-}
-BENCHMARK(BM_Cdcl)->Arg(20)->Arg(40)->Arg(80)->Unit(benchmark::kMicrosecond);
-
-void BM_CdclPigeonhole(benchmark::State& state) {
-  CnfFormula f = PigeonholeFormula(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveCdcl(f));
-  }
-}
-BENCHMARK(BM_CdclPigeonhole)->Arg(4)->Arg(6)->Unit(benchmark::kMicrosecond);
 
 void BM_BigIntMul(benchmark::State& state) {
   Rng rng(17);

@@ -78,8 +78,7 @@ void Run(const bench::Flags& flags, ThreadPool* pool,
   bench::SweepRunner sweep(pool, seed);
   auto cell = [&](size_t index, Rng* rng) -> std::vector<std::string> {
     int n = ns[index];
-    // Whole-cell latency; TraceSpan (not obs::Span) so the nested
-    // instrumented runs keep owning their profile trees.
+    // Whole-cell latency.
     static obs::Histogram& cell_us =
         obs::Registry::Get().GetHistogram("qoh_gap.cell_us");
     obs::ScopedLatencyTimer cell_timer(cell_us);

@@ -80,9 +80,7 @@ void Run(const bench::Flags& flags, ThreadPool* pool,
   auto cell = [&](size_t index, Rng* rng) -> std::vector<std::string> {
     int n = ns[index / alphas.size()];
     double log2_alpha = alphas[index % alphas.size()];
-    // Whole-cell latency (instance build + every optimizer run). A
-    // TraceSpan, not an obs::Span: a profile span here would take over
-    // the thread's profile tree and empty the nested runs' "spans".
+    // Whole-cell latency (instance build + every optimizer run).
     static obs::Histogram& cell_us =
         obs::Registry::Get().GetHistogram("qon_gap.cell_us");
     obs::ScopedLatencyTimer cell_timer(cell_us);

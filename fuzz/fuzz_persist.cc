@@ -1,7 +1,7 @@
 // Fuzz target: qo/persist.h file readers. The lenient recovery path
-// (RecoverPersistFile / ScanFramedFile) must salvage or reject any byte
-// soup without crashing, and must agree with the strict reader
-// (ReadPersistFile) whenever the strict reader accepts.
+// (RecoverPersistFile) must salvage or reject any byte soup without
+// crashing, and must agree with the strict reader (ReadPersistFile)
+// whenever the strict reader accepts.
 
 #include <cstdint>
 #include <sstream>
@@ -17,14 +17,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   for (aqo::PersistFileKind kind :
        {aqo::PersistFileKind::kSnapshot, aqo::PersistFileKind::kLog}) {
-    aqo::FramedFileInfo scanned = aqo::ScanFramedFile(bytes, kind);
-    AQO_CHECK(scanned.valid_bytes <= bytes.size());
-    AQO_CHECK(scanned.ends.size() == scanned.payloads.size());
-    if (!scanned.header_ok) {
-      AQO_CHECK(!scanned.damage.empty());
-      AQO_CHECK(scanned.payloads.empty());
-    }
-
     std::istringstream lenient_in(bytes);
     aqo::PersistFileInfo lenient = aqo::RecoverPersistFile(lenient_in, kind);
 

@@ -80,21 +80,6 @@ void RunLog::WriteHeader(std::string_view binary, uint64_t seed,
   Write(rec);
 }
 
-JsonValue ProfileJson(const ProfileNode& node) {
-  JsonValue out = JsonValue::Object();
-  out["name"] = node.name;
-  out["seconds"] = node.total_seconds;
-  out["count"] = node.count;
-  if (!node.children.empty()) {
-    JsonValue children = JsonValue::Array();
-    for (const auto& child : node.children) {
-      children.Push(ProfileJson(*child));
-    }
-    out["children"] = std::move(children);
-  }
-  return out;
-}
-
 JsonValue HistogramJson(const HistogramData& data) {
   JsonValue out = JsonValue::Object();
   out["count"] = data.count;
@@ -117,8 +102,7 @@ JsonValue HistogramsJson(const HistogramSnapshot& histograms) {
 void EmitRunRecord(std::string_view optimizer, const InstanceShape& shape,
                    bool feasible, double cost_log2, uint64_t evaluations,
                    double wall_seconds, const CounterSnapshot& counters,
-                   const ProfileNode* profile, PlanStatus status,
-                   const HistogramSnapshot& histograms) {
+                   PlanStatus status, const HistogramSnapshot& histograms) {
   RunLog* log = RunLog::Global();
   if (log == nullptr) return;
 
@@ -145,18 +129,10 @@ void EmitRunRecord(std::string_view optimizer, const InstanceShape& shape,
   JsonValue cs = JsonValue::Object();
   for (const auto& [name, value] : counters) cs[name] = value;
   rec["counters"] = std::move(cs);
-  // Always present (possibly empty), like "spans": latency distributions
-  // attributed to this invocation. Values are run-varying (they are real
-  // timings); differential checks normalize this key like wall_seconds.
+  // Always present (possibly empty): latency distributions attributed to
+  // this invocation. Values are run-varying (they are real timings);
+  // differential checks normalize this key like wall_seconds.
   rec["histograms"] = HistogramsJson(histograms);
-  // Always present (possibly empty): consumers index into it unconditionally.
-  JsonValue spans = JsonValue::Array();
-  if (profile != nullptr) {
-    for (const auto& child : profile->children) {
-      spans.Push(ProfileJson(*child));
-    }
-  }
-  rec["spans"] = std::move(spans);
   log->Write(rec);
 }
 

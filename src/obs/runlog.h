@@ -7,8 +7,8 @@
 // compiler, build type, seed, hostname, timestamp) and is followed by
 // records describing work the process did — most importantly
 // `optimizer_run` records, one per optimizer invocation, with the instance
-// shape, the result (cost in log2, evaluations), wall time, the counter
-// deltas attributed to the invocation, and the span profile tree.
+// shape, the result (cost in log2, evaluations), wall time, and the
+// counter deltas and latency histograms attributed to the invocation.
 //
 // The process has at most one *global* log (what --json-out attaches);
 // instrumentation points query RunLog::Global() and do nothing when no log
@@ -32,12 +32,11 @@
 #include "obs/histogram.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "util/cancellation.h"
 
 namespace aqo::obs {
 
-inline constexpr int kRunLogSchemaVersion = 1;
+inline constexpr int kRunLogSchemaVersion = 2;
 
 class RunLog {
  public:
@@ -111,9 +110,6 @@ struct InstanceShape {
   int edges = 0;       // join predicates
 };
 
-// Span profile tree as JSON: {"name","seconds","count","children":[...]}.
-JsonValue ProfileJson(const ProfileNode& node);
-
 // One histogram's summary as JSON:
 // {"count","sum_us","min_us","max_us","p50_us","p90_us","p99_us","p999_us"}.
 JsonValue HistogramJson(const HistogramData& data);
@@ -132,31 +128,23 @@ JsonValue HistogramsJson(const HistogramSnapshot& histograms);
 void EmitRunRecord(std::string_view optimizer, const InstanceShape& shape,
                    bool feasible, double cost_log2, uint64_t evaluations,
                    double wall_seconds, const CounterSnapshot& counters,
-                   const ProfileNode* profile,
                    PlanStatus status = PlanStatus::kComplete,
                    const HistogramSnapshot& histograms = {});
 
 // Runs `fn` (an optimizer invocation returning a result with `feasible`,
 // `cost` (LogDouble) and `evaluations` members — OptimizerResult or
-// QohOptimizerResult), measuring wall time, counter deltas and the span
-// profile, and emits an optimizer_run record. When no global log is
+// QohOptimizerResult), measuring wall time, counter deltas and latency
+// histograms, and emits an optimizer_run record. When no global log is
 // attached this is exactly `fn()`: no snapshots, no timing.
 //
 // Counter deltas are attributed through a per-thread ThreadCounterTally,
 // so the record charges exactly the increments this invocation made (plus
 // any nested instrumented runs), even when other pool workers increment
-// the same counters concurrently. The span profile is the calling
-// thread's (Profiler is thread-local), so worker-side invocations under a
-// sweep get their own consistent trees.
+// the same counters concurrently.
 template <typename Fn>
 auto InstrumentedRun(std::string_view optimizer, const InstanceShape& shape,
                      Fn&& fn) {
   if (RunLog::Global() == nullptr) return fn();
-  Profiler& profiler = Profiler::Get();
-  // Only reset the profile when we own the whole tree (no open spans), so
-  // nested instrumented runs degrade gracefully instead of corrupting it.
-  bool owns_profile = profiler.current() == profiler.root();
-  if (owns_profile) profiler.Reset();
   ThreadCounterTally tally;
   ThreadHistogramTally hist_tally;
   auto start = std::chrono::steady_clock::now();
@@ -169,8 +157,7 @@ auto InstrumentedRun(std::string_view optimizer, const InstanceShape& shape,
   if constexpr (requires { result.status; }) status = result.status;
   EmitRunRecord(optimizer, shape, result.feasible,
                 result.feasible ? result.cost.Log2() : std::nan(""),
-                result.evaluations, wall_seconds, tally.Snapshot(),
-                owns_profile ? profiler.root() : nullptr, status,
+                result.evaluations, wall_seconds, tally.Snapshot(), status,
                 hist_tally.Snapshot());
   return result;
 }

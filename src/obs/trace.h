@@ -2,17 +2,16 @@
 #define AQO_OBS_TRACE_H_
 
 // Chrome/Perfetto trace-event export: an opt-in recorder that turns
-// span open/close pairs and explicit trace slices into "complete" events
-// (`"ph":"X"`) and writes a chrome://tracing- / ui.perfetto.dev-loadable
-// JSON file at close. Armed by `--trace-out=<path>` on every bench/tool
-// (bench/bench_common.h RunLogSession reads the flag).
+// TraceSpan scopes into "complete" events (`"ph":"X"`) and writes a
+// chrome://tracing- / ui.perfetto.dev-loadable JSON file at close. Armed
+// by `--trace-out=<path>` on every bench/tool (bench/bench_common.h
+// RunLogSession reads the flag).
 //
 // Cost model: when disarmed — the always-on case — every instrumentation
 // point is a single relaxed atomic flag load and a predictable branch
-// (bench/micro's BM_SpanDisarmed keeps this honest; it is the same check
-// Span already pays for its profile bookkeeping). When armed, events
-// append to a per-thread buffer with no synchronization on the hot path;
-// buffers are collected and serialized once at CloseGlobal.
+// (bench/micro's BM_TraceSpanDisarmed keeps this honest). When armed,
+// events append to a per-thread buffer with no synchronization on the hot
+// path; buffers are collected and serialized once at CloseGlobal.
 //
 // Threading: arm the recorder before spawning worker threads (bench
 // mains construct RunLogSession before their ThreadPool) and close it
@@ -61,11 +60,9 @@ class TraceEventRecorder {
   static std::atomic<bool> armed_;
 };
 
-// RAII trace-only slice: emits one complete event covering its scope when
-// the recorder is armed, and does nothing (one flag load) otherwise.
-// Unlike obs::Span it does NOT touch the profile tree, so wrapping a
-// region in a TraceSpan never changes run-log span output — use it where
-// a profile span would perturb InstrumentedRun's tree ownership.
+// RAII trace slice: emits one complete event covering its scope when the
+// recorder is armed, and does nothing (one flag load) otherwise. The
+// reductions tag theirs with category "span"; slices nest by time.
 class TraceSpan {
  public:
   explicit TraceSpan(std::string_view name, std::string_view cat = "qo")

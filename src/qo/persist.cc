@@ -226,33 +226,58 @@ struct ScanResult {
   size_t valid_bytes = 0;
 };
 
-// The typed replay loop both readers share: the generic frame scan plus
-// the plan-entry payload codec. Strictness is a presentation decision
-// layered on top of this result.
+// The replay loop both readers share: header, then per record the frame
+// (length + CRC) and the plan-entry payload, stopping at the first torn
+// or damaged record. Strictness is a presentation decision layered on
+// top of this result.
 ScanResult ScanPersistFile(const std::string& bytes,
                            PersistFileKind expected_kind) {
-  FramedFileInfo raw = ScanFramedFile(bytes, expected_kind);
   ScanResult scan;
-  scan.header_ok = raw.header_ok;
-  scan.info.torn_tail = raw.torn_tail;
-  scan.info.damage = raw.damage;
-  scan.valid_bytes = raw.header_ok ? kHeaderBytes : 0;
-  for (size_t index = 0; index < raw.payloads.size(); ++index) {
-    const std::string& payload = raw.payloads[index];
+  if (!CheckHeader(bytes, expected_kind, &scan.info.damage)) return scan;
+  scan.header_ok = true;
+  scan.valid_bytes = kHeaderBytes;
+  const auto* base = reinterpret_cast<const unsigned char*>(bytes.data());
+  size_t pos = kHeaderBytes;
+  for (size_t index = 0; pos < bytes.size(); ++index) {
+    size_t remaining = bytes.size() - pos;
+    if (remaining < 8) {
+      scan.info.torn_tail = true;  // partial length/CRC prefix
+      return scan;
+    }
+    uint32_t payload_len = GetU32(base + pos);
+    uint32_t stored_crc = GetU32(base + pos + 4);
+    if (payload_len > kMaxRecordBytes) {
+      std::ostringstream why;
+      why << "record #" << index << ": implausible payload length "
+          << payload_len;
+      scan.info.damage = why.str();
+      return scan;
+    }
+    if (remaining - 8 < payload_len) {
+      scan.info.torn_tail = true;  // record bytes run out: crash artifact
+      return scan;
+    }
+    const unsigned char* payload = base + pos + 8;
+    uint32_t computed_crc = Crc32(payload, payload_len);
+    if (computed_crc != stored_crc) {
+      char buf[96];
+      std::snprintf(buf, sizeof(buf),
+                    "record #%zu: CRC mismatch (stored 0x%08x, computed "
+                    "0x%08x)",
+                    index, stored_crc, computed_crc);
+      scan.info.damage = buf;
+      return scan;
+    }
     PersistedEntry entry;
     std::string decode_error;
-    if (!DecodePayload(reinterpret_cast<const unsigned char*>(payload.data()),
-                       payload.size(), &entry, &decode_error)) {
-      // A decode failure earlier in the file supersedes whatever the raw
-      // scan found after it (replay stops at the first bad record).
-      std::ostringstream why;
-      why << "record #" << index << ": " << decode_error;
-      scan.info.damage = why.str();
-      scan.info.torn_tail = false;
+    if (!DecodePayload(payload, payload_len, &entry, &decode_error)) {
+      scan.info.damage = "record #" + std::to_string(index) + ": " +
+                         decode_error;
       return scan;
     }
     scan.info.entries.push_back(std::move(entry));
-    scan.valid_bytes = raw.ends[index];
+    pos += 8 + payload_len;
+    scan.valid_bytes = pos;
   }
   return scan;
 }
@@ -288,67 +313,13 @@ std::string EncodePersistHeader(PersistFileKind kind) {
 }
 
 std::string EncodePersistRecord(const PersistedEntry& entry) {
-  return EncodeFramedRecord(EncodePayload(entry));
-}
-
-std::string EncodeFramedRecord(std::string_view payload) {
+  std::string payload = EncodePayload(entry);
   std::string out;
   out.reserve(8 + payload.size());
   PutU32(&out, static_cast<uint32_t>(payload.size()));
   PutU32(&out, Crc32(payload.data(), payload.size()));
   out += payload;
   return out;
-}
-
-FramedFileInfo ScanFramedFile(const std::string& bytes,
-                              PersistFileKind expected_kind) {
-  FramedFileInfo info;
-  if (!CheckHeader(bytes, expected_kind, &info.damage)) {
-    return info;
-  }
-  info.header_ok = true;
-  info.valid_bytes = kHeaderBytes;
-  const auto* base = reinterpret_cast<const unsigned char*>(bytes.data());
-  size_t pos = kHeaderBytes;
-  size_t index = 0;
-  while (pos < bytes.size()) {
-    size_t remaining = bytes.size() - pos;
-    if (remaining < 8) {
-      info.torn_tail = true;  // partial length/CRC prefix
-      return info;
-    }
-    uint32_t payload_len = GetU32(base + pos);
-    uint32_t stored_crc = GetU32(base + pos + 4);
-    if (payload_len > kMaxRecordBytes) {
-      std::ostringstream why;
-      why << "record #" << index << ": implausible payload length "
-          << payload_len;
-      info.damage = why.str();
-      return info;
-    }
-    if (remaining - 8 < payload_len) {
-      info.torn_tail = true;  // record bytes run out: crash artifact
-      return info;
-    }
-    const unsigned char* payload = base + pos + 8;
-    uint32_t computed_crc = Crc32(payload, payload_len);
-    if (computed_crc != stored_crc) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf),
-                    "record #%zu: CRC mismatch (stored 0x%08x, computed "
-                    "0x%08x)",
-                    index, stored_crc, computed_crc);
-      info.damage = buf;
-      return info;
-    }
-    info.payloads.emplace_back(reinterpret_cast<const char*>(payload),
-                               payload_len);
-    pos += 8 + payload_len;
-    info.ends.push_back(pos);
-    info.valid_bytes = pos;
-    ++index;
-  }
-  return info;
 }
 
 ParseResult<std::vector<PersistedEntry>> ReadPersistFile(
@@ -444,21 +415,17 @@ bool PlanStore::Fail(const std::string& reason) {
   ++trips_;
   trips.Increment();
   refused_since_trip_ = 0;
-  if (options_.breaker.enabled) {
-    // Exponential backoff in refused-write units, deterministic jitter
-    // from the breaker seed so probe points reproduce run to run.
-    uint64_t shift = trips_ > 20 ? 20 : trips_ - 1;
-    uint64_t base = options_.breaker.backoff_base << shift;
-    if (base > options_.breaker.backoff_max) {
-      base = options_.breaker.backoff_max;
-    }
-    Rng jitter(MixSeed(options_.breaker.seed, trips_));
-    backoff_current_ =
-        base + static_cast<uint64_t>(jitter.UniformInt(
-                   0, static_cast<int64_t>(options_.breaker.backoff_base)));
-  } else {
-    backoff_current_ = ~0ull;  // legacy latch: the probe never comes
+  // Exponential backoff in refused-write units, deterministic jitter from
+  // the breaker seed so probe points reproduce run to run.
+  uint64_t shift = trips_ > 20 ? 20 : trips_ - 1;
+  uint64_t base = options_.breaker.backoff_base << shift;
+  if (base > options_.breaker.backoff_max) {
+    base = options_.breaker.backoff_max;
   }
+  Rng jitter(MixSeed(options_.breaker.seed, trips_));
+  backoff_current_ =
+      base + static_cast<uint64_t>(jitter.UniformInt(
+                 0, static_cast<int64_t>(options_.breaker.backoff_base)));
   SetHealth(next, reason);
   // One-shot operator warning (the silent-latch fix): a tripped store is
   // an event a human should see once, not per refused write.
@@ -466,12 +433,8 @@ bool PlanStore::Fail(const std::string& reason) {
     warned_ = true;
     std::cerr << "warning: plan store '" << options_.dir
               << "' tripped: " << reason << " — entering "
-              << PersistHealthName(next)
-              << (options_.breaker.enabled
-                      ? " (probe after " + std::to_string(backoff_current_) +
-                            " refused writes)"
-                      : " (breaker disabled: latched)")
-              << "\n";
+              << PersistHealthName(next) << " (probe after "
+              << backoff_current_ << " refused writes)\n";
   }
   return false;
 }
@@ -480,7 +443,6 @@ bool PlanStore::AllowWrite() {
   static obs::Counter& refusals = CounterRef("qo.persist.breaker_refusals");
   static obs::Counter& probes = CounterRef("qo.persist.breaker_probes");
   if (health_ == PersistHealth::kHealthy) return true;
-  if (!options_.breaker.enabled) return false;
   ++refused_since_trip_;
   if (refused_since_trip_ < backoff_current_) {
     refusals.Increment();

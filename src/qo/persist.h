@@ -60,7 +60,6 @@
 #include <iosfwd>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "qo/plan_cache.h"
@@ -84,10 +83,6 @@ enum class PersistFileKind : uint32_t {
 // pure function of the request stream — two runs with the same stream
 // and fault schedule trip, probe, and reopen at identical points.
 struct PersistBreakerOptions {
-  // false = legacy latch: the first failure wedges the store permanently
-  // (what a crashed process looks like; tests/persist_crash_test.cc pins
-  // this mode because its faults *are* simulated process deaths).
-  bool enabled = true;
   // Refused writes before the first probe after a trip.
   uint64_t backoff_base = 8;
   // Ceiling for the doubled backoff after repeated probe failures.
@@ -157,31 +152,6 @@ std::string EncodePersistRecord(const PersistedEntry& entry);
 // The 16-byte file header for `kind`.
 std::string EncodePersistHeader(PersistFileKind kind);
 
-// --- Generic framed-record layer ---
-//
-// The raw header + (u32 len | u32 crc | payload) framing, independent of
-// what the payloads mean. The plan-cache codec above persists through
-// this layer.
-
-// Frames one opaque payload (length + CRC32 prefix).
-std::string EncodeFramedRecord(std::string_view payload);
-
-struct FramedFileInfo {
-  std::vector<std::string> payloads;  // intact payloads, in write order
-  std::vector<size_t> ends;  // ends[i]: file offset just past payload i
-  bool header_ok = false;    // magic/version/kind checked out
-  bool torn_tail = false;    // file ends mid-record (crash artifact)
-  std::string damage;  // non-empty: header problem or first corruption
-  // Header + all intact records: the byte count a repair truncates to.
-  size_t valid_bytes = 0;
-};
-
-// Lenient raw scan: salvages every intact frame before the first damage
-// point. Header problems come back with header_ok = false and the reason
-// in `damage`.
-FramedFileInfo ScanFramedFile(const std::string& bytes,
-                              PersistFileKind expected_kind);
-
 // --- Whole-file readers ---
 
 // Strict: any damage — bad magic, unsupported version, wrong kind,
@@ -223,8 +193,7 @@ class PlanStore {
   // failures escalate to kOpen) and refuses writes — keeping a torn tail
   // a *tail*, never garbage mid-file — until the deterministic backoff
   // elapses and a probe write succeeds, which repairs the journal tail
-  // and returns the store to healthy. With breaker.enabled = false the
-  // first failure latches permanently (legacy crash semantics).
+  // and returns the store to healthy.
   bool AppendEntry(const Hash128& key, const CachedPlan& plan);
 
   // Loads snapshot.bin and replays journal.log into `cache` (which should
@@ -248,9 +217,8 @@ class PlanStore {
   PersistHealth health() const { return health_; }
 
   // True while unhealthy (read-only or open): writes are currently being
-  // refused. With the breaker enabled this is *not* a permanent latch —
-  // a later successful probe returns the store to healthy; with
-  // breaker.enabled = false it is the legacy crash latch.
+  // refused. This is *not* a permanent latch — a later successful probe
+  // returns the store to healthy.
   bool failed() const { return health_ != PersistHealth::kHealthy; }
   // Reason for the most recent failure.
   const std::string& error() const { return error_; }

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "obs/trace.h"
 #include "util/check.h"
 
 namespace aqo {
@@ -22,7 +22,7 @@ LogDouble QohGapInstance::GBound(double epsilon) const {
 
 QohGapInstance ReduceTwoThirdsCliqueToQoh(const Graph& g,
                                           const QohGapParams& params) {
-  obs::Span span("reduce.clique_to_qoh");
+  obs::TraceSpan span("reduce.clique_to_qoh", "span");
   static obs::Counter& calls =
       obs::Registry::Get().GetCounter("reduce.clique_to_qoh.calls");
   static obs::Counter& relations =

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "obs/trace.h"
 #include "util/check.h"
 
 namespace aqo {
@@ -41,7 +41,7 @@ LogDouble QonGapInstance::CertifiedLowerBound(int omega_upper) const {
 }
 
 QonGapInstance ReduceCliqueToQon(const Graph& g, const QonGapParams& params) {
-  obs::Span span("reduce.clique_to_qon");
+  obs::TraceSpan span("reduce.clique_to_qon", "span");
   static obs::Counter& calls =
       obs::Registry::Get().GetCounter("reduce.clique_to_qon.calls");
   static obs::Counter& relations =

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "obs/trace.h"
 #include "sat/dpll.h"
 #include "util/check.h"
 
@@ -11,7 +11,7 @@ namespace aqo {
 
 SatToQonComposition ComposeSatToQon(const CnfFormula& formula,
                                     const SatToQonOptions& options) {
-  obs::Span span("compose.sat_to_qon");
+  obs::TraceSpan span("compose.sat_to_qon", "span");
   static obs::Counter& calls =
       obs::Registry::Get().GetCounter("compose.sat_to_qon.calls");
   calls.Increment();
@@ -21,13 +21,13 @@ SatToQonComposition ComposeSatToQon(const CnfFormula& formula,
 
   DpllResult sat;
   {
-    obs::Span solve_span("compose.solve_sat");
+    obs::TraceSpan solve_span("compose.solve_sat", "span");
     sat = SolveDpll(formula);
   }
   AQO_CHECK(sat.complete);
   out.satisfiable = sat.assignment.has_value();
   if (options.exact_maxsat) {
-    obs::Span maxsat_span("compose.maxsat");
+    obs::TraceSpan maxsat_span("compose.maxsat", "span");
     out.min_unsat = formula.NumClauses() - MaxSatisfiableClauses(formula);
     AQO_CHECK((out.min_unsat == 0) == out.satisfiable);
   } else if (out.satisfiable) {
@@ -58,7 +58,7 @@ SatToQonComposition ComposeSatToQon(const CnfFormula& formula,
 
 SatToQohComposition ComposeSatToQoh(const CnfFormula& formula,
                                     const SatToQohOptions& options) {
-  obs::Span span("compose.sat_to_qoh");
+  obs::TraceSpan span("compose.sat_to_qoh", "span");
   static obs::Counter& calls =
       obs::Registry::Get().GetCounter("compose.sat_to_qoh.calls");
   calls.Increment();
@@ -68,13 +68,13 @@ SatToQohComposition ComposeSatToQoh(const CnfFormula& formula,
 
   DpllResult sat;
   {
-    obs::Span solve_span("compose.solve_sat");
+    obs::TraceSpan solve_span("compose.solve_sat", "span");
     sat = SolveDpll(formula);
   }
   AQO_CHECK(sat.complete);
   out.satisfiable = sat.assignment.has_value();
   if (options.exact_maxsat) {
-    obs::Span maxsat_span("compose.maxsat");
+    obs::TraceSpan maxsat_span("compose.maxsat", "span");
     out.min_unsat = formula.NumClauses() - MaxSatisfiableClauses(formula);
     AQO_CHECK((out.min_unsat == 0) == out.satisfiable);
   } else if (out.satisfiable) {

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "obs/trace.h"
 #include "util/check.h"
 
 namespace aqo {
@@ -12,7 +12,7 @@ namespace {
 
 SatToCliqueResult BuildWithPadding(const CnfFormula& formula,
                                    int num_universal) {
-  obs::Span span("reduce.sat_to_clique");
+  obs::TraceSpan span("reduce.sat_to_clique", "span");
   static obs::Counter& calls =
       obs::Registry::Get().GetCounter("reduce.sat_to_clique.calls");
   calls.Increment();

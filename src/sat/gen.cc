@@ -51,51 +51,6 @@ CnfFormula PlantedSatisfiableThreeSat(int num_vars, int num_clauses, Rng* rng,
   return f;
 }
 
-CnfFormula PigeonholeFormula(int holes) {
-  AQO_CHECK(holes >= 1);
-  int pigeons = holes + 1;
-  auto var = [holes](int p, int h) { return p * holes + h + 1; };
-  CnfFormula f(pigeons * holes);
-  // Every pigeon sits somewhere.
-  for (int p = 0; p < pigeons; ++p) {
-    Clause c;
-    for (int h = 0; h < holes; ++h) c.push_back(var(p, h));
-    f.AddClause(std::move(c));
-  }
-  // No two pigeons share a hole.
-  for (int h = 0; h < holes; ++h) {
-    for (int p = 0; p < pigeons; ++p) {
-      for (int q = p + 1; q < pigeons; ++q) {
-        f.AddClause({-var(p, h), -var(q, h)});
-      }
-    }
-  }
-  return f;
-}
-
-CnfFormula XorChainFormula(int k, bool parity) {
-  AQO_CHECK(k >= 2);
-  // Variables 1..k are the chain inputs; k-1 auxiliaries t_i encode
-  // prefix parities: t_1 = x_1 xor x_2, t_i = t_{i-1} xor x_{i+1}; the
-  // last auxiliary is constrained to `parity`.
-  int aux_base = k;
-  CnfFormula f(k + (k - 1));
-  auto emit_xor = [&f](int a, int b, int out) {
-    // out <-> a xor b.
-    f.AddClause({-a, -b, -out});
-    f.AddClause({a, b, -out});
-    f.AddClause({a, -b, out});
-    f.AddClause({-a, b, out});
-  };
-  emit_xor(1, 2, aux_base + 1);
-  for (int i = 2; i < k; ++i) {
-    emit_xor(aux_base + i - 1, i + 1, aux_base + i);
-  }
-  int last = aux_base + k - 1;
-  f.AddClause({parity ? last : -last});
-  return f;
-}
-
 CnfFormula BoundOccurrences(const CnfFormula& formula, int max_occurrence) {
   AQO_CHECK(max_occurrence >= 3);
   std::vector<int> occ = formula.VariableOccurrences();

@@ -25,19 +25,6 @@ CnfFormula RandomThreeSat(int num_vars, int num_clauses, Rng* rng);
 CnfFormula PlantedSatisfiableThreeSat(int num_vars, int num_clauses, Rng* rng,
                                       Assignment* hidden = nullptr);
 
-// Pigeonhole principle PHP(holes+1, holes): provably unsatisfiable and
-// exponentially hard for resolution-style solvers (DPLL included) — the
-// classic stress family for the NO side of the pipeline.
-// Variables: x_{p,h} = pigeon p sits in hole h ((holes+1)*holes of them).
-CnfFormula PigeonholeFormula(int holes);
-
-// XOR chain ("parity") formula: x_1 xor x_2 xor ... xor x_k = parity,
-// CNF-encoded per adjacent pair with auxiliary chain variables.
-// Satisfiable iff `parity` is achievable (always, unless k == 0 and
-// parity == true); with both parities emitted over the same variables the
-// conjunction is unsatisfiable. Hard for solvers without XOR reasoning.
-CnfFormula XorChainFormula(int k, bool parity);
-
 // Equisatisfiable transform bounding variable occurrences by
 // `max_occurrence` (>= 3): each over-occurring variable x is split into
 // copies x_1..x_k, one per occurrence, chained by implication clauses

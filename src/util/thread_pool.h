@@ -14,8 +14,8 @@
 //     accumulation (local counters, local best tables) sees a fixed,
 //     reproducible item order.
 //   * Chunk `t` of every job runs on the same worker (chunk 0 on the
-//     submitting thread), so thread-local state such as the obs::Profiler
-//     span tree stays internally consistent per chunk.
+//     submitting thread), so thread-local state such as an
+//     obs::ThreadCounterTally stays internally consistent per chunk.
 //   * A pool constructed with threads == 1 spawns no workers at all and
 //     runs every job inline on the calling thread — byte-for-byte the
 //     serial behavior.

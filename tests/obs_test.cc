@@ -1,5 +1,5 @@
 // Tests for the telemetry subsystem (src/obs): the counter registry, the
-// span profiler, the JSON model, and — most importantly — the JSONL
+// trace slices, the JSON model, and — most importantly — the JSONL
 // run-log schema guard: every record the instrumentation emits must
 // re-parse and carry the keys docs/observability.md promises. If a key
 // here goes missing, downstream tooling reading run-logs breaks; update
@@ -19,13 +19,14 @@
 #include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "obs/runlog.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 #include "qo/optimizers.h"
 #include "qo/plan_cache.h"
 #include "qo/qon.h"
 #include "qo/registry.h"
 #include "qo/service.h"
+#include "reductions/pipeline.h"
+#include "sat/cnf.h"
 #include "util/log_double.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -90,32 +91,6 @@ TEST(Metrics, GaugeHoldsLastValue) {
   g.Set(2.5);
   g.Set(-1.25);
   EXPECT_DOUBLE_EQ(g.Value(), -1.25);
-}
-
-// --- Span profiler ---------------------------------------------------------
-
-TEST(Span, NestedSpansAggregateByName) {
-  obs::Profiler& profiler = obs::Profiler::Get();
-  profiler.Reset();
-  {
-    obs::Span outer("test.outer");
-    for (int i = 0; i < 3; ++i) {
-      obs::Span inner("test.inner");
-    }
-    { obs::Span other("test.other"); }
-  }
-  const obs::ProfileNode* root = profiler.root();
-  ASSERT_EQ(root->children.size(), 1u);
-  const obs::ProfileNode& outer = *root->children[0];
-  EXPECT_EQ(outer.name, "test.outer");
-  EXPECT_EQ(outer.count, 1u);
-  ASSERT_EQ(outer.children.size(), 2u);  // 3 "test.inner" merged into one
-  EXPECT_EQ(outer.children[0]->name, "test.inner");
-  EXPECT_EQ(outer.children[0]->count, 3u);
-  EXPECT_EQ(outer.children[1]->name, "test.other");
-  EXPECT_EQ(outer.children[1]->count, 1u);
-  EXPECT_GE(outer.total_seconds, outer.children[0]->total_seconds);
-  profiler.Reset();
 }
 
 // --- JSON model ------------------------------------------------------------
@@ -278,7 +253,9 @@ TEST(RunLog, OptimizerRunRecordSchema) {
   EXPECT_GE(invoke->Find("p99_us")->AsUint(), invoke->Find("p50_us")->AsUint());
   EXPECT_GE(invoke->Find("max_us")->AsUint(), invoke->Find("min_us")->AsUint());
 
-  ASSERT_TRUE(run.Has("spans"));
+  // Schema 2 has no "spans" key.
+  EXPECT_FALSE(run.Has("spans"));
+  EXPECT_EQ(records[0].Find("schema_version")->AsInt(), 2);
 }
 
 TEST(RunLog, InfeasibleRunSerializesNullCost) {
@@ -611,8 +588,6 @@ TEST(Trace, DisarmedSpansEmitNothing) {
     obs::TraceSpan slice("test.trace.unarmed");
     slice.Annotate("ignored", true);
   }
-  { obs::Span span("test.trace.unarmed_profile"); }
-  obs::Profiler::Get().Reset();
   // Arming afterwards must not surface the events recorded above.
   std::ostringstream sink;
   obs::TraceEventRecorder::AttachGlobal(&sink);
@@ -621,22 +596,27 @@ TEST(Trace, DisarmedSpansEmitNothing) {
 }
 
 TEST(Trace, SpansAndSlicesBecomeCompleteEvents) {
+  // u* = 1: x1, x2, and not both.
+  CnfFormula formula(2);
+  formula.AddClause({1});
+  formula.AddClause({2});
+  formula.AddClause({-1, -2});
+
   std::ostringstream sink;
   obs::TraceEventRecorder::AttachGlobal(&sink);
   ASSERT_TRUE(obs::TraceEventRecorder::Armed());
+  ComposeSatToQon(formula, SatToQonOptions{});
   {
-    obs::Span profiled("test.trace.profiled");
     obs::TraceSpan slice("test.trace.slice", "testing");
     slice.Annotate("cache_hit", true);
     slice.Annotate("fingerprint", std::string_view("deadbeef"));
     slice.Annotate("items", uint64_t{3});
   }
-  obs::Profiler::Get().Reset();
   obs::TraceEventRecorder::CloseGlobal();
   ASSERT_FALSE(obs::TraceEventRecorder::Armed());
 
   std::vector<obs::JsonValue> events = TraceEventsOf(sink.str());
-  ASSERT_EQ(events.size(), 2u);
+  ASSERT_EQ(events.size(), 6u);
   for (const obs::JsonValue& e : events) {
     EXPECT_EQ(e.Find("ph")->AsString(), "X");  // complete events only
     EXPECT_TRUE(e.Find("ts")->is_number());
@@ -644,10 +624,30 @@ TEST(Trace, SpansAndSlicesBecomeCompleteEvents) {
     EXPECT_TRUE(e.Has("pid"));
     EXPECT_TRUE(e.Has("tid"));
   }
-  // Sorted by start time: the enclosing profiled span opened first.
-  EXPECT_EQ(events[0].Find("name")->AsString(), "test.trace.profiled");
-  EXPECT_EQ(events[0].Find("cat")->AsString(), "span");
-  const obs::JsonValue& slice = events[1];
+  // Sorted by start time: the composition's slice encloses its four
+  // stages, which run one after another. Times are compared in integer
+  // nanoseconds (the recorder prints microseconds with three decimals).
+  const char* kReductionSlices[] = {
+      "compose.sat_to_qon", "compose.solve_sat", "compose.maxsat",
+      "reduce.sat_to_clique", "reduce.clique_to_qon"};
+  auto ns = [](const obs::JsonValue& e, const char* key) {
+    return std::llround(e.Find(key)->AsDouble() * 1000.0);
+  };
+  auto start = [&](const obs::JsonValue& e) { return ns(e, "ts"); };
+  auto end = [&](const obs::JsonValue& e) { return start(e) + ns(e, "dur"); };
+  for (size_t i = 0; i < 5; ++i) {
+    SCOPED_TRACE(kReductionSlices[i]);
+    EXPECT_EQ(events[i].Find("name")->AsString(), kReductionSlices[i]);
+    EXPECT_EQ(events[i].Find("cat")->AsString(), "span");
+    if (i == 0) continue;
+    EXPECT_GE(start(events[i]), start(events[0]));
+    EXPECT_LE(end(events[i]), end(events[0]));
+    if (i > 1) {
+      EXPECT_GE(start(events[i]), end(events[i - 1]));
+    }
+  }
+  const obs::JsonValue& slice = events[5];
+  EXPECT_GE(start(slice), end(events[0]));
   EXPECT_EQ(slice.Find("name")->AsString(), "test.trace.slice");
   EXPECT_EQ(slice.Find("cat")->AsString(), "testing");
   const obs::JsonValue* args = slice.Find("args");
@@ -689,18 +689,6 @@ TEST(Trace, ServiceEmitsOneItemSlicePerBatchItem) {
   EXPECT_EQ(item_slices, batch.size());
   EXPECT_TRUE(saw_computed);  // first occurrence computed
   EXPECT_TRUE(saw_served);    // the four duplicates served from the rep
-}
-
-// --- Profiler misuse guard --------------------------------------------------
-
-TEST(ProfilerDeathTest, ResetWithOpenSpansAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        obs::Span open("test.profiler.open");
-        obs::Profiler::Get().Reset();
-      },
-      "Profiler::Reset with open spans");
 }
 
 }  // namespace

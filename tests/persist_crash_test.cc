@@ -103,12 +103,14 @@ void RunSweep(const char* site) {
       {
         PlanCache cache(
             PlanCacheOptions{.byte_budget = 1 << 20, .shards = 4});
-        // Breaker disabled: these faults simulate process death, and a
-        // dead process never probes — the legacy latch (first failure
-        // wedges the store) is exactly the crash being modeled. Breaker
-        // recovery from *transient* faults is covered in persist_test.cc.
-        PlanStore store(PersistOptions{
-            .dir = dir, .fsync = true, .breaker = {.enabled = false}});
+        // These faults simulate process death, and a dead process never
+        // probes. The run makes at most five write attempts (four
+        // appends and a snapshot), fewer than the eight refused writes
+        // the first probe waits for, so a tripped store stays tripped to
+        // the end of the run. Breaker recovery from *transient* faults is
+        // covered in persist_test.cc.
+        PlanStore store(
+            PersistOptions{.dir = dir, .fsync = true, .breaker = {}});
         store.AttachTo(&cache);
         FaultInjector::Get().Arm(site, ordinal);
         BatchOptions options = base;
@@ -119,6 +121,8 @@ void RunSweep(const char* site) {
         store.SaveSnapshot(cache);
         FaultInjector::Get().Disarm();
         fired = store.failed();
+        EXPECT_EQ(store.breaker_probes(), 0u);
+        EXPECT_LE(store.breaker_trips(), 1u);
         // Even while the store is dying, the service's answers stay
         // bit-identical — persistence failures never leak into results.
         ExpectBitIdentical(crashed, cold);

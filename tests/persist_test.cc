@@ -429,6 +429,37 @@ TEST(PlanStore, TornJournalTailIsRepairedAndAppendable) {
   EXPECT_EQ(stats2.value->log_entries, 4u);  // 3 salvaged + 1 appended
 }
 
+// A record whose frame and CRC check out but whose payload does not
+// decode is damage, not a torn tail: recovery salvages the records before
+// it and truncates the journal to exactly their end, dropping the bad
+// record and everything after it.
+TEST(PlanStore, UndecodableJournalRecordIsTruncatedAway) {
+  std::string dir = TestDir("undecodable");
+  std::filesystem::create_directories(dir);
+  std::string good = EncodePersistHeader(PersistFileKind::kLog);
+  for (uint64_t id = 1; id <= 3; ++id) {
+    good += EncodePersistRecord(MakeEntry(id, 4, 0));
+  }
+  std::string bad = EncodePersistRecord(MakeEntry(4, 4, 0));
+  bad[8 + 16] = 7;  // feasible flag 7; re-sign the CRC so only decode fails
+  uint32_t crc = Crc32(bad.data() + 8, bad.size() - 8);
+  for (int i = 0; i < 4; ++i) bad[4 + i] = static_cast<char>(crc >> (8 * i));
+  std::string path = dir + "/journal.log";
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << good << bad << EncodePersistRecord(MakeEntry(5, 4, 0));
+
+  PlanCache warm(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 2});
+  PlanStore store(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
+  ParseResult<RecoveryStats> stats = store.LoadAndRecover(&warm);
+  ASSERT_TRUE(stats.ok()) << stats.error;
+  EXPECT_FALSE(stats.value->torn_tail);
+  EXPECT_NE(stats.value->damage.find("record #3: invalid feasible flag 7"),
+            std::string::npos)
+      << stats.value->damage;
+  EXPECT_EQ(stats.value->log_entries, 3u);
+  EXPECT_EQ(ReadFileBytes(path), good);
+}
+
 TEST(PlanStore, UnreadableHeaderIsAHardError) {
   std::string dir = TestDir("alien");
   std::filesystem::create_directories(dir);
@@ -486,8 +517,8 @@ TEST(PlanStore, TenThousandEntryJournalRecovers) {
 // The circuit breaker (docs/robustness.md): a write failure trips the
 // store read-only instead of latching it dead; a deterministic backoff
 // counted in refused writes schedules a probe append that repairs the
-// torn tail and reopens the breaker. persist_crash_test.cc pins the
-// breaker *off* (its faults simulate process death); these tests cover
+// torn tail and reopens the breaker. persist_crash_test.cc's faults
+// simulate process death, which never lives to probe; these tests cover
 // the transient-fault path the breaker exists for.
 
 // The backoff window Fail() computes for trip number `trip` — replicated
@@ -671,29 +702,6 @@ TEST(PlanStoreBreaker, SnapshotWritesAreGatedAndCanProbe) {
   ASSERT_TRUE(stats.ok()) << stats.error;
   EXPECT_TRUE(stats.value->had_snapshot);
   EXPECT_EQ(stats.value->snapshot_entries, 8u);
-}
-
-TEST(PlanStoreBreaker, DisabledBreakerLatchesForever) {
-  std::string dir = TestDir("latch");
-  PersistOptions options{.dir = dir, .fsync = false};
-  options.breaker.enabled = false;  // legacy crash semantics
-  PlanCache cache(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 2});
-  PlanStore store(options);
-  store.AttachTo(&cache);
-  cache.Insert(TestKey(0), TestPlan(0));
-  ASSERT_FALSE(store.failed()) << store.error();
-
-  FaultInjector::Get().Arm("persist.append", 1);
-  cache.Insert(TestKey(1), TestPlan(1));
-  FaultInjector::Get().Disarm();
-  EXPECT_TRUE(store.failed());
-
-  // No backoff window ever elapses: 50 more writes, zero probes.
-  for (int i = 2; i < 52; ++i) cache.Insert(TestKey(i), TestPlan(i));
-  EXPECT_TRUE(store.failed());
-  EXPECT_EQ(store.breaker_probes(), 0u);
-  EXPECT_EQ(store.breaker_reopens(), 0u);
-  EXPECT_EQ(store.breaker_trips(), 1u);
 }
 
 // ---------------------------------------------------------------------------

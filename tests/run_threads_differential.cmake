@@ -39,9 +39,9 @@ function(normalize_jsonl in out)
     string(REGEX REPLACE "\"wall_seconds\":[0-9.eE+-]+" "\"wall_seconds\":0"
            line "${line}")
     # Latency distributions are timings too. The greedy .* is safe: each
-    # record has exactly one "histograms" key, always followed by "spans".
-    string(REGEX REPLACE "\"histograms\":.*,\"spans\":"
-           "\"histograms\":{},\"spans\":" line "${line}")
+    # record has at most one "histograms" key, and it is the last one.
+    string(REGEX REPLACE "\"histograms\":.*}$"
+           "\"histograms\":{}}" line "${line}")
     string(APPEND body "${line}\n")
   endforeach()
   file(WRITE "${out}" "${body}")

@@ -1,11 +1,10 @@
-// Tests for the SAT substrate: CNF structures, generators, DPLL, WalkSAT.
+// Tests for the SAT substrate: CNF structures, generators, DPLL, MaxSAT.
 
 #include <gtest/gtest.h>
 
 #include "sat/cnf.h"
 #include "sat/dpll.h"
 #include "sat/gen.h"
-#include "sat/walksat.h"
 #include "util/random.h"
 
 namespace aqo {
@@ -31,6 +30,53 @@ int MaxSatBrute(const CnfFormula& f) {
     best = std::max(best, f.CountSatisfied(a));
   }
   return best;
+}
+
+// Pigeonhole principle PHP(holes+1, holes): unsatisfiable and
+// exponentially hard for resolution-style solvers such as DPLL.
+// Variables: x_{p,h} = pigeon p sits in hole h ((holes+1)*holes of them).
+CnfFormula Pigeonhole(int holes) {
+  int pigeons = holes + 1;
+  auto var = [holes](int p, int h) { return p * holes + h + 1; };
+  CnfFormula f(pigeons * holes);
+  // Every pigeon sits somewhere.
+  for (int p = 0; p < pigeons; ++p) {
+    Clause c;
+    for (int h = 0; h < holes; ++h) c.push_back(var(p, h));
+    f.AddClause(std::move(c));
+  }
+  // No two pigeons share a hole.
+  for (int h = 0; h < holes; ++h) {
+    for (int p = 0; p < pigeons; ++p) {
+      for (int q = p + 1; q < pigeons; ++q) {
+        f.AddClause({-var(p, h), -var(q, h)});
+      }
+    }
+  }
+  return f;
+}
+
+// XOR chain x_1 xor ... xor x_k = parity (k >= 2), CNF-encoded per
+// adjacent pair: variables 1..k are the inputs and k-1 auxiliaries t_i
+// hold prefix parities (t_1 = x_1 xor x_2, t_i = t_{i-1} xor x_{i+1});
+// the last auxiliary is constrained to `parity`.
+CnfFormula XorChain(int k, bool parity) {
+  int aux_base = k;
+  CnfFormula f(k + (k - 1));
+  auto emit_xor = [&f](int a, int b, int out) {
+    // out <-> a xor b.
+    f.AddClause({-a, -b, -out});
+    f.AddClause({a, b, -out});
+    f.AddClause({a, -b, out});
+    f.AddClause({-a, b, out});
+  };
+  emit_xor(1, 2, aux_base + 1);
+  for (int i = 2; i < k; ++i) {
+    emit_xor(aux_base + i - 1, i + 1, aux_base + i);
+  }
+  int last = aux_base + k - 1;
+  f.AddClause({parity ? last : -last});
+  return f;
 }
 
 TEST(Cnf, EvalAndCounting) {
@@ -109,28 +155,6 @@ TEST(MaxSat, MatchesBruteForce) {
   }
 }
 
-TEST(WalkSat, FindsModelsOfEasyFormulas) {
-  Rng rng(35);
-  int found = 0;
-  for (int trial = 0; trial < 10; ++trial) {
-    CnfFormula f = PlantedSatisfiableThreeSat(25, 60, &rng);
-    WalkSatResult r = RunWalkSat(f, &rng, 20000);
-    EXPECT_EQ(r.satisfied, f.CountSatisfied(r.assignment));
-    found += r.found_model ? 1 : 0;
-  }
-  EXPECT_GE(found, 8);  // local search should crack most easy instances
-}
-
-TEST(WalkSat, ReportsBestOnUnsat) {
-  CnfFormula f(1);
-  f.AddClause({1});
-  f.AddClause({-1});
-  Rng rng(36);
-  WalkSatResult r = RunWalkSat(f, &rng, 100);
-  EXPECT_FALSE(r.found_model);
-  EXPECT_EQ(r.satisfied, 1);
-}
-
 TEST(BoundOccurrences, ProducesThreeSat13) {
   Rng rng(37);
   CnfFormula f = RandomThreeSat(8, 120, &rng);  // heavy repetition
@@ -165,7 +189,7 @@ TEST(BoundOccurrences, NoSplitWhenAlreadyBounded) {
 
 TEST(HardFormulas, PigeonholeIsUnsatAndCostly) {
   for (int holes : {1, 2, 3}) {
-    CnfFormula f = PigeonholeFormula(holes);
+    CnfFormula f = Pigeonhole(holes);
     DpllResult r = SolveDpll(f);
     EXPECT_TRUE(r.complete);
     EXPECT_FALSE(r.assignment.has_value()) << "PHP must be unsatisfiable";
@@ -173,14 +197,14 @@ TEST(HardFormulas, PigeonholeIsUnsatAndCostly) {
   // Exactly `holes` pigeons fit: removing one pigeon's clause set makes it
   // satisfiable — checked via MaxSAT: all but one at-least-one clause can
   // be met.
-  CnfFormula f = PigeonholeFormula(3);
+  CnfFormula f = Pigeonhole(3);
   EXPECT_EQ(MaxSatisfiableClauses(f), f.NumClauses() - 1);
 }
 
 TEST(HardFormulas, PigeonholeDecisionsGrow) {
   uint64_t previous = 0;
   for (int holes : {2, 3, 4}) {
-    DpllResult r = SolveDpll(PigeonholeFormula(holes));
+    DpllResult r = SolveDpll(Pigeonhole(holes));
     EXPECT_FALSE(r.assignment.has_value());
     EXPECT_GE(r.decisions, previous);
     previous = r.decisions;
@@ -191,7 +215,7 @@ TEST(HardFormulas, PigeonholeDecisionsGrow) {
 TEST(HardFormulas, XorChainsSatisfiableIndividually) {
   for (int k : {2, 3, 6, 10}) {
     for (bool parity : {false, true}) {
-      CnfFormula f = XorChainFormula(k, parity);
+      CnfFormula f = XorChain(k, parity);
       DpllResult r = SolveDpll(f);
       ASSERT_TRUE(r.assignment.has_value()) << "k=" << k;
       // Verify the parity of the satisfying assignment's chain inputs.
@@ -204,7 +228,7 @@ TEST(HardFormulas, XorChainsSatisfiableIndividually) {
 
 TEST(HardFormulas, ContradictoryXorChainsUnsat) {
   // Same inputs constrained to both parities: unsatisfiable.
-  CnfFormula even = XorChainFormula(6, false);
+  CnfFormula even = XorChain(6, false);
   CnfFormula both(even.num_vars() + 5);  // 5 more auxiliaries for the odd copy
   for (const Clause& c : even.clauses()) both.AddClause(c);
   // Re-encode the odd chain with fresh auxiliaries 12..16 over inputs 1..6.

@@ -387,14 +387,8 @@ int Main(int argc, char** argv) {
     PersistOptions persist_options;
     persist_options.dir = cache_dir;
     persist_options.fsync = flags.GetInt("fsync", 1) != 0;
-    // Circuit breaker (docs/robustness.md): --persist-breaker=0 restores
-    // the legacy first-failure latch; backoff counts refused writes.
-    persist_options.breaker.enabled =
-        flags.GetInt("persist-breaker", 1) != 0;
-    persist_options.breaker.backoff_base = static_cast<uint64_t>(
-        flags.GetInt("persist-backoff", 8));
-    persist_options.breaker.backoff_max = static_cast<uint64_t>(
-        flags.GetInt("persist-backoff-max", 1024));
+    // Circuit breaker (docs/robustness.md): default backoff, counted in
+    // refused writes, with jitter seeded from --seed.
     persist_options.breaker.seed = seed;
     store = std::make_unique<PlanStore>(persist_options);
     ParseResult<RecoveryStats> recovered = store->LoadAndRecover(&cache);
