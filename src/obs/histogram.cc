@@ -8,10 +8,6 @@ namespace aqo::obs {
 
 namespace {
 
-// Innermost active histogram tally of the current thread; reading this is
-// the whole hot-path cost when tallies are off.
-thread_local ThreadHistogramTally* tls_hist_tally = nullptr;
-
 uint64_t NowNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -55,9 +51,6 @@ void Histogram::Record(uint64_t value) {
   seen = max_.load(std::memory_order_relaxed);
   while (value > seen &&
          !max_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-  if (ThreadHistogramTally* tally = ThreadHistogramTally::Current()) {
-    tally->Record(this, value);
   }
 }
 
@@ -107,89 +100,6 @@ uint64_t HistogramData::Quantile(double q) const {
     }
   }
   return max;
-}
-
-void HistogramData::Merge(const HistogramData& other) {
-  if (other.count == 0) return;
-  if (count == 0) {
-    *this = other;
-    return;
-  }
-  std::vector<std::pair<uint32_t, uint64_t>> merged;
-  merged.reserve(buckets.size() + other.buckets.size());
-  size_t i = 0, j = 0;
-  while (i < buckets.size() || j < other.buckets.size()) {
-    if (j == other.buckets.size() ||
-        (i < buckets.size() && buckets[i].first < other.buckets[j].first)) {
-      merged.push_back(buckets[i++]);
-    } else if (i == buckets.size() ||
-               other.buckets[j].first < buckets[i].first) {
-      merged.push_back(other.buckets[j++]);
-    } else {
-      merged.emplace_back(buckets[i].first,
-                          buckets[i].second + other.buckets[j].second);
-      ++i;
-      ++j;
-    }
-  }
-  buckets = std::move(merged);
-  count += other.count;
-  sum += other.sum;
-  min = std::min(min, other.min);
-  max = std::max(max, other.max);
-}
-
-ThreadHistogramTally::ThreadHistogramTally() : parent_(tls_hist_tally) {
-  tls_hist_tally = this;
-}
-
-ThreadHistogramTally::~ThreadHistogramTally() {
-  tls_hist_tally = parent_;
-  if (parent_ == nullptr) return;
-  for (const auto& [histogram, local] : locals_) {
-    Local& into = parent_->locals_[histogram];
-    if (into.count == 0) {
-      into = local;
-      continue;
-    }
-    into.count += local.count;
-    into.sum += local.sum;
-    into.min = std::min(into.min, local.min);
-    into.max = std::max(into.max, local.max);
-    for (const auto& [index, c] : local.buckets) into.buckets[index] += c;
-  }
-}
-
-ThreadHistogramTally* ThreadHistogramTally::Current() {
-  return tls_hist_tally;
-}
-
-void ThreadHistogramTally::Record(const Histogram* histogram, uint64_t value) {
-  Local& local = locals_[histogram];
-  if (local.count == 0 || value < local.min) local.min = value;
-  if (local.count == 0 || value > local.max) local.max = value;
-  ++local.count;
-  local.sum += value;
-  ++local.buckets[Histogram::BucketIndex(value)];
-}
-
-std::vector<std::pair<std::string, HistogramData>>
-ThreadHistogramTally::Snapshot() const {
-  std::vector<std::pair<std::string, HistogramData>> out;
-  out.reserve(locals_.size());
-  for (const auto& [histogram, local] : locals_) {
-    if (local.count == 0) continue;
-    HistogramData data;
-    data.count = local.count;
-    data.sum = local.sum;
-    data.min = local.min;
-    data.max = local.max;
-    data.buckets.assign(local.buckets.begin(), local.buckets.end());
-    out.emplace_back(histogram->name(), std::move(data));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
 }
 
 ScopedLatencyTimer::ScopedLatencyTimer(Histogram& histogram)

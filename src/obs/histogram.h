@@ -27,10 +27,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,9 +37,7 @@ class Histogram;
 
 // Immutable snapshot of one histogram's contents: totals plus the sparse
 // non-empty buckets (index-sorted, so snapshots serialize and compare
-// deterministically). Snapshots merge — the merge of two datas equals the
-// data of recording both streams into one histogram — which is what makes
-// per-thread and per-invocation distributions composable.
+// deterministically).
 struct HistogramData {
   uint64_t count = 0;
   uint64_t sum = 0;
@@ -57,51 +52,10 @@ struct HistogramData {
   // kSubBuckets and exact below.
   uint64_t Quantile(double q) const;
 
-  // Folds `other` in (buckets unioned, min/max widened, totals added).
-  void Merge(const HistogramData& other);
-
   bool operator==(const HistogramData& other) const {
     return count == other.count && sum == other.sum && min == other.min &&
            max == other.max && buckets == other.buckets;
   }
-};
-
-// Scoped per-thread histogram attribution, the distribution analogue of
-// ThreadCounterTally: while a tally is on a thread's stack, every
-// Histogram::Record made *by that thread* is also folded into the tally,
-// so a run record can report the latency distributions of exactly one
-// invocation while other pool workers hammer the same global histograms.
-// Tallies nest; popping an inner tally folds its contents into the
-// enclosing one. Cost when no tally is active: one thread-local pointer
-// load and a predictable branch per Record.
-class ThreadHistogramTally {
- public:
-  ThreadHistogramTally();
-  ~ThreadHistogramTally();
-
-  ThreadHistogramTally(const ThreadHistogramTally&) = delete;
-  ThreadHistogramTally& operator=(const ThreadHistogramTally&) = delete;
-
-  static ThreadHistogramTally* Current();
-
-  // Name-sorted (name, data) pairs recorded so far; empty histograms
-  // never appear.
-  std::vector<std::pair<std::string, HistogramData>> Snapshot() const;
-
- private:
-  friend class Histogram;
-  void Record(const Histogram* histogram, uint64_t value);
-
-  struct Local {
-    uint64_t count = 0;
-    uint64_t sum = 0;
-    uint64_t min = 0;
-    uint64_t max = 0;
-    std::map<uint32_t, uint64_t> buckets;
-  };
-
-  std::unordered_map<const Histogram*, Local> locals_;
-  ThreadHistogramTally* parent_;
 };
 
 // A process-lifetime latency histogram. Create through
@@ -124,11 +78,6 @@ class Histogram {
   // Records one value (typically a latency in microseconds). Relaxed
   // atomics; safe from any thread.
   void Record(uint64_t value);
-
-  // Convenience for callers timing with double seconds.
-  void RecordSeconds(double seconds) {
-    Record(seconds <= 0.0 ? 0 : static_cast<uint64_t>(seconds * 1e6));
-  }
 
   // Consistent-enough snapshot (advisory under concurrent writes, exact
   // once writers are quiescent). Bucket list is index-sorted.

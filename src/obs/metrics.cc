@@ -92,11 +92,6 @@ std::vector<std::pair<std::string, HistogramData>> Registry::Histograms()
   return out;
 }
 
-void Registry::ResetHistograms() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
 CounterSnapshot Registry::Counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   CounterSnapshot out;
@@ -105,21 +100,6 @@ CounterSnapshot Registry::Counters() const {
     out.emplace_back(name, counter->Value());
   }
   return out;
-}
-
-GaugeSnapshot Registry::Gauges() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  GaugeSnapshot out;
-  out.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    out.emplace_back(name, gauge->Value());
-  }
-  return out;
-}
-
-void Registry::ResetCounters() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
 }
 
 CounterSnapshot Registry::Delta(const CounterSnapshot& before,

@@ -111,7 +111,6 @@ class Gauge {
 
 // Name -> metric snapshot, sorted by name (map iteration order).
 using CounterSnapshot = std::vector<std::pair<std::string, uint64_t>>;
-using GaugeSnapshot = std::vector<std::pair<std::string, double>>;
 
 // Process-wide registry. GetCounter/GetGauge/GetHistogram find-or-create
 // under a mutex; returned references are stable for the life of the
@@ -127,16 +126,9 @@ class Registry {
   Histogram& GetHistogram(std::string_view name);
 
   CounterSnapshot Counters() const;
-  GaugeSnapshot Gauges() const;
   // Name-sorted snapshot of every histogram (empty ones included, so the
   // set of keys is stable once all call sites have been reached).
   std::vector<std::pair<std::string, HistogramData>> Histograms() const;
-
-  // Resets every counter to 0 (gauges keep their last value). Meant for
-  // test isolation, not for production use — run records use deltas.
-  void ResetCounters();
-  // Test isolation for histograms, same caveats as ResetCounters.
-  void ResetHistograms();
 
   // after - before, dropping entries whose delta is 0. `before` may lack
   // counters that were created after it was taken.

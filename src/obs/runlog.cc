@@ -102,7 +102,7 @@ JsonValue HistogramsJson(const HistogramSnapshot& histograms) {
 void EmitRunRecord(std::string_view optimizer, const InstanceShape& shape,
                    bool feasible, double cost_log2, uint64_t evaluations,
                    double wall_seconds, const CounterSnapshot& counters,
-                   PlanStatus status, const HistogramSnapshot& histograms) {
+                   PlanStatus status) {
   RunLog* log = RunLog::Global();
   if (log == nullptr) return;
 
@@ -129,10 +129,6 @@ void EmitRunRecord(std::string_view optimizer, const InstanceShape& shape,
   JsonValue cs = JsonValue::Object();
   for (const auto& [name, value] : counters) cs[name] = value;
   rec["counters"] = std::move(cs);
-  // Always present (possibly empty): latency distributions attributed to
-  // this invocation. Values are run-varying (they are real timings);
-  // differential checks normalize this key like wall_seconds.
-  rec["histograms"] = HistogramsJson(histograms);
   log->Write(rec);
 }
 

@@ -8,7 +8,7 @@
 // records describing work the process did — most importantly
 // `optimizer_run` records, one per optimizer invocation, with the instance
 // shape, the result (cost in log2, evaluations), wall time, and the
-// counter deltas and latency histograms attributed to the invocation.
+// counter deltas attributed to the invocation.
 //
 // The process has at most one *global* log (what --json-out attaches);
 // instrumentation points query RunLog::Global() and do nothing when no log
@@ -36,7 +36,7 @@
 
 namespace aqo::obs {
 
-inline constexpr int kRunLogSchemaVersion = 2;
+inline constexpr int kRunLogSchemaVersion = 3;
 
 class RunLog {
  public:
@@ -115,27 +115,23 @@ struct InstanceShape {
 JsonValue HistogramJson(const HistogramData& data);
 
 // A (name -> HistogramJson) object for a snapshot, the value of the
-// record-level "histograms" key.
+// `histogram_summary` record's "histograms" key.
 JsonValue HistogramsJson(const HistogramSnapshot& histograms);
 
 // Builds and writes an optimizer_run record to the global log (no-op
 // without one). `cost_log2` is ignored when !feasible (serialized null).
 // A "status" key is added ONLY when `status` != kComplete, so records of
 // complete (unbudgeted) runs are byte-identical to the pre-status schema.
-// `histograms` are the latency distributions attributed to the invocation
-// (a ThreadHistogramTally snapshot); the "histograms" key is always
-// present, empty when nothing was recorded.
 void EmitRunRecord(std::string_view optimizer, const InstanceShape& shape,
                    bool feasible, double cost_log2, uint64_t evaluations,
                    double wall_seconds, const CounterSnapshot& counters,
-                   PlanStatus status = PlanStatus::kComplete,
-                   const HistogramSnapshot& histograms = {});
+                   PlanStatus status = PlanStatus::kComplete);
 
 // Runs `fn` (an optimizer invocation returning a result with `feasible`,
 // `cost` (LogDouble) and `evaluations` members — OptimizerResult or
-// QohOptimizerResult), measuring wall time, counter deltas and latency
-// histograms, and emits an optimizer_run record. When no global log is
-// attached this is exactly `fn()`: no snapshots, no timing.
+// QohOptimizerResult), measuring wall time and counter deltas, and emits
+// an optimizer_run record. When no global log is attached this is exactly
+// `fn()`: no snapshots, no timing.
 //
 // Counter deltas are attributed through a per-thread ThreadCounterTally,
 // so the record charges exactly the increments this invocation made (plus
@@ -146,7 +142,6 @@ auto InstrumentedRun(std::string_view optimizer, const InstanceShape& shape,
                      Fn&& fn) {
   if (RunLog::Global() == nullptr) return fn();
   ThreadCounterTally tally;
-  ThreadHistogramTally hist_tally;
   auto start = std::chrono::steady_clock::now();
   auto result = fn();
   double wall_seconds =
@@ -157,8 +152,7 @@ auto InstrumentedRun(std::string_view optimizer, const InstanceShape& shape,
   if constexpr (requires { result.status; }) status = result.status;
   EmitRunRecord(optimizer, shape, result.feasible,
                 result.feasible ? result.cost.Log2() : std::nan(""),
-                result.evaluations, wall_seconds, tally.Snapshot(), status,
-                hist_tally.Snapshot());
+                result.evaluations, wall_seconds, tally.Snapshot(), status);
   return result;
 }
 

@@ -118,7 +118,7 @@ OptimizerResult CoutOptimalJoinOrder(const QonInstance& inst,
                                      CancelToken* cancel) {
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
-  AQO_CHECK(n <= 24) << "subset DP is 2^n";
+  AQO_CHECK(n <= kSubsetDpMaxRelations) << "subset DP is 2^n";
   RunGuard guard(budget, cancel);
   size_t full = (size_t{1} << n) - 1;
 

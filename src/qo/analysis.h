@@ -51,10 +51,10 @@ std::string PlanToString(const QonInstance& inst, const JoinSequence& seq,
 // C_out: sum over joins of the intermediate result size N(prefix).
 LogDouble CoutSequenceCost(const QonInstance& inst, const JoinSequence& seq);
 
-// Exact left-deep C_out optimum via subset DP (n <= 24). The optional
-// budget/cancel pair (checked per subset) makes it anytime: a cut-short
-// run returns the deterministic min-next-intermediate greedy sequence,
-// costed under C_out, as its best-so-far plan.
+// Exact left-deep C_out optimum via subset DP (n <= kSubsetDpMaxRelations).
+// The optional budget/cancel pair (checked per subset) makes it anytime: a
+// cut-short run returns the deterministic min-next-intermediate greedy
+// sequence, costed under C_out, as its best-so-far plan.
 OptimizerResult CoutOptimalJoinOrder(const QonInstance& inst,
                                      const Budget& budget = {},
                                      CancelToken* cancel = nullptr);

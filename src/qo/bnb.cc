@@ -25,7 +25,8 @@ class BnbSearch {
   BnbResult Run() {
     int n = inst_.NumRelations();
     AQO_CHECK(n >= 2);
-    AQO_CHECK(n <= 62) << "mask-based search limited to 62 relations";
+    AQO_CHECK(n <= kBnbMaxRelations)
+        << "mask-based search limited to 64-bit relation sets";
 
     // Greedy incumbent. Runs unbudgeted: it is the polynomial seed that
     // makes a budget-capped search anytime (the guard meters the

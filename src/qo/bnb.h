@@ -11,8 +11,8 @@
 //     greedy incumbent up front.
 // Unlike the subset DP it does not materialize 2^n states — on benign
 // instances the dominance table stays small and instances well beyond the
-// DP's n <= 24 memory wall solve exactly. A node limit turns it into an
-// anytime heuristic (proven_optimal = false).
+// DP's kSubsetDpMaxRelations memory wall solve exactly. A node limit turns
+// it into an anytime heuristic (proven_optimal = false).
 
 #include <cstdint>
 
@@ -20,6 +20,9 @@
 #include "qo/qon.h"
 
 namespace aqo {
+
+// Relation sets are 64-bit masks; the search CHECK-fails above this.
+inline constexpr int kBnbMaxRelations = 62;
 
 struct BnbResult {
   OptimizerResult result;

@@ -75,7 +75,8 @@ OptimizerResult ExhaustiveQonOptimizer(const QonInstance& inst,
                                        const OptimizerOptions& options) {
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
-  AQO_CHECK(n <= 10) << "exhaustive search is n! — use DpQonOptimizer";
+  AQO_CHECK(n <= kExhaustiveQonMaxRelations)
+      << "exhaustive search is n! — use DpQonOptimizer";
   static obs::Counter& permutations = CounterRef("qon.exhaustive.permutations");
   static obs::Counter& skipped = CounterRef("qon.exhaustive.skipped");
   RunGuard guard(options.budget, options.cancel);
@@ -227,7 +228,8 @@ OptimizerResult DpQonOptimizerSerial(const QonInstance& inst,
   using namespace dp_detail;
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
-  AQO_CHECK(n <= 24) << "subset DP is 2^n — instance too large";
+  AQO_CHECK(n <= kSubsetDpMaxRelations)
+      << "subset DP is 2^n — instance too large";
   size_t full = (static_cast<size_t>(1) << n) - 1;
 
   // N[mask]: intermediate size of the relation set `mask`.
@@ -293,7 +295,8 @@ OptimizerResult DpQonOptimizerParallel(const QonInstance& inst,
   }
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
-  AQO_CHECK(n <= 24) << "subset DP is 2^n — instance too large";
+  AQO_CHECK(n <= kSubsetDpMaxRelations)
+      << "subset DP is 2^n — instance too large";
   size_t full = (static_cast<size_t>(1) << n) - 1;
 
   // Layer-synchronized fill of N[mask]: each mask's value depends only on
@@ -662,7 +665,8 @@ QohOptimizerResult ExhaustiveQohOptimizer(const QohInstance& inst,
                                           CancelToken* cancel) {
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
-  AQO_CHECK(n <= 9) << "exhaustive QO_H search is n! * n^2";
+  AQO_CHECK(n <= kExhaustiveQohMaxRelations)
+      << "exhaustive QO_H search is n! * n^2";
   static obs::Counter& permutations = CounterRef("qoh.exhaustive.permutations");
   RunGuard guard(budget, cancel);
   QohOptimizerResult result;

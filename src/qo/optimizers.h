@@ -91,14 +91,22 @@ struct OptimizerOptions {
   CancelToken* cancel = nullptr;
 };
 
-// Tries all n! permutations. Guarded to n <= 10.
+// Relation ceilings of the exact optimizers. Past them the search space
+// (n!, 2^n subsets) outgrows memory or any useful budget, so the optimizer
+// CHECK-fails; the registry entries (qo/registry.h) declare the same
+// ceilings, so the serve path refuses such requests first.
+inline constexpr int kExhaustiveQonMaxRelations = 10;
+inline constexpr int kSubsetDpMaxRelations = 24;  // dp and cout
+inline constexpr int kExhaustiveQohMaxRelations = 9;
+
+// Tries all n! permutations. Guarded to kExhaustiveQonMaxRelations.
 OptimizerResult ExhaustiveQonOptimizer(const QonInstance& inst,
                                        const OptimizerOptions& options = {});
 
 // Exact left-deep optimum by dynamic programming over relation subsets.
 // Correct because the QO_N extension cost depends on the prefix only
 // through its *set*: N(X) and min_{k in X} AccessCost(k, j) are
-// order-independent. O(2^n * n^2); guarded to n <= 24.
+// order-independent. O(2^n * n^2); guarded to kSubsetDpMaxRelations.
 //
 // Ties between equal-cost extensions break toward the lowest relation id
 // (in every variant), so the returned sequence is a pure function of the
@@ -176,9 +184,9 @@ struct QohOptimizerResult {
 };
 
 // Exhaustive over permutations, each costed with its optimal decomposition.
-// Guarded to n <= 9. The optional budget/cancel pair makes it anytime
-// (checked once per permutation); the heuristics in qoh_optimizers.h take
-// theirs through QohOptimizerOptions instead.
+// Guarded to kExhaustiveQohMaxRelations. The optional budget/cancel pair
+// makes it anytime (checked once per permutation); the heuristics in
+// qoh_optimizers.h take theirs through QohOptimizerOptions instead.
 QohOptimizerResult ExhaustiveQohOptimizer(const QohInstance& inst,
                                           const Budget& budget = {},
                                           CancelToken* cancel = nullptr);

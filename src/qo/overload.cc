@@ -1,44 +1,11 @@
 #include "qo/overload.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "obs/metrics.h"
 
 namespace aqo {
-
-namespace {
-
-// Estimates saturate here: past 2^50 evaluations every request is "too
-// expensive to matter how much", and the cap keeps bucket arithmetic far
-// from double rounding trouble.
-constexpr double kCostCap = 1125899906842624.0;  // 2^50
-
-double Cap(double v) { return std::min(v, kCostCap); }
-
-// n! via lgamma, saturating. Exact enough for an admission estimate.
-double Factorial(int n) {
-  if (n <= 1) return 1.0;
-  double log_fact = std::lgamma(static_cast<double>(n) + 1.0);
-  if (log_fact > 50.0 * 0.6931471805599453) return kCostCap;  // > 2^50
-  return Cap(std::exp(log_fact));
-}
-
-double PowN(double base, int exp) {
-  double v = std::pow(base, static_cast<double>(exp));
-  return Cap(v);
-}
-
-double ApplyBudget(double estimate, const Budget& budget) {
-  if (budget.max_evaluations > 0) {
-    estimate =
-        std::min(estimate, static_cast<double>(budget.max_evaluations));
-  }
-  return Cap(std::max(estimate, 1.0));
-}
-
-}  // namespace
 
 const char* OverloadTierName(OverloadTier tier) {
   switch (tier) {
@@ -50,97 +17,6 @@ const char* OverloadTierName(OverloadTier tier) {
       return "shed";
   }
   return "unknown";
-}
-
-double EstimateQonCostUnits(std::string_view optimizer,
-                            const OptimizerOptions& options, int n) {
-  double nd = static_cast<double>(std::max(n, 1));
-  double estimate;
-  if (optimizer == "greedy" || optimizer == "kbz") {
-    estimate = nd * nd;
-  } else if (optimizer == "random") {
-    estimate = static_cast<double>(std::max(options.samples, 1)) * nd;
-  } else if (optimizer == "ii") {
-    estimate = static_cast<double>(std::max(options.restarts, 1)) * nd * nd *
-               nd;
-  } else if (optimizer == "sa") {
-    estimate = static_cast<double>(std::max(options.sa.restarts, 1)) *
-               static_cast<double>(std::max(options.sa.iterations, 1));
-  } else if (optimizer == "genetic") {
-    estimate = static_cast<double>(std::max(options.ga.population, 1)) *
-               static_cast<double>(std::max(options.ga.generations, 1));
-  } else if (optimizer == "dp" || optimizer == "cout") {
-    estimate = nd * PowN(2.0, n);
-  } else if (optimizer == "bnb") {
-    estimate = options.bnb_node_limit > 0
-                   ? static_cast<double>(options.bnb_node_limit)
-                   : PowN(2.0, n);
-  } else {
-    // Unknown names (including "exhaustive") estimate like the most
-    // expensive entry — a typo can only over-throttle, never sneak work
-    // past the governor.
-    estimate = Factorial(n);
-  }
-  return ApplyBudget(estimate, options.budget);
-}
-
-double EstimateQohCostUnits(std::string_view optimizer,
-                            const QohOptimizerOptions& options, int n) {
-  double nd = static_cast<double>(std::max(n, 1));
-  double estimate;
-  if (optimizer == "greedy") {
-    estimate = nd * nd;
-  } else if (optimizer == "random") {
-    estimate = static_cast<double>(std::max(options.samples, 1)) * nd;
-  } else if (optimizer == "ii") {
-    estimate = static_cast<double>(std::max(options.restarts, 1)) * nd * nd *
-               nd;
-  } else if (optimizer == "sa") {
-    estimate = static_cast<double>(std::max(options.sa.restarts, 1)) *
-               static_cast<double>(std::max(options.sa.iterations, 1));
-  } else {
-    // exhaustive, unknown.
-    estimate = Factorial(n);
-  }
-  return ApplyBudget(estimate, options.budget);
-}
-
-std::string DegradeQon(std::string_view optimizer, OptimizerOptions* options) {
-  // Exact/exponential entries fall back to the declared cheap heuristic;
-  // stochastic entries keep their identity with clamped effort.
-  if (optimizer == "exhaustive" || optimizer == "dp" || optimizer == "bnb" ||
-      optimizer == "cout") {
-    return "greedy";
-  }
-  if (optimizer == "random") {
-    options->samples = std::min(options->samples, 64);
-  } else if (optimizer == "ii") {
-    options->restarts = std::min(options->restarts, 2);
-  } else if (optimizer == "sa") {
-    options->sa.restarts = std::min(options->sa.restarts, 1);
-    options->sa.iterations = std::min(options->sa.iterations, 2000);
-  } else if (optimizer == "genetic") {
-    options->ga.population = std::min(options->ga.population, 16);
-    options->ga.generations = std::min(options->ga.generations, 16);
-  }
-  // greedy / kbz are already the floor. A degraded stochastic entry
-  // answers exactly what an undegraded request with the clamped knobs
-  // would.
-  return std::string(optimizer);
-}
-
-std::string DegradeQoh(std::string_view optimizer,
-                       QohOptimizerOptions* options) {
-  if (optimizer == "exhaustive") return "greedy";
-  if (optimizer == "random") {
-    options->samples = std::min(options->samples, 64);
-  } else if (optimizer == "ii") {
-    options->restarts = std::min(options->restarts, 2);
-  } else if (optimizer == "sa") {
-    options->sa.restarts = std::min(options->sa.restarts, 1);
-    options->sa.iterations = std::min(options->sa.iterations, 1000);
-  }
-  return std::string(optimizer);
 }
 
 LoadGovernor::LoadGovernor(const OverloadOptions& options)

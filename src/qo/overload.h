@@ -14,18 +14,19 @@
 //     of request units per arrival (the capacity the server is assumed
 //     to clear between arrivals);
 //   * a cost bucket accumulates per-request work estimates
-//     (EstimateCostUnits: a deterministic function of family, optimizer
-//     name, and n — roughly "evaluations this request will burn"); it
-//     drains a fixed number of cost units per arrival.
+//     (EstimateCostUnits: the registry entry's own estimate, a
+//     deterministic function of its knobs and n — roughly "evaluations
+//     this request will burn"); it drains a fixed number of cost units
+//     per arrival.
 //
 // Pressure is the fuller bucket's fill fraction, reported in permille.
 // Two thresholds carve it into tiers:
 //
 //   tier 0 (admit)   pressure <  degrade threshold  — run as requested
 //   tier 1 (degrade) pressure >= degrade threshold  — rewrite to the
-//            declared cheap fallback (DegradeQon/DegradeQoh: dp → greedy,
-//            SA/GA restart counts clamped, ...) and stamp the response
-//            degraded=1
+//            entry's declared cheap fallback (its degrade rule: dp →
+//            greedy, SA/GA restart counts clamped, ...) and stamp the
+//            response degraded=1
 //   tier 2 (shed)    admitting would overflow a bucket — reject with
 //            `err <id> shed: <reason>` before any optimization work
 //
@@ -40,11 +41,12 @@
 // record per shed/degrade when a run log is attached
 // (docs/robustness.md).
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
-#include "qo/optimizers.h"
-#include "qo/qoh_optimizers.h"
+#include "qo/registry.h"
 
 namespace aqo {
 
@@ -89,22 +91,6 @@ struct OverloadDecision {
   std::string reason;
 };
 
-// Deterministic per-request work estimate in "cost units" (roughly cost
-// evaluations, clamped to 2^50). Unknown optimizer names estimate like
-// the family's most expensive entry, so a typo can only over-throttle.
-double EstimateQonCostUnits(std::string_view optimizer,
-                            const OptimizerOptions& options, int n);
-double EstimateQohCostUnits(std::string_view optimizer,
-                            const QohOptimizerOptions& options, int n);
-
-// The declared degradation rewrites. Both return the effective optimizer
-// name and clamp `options` in place; when the entry is already at or
-// below the fallback's cost the name passes through unchanged (greedy
-// stays greedy). Deterministic: same inputs, same rewrite.
-std::string DegradeQon(std::string_view optimizer, OptimizerOptions* options);
-std::string DegradeQoh(std::string_view optimizer,
-                       QohOptimizerOptions* options);
-
 // The governor. Not thread-safe: the serve loop is the single caller,
 // and determinism comes from arrival order.
 class LoadGovernor {
@@ -143,6 +129,71 @@ class LoadGovernor {
   uint64_t degrades_ = 0;
   uint64_t sheds_ = 0;
 };
+
+// Estimates saturate here: past 2^50 evaluations every request is "too
+// expensive to matter how much", and the cap keeps bucket arithmetic far
+// from double rounding trouble.
+inline constexpr double kMaxCostUnits = 1125899906842624.0;  // 2^50
+
+// The governor's charge for running `entry` on n relations: the entry's
+// estimate, capped at the evaluation budget when set, floored at 1.
+template <typename Entry>
+double EstimateCostUnits(const Entry& entry,
+                         const typename Entry::Options& options, int n) {
+  double estimate = entry.estimate(options, n);
+  if (uint64_t cap = options.budget.max_evaluations; cap > 0) {
+    estimate = std::min(estimate, static_cast<double>(cap));
+  }
+  return std::min(std::max(estimate, 1.0), kMaxCostUnits);
+}
+
+template <typename Entry>
+struct Admission {
+  const Entry* requested = nullptr;  // the named entry; null when unknown
+  const Entry* entry = nullptr;  // what runs: `requested` or its fallback
+  OverloadDecision decision;  // kAdmit unless an armed governor decided
+  std::string error;  // non-empty: nothing runs, reply `err <id> <error>`
+};
+
+// Admits one optimize request for `optimizer` (a name or alias) on n
+// relations. An unknown name or an n outside the entry's domain is refused
+// without touching the governor; otherwise an armed governor decides on
+// the entry's estimate and degrade rule, and on kDegrade `options` becomes
+// the clamped knobs the fallback runs with. A disarmed governor is not
+// consulted.
+template <typename Entry>
+Admission<Entry> Admit(const registry_internal::RegistryT<Entry>& registry,
+                       std::string_view optimizer, int n,
+                       LoadGovernor& governor,
+                       typename Entry::Options* options) {
+  Admission<Entry> admission;
+  admission.requested = admission.entry = registry.Find(optimizer);
+  if (admission.requested == nullptr) {
+    admission.error = "optimizer: unknown " + std::string(registry.Label()) +
+                      " entry '" + std::string(optimizer) + "'";
+    return admission;
+  }
+  const Entry& entry = *admission.requested;
+  if (n < entry.min_n || n > entry.max_n) {
+    admission.error = "domain: " + entry.name + " takes " +
+                      entry.DomainText() + ", got n=" + std::to_string(n);
+    return admission;
+  }
+  if (!governor.armed()) return admission;
+  typename Entry::Options degraded = *options;
+  if (entry.clamp != nullptr) entry.clamp(&degraded);
+  const Entry& fallback = *registry.Find(entry.degrade_to);
+  admission.decision =
+      governor.OnArrival(EstimateCostUnits(entry, *options, n),
+                         EstimateCostUnits(fallback, degraded, n));
+  if (admission.decision.tier == OverloadTier::kShed) {
+    admission.error = "shed: " + admission.decision.reason;
+  } else if (admission.decision.tier == OverloadTier::kDegrade) {
+    admission.entry = &fallback;
+    *options = degraded;
+  }
+  return admission;
+}
 
 }  // namespace aqo
 

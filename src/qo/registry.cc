@@ -1,5 +1,7 @@
 #include "qo/registry.h"
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -15,87 +17,67 @@ namespace aqo {
 
 namespace {
 
-// --- QO_N wrappers: adapt each optimizer to the uniform signature ---
+// Adapters from each optimizer's own signature to the registry's.
+template <auto kOptimizer>
+constexpr auto kWithOptions = [](const auto& inst, const auto& options, Rng*) {
+  return kOptimizer(inst, options);
+};
+template <auto kOptimizer>
+constexpr auto kWithBudget = [](const auto& inst, const auto& options, Rng*) {
+  return kOptimizer(inst, options.budget, options.cancel);
+};
+template <auto kOptimizer>
+constexpr auto kWithRng = [](const auto& inst, const auto& options, Rng* rng) {
+  return kOptimizer(inst, rng, options);
+};
 
-OptimizerResult RunExhaustive(const QonInstance& inst,
-                              const OptimizerOptions& options, Rng*) {
-  return ExhaustiveQonOptimizer(inst, options);
+// --- Work estimates and degrade clamps. The sampling, local-search and
+// annealing rules read knobs both families name alike, so each is
+// written once.
+
+template <typename Options>
+double Quadratic(const Options&, int n) { return static_cast<double>(n) * n; }
+
+template <typename Options>
+double Factorial(const Options&, int n) {
+  return std::exp(std::lgamma(n + 1.0));
 }
 
-OptimizerResult RunDp(const QonInstance& inst, const OptimizerOptions& options,
-                      Rng*) {
-  return DpQonOptimizer(inst, options);
+double SubsetDp(const OptimizerOptions&, int n) { return n * std::pow(2.0, n); }
+
+template <typename Options>
+double Samples(const Options& options, int n) {
+  return static_cast<double>(std::max(options.samples, 1)) * n;
 }
 
-OptimizerResult RunGreedy(const QonInstance& inst,
-                          const OptimizerOptions& options, Rng*) {
-  return GreedyQonOptimizer(inst, options);
+template <typename Options>
+double LocalSearch(const Options& options, int n) {
+  return static_cast<double>(std::max(options.restarts, 1)) * n * n * n;
 }
 
-OptimizerResult RunRandom(const QonInstance& inst,
-                          const OptimizerOptions& options, Rng* rng) {
-  return RandomSamplingOptimizer(inst, rng, options);
+template <typename Options>
+double Annealing(const Options& options, int) {
+  return static_cast<double>(std::max(options.sa.restarts, 1)) *
+         std::max(options.sa.iterations, 1);
 }
 
-OptimizerResult RunIi(const QonInstance& inst, const OptimizerOptions& options,
-                      Rng* rng) {
-  return IterativeImprovementOptimizer(inst, rng, options);
+template <typename Options>
+void ClampSamples(Options* o) { o->samples = std::min(o->samples, 64); }
+
+template <typename Options>
+void ClampRestarts(Options* o) { o->restarts = std::min(o->restarts, 2); }
+
+template <int kMaxIterations, typename Options>
+void ClampAnnealing(Options* options) {
+  options->sa.restarts = std::min(options->sa.restarts, 1);
+  options->sa.iterations = std::min(options->sa.iterations, kMaxIterations);
 }
 
-OptimizerResult RunSa(const QonInstance& inst, const OptimizerOptions& options,
-                      Rng* rng) {
-  return SimulatedAnnealingOptimizer(inst, rng, options);
-}
-
-OptimizerResult RunGenetic(const QonInstance& inst,
-                           const OptimizerOptions& options, Rng* rng) {
-  return GeneticOptimizer(inst, rng, options);
-}
-
-OptimizerResult RunBnb(const QonInstance& inst,
-                       const OptimizerOptions& options, Rng*) {
-  return BranchAndBoundQonOptimizer(inst, options).result;
-}
-
-OptimizerResult RunCout(const QonInstance& inst,
-                        const OptimizerOptions& options, Rng*) {
-  return CoutOptimalJoinOrder(inst, options.budget, options.cancel);
-}
-
-OptimizerResult RunKbz(const QonInstance& inst,
-                       const OptimizerOptions& options, Rng*) {
-  // IK/KBZ only applies to tree query graphs; a non-tree instance is
-  // infeasible for it, not an error (so it can ride in --optimizers=
-  // lists over mixed workloads).
-  if (!IsTreeQueryGraph(inst.graph())) return OptimizerResult{};
-  return IkkbzOptimizer(inst, options.budget, options.cancel);
-}
-
-// --- QO_H wrappers ---
-
-QohOptimizerResult RunQohExhaustive(const QohInstance& inst,
-                                    const QohOptimizerOptions& options, Rng*) {
-  return ExhaustiveQohOptimizer(inst, options.budget, options.cancel);
-}
-
-QohOptimizerResult RunQohGreedy(const QohInstance& inst,
-                                const QohOptimizerOptions& options, Rng*) {
-  return GreedyQohOptimizer(inst, options.budget, options.cancel);
-}
-
-QohOptimizerResult RunQohRandom(const QohInstance& inst,
-                                const QohOptimizerOptions& options, Rng* rng) {
-  return RandomSamplingQohOptimizer(inst, rng, options);
-}
-
-QohOptimizerResult RunQohIi(const QohInstance& inst,
-                            const QohOptimizerOptions& options, Rng* rng) {
-  return IterativeImprovementQohOptimizer(inst, rng, options);
-}
-
-QohOptimizerResult RunQohSa(const QohInstance& inst,
-                            const QohOptimizerOptions& options, Rng* rng) {
-  return SimulatedAnnealingQohOptimizer(inst, rng, options);
+std::vector<KnobSpec> AnnealingKnobs() {
+  return {{"--sa-iterations=", "moves per restart"},
+          {"--sa-temperature=", "initial temperature (log2-cost units)"},
+          {"--sa-cooling=", "geometric cooling factor"},
+          {"--sa-restarts=", "independent annealing runs"}};
 }
 
 }  // namespace
@@ -131,7 +113,7 @@ std::string RegistryT<Entry>::Describe() const {
   for (const Entry& e : entries_) {
     out << "  " << e.name;
     for (size_t pad = e.name.size(); pad < 12; ++pad) out << ' ';
-    out << ' ' << e.description;
+    out << ' ' << e.description << " [" << e.DomainText() << "]";
     if (e.deterministic) out << " [deterministic]";
     out << '\n';
     for (const KnobSpec& k : e.knobs) {
@@ -159,8 +141,7 @@ typename Entry::Result RegistryT<Entry>::Run(std::string_view name,
                                              Rng* rng) const {
   const Entry* entry = Find(name);
   AQO_CHECK(entry != nullptr)
-      << "unknown " << (family_ == "qon" ? "QO_N" : "QO_H")
-      << " optimizer: " << name;
+      << "unknown " << Label() << " optimizer: " << name;
   typename Entry::Result result;
   {
     // Per-optimizer invocation latency, keyed by canonical name (aliases
@@ -178,37 +159,105 @@ template class RegistryT<QohOptimizerEntry>;
 
 }  // namespace registry_internal
 
+// Every entry spells out every field: designated initializers that skip
+// members trip -Wmissing-field-initializers. Exact entries degrade to
+// greedy, stochastic ones keep their identity with clamped effort.
 const OptimizerRegistry& OptimizerRegistry::Qon() {
   static const OptimizerRegistry* registry = [] {
     std::vector<QonOptimizerEntry> entries = {
-        {"exhaustive", "all n! permutations (n <= 10)", true, {},
-         RunExhaustive},
-        {"dp", "exact left-deep subset DP (n <= 24)", true, {}, RunDp},
-        {"greedy", "cheapest-next-join from every start", true, {},
-         RunGreedy},
-        {"random", "best of options.samples random sequences", false,
-         {{"--samples=", "random sequences drawn"}}, RunRandom},
-        {"ii", "first-improvement local search, options.restarts starts",
-         false,
-         {{"--restarts=", "random restarts"}}, RunIi},
-        {"sa", "simulated annealing (knobs: options.sa)", false,
-         {{"--sa-iterations=", "moves per restart"},
-          {"--sa-temperature=", "initial temperature (log2-cost units)"},
-          {"--sa-cooling=", "geometric cooling factor"},
-          {"--sa-restarts=", "independent annealing runs"}},
-         RunSa},
-        {"genetic", "genetic algorithm (knobs: options.ga)", false,
-         {{"--ga-population=", "individuals per generation"},
-          {"--ga-generations=", "generations evolved"},
-          {"--ga-crossover=", "crossover probability"},
-          {"--ga-mutation=", "mutation probability"}},
-         RunGenetic},
-        {"bnb", "branch & bound (options.bnb_node_limit, 0 = exact)", true,
-         {{"--bnb-node-limit=", "node budget (0 = unlimited)"}}, RunBnb},
-        {"cout", "exact optimum under the C_out cost metric", true, {},
-         RunCout},
-        {"kbz", "IK/KBZ, exact on tree query graphs (else infeasible)", true,
-         {}, RunKbz},
+        {.name = "exhaustive", .description = "all n! permutations",
+         .deterministic = true, .knobs = {},
+         .run = kWithOptions<&ExhaustiveQonOptimizer>,
+         .min_n = 2, .max_n = kExhaustiveQonMaxRelations,
+         .estimate = Factorial,
+         .degrade_to = "greedy", .clamp = nullptr},
+        {.name = "dp", .description = "exact left-deep subset DP",
+         .deterministic = true, .knobs = {},
+         .run = kWithOptions<&DpQonOptimizer>,
+         .min_n = 2, .max_n = kSubsetDpMaxRelations,
+         .estimate = SubsetDp,
+         .degrade_to = "greedy", .clamp = nullptr},
+        {.name = "greedy", .description = "cheapest-next-join from every start",
+         .deterministic = true, .knobs = {},
+         .run = kWithOptions<&GreedyQonOptimizer>,
+         .min_n = 2, .max_n = kNoRelationCeiling,
+         .estimate = Quadratic,
+         .degrade_to = "greedy", .clamp = nullptr},
+        {.name = "random",
+         .description = "best of options.samples random sequences",
+         .deterministic = false,
+         .knobs = {{"--samples=", "random sequences drawn"}},
+         .run = kWithRng<&RandomSamplingOptimizer>,
+         .min_n = 1, .max_n = kNoRelationCeiling,
+         .estimate = Samples,
+         .degrade_to = "random", .clamp = ClampSamples},
+        {.name = "ii",
+         .description =
+             "first-improvement local search, options.restarts starts",
+         .deterministic = false,
+         .knobs = {{"--restarts=", "random restarts"}},
+         .run = kWithRng<&IterativeImprovementOptimizer>,
+         .min_n = 2, .max_n = kNoRelationCeiling,
+         .estimate = LocalSearch,
+         .degrade_to = "ii", .clamp = ClampRestarts},
+        {.name = "sa", .description = "simulated annealing (knobs: options.sa)",
+         .deterministic = false,
+         .knobs = AnnealingKnobs(),
+         .run = kWithRng<&SimulatedAnnealingOptimizer>,
+         .min_n = 2, .max_n = kNoRelationCeiling,
+         .estimate = Annealing,
+         .degrade_to = "sa", .clamp = ClampAnnealing<2000>},
+        {.name = "genetic",
+         .description = "genetic algorithm (knobs: options.ga)",
+         .deterministic = false,
+         .knobs = {{"--ga-population=", "individuals per generation"},
+                   {"--ga-generations=", "generations evolved"},
+                   {"--ga-crossover=", "crossover probability"},
+                   {"--ga-mutation=", "mutation probability"}},
+         .run = kWithRng<&GeneticOptimizer>,
+         .min_n = 2, .max_n = kNoRelationCeiling,
+         .estimate = [](const OptimizerOptions& options, int) {
+           return static_cast<double>(std::max(options.ga.population, 1)) *
+                  std::max(options.ga.generations, 1);
+         },
+         .degrade_to = "genetic",
+         .clamp = [](OptimizerOptions* options) {
+           options->ga.population = std::min(options->ga.population, 16);
+           options->ga.generations = std::min(options->ga.generations, 16);
+         }},
+        {.name = "bnb",
+         .description = "branch & bound (options.bnb_node_limit, 0 = exact)",
+         .deterministic = true,
+         .knobs = {{"--bnb-node-limit=", "node budget (0 = unlimited)"}},
+         .run = [](auto& inst, auto& options, Rng*) {
+           return BranchAndBoundQonOptimizer(inst, options).result;
+         },
+         .min_n = 2, .max_n = kBnbMaxRelations,
+         .estimate = [](const OptimizerOptions& options, int n) {
+           return options.bnb_node_limit > 0
+                      ? static_cast<double>(options.bnb_node_limit)
+                      : std::pow(2.0, n);
+         },
+         .degrade_to = "greedy", .clamp = nullptr},
+        {.name = "cout",
+         .description = "exact optimum under the C_out cost metric",
+         .deterministic = true, .knobs = {},
+         .run = kWithBudget<&CoutOptimalJoinOrder>,
+         .min_n = 2, .max_n = kSubsetDpMaxRelations,
+         .estimate = SubsetDp,
+         .degrade_to = "greedy", .clamp = nullptr},
+        {.name = "kbz",
+         .description = "IK/KBZ, exact on tree query graphs (else infeasible)",
+         .deterministic = true, .knobs = {},
+         // A non-tree instance is infeasible for IK/KBZ, not an error, so
+         // kbz can ride in --optimizers= lists over mixed workloads.
+         .run = [](auto& inst, auto& options, Rng*) {
+           if (!IsTreeQueryGraph(inst.graph())) return OptimizerResult{};
+           return IkkbzOptimizer(inst, options.budget, options.cancel);
+         },
+         .min_n = 2, .max_n = kNoRelationCeiling,
+         .estimate = Quadratic,
+         .degrade_to = "kbz", .clamp = nullptr},
     };
     return new OptimizerRegistry(std::move(entries), {{"ga", "genetic"}});
   }();
@@ -218,20 +267,41 @@ const OptimizerRegistry& OptimizerRegistry::Qon() {
 const QohOptimizerRegistry& QohOptimizerRegistry::Get() {
   static const QohOptimizerRegistry* registry = [] {
     std::vector<QohOptimizerEntry> entries = {
-        {"exhaustive", "all n! permutations, optimal decomposition (n <= 9)",
-         true, {}, RunQohExhaustive},
-        {"greedy", "min-next-intermediate construction", true, {},
-         RunQohGreedy},
-        {"random", "best of options.samples random sequences", false,
-         {{"--samples=", "random sequences drawn"}}, RunQohRandom},
-        {"ii", "adjacent-transposition local search", false,
-         {{"--restarts=", "random restarts"}}, RunQohIi},
-        {"sa", "simulated annealing (knobs: options.sa)", false,
-         {{"--sa-iterations=", "moves per restart"},
-          {"--sa-temperature=", "initial temperature (log2-cost units)"},
-          {"--sa-cooling=", "geometric cooling factor"},
-          {"--sa-restarts=", "independent annealing runs"}},
-         RunQohSa},
+        {.name = "exhaustive",
+         .description = "all n! permutations, optimal decomposition",
+         .deterministic = true, .knobs = {},
+         .run = kWithBudget<&ExhaustiveQohOptimizer>,
+         .min_n = 2, .max_n = kExhaustiveQohMaxRelations,
+         .estimate = Factorial,
+         .degrade_to = "greedy", .clamp = nullptr},
+        {.name = "greedy", .description = "min-next-intermediate construction",
+         .deterministic = true, .knobs = {},
+         .run = kWithBudget<&GreedyQohOptimizer>,
+         .min_n = 2, .max_n = kNoRelationCeiling,
+         .estimate = Quadratic,
+         .degrade_to = "greedy", .clamp = nullptr},
+        {.name = "random",
+         .description = "best of options.samples random sequences",
+         .deterministic = false,
+         .knobs = {{"--samples=", "random sequences drawn"}},
+         .run = kWithRng<&RandomSamplingQohOptimizer>,
+         .min_n = 2, .max_n = kNoRelationCeiling,
+         .estimate = Samples,
+         .degrade_to = "random", .clamp = ClampSamples},
+        {.name = "ii", .description = "adjacent-transposition local search",
+         .deterministic = false,
+         .knobs = {{"--restarts=", "random restarts"}},
+         .run = kWithRng<&IterativeImprovementQohOptimizer>,
+         .min_n = 2, .max_n = kNoRelationCeiling,
+         .estimate = LocalSearch,
+         .degrade_to = "ii", .clamp = ClampRestarts},
+        {.name = "sa", .description = "simulated annealing (knobs: options.sa)",
+         .deterministic = false,
+         .knobs = AnnealingKnobs(),
+         .run = kWithRng<&SimulatedAnnealingQohOptimizer>,
+         .min_n = 2, .max_n = kNoRelationCeiling,
+         .estimate = Annealing,
+         .degrade_to = "sa", .clamp = ClampAnnealing<1000>},
     };
     return new QohOptimizerRegistry(std::move(entries),
                                     {{"sample", "random"}});

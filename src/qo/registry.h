@@ -14,7 +14,9 @@
 // options / result types differ. An entry carries metadata — name,
 // description, determinism, and a knob schema naming the harness flags
 // that feed it — so front-ends render `--optimizers=help` from
-// Describe() instead of hand-maintaining flag docs.
+// Describe() instead of hand-maintaining flag docs. It also carries what
+// admission needs (qo/overload.h): the relation counts the optimizer
+// accepts, a work estimate, and the cheaper form to run under load.
 //
 // Benches and tools select optimizers by name (--optimizers=a,b,c)
 // instead of hand-rolling call lists; the batch service (qo/service.h)
@@ -29,6 +31,7 @@
 // skip), while Run CHECK-fails for programmatic callers.
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -48,6 +51,9 @@ struct KnobSpec {
   std::string description;  // one line
 };
 
+// The max_n of an entry whose domain has no ceiling.
+inline constexpr int kNoRelationCeiling = std::numeric_limits<int>::max();
+
 // The unified registry entry: per-family only in its three type
 // parameters, identical in shape and metadata otherwise.
 template <typename InstanceT, typename OptionsT, typename ResultT>
@@ -61,6 +67,24 @@ struct OptimizerEntryT {
   bool deterministic = false;  // true: ignores the Rng entirely
   std::vector<KnobSpec> knobs;  // the flags this entry reads
   std::function<Result(const Instance&, const Options&, Rng*)> run;
+
+  // Admission data (qo/overload.h). The domain is the relation counts
+  // `run` accepts: outside it the optimizer CHECK-fails.
+  int min_n = 2;
+  int max_n = kNoRelationCeiling;
+  // Work for an in-domain n, in cost units (roughly cost evaluations).
+  double (*estimate)(const Options& options, int n) = nullptr;
+  // Under load, run `degrade_to` (an entry whose domain covers this one's;
+  // possibly this one) with `clamp`, when set, applied to the knobs.
+  std::string degrade_to;
+  void (*clamp)(Options* options) = nullptr;
+
+  // "n >= <min_n> and n <= <max_n>", or "n >= <min_n>" without a ceiling.
+  std::string DomainText() const {
+    std::string text = "n >= " + std::to_string(min_n);
+    if (max_n == kNoRelationCeiling) return text;
+    return text + " and n <= " + std::to_string(max_n);
+  }
 };
 
 using QonOptimizerEntry =
@@ -86,13 +110,11 @@ class RegistryT {
   // Canonical names in registration order (aliases excluded).
   std::vector<std::string> Names() const;
 
-  // (alias, canonical) pairs in registration order.
-  const std::vector<std::pair<std::string, std::string>>& Aliases() const {
-    return aliases_;
-  }
+  // "QO_N" | "QO_H", as error messages name the family.
+  std::string_view Label() const { return family_ == "qon" ? "QO_N" : "QO_H"; }
 
   // Multi-line human-readable listing of every entry: name, description,
-  // determinism marker, knob schema, and the alias table.
+  // domain, determinism marker, knob schema, and the alias table.
   // This is what --optimizers=help prints.
   std::string Describe() const;
 

@@ -24,8 +24,7 @@ LogDouble UniformSelectivity(Rng* rng, const WorkloadOptions& options) {
       rng->UniformReal(options.min_selectivity, options.max_selectivity));
 }
 
-}  // namespace
-
+// The shape's query graph alone.
 Graph WorkloadGraph(int n, Rng* rng, const WorkloadOptions& options) {
   switch (options.shape) {
     case WorkloadShape::kChain:
@@ -43,6 +42,8 @@ Graph WorkloadGraph(int n, Rng* rng, const WorkloadOptions& options) {
   }
   AQO_CHECK(false) << "unknown shape";
 }
+
+}  // namespace
 
 QonInstance RandomQonWorkload(int n, Rng* rng, const WorkloadOptions& options) {
   Graph g = WorkloadGraph(n, rng, options);

@@ -41,9 +41,6 @@ QonInstance RandomQonWorkload(int n, Rng* rng,
 QohInstance RandomQohWorkload(int n, Rng* rng, double memory_fraction = 0.3,
                               const WorkloadOptions& options = {});
 
-// The shape's query graph alone.
-Graph WorkloadGraph(int n, Rng* rng, const WorkloadOptions& options = {});
-
 }  // namespace aqo
 
 #endif  // AQO_QO_WORKLOADS_H_

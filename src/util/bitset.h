@@ -43,8 +43,6 @@ class DynamicBitset {
     return (words_[static_cast<size_t>(i >> 6)] >> (i & 63)) & 1;
   }
 
-  void Clear() { std::fill(words_.begin(), words_.end(), 0); }
-
   void SetAll() {
     std::fill(words_.begin(), words_.end(), ~0ULL);
     TrimTail();

@@ -44,8 +44,8 @@ RunGuard::RunGuard(const Budget& budget, CancelToken* token)
     has_deadline_ = true;
     deadline_ = DeadlineAfter(budget.deadline_ms);
   }
-  // A token with nothing armed (no deadline, no stop request) leaves the
-  // guard inert so unbudgeted runs stay bit-identical to a null token.
+  // A token with no deadline armed leaves the guard inert so unbudgeted
+  // runs stay bit-identical to a null token.
   bool token_active = token_ != nullptr && token_->armed();
   active_ = max_evaluations_ > 0 || has_deadline_ || token_active;
   if (has_deadline_ || token_active) {

@@ -52,8 +52,8 @@ struct Budget {
 std::chrono::steady_clock::time_point DeadlineAfter(double deadline_ms);
 
 // Shared stop signal, e.g. one per service batch. Arms an absolute
-// wall-clock deadline and/or an explicit stop request; many RunGuards may
-// observe one token concurrently. Copying is disabled — share by pointer.
+// wall-clock deadline; many RunGuards may observe one token concurrently.
+// Copying is disabled — share by pointer.
 class CancelToken {
  public:
   CancelToken() = default;
@@ -70,28 +70,17 @@ class CancelToken {
     }
   }
 
-  // Explicit stop, independent of any deadline.
-  void RequestStop() { stop_.store(true, std::memory_order_release); }
-
-  bool stop_requested() const {
-    return stop_.load(std::memory_order_acquire);
-  }
-
   // True once a deadline is armed (whether or not it has passed).
-  bool armed() const {
-    return has_deadline_.load(std::memory_order_acquire) || stop_requested();
-  }
+  bool armed() const { return has_deadline_.load(std::memory_order_acquire); }
 
-  // True when stopped or past the armed deadline. Reads the clock, so
-  // callers should poll it on a stride, not per iteration.
+  // True past the armed deadline. Reads the clock, so callers should poll
+  // it on a stride, not per iteration.
   bool Expired() const {
-    if (stop_requested()) return true;
-    if (!has_deadline_.load(std::memory_order_acquire)) return false;
+    if (!armed()) return false;
     return std::chrono::steady_clock::now() >= deadline_;
   }
 
  private:
-  std::atomic<bool> stop_{false};
   std::atomic<bool> has_deadline_{false};
   std::chrono::steady_clock::time_point deadline_{};
 };

@@ -74,9 +74,6 @@ class LogDouble {
   // log2 of the value; -infinity for zero.
   double Log2() const { return log2_; }
 
-  // Natural log of the value; -infinity for zero.
-  double Ln() const { return log2_ * kLn2; }
-
   // Converts back to linear domain; overflows to +inf for huge values.
   double ToLinear() const { return std::exp2(log2_); }
 

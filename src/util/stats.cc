@@ -1,7 +1,6 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 
@@ -20,8 +19,6 @@ double StatAccumulator::Variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
 }
-
-double StatAccumulator::Stddev() const { return std::sqrt(Variance()); }
 
 double SampleSet::Percentile(double p) const {
   AQO_CHECK(!samples_.empty());

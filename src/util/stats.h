@@ -25,7 +25,6 @@ class StatAccumulator {
   double max() const { return max_; }
   // Sample variance (n-1 denominator); 0 for fewer than two samples.
   double Variance() const;
-  double Stddev() const;
 
  private:
   size_t count_ = 0;

@@ -17,8 +17,6 @@ class TextTable {
   void SetHeader(std::vector<std::string> header) { header_ = std::move(header); }
   void AddRow(std::vector<std::string> row);
 
-  size_t NumRows() const { return rows_.size(); }
-
   void Print(std::ostream& os) const;
 
  private:

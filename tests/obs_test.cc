@@ -159,9 +159,6 @@ std::vector<obs::JsonValue> EmitAndParse() {
                            .source = "",
                            .n = inst.NumRelations(),
                            .edges = inst.graph().NumEdges()};
-  // Through the registry (not DpQonOptimizer directly) so the invocation
-  // also records qon.dp.invoke_us — the schema guard below asserts the
-  // record's "histograms" key attributes it.
   OptimizerResult result = obs::InstrumentedRun("qon.dp", shape, [&] {
     return OptimizerRegistry::Qon().Run("dp", inst, {}, nullptr);
   });
@@ -237,25 +234,11 @@ TEST(RunLog, OptimizerRunRecordSchema) {
   EXPECT_GE(optimizer_specific, 2) << "DP run must attribute its own "
                                       "counters (qon.dp.*) to the record";
 
-  // The "histograms" key is always present and attributes the registry's
-  // per-invocation latency distribution to this record.
-  const obs::JsonValue* histograms = run.Find("histograms");
-  ASSERT_NE(histograms, nullptr);
-  const obs::JsonValue* invoke = histograms->Find("qon.dp.invoke_us");
-  ASSERT_NE(invoke, nullptr)
-      << "registry-run invocation must attribute qon.dp.invoke_us";
-  for (const char* key : {"count", "sum_us", "min_us", "max_us", "p50_us",
-                          "p90_us", "p99_us", "p999_us"}) {
-    ASSERT_TRUE(invoke->Has(key)) << "histogram summary missing " << key;
-    EXPECT_TRUE(invoke->Find(key)->is_number()) << key;
-  }
-  EXPECT_EQ(invoke->Find("count")->AsUint(), 1u);
-  EXPECT_GE(invoke->Find("p99_us")->AsUint(), invoke->Find("p50_us")->AsUint());
-  EXPECT_GE(invoke->Find("max_us")->AsUint(), invoke->Find("min_us")->AsUint());
-
-  // Schema 2 has no "spans" key.
+  // Schema 3 has neither a "spans" nor a "histograms" key: latency
+  // distributions live in the global histograms (histogram_summary).
   EXPECT_FALSE(run.Has("spans"));
-  EXPECT_EQ(records[0].Find("schema_version")->AsInt(), 2);
+  EXPECT_FALSE(run.Has("histograms"));
+  EXPECT_EQ(records[0].Find("schema_version")->AsInt(), 3);
 }
 
 TEST(RunLog, InfeasibleRunSerializesNullCost) {
@@ -462,34 +445,6 @@ TEST(Histogram, QuantilesTrackExactPercentiles) {
   h.Reset();
 }
 
-TEST(Histogram, MergeEqualsRecordingBothStreams) {
-  obs::Histogram& a = obs::Registry::Get().GetHistogram("test.hist.merge_a");
-  obs::Histogram& b = obs::Registry::Get().GetHistogram("test.hist.merge_b");
-  obs::Histogram& both = obs::Registry::Get().GetHistogram("test.hist.merge_ab");
-  a.Reset();
-  b.Reset();
-  both.Reset();
-  Rng rng(31);
-  for (int i = 0; i < 5000; ++i) {
-    uint64_t v = rng.Next() % 100000;
-    ((i % 2 == 0) ? a : b).Record(v);
-    both.Record(v);
-  }
-  obs::HistogramData merged = a.Snapshot();
-  merged.Merge(b.Snapshot());
-  EXPECT_EQ(merged, both.Snapshot());
-  // Merging an empty snapshot is the identity, both ways.
-  obs::HistogramData empty;
-  obs::HistogramData copy = merged;
-  copy.Merge(empty);
-  EXPECT_EQ(copy, merged);
-  empty.Merge(merged);
-  EXPECT_EQ(empty, merged);
-  a.Reset();
-  b.Reset();
-  both.Reset();
-}
-
 TEST(Histogram, SnapshotIsIdenticalAcrossThreadCounts) {
   // The recorded distribution is a pure function of the value stream:
   // fanning the same 4000 records across 1, 2 or 4 workers must yield
@@ -521,49 +476,6 @@ TEST(Histogram, RegistrySnapshotIsNameSortedAndStable) {
   for (size_t i = 1; i < snap.size(); ++i) {
     EXPECT_LT(snap[i - 1].first, snap[i].first);
   }
-}
-
-TEST(ThreadHistogramTally, AttributesOnlyTheCallingThreadsRecords) {
-  obs::Histogram& h =
-      obs::Registry::Get().GetHistogram("test.hist.tally_us");
-  h.Reset();
-  ThreadPool pool(4);
-  obs::ThreadHistogramTally tally;
-  pool.ParallelForChunks(400, [&](int /*chunk*/, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) h.Record(i % 50);
-  });
-  auto snapshot = tally.Snapshot();
-  ASSERT_EQ(snapshot.size(), 1u);
-  EXPECT_EQ(snapshot[0].first, "test.hist.tally_us");
-  // Chunk 0 always runs on the submitting thread: 100 of the 400.
-  EXPECT_EQ(snapshot[0].second.count, 100u);
-  // The global histogram saw all 400 regardless.
-  EXPECT_EQ(h.Snapshot().count, 400u);
-  h.Reset();
-}
-
-TEST(ThreadHistogramTally, NestedTallyFoldsIntoParent) {
-  obs::Histogram& h =
-      obs::Registry::Get().GetHistogram("test.hist.tally_nested_us");
-  h.Reset();
-  obs::ThreadHistogramTally outer;
-  h.Record(10);
-  {
-    obs::ThreadHistogramTally inner;
-    h.Record(200);
-    h.Record(300);
-    auto inner_snapshot = inner.Snapshot();
-    ASSERT_EQ(inner_snapshot.size(), 1u);
-    EXPECT_EQ(inner_snapshot[0].second.count, 2u);
-    EXPECT_EQ(inner_snapshot[0].second.min, 200u);
-  }
-  auto outer_snapshot = outer.Snapshot();
-  ASSERT_EQ(outer_snapshot.size(), 1u);
-  const obs::HistogramData& data = outer_snapshot[0].second;
-  EXPECT_EQ(data.count, 3u);  // own 1 + folded inner 2
-  EXPECT_EQ(data.sum, 510u);
-  EXPECT_EQ(data.min, 10u);
-  EXPECT_EQ(data.max, 300u);
 }
 
 // --- Trace-event export -----------------------------------------------------

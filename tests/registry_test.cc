@@ -1,7 +1,8 @@
 // OptimizerRegistry (qo/registry.h): every registered entry must produce
 // exactly the bits (cost, sequence, evaluation count) of the direct call
 // it wraps, for both families; aliases resolve; unknown names return
-// null; the CSV parser trims.
+// null; the CSV parser trims. Every entry's declared domain is the one
+// its optimizer enforces, and its degrade target takes that domain.
 //
 // The equivalence tables below enumerate the direct calls by registry
 // name — a registry entry without a direct counterpart here fails the
@@ -9,6 +10,7 @@
 
 #include <functional>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -219,6 +221,86 @@ TEST(Registry, DescribeListsEntriesKnobsAndAliases) {
   // Every knob flag advertised by an entry is a real harness flag, so
   // the schema doubles as flag documentation (bench_common reads them).
   EXPECT_NE(qoh.find("--restarts="), std::string::npos);
+}
+
+// Each entry's degrade target must take every n the entry takes, or a
+// degraded request could abort the server.
+template <typename Registry>
+void ExpectDegradeTargetsCoverTheirSources(const Registry& registry) {
+  for (const std::string& name : registry.Names()) {
+    const auto* entry = registry.Find(name);
+    const auto* target = registry.Find(entry->degrade_to);
+    ASSERT_NE(target, nullptr) << name << " -> " << entry->degrade_to;
+    EXPECT_LE(target->min_n, entry->min_n) << name;
+    EXPECT_GE(target->max_n, entry->max_n) << name;
+  }
+}
+
+TEST(Registry, DegradeTargetsCoverTheirSourcesDomain) {
+  ExpectDegradeTargetsCoverTheirSources(OptimizerRegistry::Qon());
+  ExpectDegradeTargetsCoverTheirSources(QohOptimizerRegistry::Get());
+}
+
+// Describe() states every entry's domain, ceiling included, on the
+// entry's own line.
+template <typename Registry>
+void ExpectDescribedDomains(const Registry& registry) {
+  std::string listing = registry.Describe();
+  for (const std::string& name : registry.Names()) {
+    const auto* entry = registry.Find(name);
+    size_t line = listing.find("  " + name + " ");
+    ASSERT_NE(line, std::string::npos) << name;
+    std::string text = listing.substr(line, listing.find('\n', line) - line);
+    std::ostringstream domain;
+    domain << "[n >= " << entry->min_n;
+    if (entry->max_n != kNoRelationCeiling) {
+      domain << " and n <= " << entry->max_n;
+    }
+    domain << "]";
+    EXPECT_NE(text.find(domain.str()), std::string::npos) << text;
+  }
+}
+
+TEST(Registry, DescribePrintsEveryDomain) {
+  ExpectDescribedDomains(OptimizerRegistry::Qon());
+  ExpectDescribedDomains(QohOptimizerRegistry::Get());
+}
+
+// The declared domain is the optimizer's own: it runs at its floor, and
+// its guard fires one below the floor and one past the ceiling. The
+// guards run before any search work, so the deaths are cheap.
+TEST(RegistryDeathTest, QonGuardsFireJustOutsideTheDeclaredDomain) {
+  for (const std::string& name : OptimizerRegistry::Qon().Names()) {
+    const QonOptimizerEntry& entry = *OptimizerRegistry::Qon().Find(name);
+    Rng rng(kSeed);
+    entry.run(RandomQonWorkload(entry.min_n, &rng), FastQonKnobs(), &rng);
+    for (int n : {entry.min_n - 1, entry.max_n == kNoRelationCeiling
+                                       ? 0
+                                       : entry.max_n + 1}) {
+      if (n < 1) continue;
+      QonInstance inst = RandomQonWorkload(n, &rng);
+      EXPECT_DEATH(entry.run(inst, OptimizerOptions{}, &rng), "check failed")
+          << name << " n=" << n;
+    }
+  }
+}
+
+TEST(RegistryDeathTest, QohGuardsFireJustOutsideTheDeclaredDomain) {
+  for (const std::string& name : QohOptimizerRegistry::Get().Names()) {
+    const QohOptimizerEntry& entry = *QohOptimizerRegistry::Get().Find(name);
+    Rng rng(kSeed);
+    entry.run(RandomQohWorkload(entry.min_n, &rng, 0.5), QohOptimizerOptions{},
+              &rng);
+    for (int n : {entry.min_n - 1, entry.max_n == kNoRelationCeiling
+                                       ? 0
+                                       : entry.max_n + 1}) {
+      if (n < 1) continue;
+      QohInstance inst = RandomQohWorkload(n, &rng, 0.5);
+      EXPECT_DEATH(entry.run(inst, QohOptimizerOptions{}, &rng),
+                   "check failed")
+          << name << " n=" << n;
+    }
+  }
 }
 
 }  // namespace

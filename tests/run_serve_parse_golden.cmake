@@ -4,10 +4,11 @@
 # through `aqo_serve --seed=3` and requires the response stream to equal
 # serve_parse_golden/responses.bin exactly. The stream covers valid QO_N
 # and QO_H bodies, comments, blank lines and CRLF, every edge of the
-# number and line grammar, and bodies with no or an unknown family, so it
-# pins the family lookup and body hand-off in aqo_serve as well as the
-# reader. make_requests.py in that directory says how both files were
-# made.
+# number and line grammar, bodies with no or an unknown family, and one
+# request just outside each registry entry's domain, so it pins the
+# family lookup, body hand-off and domain admission in aqo_serve as well
+# as the reader. make_requests.py in that directory says how both files
+# were made.
 #
 # Usage: cmake -DAQO_SERVE=<bin> -DGOLDEN_DIR=<tests/serve_parse_golden>
 #        -DWORK_DIR=<dir> -P run_serve_parse_golden.cmake

@@ -4,9 +4,8 @@
 # unless (a) the printed tables are byte-identical and (b) the JSONL
 # run-log *bodies* are identical, record for record, in the same order.
 # Normalization before the JSONL comparison: the provenance header is
-# dropped (it stamps a timestamp), `wall_seconds` values are blanked, and
-# the `histograms` object is emptied (both carry real timings, the only
-# fields that legitimately vary between runs).
+# dropped (it stamps a timestamp) and `wall_seconds` values are blanked
+# (a real timing, the only field that legitimately varies between runs).
 #
 # Usage: cmake -DQON_GAP=<binary> -DWORK_DIR=<dir> -P run_threads_differential.cmake
 
@@ -38,10 +37,6 @@ function(normalize_jsonl in out)
     endif()
     string(REGEX REPLACE "\"wall_seconds\":[0-9.eE+-]+" "\"wall_seconds\":0"
            line "${line}")
-    # Latency distributions are timings too. The greedy .* is safe: each
-    # record has at most one "histograms" key, and it is the last one.
-    string(REGEX REPLACE "\"histograms\":.*}$"
-           "\"histograms\":{}}" line "${line}")
     string(APPEND body "${line}\n")
   endforeach()
   file(WRITE "${out}" "${body}")

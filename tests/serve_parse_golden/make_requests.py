@@ -7,7 +7,10 @@ Each request is one aqo_serve frame (a u32 little-endian length, then the
 payload; io/framing.h). The stream holds valid QO_N and QO_H instances at
 n = 1, 3 and 30, bodies with blank lines, comments and CRLF line ends,
 one request per edge of the number and line grammar (io/serialization.h),
-an empty body, an unknown family and a `qonx` family token.
+an empty body, an unknown family and a `qonx` family token. It ends with
+one request just outside each registry entry's domain: every entry with
+a ceiling at its ceiling + 1, every entry that needs two relations at
+n = 1. Each of those is answered `err <id> domain: ...`.
 responses.bin is what `aqo_serve --seed=3` answers; regenerate it only
 when a response is meant to change:
 
@@ -37,10 +40,10 @@ def instance(family, n, edges, rng):
 
 def main():
     rng = random.Random(15)
-    # Every optimizer but QO_N random aborts the server below n=2, and
-    # dp above n=24, so n=1 and n=30 requests pin one that runs. A QO_H
-    # n=1 request names no entry at all: it still parses, then gets the
-    # unknown-optimizer error instead of a parse error.
+    # Only QO_N random takes n=1, and dp stops at n=24, so the n=1 and
+    # n=30 requests name an entry that runs them. A QO_H n=1 request
+    # names no entry at all: it still parses, then gets the
+    # unknown-optimizer error instead of a parse or domain error.
     bodies = []
     for family in ("qon", "qoh"):
         for n, edges in ((1, 0), (3, 2), (30, 217)):
@@ -87,6 +90,21 @@ def main():
         ("", "foo 3\nrel 0 1\n"),
         ("", "qonx 2\nrel 0 1\n"),
     ]
+    # Out-of-domain requests, appended so the responses above stay a
+    # prefix: each entry's ceiling + 1, then n=1 for every entry whose
+    # floor is two relations.
+    ceilings = (("qon", "exhaustive", 11), ("qon", "dp", 25),
+                ("qon", "cout", 25), ("qon", "bnb", 63),
+                ("qoh", "exhaustive", 10))
+    for family, name, n in ceilings:
+        bodies.append((f" optimizer={name}",
+                       instance(family, n, 2 * n, rng)))
+    floors = {"qon": ("exhaustive", "dp", "greedy", "ii", "sa", "genetic",
+                      "bnb", "cout", "kbz"),
+              "qoh": ("exhaustive", "greedy", "random", "ii", "sa")}
+    for family, names in floors.items():
+        for name in names:
+            bodies.append((f" optimizer={name}", instance(family, 1, 0, rng)))
     out = sys.stdout.buffer
     for k, (optimizer, body) in enumerate(bodies):
         # None: a header frame with no newline, so no body at all.

@@ -7,11 +7,12 @@
 //   aqo_gen --kind=random --n=14 | aqo_opt --optimizers=dp
 //   aqo_gen --kind=gap-no --n=60 | aqo_opt --optimizers=greedy,ii,sa
 //
-// The names come from the optimizer registry (qo/registry.h): dp (exact,
-// n <= 24), bnb (exact branch & bound, anytime under --bnb-node-limit),
-// exhaustive (n <= 10), greedy, random, ii, sa, genetic/ga, kbz (trees
-// only, else infeasible), cout (exact under the C_out metric). Unknown
-// names are a hard error listing the valid set. Knob flags (--samples=,
+// The names come from the optimizer registry (qo/registry.h): dp (exact
+// subset DP), bnb (exact branch & bound, anytime under --bnb-node-limit),
+// exhaustive, greedy, random, ii, sa, genetic/ga, kbz (trees only, else
+// infeasible), cout (exact under the C_out metric); --optimizers=help
+// lists each entry's relation-count domain. Unknown names are a hard
+// error listing the valid set. Knob flags (--samples=,
 // --restarts=, --sa-iterations=, ...) apply to whichever optimizers read
 // them. Prints one line per optimizer.
 //

@@ -35,9 +35,10 @@
 // nothing but the snapshot rotation — the journal already holds every
 // insert.
 //
-// Admission control: --max-n= rejects instances above a relation-count
-// ceiling before any optimization work; --request-deadline-ms= (or the
-// per-request field) arms the Budget/CancelToken machinery so an
+// Admission control (qo/overload.h Admit) answers a request its entry's
+// domain excludes with `err <id> domain: ...` before any work, then lets
+// the optional load governor degrade or shed; --request-deadline-ms= (or
+// the per-request field) arms the Budget/CancelToken machinery so an
 // overloaded item returns its best-so-far plan with status
 // deadline_exceeded — such plans are never cached. --budget-evals= is the
 // deterministic analogue and IS cacheable (docs/robustness.md).
@@ -57,7 +58,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "bench/bench_common.h"
 #include "io/framing.h"
@@ -70,7 +70,6 @@
 #include "qo/persist.h"
 #include "qo/plan_cache.h"
 #include "qo/service.h"
-#include "util/cancellation.h"
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
 
@@ -93,7 +92,6 @@ struct ServerConfig {
   BatchOptions qon_batch;
   BatchOptions qoh_batch;
   double default_deadline_ms = 0.0;
-  int max_n = 0;  // 0 = unlimited
   int64_t snapshot_every = 0;  // optimize requests between rotations; 0 = off
 };
 
@@ -119,14 +117,10 @@ void LogOverloadDecision(const std::string& id, const OverloadDecision& d,
 // request flow itself is shared, in the shape of RunBatch<Traits> in
 // qo/service.cc.
 struct QonServe {
-  using Options = OptimizerOptions;
-  static constexpr std::string_view kLabel = "QO_N";
   static ParseResult<QonInstance> Parse(std::string_view body) {
     return ParseQonInstance(body);
   }
   static constexpr auto Registry = &OptimizerRegistry::Qon;
-  static constexpr auto Estimate = &EstimateQonCostUnits;
-  static constexpr auto Degrade = &DegradeQon;
   static constexpr auto Optimize = &OptimizeQonBatch;
   static constexpr BatchOptions ServerConfig::*kConfig =
       &ServerConfig::qon_batch;
@@ -141,14 +135,10 @@ struct QonServe {
 };
 
 struct QohServe {
-  using Options = QohOptimizerOptions;
-  static constexpr std::string_view kLabel = "QO_H";
   static ParseResult<QohInstance> Parse(std::string_view body) {
     return ParseQohInstance(body);
   }
   static constexpr auto Registry = &QohOptimizerRegistry::Get;
-  static constexpr auto Estimate = &EstimateQohCostUnits;
-  static constexpr auto Degrade = &DegradeQoh;
   static constexpr auto Optimize = &OptimizeQohBatch;
   static constexpr BatchOptions ServerConfig::*kConfig =
       &ServerConfig::qoh_batch;
@@ -178,10 +168,6 @@ std::string ServeFamily(const std::string& id, std::string_view family,
       obs::Registry::Get().GetCounter("qo.serve.admission_rejects");
   static obs::Counter& cache_hits =
       obs::Registry::Get().GetCounter("qo.serve.cache_hits");
-  static obs::Counter& shed_counter =
-      obs::Registry::Get().GetCounter("qo.serve.sheds");
-  static obs::Counter& degrade_counter =
-      obs::Registry::Get().GetCounter("qo.serve.degraded");
   static obs::Histogram& parse_us =
       obs::Registry::Get().GetHistogram("qo.serve.parse_us");
   std::ostringstream out;
@@ -195,49 +181,26 @@ std::string ServeFamily(const std::string& id, std::string_view family,
     return out.str();
   }
   const auto& inst = *parsed.value;
-  if (config.max_n > 0 && inst.NumRelations() > config.max_n) {
-    rejects.Increment();
-    out << "err " << id << " admission: n=" << inst.NumRelations()
-        << " exceeds --max-n=" << config.max_n;
-    return out.str();
-  }
   BatchOptions options = config.*Family::kConfig;
-  typename Family::Options& knobs = options.*Family::kKnobs;
+  auto& knobs = options.*Family::kKnobs;
   options.cache = cache;
   options.pool = nullptr;
   Family::UsePool(&knobs, pool);
   options.deadline_ms = deadline_ms;
-  if (!optimizer.empty()) {
-    const auto* entry = Family::Registry().Find(optimizer);
-    if (entry == nullptr) {
-      rejects.Increment();
-      out << "err " << id << " optimizer: unknown " << Family::kLabel
-          << " entry '" << optimizer << "'";
-      return out.str();
-    }
-    options.optimizer = entry->name;
+  auto admission = Admit(Family::Registry(),
+                         optimizer.empty() ? options.optimizer : optimizer,
+                         inst.NumRelations(), *governor, &knobs);
+  const OverloadDecision& d = admission.decision;
+  if (d.tier != OverloadTier::kAdmit) {
+    LogOverloadDecision(id, d, admission.requested->name,
+                        admission.entry->name);
   }
-  bool degraded = false;
-  if (governor != nullptr && governor->armed()) {
-    typename Family::Options degraded_knobs = knobs;
-    std::string fallback = Family::Degrade(options.optimizer, &degraded_knobs);
-    OverloadDecision d = governor->OnArrival(
-        Family::Estimate(options.optimizer, knobs, inst.NumRelations()),
-        Family::Estimate(fallback, degraded_knobs, inst.NumRelations()));
-    if (d.tier == OverloadTier::kShed) {
-      shed_counter.Increment();
-      LogOverloadDecision(id, d, options.optimizer, fallback);
-      out << "err " << id << " shed: " << d.reason;
-      return out.str();
-    }
-    if (d.tier == OverloadTier::kDegrade) {
-      degrade_counter.Increment();
-      LogOverloadDecision(id, d, options.optimizer, fallback);
-      options.optimizer = fallback;
-      knobs = degraded_knobs;
-      degraded = true;
-    }
+  if (!admission.error.empty()) {
+    if (d.tier != OverloadTier::kShed) rejects.Increment();
+    out << "err " << id << " " << admission.error;
+    return out.str();
   }
+  options.optimizer = admission.entry->name;
   auto items = Family::Optimize({inst}, options);
   const auto& item = items.front();
   if (item.from_cache) cache_hits.Increment();
@@ -246,7 +209,7 @@ std::string ServeFamily(const std::string& id, std::string_view family,
       << " status=" << PlanStatusName(item.result.status)
       << " cost_log2=" << FormatG17(item.result.cost.Log2())
       << " evaluations=" << item.result.evaluations;
-  if (degraded) out << " degraded=1";
+  if (d.tier == OverloadTier::kDegrade) out << " degraded=1";
   if (item.result.feasible) {
     out << "\nseq";
     for (int v : item.result.sequence) out << " " << v;
@@ -301,7 +264,6 @@ int Main(int argc, char** argv) {
   // budget consumed by ReadQonKnobs above; this one arms the batch-level
   // wall-clock deadline default for requests that don't carry their own.
   config.default_deadline_ms = flags.GetDouble("request-deadline-ms", 0.0);
-  config.max_n = static_cast<int>(flags.GetInt("max-n", 0));
   config.snapshot_every = flags.GetInt("snapshot-every", 0);
 
   // Load governor (qo/overload.h): disarmed unless a capacity is set, in
