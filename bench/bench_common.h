@@ -277,8 +277,6 @@ inline OptimizerOptions ReadQonKnobs(const Flags& flags,
       static_cast<int>(flags.GetInt("ga-generations", o.ga.generations));
   o.ga.crossover_rate = flags.GetDouble("ga-crossover", o.ga.crossover_rate);
   o.ga.mutation_rate = flags.GetDouble("ga-mutation", o.ga.mutation_rate);
-  o.bnb_node_limit = static_cast<uint64_t>(flags.GetInt(
-      "bnb-node-limit", static_cast<int64_t>(o.bnb_node_limit)));
   // Anytime knobs (docs/robustness.md): --budget-evals= is the
   // deterministic evaluation cap, --deadline-ms= the wall-clock deadline.
   // Both default to 0 = unlimited, which changes nothing bit-for-bit.

@@ -114,12 +114,11 @@ OptimizerResult CoutGreedyCutShort(const QonInstance& inst, PlanStatus status,
 }  // namespace
 
 OptimizerResult CoutOptimalJoinOrder(const QonInstance& inst,
-                                     const Budget& budget,
-                                     CancelToken* cancel) {
+                                     const Budget& budget) {
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
   AQO_CHECK(n <= kSubsetDpMaxRelations) << "subset DP is 2^n";
-  RunGuard guard(budget, cancel);
+  RunGuard guard(budget);
   size_t full = (size_t{1} << n) - 1;
 
   std::vector<LogDouble> subset_size(full + 1, LogDouble::One());

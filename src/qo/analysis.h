@@ -52,12 +52,11 @@ std::string PlanToString(const QonInstance& inst, const JoinSequence& seq,
 LogDouble CoutSequenceCost(const QonInstance& inst, const JoinSequence& seq);
 
 // Exact left-deep C_out optimum via subset DP (n <= kSubsetDpMaxRelations).
-// The optional budget/cancel pair (checked per subset) makes it anytime: a
+// The optional budget (checked per subset) makes it anytime: a
 // cut-short run returns the deterministic min-next-intermediate greedy
 // sequence, costed under C_out, as its best-so-far plan.
 OptimizerResult CoutOptimalJoinOrder(const QonInstance& inst,
-                                     const Budget& budget = {},
-                                     CancelToken* cancel = nullptr);
+                                     const Budget& budget = {});
 
 }  // namespace aqo
 

@@ -1,6 +1,7 @@
 #include "qo/bnb.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -14,15 +15,13 @@ namespace {
 
 class BnbSearch {
  public:
-  BnbSearch(const QonInstance& inst, uint64_t node_limit,
-            const OptimizerOptions& options)
+  BnbSearch(const QonInstance& inst, const OptimizerOptions& options)
       : inst_(inst),
-        node_limit_(node_limit),
         options_(options),
         evaluator_(inst),
-        guard_(options.budget, options.cancel) {}
+        guard_(options.budget) {}
 
-  BnbResult Run() {
+  OptimizerResult Run() {
     int n = inst_.NumRelations();
     AQO_CHECK(n >= 2);
     AQO_CHECK(n <= kBnbMaxRelations)
@@ -33,7 +32,6 @@ class BnbSearch {
     // exponential part, nodes_, below).
     OptimizerOptions incumbent_options = options_;
     incumbent_options.budget = {};
-    incumbent_options.cancel = nullptr;
     OptimizerResult greedy = GreedyQonOptimizer(inst_, incumbent_options);
     if (greedy.feasible) {
       best_ = greedy;
@@ -47,12 +45,9 @@ class BnbSearch {
       if (aborted_) break;
     }
 
-    BnbResult out;
-    out.result = best_;
-    out.result.evaluations = nodes_;
-    out.result.status = guard_.status();
-    out.nodes = nodes_;
-    out.proven_optimal = best_.feasible && !aborted_;
+    OptimizerResult out = best_;
+    out.evaluations = nodes_;
+    out.status = guard_.status();
     return out;
   }
 
@@ -65,19 +60,11 @@ class BnbSearch {
         obs::Registry::Get().GetCounter("qon.bnb.pruned_bound");
     static obs::Counter& pruned_dominated =
         obs::Registry::Get().GetCounter("qon.bnb.pruned_dominated");
-    static obs::Counter& aborts =
-        obs::Registry::Get().GetCounter("qon.bnb.aborts");
     if (aborted_) return;
     ++nodes_;
     nodes_counter.Increment();
-    if (node_limit_ > 0 && nodes_ > node_limit_) {
-      aborted_ = true;
-      aborts.Increment();
-      return;
-    }
-    // Anytime budget/deadline (distinct from the legacy node_limit knob:
-    // that one stays status-kComplete for bit-compatibility; the guard
-    // reports its trip through result.status).
+    // Checked after the count: a cap of N stops at the N-th node, before
+    // that node is explored.
     if (guard_.ShouldStop(nodes_)) {
       aborted_ = true;
       return;
@@ -131,7 +118,7 @@ class BnbSearch {
     std::sort(extensions.begin(), extensions.end(),
               [](const Extension& a, const Extension& b) {
                 // Equal join costs explore the lowest relation id first,
-                // so the anytime incumbent under a node budget is a pure
+                // so the anytime incumbent under a budget is a pure
                 // function of the instance (std::sort is unstable).
                 if (a.join_cost != b.join_cost) {
                   return a.join_cost < b.join_cost;
@@ -148,7 +135,6 @@ class BnbSearch {
   }
 
   const QonInstance& inst_;
-  uint64_t node_limit_;
   OptimizerOptions options_;
   QonCostEvaluator evaluator_;
   RunGuard guard_;
@@ -160,16 +146,9 @@ class BnbSearch {
 
 }  // namespace
 
-BnbResult BranchAndBoundQonOptimizer(const QonInstance& inst,
-                                     const OptimizerOptions& options) {
-  return BranchAndBoundQonOptimizer(inst, options.bnb_node_limit, options);
-}
-
-BnbResult BranchAndBoundQonOptimizer(const QonInstance& inst,
-                                     uint64_t node_limit,
-                                     const OptimizerOptions& options) {
-  BnbSearch search(inst, node_limit, options);
-  return search.Run();
+OptimizerResult BranchAndBoundQonOptimizer(const QonInstance& inst,
+                                           const OptimizerOptions& options) {
+  return BnbSearch(inst, options).Run();
 }
 
 }  // namespace aqo

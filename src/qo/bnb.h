@@ -11,10 +11,10 @@
 //     greedy incumbent up front.
 // Unlike the subset DP it does not materialize 2^n states — on benign
 // instances the dominance table stays small and instances well beyond the
-// DP's kSubsetDpMaxRelations memory wall solve exactly. A node limit turns
-// it into an anytime heuristic (proven_optimal = false).
-
-#include <cstdint>
+// DP's kSubsetDpMaxRelations memory wall solve exactly. options.budget
+// turns it into an anytime heuristic: every search node counts as one
+// evaluation, and a cut run returns the best plan found so far with a
+// status other than kComplete. A feasible kComplete result is optimal.
 
 #include "qo/optimizers.h"
 #include "qo/qon.h"
@@ -24,20 +24,8 @@ namespace aqo {
 // Relation sets are 64-bit masks; the search CHECK-fails above this.
 inline constexpr int kBnbMaxRelations = 62;
 
-struct BnbResult {
-  OptimizerResult result;
-  bool proven_optimal = false;
-  uint64_t nodes = 0;
-};
-
-BnbResult BranchAndBoundQonOptimizer(const QonInstance& inst,
-                                     uint64_t node_limit = 0,
-                                     const OptimizerOptions& options = {});
-
-// Registry-uniform entry point: the node budget is read from
-// options.bnb_node_limit (no positional knob).
-BnbResult BranchAndBoundQonOptimizer(const QonInstance& inst,
-                                     const OptimizerOptions& options);
+OptimizerResult BranchAndBoundQonOptimizer(
+    const QonInstance& inst, const OptimizerOptions& options = {});
 
 }  // namespace aqo
 

@@ -98,7 +98,7 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
   // Checked once per generation (after the initial population, so a capped
   // run always carries the best initial individual). `evaluate` folds the
   // best-so-far continuously, making the cut lossless.
-  RunGuard guard(options.budget, options.cancel);
+  RunGuard guard(options.budget);
   for (int gen = 0; gen < ga.generations; ++gen) {
     if (guard.ShouldStop(result.evaluations)) break;
     generations.Increment();

@@ -12,8 +12,8 @@
 
 namespace aqo {
 
-// Knobs read from options.ga; options.forbid_cartesian, options.budget and
-// options.cancel apply as for the other local-search optimizers.
+// Knobs read from options.ga; options.forbid_cartesian and options.budget
+// apply as for the other local-search optimizers.
 OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
                                  const OptimizerOptions& options = {});
 

@@ -95,9 +95,8 @@ Chain Normalize(Module head, Chain tail) {
 
 class IkkbzSolver {
  public:
-  IkkbzSolver(const QonInstance& inst, const Budget& budget,
-              CancelToken* cancel)
-      : inst_(inst), guard_(budget, cancel) {}
+  IkkbzSolver(const QonInstance& inst, const Budget& budget)
+      : inst_(inst), guard_(budget) {}
 
   OptimizerResult Solve() {
     static obs::Counter& roots =
@@ -164,11 +163,10 @@ bool IsTreeQueryGraph(const Graph& g) {
          g.IsConnected();
 }
 
-OptimizerResult IkkbzOptimizer(const QonInstance& inst, const Budget& budget,
-                               CancelToken* cancel) {
+OptimizerResult IkkbzOptimizer(const QonInstance& inst, const Budget& budget) {
   AQO_CHECK(IsTreeQueryGraph(inst.graph())) << "IK/KBZ requires a tree query graph";
   AQO_CHECK(inst.NumRelations() >= 2);
-  IkkbzSolver solver(inst, budget, cancel);
+  IkkbzSolver solver(inst, budget);
   return solver.Solve();
 }
 

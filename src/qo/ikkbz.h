@@ -24,12 +24,11 @@ namespace aqo {
 
 // Exact optimizer for tree query graphs (aborts when the graph is not a
 // connected acyclic graph). Returns the optimal cartesian-product-free
-// sequence. The optional budget/cancel pair is checked between roots: a
+// sequence. The optional budget is checked between roots: a
 // cut-short run returns the best over the roots solved so far (always at
 // least one, so the best-so-far plan is a complete sequence).
 OptimizerResult IkkbzOptimizer(const QonInstance& inst,
-                               const Budget& budget = {},
-                               CancelToken* cancel = nullptr);
+                               const Budget& budget = {});
 
 // True when the instance's query graph is a tree.
 bool IsTreeQueryGraph(const Graph& g);

@@ -79,7 +79,7 @@ OptimizerResult ExhaustiveQonOptimizer(const QonInstance& inst,
       << "exhaustive search is n! — use DpQonOptimizer";
   static obs::Counter& permutations = CounterRef("qon.exhaustive.permutations");
   static obs::Counter& skipped = CounterRef("qon.exhaustive.skipped");
-  RunGuard guard(options.budget, options.cancel);
+  RunGuard guard(options.budget);
   OptimizerResult result;
   // next_permutation changes a suffix per step, so the incremental
   // evaluator re-costs only that suffix (bit-identical to the full pass).
@@ -200,7 +200,6 @@ OptimizerResult FinishDpCutShort(const QonInstance& inst,
                                  PlanStatus status, uint64_t dp_evaluations) {
   OptimizerOptions fallback = options;
   fallback.budget = {};
-  fallback.cancel = nullptr;
   fallback.pool = nullptr;
   OptimizerResult result = GreedyQonOptimizer(inst, fallback);
   result.evaluations += dp_evaluations;
@@ -248,7 +247,7 @@ OptimizerResult DpQonOptimizerSerial(const QonInstance& inst,
     last[mask] = static_cast<int8_t>(i);
   }
 
-  RunGuard guard(options.budget, options.cancel);
+  RunGuard guard(options.budget);
   uint64_t local_states = 0, local_pruned = 0;
   uint64_t evaluations = 0;
   for (size_t mask = 1; mask <= full; ++mask) {
@@ -332,7 +331,7 @@ OptimizerResult DpQonOptimizerParallel(const QonInstance& inst,
   // budget path trips at the same point for every thread count. (The
   // dispatcher still routes budget-capped runs to the serial DP for the
   // tighter per-mask granularity.)
-  RunGuard guard(options.budget, options.cancel);
+  RunGuard guard(options.budget);
   size_t chunk_count = static_cast<size_t>(pool->num_threads());
   std::vector<uint64_t> chunk_states(chunk_count), chunk_evals(chunk_count),
       chunk_pruned(chunk_count);
@@ -415,7 +414,7 @@ OptimizerResult GreedyQonOptimizer(const QonInstance& inst,
   static obs::Counter& starts = CounterRef("qon.greedy.starts");
   static obs::Counter& extensions = CounterRef("qon.greedy.extensions");
   static obs::Counter& dead_ends = CounterRef("qon.greedy.dead_ends");
-  RunGuard guard(options.budget, options.cancel);
+  RunGuard guard(options.budget);
   OptimizerResult result;
   // Constructive search: the evaluator's dense primitives replace the
   // scattered AccessCost/HasEdge lookups (same folds, bit-identical).
@@ -476,7 +475,7 @@ OptimizerResult RandomSamplingOptimizer(const QonInstance& inst, Rng* rng,
   AQO_CHECK(options.samples >= 1);
   static obs::Counter& drawn = CounterRef("qon.random.samples");
   static obs::Counter& rejected = CounterRef("qon.random.rejected");
-  RunGuard guard(options.budget, options.cancel);
+  RunGuard guard(options.budget);
   OptimizerResult result;
   QonCostEvaluator evaluator(inst);
   for (int s = 0; s < options.samples; ++s) {
@@ -507,7 +506,7 @@ OptimizerResult SimulatedAnnealingOptimizer(const QonInstance& inst, Rng* rng,
   static obs::Counter& accepts = CounterRef("qon.sa.accepts");
   static obs::Counter& rejects = CounterRef("qon.sa.rejects");
   static obs::Counter& uphill = CounterRef("qon.sa.uphill_accepts");
-  RunGuard guard(options.budget, options.cancel);
+  RunGuard guard(options.budget);
   OptimizerResult result;
   // Swap/relocate moves touch a suffix; the evaluator re-costs only from
   // the first changed position of each candidate.
@@ -578,7 +577,7 @@ OptimizerResult IterativeImprovementOptimizer(const QonInstance& inst,
   static obs::Counter& restart_count = CounterRef("qon.ii.restarts");
   static obs::Counter& improvements = CounterRef("qon.ii.improvements");
   static obs::Counter& local_optima = CounterRef("qon.ii.local_optima");
-  RunGuard guard(options.budget, options.cancel);
+  RunGuard guard(options.budget);
   OptimizerResult result;
   // The swap neighborhood is the evaluator's best case: each candidate
   // differs from the last evaluated one at two positions.
@@ -661,14 +660,13 @@ OptimizerResult IterativeImprovementOptimizer(const QonInstance& inst,
 }
 
 QohOptimizerResult ExhaustiveQohOptimizer(const QohInstance& inst,
-                                          const Budget& budget,
-                                          CancelToken* cancel) {
+                                          const Budget& budget) {
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
   AQO_CHECK(n <= kExhaustiveQohMaxRelations)
       << "exhaustive QO_H search is n! * n^2";
   static obs::Counter& permutations = CounterRef("qoh.exhaustive.permutations");
-  RunGuard guard(budget, cancel);
+  RunGuard guard(budget);
   QohOptimizerResult result;
   QohCostEvaluator evaluator(inst);
   JoinSequence seq = IdentitySequence(n);
@@ -689,12 +687,11 @@ QohOptimizerResult ExhaustiveQohOptimizer(const QohInstance& inst,
 }
 
 QohOptimizerResult GreedyQohOptimizer(const QohInstance& inst,
-                                      const Budget& budget,
-                                      CancelToken* cancel) {
+                                      const Budget& budget) {
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
   static obs::Counter& starts = CounterRef("qoh.greedy.starts");
-  RunGuard guard(budget, cancel);
+  RunGuard guard(budget);
   QohOptimizerResult result;
   QohCostEvaluator evaluator(inst);
   for (int start = 0; start < n; ++start) {

@@ -74,9 +74,6 @@ struct OptimizerOptions {
   SaKnobs sa;
   GaKnobs ga;
 
-  // BranchAndBoundQonOptimizer: node budget; 0 = unlimited (exact).
-  uint64_t bnb_node_limit = 0;
-
   // Anytime limits (util/cancellation.h). budget.max_evaluations caps the
   // run deterministically at that many cost evaluations; budget.deadline_ms
   // adds a (nondeterministic) wall-clock limit. A default Budget changes
@@ -85,10 +82,6 @@ struct OptimizerOptions {
   // serial path — mid-layer cutoffs in the parallel DP would not be
   // reproducible across thread counts.
   Budget budget;
-
-  // Optional shared stop signal (e.g. a batch-wide deadline owned by
-  // qo/service.h). Not owned; may be null. An un-armed token is inert.
-  CancelToken* cancel = nullptr;
 };
 
 // Relation ceilings of the exact optimizers. Past them the search space
@@ -184,19 +177,17 @@ struct QohOptimizerResult {
 };
 
 // Exhaustive over permutations, each costed with its optimal decomposition.
-// Guarded to kExhaustiveQohMaxRelations. The optional budget/cancel pair
-// makes it anytime (checked once per permutation); the heuristics in
+// Guarded to kExhaustiveQohMaxRelations. The optional budget makes it
+// anytime (checked once per permutation); the heuristics in
 // qoh_optimizers.h take theirs through QohOptimizerOptions instead.
 QohOptimizerResult ExhaustiveQohOptimizer(const QohInstance& inst,
-                                          const Budget& budget = {},
-                                          CancelToken* cancel = nullptr);
+                                          const Budget& budget = {});
 
 // Greedy sequence construction for QO_H (min next intermediate size), then
 // optimal decomposition. Polynomial baseline. Budget checked between
 // starts.
 QohOptimizerResult GreedyQohOptimizer(const QohInstance& inst,
-                                      const Budget& budget = {},
-                                      CancelToken* cancel = nullptr);
+                                      const Budget& budget = {});
 
 }  // namespace aqo
 

@@ -57,7 +57,7 @@ QohOptimizerResult RandomSamplingQohOptimizer(
   AQO_CHECK(options.samples >= 1);
   static obs::Counter& drawn = CounterRef("qoh.sample.samples");
   int n = inst.NumRelations();
-  RunGuard guard(options.budget, options.cancel);
+  RunGuard guard(options.budget);
   QohOptimizerResult best;
   QohCostEvaluator evaluator(inst);
   for (int s = 0; s < options.samples; ++s) {
@@ -76,7 +76,7 @@ QohOptimizerResult IterativeImprovementQohOptimizer(
   static obs::Counter& restart_count = CounterRef("qoh.ii.restarts");
   static obs::Counter& improvements = CounterRef("qoh.ii.improvements");
   int n = inst.NumRelations();
-  RunGuard guard(options.budget, options.cancel);
+  RunGuard guard(options.budget);
   QohOptimizerResult best;
   // Adjacent transpositions change two positions; the evaluator resumes
   // its prefix-size and decomposition DP state from the first of them.
@@ -131,7 +131,7 @@ QohOptimizerResult SimulatedAnnealingQohOptimizer(
   static obs::Counter& accepts = CounterRef("qoh.sa.accepts");
   static obs::Counter& rejects = CounterRef("qoh.sa.rejects");
   int n = inst.NumRelations();
-  RunGuard guard(options.budget, options.cancel);
+  RunGuard guard(options.budget);
   QohOptimizerResult best;
   QohCostEvaluator evaluator(inst);
   size_t lo = FirstMovable(options.sentinel_first);

@@ -39,11 +39,9 @@ struct QohOptimizerOptions {
 
   QohSaKnobs sa;
 
-  // Anytime limits — same semantics as OptimizerOptions.budget/.cancel
-  // (util/cancellation.h): a default Budget and an un-armed token change
-  // nothing, bit for bit.
+  // Anytime limits — same semantics as OptimizerOptions.budget
+  // (util/cancellation.h): a default Budget changes nothing, bit for bit.
   Budget budget;
-  CancelToken* cancel = nullptr;
 };
 
 // Best of `options.samples` random sequences. Sequences start from a

@@ -24,7 +24,7 @@ constexpr auto kWithOptions = [](const auto& inst, const auto& options, Rng*) {
 };
 template <auto kOptimizer>
 constexpr auto kWithBudget = [](const auto& inst, const auto& options, Rng*) {
-  return kOptimizer(inst, options.budget, options.cancel);
+  return kOptimizer(inst, options.budget);
 };
 template <auto kOptimizer>
 constexpr auto kWithRng = [](const auto& inst, const auto& options, Rng* rng) {
@@ -226,17 +226,12 @@ const OptimizerRegistry& OptimizerRegistry::Qon() {
            options->ga.generations = std::min(options->ga.generations, 16);
          }},
         {.name = "bnb",
-         .description = "branch & bound (options.bnb_node_limit, 0 = exact)",
-         .deterministic = true,
-         .knobs = {{"--bnb-node-limit=", "node budget (0 = unlimited)"}},
-         .run = [](auto& inst, auto& options, Rng*) {
-           return BranchAndBoundQonOptimizer(inst, options).result;
-         },
+         .description = "branch & bound, one evaluation per search node",
+         .deterministic = true, .knobs = {},
+         .run = kWithOptions<&BranchAndBoundQonOptimizer>,
          .min_n = 2, .max_n = kBnbMaxRelations,
-         .estimate = [](const OptimizerOptions& options, int n) {
-           return options.bnb_node_limit > 0
-                      ? static_cast<double>(options.bnb_node_limit)
-                      : std::pow(2.0, n);
+         .estimate = [](const OptimizerOptions&, int n) {
+           return std::pow(2.0, n);
          },
          .degrade_to = "greedy", .clamp = nullptr},
         {.name = "cout",
@@ -253,7 +248,7 @@ const OptimizerRegistry& OptimizerRegistry::Qon() {
          // kbz can ride in --optimizers= lists over mixed workloads.
          .run = [](auto& inst, auto& options, Rng*) {
            if (!IsTreeQueryGraph(inst.graph())) return OptimizerResult{};
-           return IkkbzOptimizer(inst, options.budget, options.cancel);
+           return IkkbzOptimizer(inst, options.budget);
          },
          .min_n = 2, .max_n = kNoRelationCeiling,
          .estimate = Quadratic,

@@ -128,12 +128,6 @@ std::vector<typename Traits::Item> RunBatch(
     }
   }
 
-  // Batch-wide wall-clock deadline, observed cooperatively by every
-  // computed item. Local to the batch; un-armed (deadline_ms <= 0) means
-  // the token is never attached and nothing changes.
-  CancelToken batch_cancel;
-  if (options.deadline_ms > 0) batch_cancel.ArmDeadline(options.deadline_ms);
-
   // Compute the misses, each under its own run-log buffer and its own
   // fingerprint-derived RNG stream.
   //
@@ -165,7 +159,6 @@ std::vector<typename Traits::Item> RunBatch(
                              .n = c.instance.NumRelations(),
                              .edges = c.instance.graph().NumEdges()};
     auto knobs = Traits::Knobs(options, c);
-    if (options.deadline_ms > 0) knobs.cancel = &batch_cancel;
     auto attempt = [&] {
       obs::RunLogBuffer buffer;
       Rng rng(MixSeed(options.seed, c.fingerprint.lo));
@@ -383,11 +376,11 @@ Hash128 QonPlanCacheKey(const Hash128& fingerprint, std::string_view optimizer,
   acc.AddDouble(options.ga.mutation_rate);
   acc.Add(static_cast<uint64_t>(options.ga.tournament));
   acc.Add(static_cast<uint64_t>(options.ga.elites));
-  acc.Add(options.bnb_node_limit);
+  // The slot of the retired bnb_node_limit knob: 0 keeps old keys valid.
+  acc.Add(uint64_t{0});
   // Deterministic eval cap: different caps yield different (valid)
-  // best-so-far plans, so they must not alias. Deadlines and cancel
-  // tokens are deliberately absent — deadline-cut plans are never
-  // inserted in the first place.
+  // best-so-far plans, so they must not alias. Deadlines are deliberately
+  // absent — deadline-cut plans are never inserted in the first place.
   acc.Add(options.budget.max_evaluations);
   acc.Add(seed);
   return acc.Digest();

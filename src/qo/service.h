@@ -54,15 +54,9 @@ struct BatchOptions {
   ThreadPool* pool = nullptr;
 
   // Consult/populate this cache when set. Never changes any result bit.
+  // Plans cut by a wall-clock deadline (qon.budget / qoh.budget
+  // .deadline_ms) are never inserted: they depend on the clock.
   PlanCache* cache = nullptr;
-
-  // Wall-clock deadline for the whole batch (<= 0 = none). When armed, a
-  // batch-wide CancelToken is threaded into every computed item: items
-  // past the deadline return best-so-far plans with status
-  // kDeadlineExceeded, and such plans are never inserted into the cache
-  // (they are not deterministic). Deterministic per-item budgets belong on
-  // qon.budget / qoh.budget instead.
-  double deadline_ms = 0.0;
 };
 
 // Per-item fault isolation: an item whose optimizer throws (or trips an

@@ -38,17 +38,14 @@ std::chrono::steady_clock::time_point DeadlineAfter(double deadline_ms) {
   return now + Clock::duration(count);
 }
 
-RunGuard::RunGuard(const Budget& budget, CancelToken* token)
-    : max_evaluations_(budget.max_evaluations), token_(token) {
+RunGuard::RunGuard(const Budget& budget)
+    : max_evaluations_(budget.max_evaluations) {
   if (budget.deadline_ms > 0) {
     has_deadline_ = true;
     deadline_ = DeadlineAfter(budget.deadline_ms);
   }
-  // A token with no deadline armed leaves the guard inert so unbudgeted
-  // runs stay bit-identical to a null token.
-  bool token_active = token_ != nullptr && token_->armed();
-  active_ = max_evaluations_ > 0 || has_deadline_ || token_active;
-  if (has_deadline_ || token_active) {
+  active_ = max_evaluations_ > 0 || has_deadline_;
+  if (has_deadline_) {
     static obs::Counter& armed =
         obs::Registry::Get().GetCounter("qo.deadline.armed");
     armed.Increment();
@@ -63,17 +60,12 @@ bool RunGuard::ShouldStopSlow(uint64_t evaluations) {
     Trip(PlanStatus::kBudgetExhausted);
     return true;
   }
-  if (!has_deadline_ && token_ == nullptr) return false;
-  // Poll the clock (and the shared token) on an evaluation stride so the
-  // per-check cost stays a compare, however many evaluations one check
-  // covers.
+  if (!has_deadline_) return false;
+  // Poll the clock on an evaluation stride so the per-check cost stays a
+  // compare, however many evaluations one check covers.
   if (evaluations < next_poll_evals_) return false;
   next_poll_evals_ = evaluations + kDeadlinePollStride;
-  if (token_ != nullptr && token_->Expired()) {
-    Trip(PlanStatus::kDeadlineExceeded);
-    return true;
-  }
-  if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
+  if (std::chrono::steady_clock::now() >= deadline_) {
     Trip(PlanStatus::kDeadlineExceeded);
     return true;
   }

@@ -11,11 +11,11 @@
 // integer compare against a monotone counter the optimizer already
 // maintains, so a capped run is a pure function of (instance, options,
 // seed) — bit-identical across threads, runs, and cache state. Wall-clock
-// deadlines are inherently nondeterministic and are never exercised by
-// tier-1 tests. When neither is armed the guard is inert: no counters, no
-// clock reads, no behavior change.
+// deadlines are nondeterministic; tier-1 tests arm only ones whose outcome
+// is fixed (already passed at the first poll, or past the clock's range).
+// When neither is armed the guard is inert: no counters, no clock reads,
+// no behavior change.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 
@@ -40,8 +40,6 @@ struct Budget {
   uint64_t max_evaluations = 0;
   // Stop after this much wall time (<= 0 = none). Nondeterministic.
   double deadline_ms = 0.0;
-
-  bool limited() const { return max_evaluations > 0 || deadline_ms > 0; }
 };
 
 // The steady-clock time `deadline_ms` from now, the milliseconds
@@ -51,44 +49,10 @@ struct Budget {
 // mean "no deadline".
 std::chrono::steady_clock::time_point DeadlineAfter(double deadline_ms);
 
-// Shared stop signal, e.g. one per service batch. Arms an absolute
-// wall-clock deadline; many RunGuards may observe one token concurrently.
-// Copying is disabled — share by pointer.
-class CancelToken {
- public:
-  CancelToken() = default;
-  CancelToken(const CancelToken&) = delete;
-  CancelToken& operator=(const CancelToken&) = delete;
-
-  // Arms a wall-clock deadline `deadline_ms` from now (<= 0 clears it).
-  void ArmDeadline(double deadline_ms) {
-    if (deadline_ms > 0) {
-      deadline_ = DeadlineAfter(deadline_ms);
-      has_deadline_.store(true, std::memory_order_release);
-    } else {
-      has_deadline_.store(false, std::memory_order_release);
-    }
-  }
-
-  // True once a deadline is armed (whether or not it has passed).
-  bool armed() const { return has_deadline_.load(std::memory_order_acquire); }
-
-  // True past the armed deadline. Reads the clock, so callers should poll
-  // it on a stride, not per iteration.
-  bool Expired() const {
-    if (!armed()) return false;
-    return std::chrono::steady_clock::now() >= deadline_;
-  }
-
- private:
-  std::atomic<bool> has_deadline_{false};
-  std::chrono::steady_clock::time_point deadline_{};
-};
-
-// Per-invocation guard combining an options-level Budget with an optional
-// shared CancelToken. Cheap to construct; the hot-path check is a single
-// branch when inactive and an integer compare when only the evaluation
-// cap is armed. Not thread-safe: one guard per optimizer invocation.
+// Per-invocation guard enforcing an options-level Budget. Cheap to
+// construct; the hot-path check is a single branch when inactive and an
+// integer compare when only the evaluation cap is armed. Not thread-safe:
+// one guard per optimizer invocation.
 class RunGuard {
  public:
   // How many evaluations between wall-clock polls. Strided on the
@@ -99,7 +63,7 @@ class RunGuard {
   // evaluations plus the span of one check interval.
   static constexpr uint64_t kDeadlinePollStride = 256;
 
-  RunGuard(const Budget& budget, CancelToken* token);
+  explicit RunGuard(const Budget& budget);
 
   // Returns true when the run should stop; `evaluations` is the caller's
   // monotone evaluation count. The first tripping call latches the status
@@ -113,7 +77,7 @@ class RunGuard {
   // kComplete until the guard trips.
   PlanStatus status() const { return status_; }
 
-  // True when any limit (budget, deadline, or token) is armed.
+  // True when the evaluation cap or the deadline is armed.
   bool active() const { return active_; }
 
  private:
@@ -121,7 +85,6 @@ class RunGuard {
   void Trip(PlanStatus status);
 
   uint64_t max_evaluations_ = 0;  // 0 = unlimited
-  CancelToken* token_ = nullptr;
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
   bool active_ = false;

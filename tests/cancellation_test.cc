@@ -1,7 +1,8 @@
 // Deadlines beyond the steady clock's range (util/cancellation.h): they
-// saturate to a time point that never comes, so a run or batch armed
-// with 1e13 ms, 1e15 ms, 1e300 ms or +inf behaves exactly like one with
-// no deadline, and NaN or a value <= 0 arms nothing.
+// saturate to a time point that never comes, so a run armed with 1e13 ms,
+// 1e15 ms, 1e300 ms or +inf behaves exactly like one with no deadline,
+// and NaN or a value <= 0 arms nothing. A deadline that has already
+// passed trips at the guard's first poll, whatever the clock reads.
 
 #include "util/cancellation.h"
 
@@ -35,39 +36,39 @@ TEST(Deadline, FarDeadlinesSaturateToNever) {
 
 TEST(Deadline, FarDeadlinesNeverExpire) {
   for (double ms : kFarDeadlines) {
-    CancelToken token;
-    token.ArmDeadline(ms);
-    EXPECT_TRUE(token.armed()) << ms;
-    EXPECT_FALSE(token.Expired()) << ms;
-
     Budget budget;
     budget.deadline_ms = ms;
-    for (CancelToken* shared : {static_cast<CancelToken*>(nullptr), &token}) {
-      RunGuard guard(budget, shared);
-      EXPECT_TRUE(guard.active()) << ms;
-      for (uint64_t evals = 0; evals < 4 * RunGuard::kDeadlinePollStride;
-           evals += 7) {
-        ASSERT_FALSE(guard.ShouldStop(evals)) << ms << " at " << evals;
-      }
-      EXPECT_EQ(guard.status(), PlanStatus::kComplete) << ms;
+    RunGuard guard(budget);
+    EXPECT_TRUE(guard.active()) << ms;
+    for (uint64_t evals = 0; evals < 4 * RunGuard::kDeadlinePollStride;
+         evals += 7) {
+      ASSERT_FALSE(guard.ShouldStop(evals)) << ms << " at " << evals;
     }
+    EXPECT_EQ(guard.status(), PlanStatus::kComplete) << ms;
   }
 }
 
 TEST(Deadline, NanAndNonPositiveArmNothing) {
   for (double ms : {0.0, -1.0, -kInf, std::numeric_limits<double>::quiet_NaN()}) {
-    CancelToken token;
-    token.ArmDeadline(ms);
-    EXPECT_FALSE(token.armed()) << ms;
     Budget budget;
     budget.deadline_ms = ms;
-    EXPECT_FALSE(RunGuard(budget, nullptr).active()) << ms;
+    EXPECT_FALSE(RunGuard(budget).active()) << ms;
   }
 }
 
-// The batch service arms its CancelToken from BatchOptions::deadline_ms
-// and each run's RunGuard from the knobs' Budget::deadline_ms; a far
-// deadline at either place must reproduce the undeadlined plans.
+// 1e-9 ms is less than one steady-clock tick, so the deadline is the
+// arming instant; the first poll (at any evaluation count) is past it.
+TEST(Deadline, PassedDeadlineTripsAtFirstPoll) {
+  Budget budget;
+  budget.deadline_ms = 1e-9;
+  RunGuard guard(budget);
+  EXPECT_TRUE(guard.ShouldStop(0));
+  EXPECT_EQ(guard.status(), PlanStatus::kDeadlineExceeded);
+  EXPECT_TRUE(guard.ShouldStop(1));
+}
+
+// The batch service runs every item under its knobs' Budget; a far
+// deadline there must reproduce the undeadlined plans.
 TEST(Deadline, FarDeadlinesLeaveBatchResultsUnchanged) {
   Rng rng(1505);
   std::vector<QonInstance> batch;
@@ -78,22 +79,19 @@ TEST(Deadline, FarDeadlinesLeaveBatchResultsUnchanged) {
     options.seed = 3;
     std::vector<QonBatchItem> reference = OptimizeQonBatch(batch, options);
     for (double ms : kFarDeadlines) {
-      for (bool per_run : {false, true}) {
-        BatchOptions far = options;
-        (per_run ? far.qon.budget.deadline_ms : far.deadline_ms) = ms;
-        std::vector<QonBatchItem> got = OptimizeQonBatch(batch, far);
-        ASSERT_EQ(got.size(), reference.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-          const OptimizerResult& a = got[i].result;
-          const OptimizerResult& b = reference[i].result;
-          SCOPED_TRACE(std::string(optimizer) + " deadline_ms=" +
-                       std::to_string(ms) + (per_run ? " (run)" : " (batch)") +
-                       " item " + std::to_string(i));
-          EXPECT_EQ(a.status, b.status);
-          EXPECT_EQ(a.evaluations, b.evaluations);
-          EXPECT_EQ(a.sequence, b.sequence);
-          EXPECT_EQ(a.cost.Log2(), b.cost.Log2());
-        }
+      BatchOptions far = options;
+      far.qon.budget.deadline_ms = ms;
+      std::vector<QonBatchItem> got = OptimizeQonBatch(batch, far);
+      ASSERT_EQ(got.size(), reference.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        const OptimizerResult& a = got[i].result;
+        const OptimizerResult& b = reference[i].result;
+        SCOPED_TRACE(std::string(optimizer) + " deadline_ms=" +
+                     std::to_string(ms) + " item " + std::to_string(i));
+        EXPECT_EQ(a.status, b.status);
+        EXPECT_EQ(a.evaluations, b.evaluations);
+        EXPECT_EQ(a.sequence, b.sequence);
+        EXPECT_EQ(a.cost.Log2(), b.cost.Log2());
       }
     }
   }

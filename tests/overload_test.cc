@@ -65,9 +65,9 @@ TEST(EstimateCost, QonTableMatchesDeclaredFormulas) {
   EXPECT_DOUBLE_EQ(EstimateCostUnits(Qon("ii"), o, 5), 8.0 * 125.0);
   EXPECT_DOUBLE_EQ(EstimateCostUnits(Qon("sa"), o, 7), 3.0 * 20000.0);
   EXPECT_DOUBLE_EQ(EstimateCostUnits(Qon("genetic"), o, 7), 64.0 * 120.0);
-  // bnb: the node budget when set, 2^n when exact.
+  // bnb: 2^n, capped like every entry by the evaluation budget.
   EXPECT_DOUBLE_EQ(EstimateCostUnits(Qon("bnb"), o, 7), 128.0);
-  o.bnb_node_limit = 37;
+  o.budget.max_evaluations = 37;
   EXPECT_DOUBLE_EQ(EstimateCostUnits(Qon("bnb"), o, 7), 37.0);
 }
 

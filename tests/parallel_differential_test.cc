@@ -216,11 +216,11 @@ TEST(TieBreakRegression, SerialAndParallelDpAgreeOnFullySymmetricTies) {
 
 TEST(TieBreakRegression, BnbExploresLowestRelationFirstOnTies) {
   QonInstance inst = SymmetricInstance(6);
-  BnbResult r = BranchAndBoundQonOptimizer(inst, /*node_limit=*/0);
-  ASSERT_TRUE(r.result.feasible);
+  OptimizerResult r = BranchAndBoundQonOptimizer(inst);
+  ASSERT_TRUE(r.feasible);
   // Ties explored lowest-id first, strict improvement only: the incumbent
   // stays the identity permutation.
-  EXPECT_EQ(r.result.sequence, IdentitySequence(6));
+  EXPECT_EQ(r.sequence, IdentitySequence(6));
 }
 
 TEST(TieBreakRegression, GeneticElitesStableUnderAllEqualCosts) {

@@ -86,7 +86,7 @@ const std::map<std::string, QonDirect>& QonDirectCalls() {
        }},
       {"bnb",
        [](const QonInstance& i, const OptimizerOptions& o, Rng*) {
-         return BranchAndBoundQonOptimizer(i, o).result;
+         return BranchAndBoundQonOptimizer(i, o);
        }},
       {"cout",
        [](const QonInstance& i, const OptimizerOptions&, Rng*) {

@@ -7,12 +7,21 @@ Each request is one aqo_serve frame (a u32 little-endian length, then the
 payload; io/framing.h). The stream holds valid QO_N and QO_H instances at
 n = 1, 3 and 30, bodies with blank lines, comments and CRLF line ends,
 one request per edge of the number and line grammar (io/serialization.h),
-an empty body, an unknown family and a `qonx` family token. It ends with
+an empty body, an unknown family and a `qonx` family token. Then come
 one request just outside each registry entry's domain: every entry with
 a ceiling at its ceiling + 1, every entry that needs two relations at
-n = 1. Each of those is answered `err <id> domain: ...`.
-responses.bin is what `aqo_serve --seed=3` answers; regenerate it only
-when a response is meant to change:
+n = 1. Each of those is answered `err <id> domain: ...`. Then every
+registry entry at n = 2 (all `ok`), a `qon 0` and a `qoh 0` body (both
+refused by the reader), and one fresh QO_N instance three times under
+`dp`: with a 1e-9 ms header deadline (passed at the first poll, so
+`status=deadline_exceeded` and the greedy fallback's plan), with none
+(`status=complete`: the cut plan was not cached) and with 1e15 ms (the
+same bytes as none). The stream ends with two header tokens that are
+neither `optimizer=<name>` nor a number, each answered `err <id>
+header: ...`.
+responses.bin is what `aqo_serve --seed=3` answers, with or without
+`--deadline-ms=1e15`; regenerate it only when a response is meant to
+change:
 
     aqo_serve --seed=3 < requests.bin > responses.bin
 """
@@ -105,11 +114,27 @@ def main():
     for family, names in floors.items():
         for name in names:
             bodies.append((f" optimizer={name}", instance(family, 1, 0, rng)))
+    # Every entry at n = 2, the smallest size all of them take; with the
+    # n = 1 and ceiling + 1 requests above and the n = 0 bodies below this
+    # pins each entry at n in {0, 1, 2, max + 1}.
+    for family, names in (("qon", floors["qon"] + ("random",)),
+                          ("qoh", floors["qoh"])):
+        for name in names:
+            bodies.append((f" optimizer={name}", instance(family, 2, 1, rng)))
+    bodies += [("", instance("qon", 0, 0, rng)),
+               ("", instance("qoh", 0, 0, rng))]
+    # A header deadline overrides --deadline-ms= for its request only.
+    fresh = instance("qon", 8, 12, rng)
+    for deadline in (" 1e-9", "", " 1e15"):
+        bodies.append((f"{deadline} optimizer=dp", fresh))
+    bodies += [(" optimiser=greedy", "qon 3\n" + three),
+               (" 5ms", "qon 3\n" + three)]
     out = sys.stdout.buffer
-    for k, (optimizer, body) in enumerate(bodies):
-        # None: a header frame with no newline, so no body at all.
-        payload = (f"req g{k}{optimizer or ''}" +
-                   ("" if optimizer is None else "\n" + body)).encode()
+    for k, (tokens, body) in enumerate(bodies):
+        # `tokens` follow the id in the header. None: a header frame with
+        # no newline, so no body at all.
+        payload = (f"req g{k}{tokens or ''}" +
+                   ("" if tokens is None else "\n" + body)).encode()
         out.write(struct.pack("<I", len(payload)) + payload)
 
 

@@ -1,6 +1,9 @@
 // Tests for the workload generators and the branch & bound optimizer, plus
 // Karatsuba and the Appendix B sort-regime validator.
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "qo/bnb.h"
@@ -66,11 +69,12 @@ TEST(BranchAndBound, MatchesDpOnRandomInstances) {
   for (int trial = 0; trial < 30; ++trial) {
     int n = static_cast<int>(rng.UniformInt(4, 12));
     QonInstance inst = RandomQonWorkload(n, &rng);
-    BnbResult bnb = BranchAndBoundQonOptimizer(inst);
+    OptimizerResult bnb = BranchAndBoundQonOptimizer(inst);
     OptimizerResult dp = DpQonOptimizer(inst);
-    ASSERT_TRUE(bnb.proven_optimal);
+    ASSERT_TRUE(bnb.feasible);
+    ASSERT_EQ(bnb.status, PlanStatus::kComplete);
     ASSERT_TRUE(dp.feasible);
-    EXPECT_TRUE(bnb.result.cost.ApproxEquals(dp.cost, 1e-9))
+    EXPECT_TRUE(bnb.cost.ApproxEquals(dp.cost, 1e-9))
         << "trial=" << trial << " n=" << n;
   }
 }
@@ -83,33 +87,46 @@ TEST(BranchAndBound, MatchesDpWithCartesianRestriction) {
     WorkloadOptions wo;
     wo.edge_probability = 0.6;
     QonInstance inst = RandomQonWorkload(9, &rng, wo);
-    BnbResult bnb = BranchAndBoundQonOptimizer(inst, 0, options);
+    OptimizerResult bnb = BranchAndBoundQonOptimizer(inst, options);
     OptimizerResult dp = DpQonOptimizer(inst, options);
-    ASSERT_EQ(bnb.result.feasible, dp.feasible);
+    ASSERT_EQ(bnb.feasible, dp.feasible);
     if (dp.feasible) {
-      EXPECT_TRUE(bnb.result.cost.ApproxEquals(dp.cost, 1e-9));
-      EXPECT_FALSE(HasCartesianProduct(inst.graph(), bnb.result.sequence));
+      EXPECT_TRUE(bnb.cost.ApproxEquals(dp.cost, 1e-9));
+      EXPECT_FALSE(HasCartesianProduct(inst.graph(), bnb.sequence));
     }
   }
 }
 
-TEST(BranchAndBound, NodeLimitYieldsAnytimeResult) {
+// Every search node is one evaluation, counted before the node is
+// explored, so a cap of 51 stops on the 51st node: the plan, cost bits and
+// evaluation count pinned here are what the retired node limit of 50
+// returned on this instance (as status complete).
+TEST(BranchAndBound, BudgetYieldsAnytimeResult) {
   Rng rng(176);
   QonInstance inst = RandomQonWorkload(14, &rng);
-  BnbResult limited = BranchAndBoundQonOptimizer(inst, 50);
-  EXPECT_FALSE(limited.proven_optimal);
-  EXPECT_TRUE(limited.result.feasible);  // greedy incumbent at minimum
-  BnbResult full = BranchAndBoundQonOptimizer(inst);
-  EXPECT_LE(full.result.cost.Log2(), limited.result.cost.Log2() + 1e-9);
+  OptimizerOptions capped;
+  capped.budget.max_evaluations = 51;
+  OptimizerResult limited = BranchAndBoundQonOptimizer(inst, capped);
+  EXPECT_TRUE(limited.feasible);  // greedy incumbent at minimum
+  EXPECT_EQ(limited.status, PlanStatus::kBudgetExhausted);
+  EXPECT_EQ(limited.evaluations, 51u);
+  EXPECT_EQ(limited.sequence,
+            (JoinSequence{0, 3, 13, 11, 7, 1, 4, 10, 12, 2, 6, 9, 5, 8}));
+  EXPECT_EQ(std::bit_cast<uint64_t>(limited.cost.Log2()),
+            uint64_t{0x4060788159d9c003});
+  OptimizerResult full = BranchAndBoundQonOptimizer(inst);
+  EXPECT_EQ(full.status, PlanStatus::kComplete);
+  EXPECT_LE(full.cost.Log2(), limited.cost.Log2() + 1e-9);
 }
 
 TEST(BranchAndBound, PrunesFarBelowFactorial) {
   Rng rng(177);
   QonInstance inst = RandomQonWorkload(12, &rng);
-  BnbResult bnb = BranchAndBoundQonOptimizer(inst);
-  EXPECT_TRUE(bnb.proven_optimal);
+  OptimizerResult bnb = BranchAndBoundQonOptimizer(inst);
+  EXPECT_TRUE(bnb.feasible);
+  EXPECT_EQ(bnb.status, PlanStatus::kComplete);
   // 12! = 479M; dominance pruning caps nodes near the 2^12 subset count.
-  EXPECT_LT(bnb.nodes, uint64_t{200000});
+  EXPECT_LT(bnb.evaluations, uint64_t{200000});
 }
 
 TEST(Karatsuba, MatchesIdentitiesOnHugeNumbers) {

@@ -8,7 +8,7 @@
 //   aqo_gen --kind=gap-no --n=60 | aqo_opt --optimizers=greedy,ii,sa
 //
 // The names come from the optimizer registry (qo/registry.h): dp (exact
-// subset DP), bnb (exact branch & bound, anytime under --bnb-node-limit),
+// subset DP), bnb (exact branch & bound, anytime under --budget-evals=),
 // exhaustive, greedy, random, ii, sa, genetic/ga, kbz (trees only, else
 // infeasible), cout (exact under the C_out metric); --optimizers=help
 // lists each entry's relation-count domain. Unknown names are a hard

@@ -9,7 +9,9 @@
 //
 // The optional `optimizer=` token selects any registry entry (family-
 // checked, aliases resolved) for that one request; `--optimizer=help`
-// prints both registries' Describe() listings and exits.
+// prints both registries' Describe() listings and exits. A number that
+// strtod reads whole is that request's deadline in ms, in place of
+// --deadline-ms=; any other header token is answered `err <id> header:`.
 //
 // and produces exactly one response frame per request:
 //
@@ -17,8 +19,9 @@
 //   seq <v...>                       (feasible only)
 //   pipelines <v...>                 (qoh, feasible only)
 //
-// or `err <id> <reason>` (parse failures, admission rejections). Control
-// frames: `ping <id>` and `snapshot <id>` (forces a snapshot rotation).
+// or `err <id> <reason>` (header and parse failures, admission
+// rejections). Control frames: `ping <id>` and `snapshot <id>` (forces a
+// snapshot rotation).
 //
 // Responses are a pure function of (instance, optimizer, knobs, seed):
 // cache hits return bit-identical bytes to a fresh computation, so a
@@ -37,8 +40,8 @@
 //
 // Admission control (qo/overload.h Admit) answers a request its entry's
 // domain excludes with `err <id> domain: ...` before any work, then lets
-// the optional load governor degrade or shed; --request-deadline-ms= (or
-// the per-request field) arms the Budget/CancelToken machinery so an
+// the optional load governor degrade or shed; --deadline-ms= (or the
+// per-request number) bounds each optimizer run's wall time, so an
 // overloaded item returns its best-so-far plan with status
 // deadline_exceeded — such plans are never cached. --budget-evals= is the
 // deterministic analogue and IS cacheable (docs/robustness.md).
@@ -55,6 +58,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -91,7 +95,6 @@ std::string FormatG17(double v) {
 struct ServerConfig {
   BatchOptions qon_batch;
   BatchOptions qoh_batch;
-  double default_deadline_ms = 0.0;
   int64_t snapshot_every = 0;  // optimize requests between rotations; 0 = off
 };
 
@@ -157,10 +160,12 @@ struct QohServe {
 // parses `body`, admits, runs a single-instance batch through the shared
 // cache, formats the response payload. A non-empty `optimizer` (the
 // per-request `optimizer=<name>` header token) overrides the configured
-// entry for this request only.
+// entry, and `deadline_ms` the configured budget deadline, for this
+// request only.
 template <typename Family>
 std::string ServeFamily(const std::string& id, std::string_view family,
-                        double deadline_ms, const std::string& optimizer,
+                        std::optional<double> deadline_ms,
+                        const std::string& optimizer,
                         std::string_view body, const ServerConfig& config,
                         PlanCache* cache, ThreadPool* pool,
                         LoadGovernor* governor) {
@@ -186,7 +191,7 @@ std::string ServeFamily(const std::string& id, std::string_view family,
   options.cache = cache;
   options.pool = nullptr;
   Family::UsePool(&knobs, pool);
-  options.deadline_ms = deadline_ms;
+  if (deadline_ms) knobs.budget.deadline_ms = *deadline_ms;
   auto admission = Admit(Family::Registry(),
                          optimizer.empty() ? options.optimizer : optimizer,
                          inst.NumRelations(), *governor, &knobs);
@@ -218,7 +223,8 @@ std::string ServeFamily(const std::string& id, std::string_view family,
   return out.str();
 }
 
-std::string ServeOptimize(const std::string& id, double deadline_ms,
+std::string ServeOptimize(const std::string& id,
+                          std::optional<double> deadline_ms,
                           const std::string& optimizer,
                           std::string_view body, const ServerConfig& config,
                           PlanCache* cache, ThreadPool* pool,
@@ -260,10 +266,6 @@ int Main(int argc, char** argv) {
               << QohOptimizerRegistry::Get().Describe();
     return 0;
   }
-  // Note: `--deadline-ms` (without the prefix) is the per-optimizer anytime
-  // budget consumed by ReadQonKnobs above; this one arms the batch-level
-  // wall-clock deadline default for requests that don't carry their own.
-  config.default_deadline_ms = flags.GetDouble("request-deadline-ms", 0.0);
   config.snapshot_every = flags.GetInt("snapshot-every", 0);
 
   // Load governor (qo/overload.h): disarmed unless a capacity is set, in
@@ -419,7 +421,7 @@ int Main(int argc, char** argv) {
     }
     obs::ScopedLatencyTimer timer(request_us);
     requests.Increment();
-    // First line: "<verb> <id> [deadline_ms]"; the rest is the body.
+    // First line: "<verb> <id> [tokens]"; the rest is the body.
     size_t eol = payload.find('\n');
     std::string head =
         eol == std::string::npos ? payload : payload.substr(0, eol);
@@ -431,20 +433,29 @@ int Main(int argc, char** argv) {
     header >> verb >> id;
     std::string response;
     if (verb == "req" && !id.empty()) {
-      // Optional header tokens after the id: a bare number is a deadline
-      // override, `optimizer=<name>` selects the registry entry for this
-      // request (aqo_loadgen --optimizer= emits it).
-      double deadline_ms = config.default_deadline_ms;
+      // Optional header tokens after the id: a number strtod reads whole
+      // is a deadline override, `optimizer=<name>` selects the registry
+      // entry for this request (aqo_loadgen --optimizer= emits it).
+      std::optional<double> deadline_ms;
       std::string optimizer;
-      for (std::string token; header >> token;) {
+      std::string bad_token;
+      for (std::string token; bad_token.empty() && header >> token;) {
+        char* end = nullptr;
         if (token.rfind("optimizer=", 0) == 0) {
           optimizer = token.substr(10);
+        } else if (double ms = std::strtod(token.c_str(), &end);
+                   end == token.c_str() + token.size()) {
+          deadline_ms = ms;
         } else {
-          deadline_ms = std::strtod(token.c_str(), nullptr);
+          bad_token = token;
         }
       }
-      response = ServeOptimize(id, deadline_ms, optimizer, body, config,
-                               &cache, &pool, &governor);
+      response = bad_token.empty()
+                     ? ServeOptimize(id, deadline_ms, optimizer, body,
+                                     config, &cache, &pool, &governor)
+                     : "err " + id + " header: '" + bad_token +
+                           "' is neither optimizer=<name> nor a deadline"
+                           " in ms";
       ++served;
       ++since_snapshot;
     } else if (verb == "ping" && !id.empty()) {
