@@ -16,20 +16,14 @@
 #include <functional>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/runlog.h"
 #include "obs/trace.h"
-#include "qo/fingerprint.h"
-#include "qo/plan_cache.h"
 #include "qo/registry.h"
-#include "qo/service.h"
-#include "util/check.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -59,7 +53,7 @@ class Flags {
       if (arg.rfind("--", 0) != 0) continue;
       size_t eq = arg.find('=');
       if (eq == std::string::npos) {
-        values_[arg.substr(2)].value = "1";
+        values_[arg.substr(2)].value.assign(1, '1');
       } else {
         values_[arg.substr(2, eq - 2)].value = arg.substr(eq + 1);
       }
@@ -355,120 +349,6 @@ inline std::vector<std::string> SelectedQohOptimizersOrDie(
     const Flags& flags, const std::string& def) {
   return detail::SelectedOptimizersOrDie(QohOptimizerRegistry::Get(), "QO_H",
                                          flags, def);
-}
-
-// Builds a PlanCache from --plan-cache-mb= / --plan-cache-shards=, or null
-// when --plan-cache-mb is absent or 0. Both flags are always read so they
-// never trip the unread-flag warning.
-inline std::unique_ptr<PlanCache> PlanCacheFromFlags(const Flags& flags) {
-  int64_t mb = flags.GetInt("plan-cache-mb", 0);
-  int shards = static_cast<int>(flags.GetInt("plan-cache-shards", 16));
-  if (mb <= 0) return nullptr;
-  PlanCacheOptions options;
-  options.byte_budget = static_cast<size_t>(mb) << 20;
-  options.shards = shards < 1 ? 1 : shards;
-  return std::make_unique<PlanCache>(options);
-}
-
-namespace detail {
-
-// Duplicate-heavy plan-cache demonstration shared by the benches: expands
-// each base instance into `dup_factor` relabeled copies (so a fraction
-// (dup_factor-1)/dup_factor of the workload is duplicate work under
-// canonical fingerprinting), runs the batch twice — once without the
-// cache as the baseline, once through `cache` — and verifies the two are
-// bit-identical. The deterministic report goes to stdout (the CI smoke
-// diffs stdout across runs); timings go to stderr.
-template <typename Instance, typename PermuteFn, typename BatchFn>
-void RunPlanCacheDemo(const char* family, PlanCache* cache, ThreadPool* pool,
-                      BatchOptions options,
-                      const std::vector<Instance>& bases, int dup_factor,
-                      const PermuteFn& permute, const BatchFn& run_batch) {
-  AQO_CHECK(cache != nullptr);
-  if (dup_factor < 1) dup_factor = 1;
-  std::vector<Instance> batch;
-  batch.reserve(bases.size() * static_cast<size_t>(dup_factor));
-  for (size_t b = 0; b < bases.size(); ++b) {
-    batch.push_back(bases[b]);
-    int n = bases[b].NumRelations();
-    for (int d = 1; d < dup_factor; ++d) {
-      Rng rng(MixSeed(MixSeed(options.seed, b), static_cast<uint64_t>(d)));
-      std::vector<int> perm(static_cast<size_t>(n));
-      for (int v = 0; v < n; ++v) perm[static_cast<size_t>(v)] = v;
-      rng.Shuffle(&perm);
-      batch.push_back(permute(bases[b], perm));
-    }
-  }
-  options.pool = pool;
-
-  options.cache = nullptr;
-  WallTimer cold_timer;
-  auto baseline = run_batch(batch, options);
-  double cold_seconds = cold_timer.Seconds();
-
-  options.cache = cache;
-  cache->LogConfig();
-  WallTimer warm_timer;
-  auto cached = run_batch(batch, options);
-  double warm_seconds = warm_timer.Seconds();
-  cache->LogStats();
-
-  AQO_CHECK(baseline.size() == cached.size());
-  size_t hits_seen = 0;
-  for (size_t i = 0; i < cached.size(); ++i) {
-    AQO_CHECK(baseline[i].result.feasible == cached[i].result.feasible)
-        << family << " plan-cache demo: feasibility diverged at item " << i;
-    AQO_CHECK(baseline[i].result.cost.Log2() == cached[i].result.cost.Log2())
-        << family << " plan-cache demo: cost bits diverged at item " << i;
-    AQO_CHECK(baseline[i].result.sequence == cached[i].result.sequence)
-        << family << " plan-cache demo: sequence diverged at item " << i;
-    if (cached[i].from_cache) ++hits_seen;
-  }
-
-  PlanCache::Stats stats = cache->GetStats();
-  std::cout << family << " plan-cache demo: optimizer=" << options.optimizer
-            << " instances=" << batch.size() << " bases=" << bases.size()
-            << " dup_factor=" << dup_factor << "\n";
-  std::cout << family << " plan-cache demo: hits=" << stats.hits
-            << " misses=" << stats.misses << " inserts=" << stats.inserts
-            << " evictions=" << stats.evictions << " entries=" << stats.entries
-            << " served_from_cache=" << hits_seen << "\n";
-  std::cout << family
-            << " plan-cache demo: results bit-identical with cache on/off\n";
-  std::cerr << family << " plan-cache demo: cold " << cold_seconds
-            << "s, cached " << warm_seconds << "s\n";
-}
-
-}  // namespace detail
-
-// QO_N duplicate-heavy cache demo; see detail::RunPlanCacheDemo.
-inline void RunQonPlanCacheDemo(PlanCache* cache, ThreadPool* pool,
-                                const BatchOptions& options,
-                                const std::vector<QonInstance>& bases,
-                                int dup_factor) {
-  detail::RunPlanCacheDemo(
-      "qon", cache, pool, options, bases, dup_factor,
-      [](const QonInstance& inst, const std::vector<int>& perm) {
-        return PermuteQonInstance(inst, perm);
-      },
-      [](const std::vector<QonInstance>& batch, const BatchOptions& opts) {
-        return OptimizeQonBatch(batch, opts);
-      });
-}
-
-// QO_H counterpart.
-inline void RunQohPlanCacheDemo(PlanCache* cache, ThreadPool* pool,
-                                const BatchOptions& options,
-                                const std::vector<QohInstance>& bases,
-                                int dup_factor) {
-  detail::RunPlanCacheDemo(
-      "qoh", cache, pool, options, bases, dup_factor,
-      [](const QohInstance& inst, const std::vector<int>& perm) {
-        return PermuteQohInstance(inst, perm);
-      },
-      [](const std::vector<QohInstance>& batch, const BatchOptions& opts) {
-        return OptimizeQohBatch(batch, opts);
-      });
 }
 
 }  // namespace aqo::bench

@@ -12,9 +12,7 @@
 //
 // The heuristic columns come from the optimizer registry: --optimizers=
 // selects the subset (unknown names are a hard error), knob flags like
-// --restarts= / --sa-iterations= override the per-table defaults. With
-// --plan-cache-mb=N the bench appends a duplicate-heavy plan-cache
-// demonstration over relabeled random workloads.
+// --restarts= / --sa-iterations= override the per-table defaults.
 
 #include <algorithm>
 #include <iostream>
@@ -183,33 +181,5 @@ int main(int argc, char** argv) {
   aqo::bench::SweepRunner e7b(&pool, aqo::MixSeed(seed, 2));
   aqo::RandomWorkloadTable(flags, e7a, names);
   aqo::GapInstanceTable(flags, e7b, names);
-
-  // Duplicate-heavy plan-cache demonstration (--plan-cache-mb=N enables).
-  // All cache flags are read unconditionally so none can warn as unread.
-  auto cache = aqo::bench::PlanCacheFromFlags(flags);
-  int dup_factor = static_cast<int>(flags.GetInt("dup-factor", 3));
-  std::string cache_opt = flags.GetString("cache-optimizer", "dp");
-  if (cache != nullptr) {
-    const aqo::QonOptimizerEntry* entry =
-        aqo::OptimizerRegistry::Qon().Find(cache_opt);
-    if (entry == nullptr) {
-      std::cerr << "error: unknown QO_N optimizer '" << cache_opt
-                << "' in --cache-optimizer=\n";
-      return 2;
-    }
-    std::vector<aqo::QonInstance> bases;
-    aqo::Rng base_rng(aqo::MixSeed(seed, 3));
-    int num_bases = flags.Quick() ? 4 : 8;
-    for (int i = 0; i < num_bases; ++i) {
-      bases.push_back(aqo::RandomWorkload(12, 0.5, &base_rng));
-    }
-    aqo::BatchOptions batch;
-    batch.optimizer = entry->name;
-    batch.qon = aqo::bench::ReadQonKnobs(flags);
-    batch.seed = seed;
-    std::cout << "\n";
-    aqo::bench::RunQonPlanCacheDemo(cache.get(), &pool, batch, bases,
-                                    dup_factor);
-  }
   return 0;
 }

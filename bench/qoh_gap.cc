@@ -8,9 +8,7 @@
 // n*eps/3 - 1.
 //
 // --optimizers= selects the QO_H heuristic pool (default random,greedy;
-// unknown names are a hard error). With --plan-cache-mb=N the bench
-// appends a duplicate-heavy plan-cache demonstration over relabeled NO
-// instances.
+// unknown names are a hard error).
 
 #include <algorithm>
 #include <iostream>
@@ -25,7 +23,6 @@
 #include "obs/trace.h"
 #include "qo/optimizers.h"
 #include "qo/qoh_optimizers.h"
-#include "qo/workloads.h"
 #include "reductions/clique_to_qoh.h"
 #include "util/table.h"
 
@@ -132,7 +129,6 @@ void Run(const bench::Flags& flags, ThreadPool* pool,
 int main(int argc, char** argv) {
   aqo::bench::Flags flags(argc, argv);
   aqo::bench::RunLogSession session(flags, "qoh_gap", /*default_seed=*/3);
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 3));
   std::vector<std::string> names =
       aqo::bench::SelectedQohOptimizersOrDie(flags, "random,greedy");
   aqo::QohOptimizerOptions defaults;
@@ -143,41 +139,5 @@ int main(int argc, char** argv) {
                                       : std::vector<int>{9, 12, 15, 18, 21};
   aqo::ThreadPool pool(flags.Threads());
   aqo::Run(flags, &pool, names, knobs, ns);
-
-  // Duplicate-heavy plan-cache demonstration (--plan-cache-mb=N enables).
-  // The bases are random workloads rather than the (vertex-transitive,
-  // hence 1-WL-symmetric) gap instances — see the matching comment in
-  // bench/qon_gap.cc. All cache flags are read unconditionally so none
-  // can warn as unread.
-  auto cache = aqo::bench::PlanCacheFromFlags(flags);
-  int dup_factor = static_cast<int>(flags.GetInt("dup-factor", 3));
-  std::string cache_opt = flags.GetString("cache-optimizer", "greedy");
-  if (cache != nullptr) {
-    const aqo::QohOptimizerEntry* entry =
-        aqo::QohOptimizerRegistry::Get().Find(cache_opt);
-    if (entry == nullptr) {
-      std::cerr << "error: unknown QO_H optimizer '" << cache_opt
-                << "' in --cache-optimizer=\n";
-      return 2;
-    }
-    std::vector<aqo::QohInstance> bases;
-    aqo::Rng base_rng(aqo::MixSeed(seed, 0xcafe));
-    int num_bases = flags.Quick() ? 4 : 8;
-    for (int i = 0; i < num_bases; ++i) {
-      int n = static_cast<int>(base_rng.UniformInt(8, 14));
-      bases.push_back(aqo::RandomQohWorkload(n, &base_rng, 0.5));
-    }
-    aqo::BatchOptions batch;
-    batch.optimizer = entry->name;
-    batch.qoh = knobs;
-    // sentinel_first names a relation in caller labels, which differ
-    // across relabeled duplicates — pinning it would give every duplicate
-    // a distinct cache key and defeat the demonstration.
-    batch.qoh.sentinel_first = -1;
-    batch.seed = seed;
-    std::cout << "\n";
-    aqo::bench::RunQohPlanCacheDemo(cache.get(), &pool, batch, bases,
-                                    dup_factor);
-  }
   return 0;
 }

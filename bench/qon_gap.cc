@@ -9,9 +9,7 @@
 //
 // The NO-side heuristic pool comes from the optimizer registry:
 // --optimizers= selects it (default greedy,ii; unknown names are a hard
-// error). With --plan-cache-mb=N the bench appends a duplicate-heavy
-// plan-cache demonstration over relabeled NO instances — the workload the
-// canonical-fingerprint cache is built for.
+// error).
 
 #include <algorithm>
 #include <iostream>
@@ -25,7 +23,6 @@
 #include "obs/runlog.h"
 #include "obs/trace.h"
 #include "qo/optimizers.h"
-#include "qo/workloads.h"
 #include "reductions/clique_to_qon.h"
 #include "util/table.h"
 
@@ -143,7 +140,6 @@ void Run(const bench::Flags& flags, ThreadPool* pool,
 int main(int argc, char** argv) {
   aqo::bench::Flags flags(argc, argv);
   aqo::bench::RunLogSession session(flags, "qon_gap", /*default_seed=*/1);
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   std::vector<std::string> names =
       aqo::bench::SelectedQonOptimizersOrDie(flags, "greedy,ii");
   aqo::OptimizerOptions defaults;
@@ -151,42 +147,5 @@ int main(int argc, char** argv) {
   aqo::OptimizerOptions knobs = aqo::bench::ReadQonKnobs(flags, defaults);
   aqo::ThreadPool pool(flags.Threads());
   aqo::Run(flags, &pool, names, knobs);
-
-  // Duplicate-heavy plan-cache demonstration (--plan-cache-mb=N enables):
-  // each base instance appears --dup-factor times under random
-  // relabelings, so (dup_factor-1)/dup_factor of the batch is duplicate
-  // work under canonical fingerprinting. The bases are *random* workloads
-  // (qo/workloads.h), not the gap instances: the gap constructions are
-  // vertex-transitive by design, which is exactly the symmetric corner
-  // where 1-WL canonicalization legitimately misses relabeled duplicates
-  // (qo/fingerprint.h) — whereas production-like instances with generic
-  // statistics canonicalize exactly. All cache flags are read
-  // unconditionally so none can warn as unread.
-  auto cache = aqo::bench::PlanCacheFromFlags(flags);
-  int dup_factor = static_cast<int>(flags.GetInt("dup-factor", 3));
-  std::string cache_opt = flags.GetString("cache-optimizer", "greedy");
-  if (cache != nullptr) {
-    const aqo::QonOptimizerEntry* entry =
-        aqo::OptimizerRegistry::Qon().Find(cache_opt);
-    if (entry == nullptr) {
-      std::cerr << "error: unknown QO_N optimizer '" << cache_opt
-                << "' in --cache-optimizer=\n";
-      return 2;
-    }
-    std::vector<aqo::QonInstance> bases;
-    aqo::Rng base_rng(aqo::MixSeed(seed, 0xcafe));
-    int num_bases = flags.Quick() ? 4 : 8;
-    for (int i = 0; i < num_bases; ++i) {
-      int n = static_cast<int>(base_rng.UniformInt(20, 40));
-      bases.push_back(aqo::RandomQonWorkload(n, &base_rng));
-    }
-    aqo::BatchOptions batch;
-    batch.optimizer = entry->name;
-    batch.qon = knobs;
-    batch.seed = seed;
-    std::cout << "\n";
-    aqo::bench::RunQonPlanCacheDemo(cache.get(), &pool, batch, bases,
-                                    dup_factor);
-  }
   return 0;
 }

@@ -6,8 +6,8 @@
 // The hardness pipeline needs ground truth about omega(G) on both sides of
 // every reduction: YES instances must contain a clique of the promised size
 // and NO instances must not. MaxClique is an exact Tomita-style branch &
-// bound with a greedy-coloring bound; GreedyClique is the cheap heuristic
-// used to seed it and as an optimizer baseline.
+// bound with a greedy-coloring bound; GreedyClique is a cheap randomized
+// heuristic that only the tests call, as a lower bound to check against.
 
 #include <cstdint>
 #include <vector>

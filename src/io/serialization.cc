@@ -239,13 +239,14 @@ std::string ReadBody(std::string_view text, std::string_view family, int n,
     double lg = 0.0;
     if (tag == "rel") {
       if (!fields.Int(&i) || !fields.Double(&lg) || i < 0 || i >= n ||
-          !std::isfinite(lg)) {
+          !(std::abs(lg) <= kMaxSerializedLog2)) {
         return "bad rel line: " + std::string(line);
       }
       (*sizes)[static_cast<size_t>(i)] = LogDouble::FromLog2(lg);
     } else if (tag == "edge" || (tag == "w" && costs != nullptr)) {
       if (!fields.Int(&i) || !fields.Int(&j) || !fields.Double(&lg) ||
-          i < 0 || i >= n || j < 0 || j >= n || i == j || !std::isfinite(lg)) {
+          i < 0 || i >= n || j < 0 || j >= n || i == j ||
+          !(std::abs(lg) <= kMaxSerializedLog2)) {
         return "bad " + std::string(tag) + " line: " + std::string(line);
       }
       if (tag == "w") {

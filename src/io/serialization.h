@@ -48,8 +48,13 @@
 //              leaves "x1p3". A decimal beyond double's range fails when
 //              too large and reads as a signed zero when too small
 //              ("1e-400" is 0, "-1e-400" is -0).
+//   log2 value a rel, edge or w line's real; its magnitude must be at
+//              most kMaxSerializedLog2 (1e300), or the line fails as
+//              "bad <tag> line". The qoh header's memory and eta are
+//              linear values and take no such bound.
 
 #include <iosfwd>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -72,6 +77,19 @@ namespace aqo {
 // check can run (the fuzz harnesses under fuzz/ hammer exactly this).
 // Far above anything the optimizers can process anyway.
 inline constexpr int kMaxSerializedRelations = 4096;
+
+// Ceiling on the magnitude of a log2 size, selectivity or access cost a
+// reader accepts. A plan's cost multiplies, that is adds in log2, at most
+// n sizes, n^2 selectivities and n access costs; at n =
+// kMaxSerializedRelations that sum stays within a tenth of double's range,
+// so no parsed instance can overflow a cost to infinity. The bound is far
+// above every instance the project builds: the largest |log2| in a table
+// is 240000 (E5, alpha = 2^60000), in a test about 1.1e15 (f_N at
+// lg alpha = 2^45); only number-grammar probes go higher.
+inline constexpr double kMaxSerializedLog2 = 1e300;
+static_assert(kMaxSerializedLog2 * kMaxSerializedRelations *
+                  (kMaxSerializedRelations + 2.0) <
+              0.1 * std::numeric_limits<double>::max());
 
 // Recoverable readers: structured error instead of abort, for any
 // malformed input reachable from files a user hands to a tool. Also the

@@ -1,17 +1,14 @@
 #include "qo/service.h"
 
+#include <chrono>
 #include <exception>
-#include <unordered_map>
-#include <utility>
 
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/runlog.h"
 #include "obs/trace.h"
-#include "util/cancellation.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
-#include "util/thread_pool.h"
 
 namespace aqo {
 
@@ -62,21 +59,10 @@ obs::Histogram& ItemHistogram(PlanStatus status, bool cache_hit) {
   }
 }
 
-// Runs items [0, count) through `fn`, on the pool when it helps. The pool
-// never changes results: every fn(i) is a pure function of i.
-template <typename Fn>
-void ForEach(ThreadPool* pool, size_t count, const Fn& fn) {
-  if (pool != nullptr && pool->num_threads() > 1 && count > 1) {
-    pool->ParallelFor(count, fn);
-  } else {
-    for (size_t i = 0; i < count; ++i) fn(i);
-  }
-}
-
-// Shared batch skeleton for both families. `Traits` supplies the
-// family-specific pieces; the phase structure (canonicalize in parallel,
-// probe serially, compute misses in parallel, replay logs + insert +
-// resolve duplicates serially) is identical.
+// Shared batch pass for both families; `Traits` supplies the
+// family-specific pieces. Items run one at a time in batch order, so cache
+// probes, inserts, counter totals and run-log records all follow that
+// order.
 template <typename Traits>
 std::vector<typename Traits::Item> RunBatch(
     const std::vector<typename Traits::Instance>& instances,
@@ -85,170 +71,67 @@ std::vector<typename Traits::Item> RunBatch(
   AQO_CHECK(entry != nullptr)
       << "unknown " << Traits::kFamily << " optimizer: " << options.optimizer;
   PlanCache* cache = options.cache;
-
-  size_t count = instances.size();
-  std::vector<typename Traits::Canonical> canon(count);
-  ForEach(options.pool, count,
-          [&](size_t i) { canon[i] = Traits::Canonicalize(instances[i]); });
-
-  std::vector<Hash128> keys(count);
-  for (size_t i = 0; i < count; ++i) {
-    keys[i] = Traits::Key(canon[i], *entry, options);
-  }
-
-  // One representative per distinct key, in first-occurrence order. With
-  // no cache attached every instance is its own representative: the
-  // cache-off path is the undeduplicated baseline the differential test
-  // compares against (the results are bit-identical either way, since
-  // duplicates share canonical bytes and RNG stream).
-  std::vector<size_t> reps;
-  std::vector<size_t> rep_slot(count);
-  if (cache != nullptr) {
-    std::unordered_map<Hash128, size_t, Hash128Hasher> slot_of;
-    slot_of.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      auto [it, fresh] = slot_of.try_emplace(keys[i], reps.size());
-      if (fresh) reps.push_back(i);
-      rep_slot[i] = it->second;
-    }
-  } else {
-    reps.resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      reps[i] = i;
-      rep_slot[i] = i;
-    }
-  }
-
-  // Serial cache probes: deterministic hit/miss counter totals.
-  std::vector<CachedPlan> plans(reps.size());
-  std::vector<char> hit(reps.size(), 0);
-  if (cache != nullptr) {
-    for (size_t r = 0; r < reps.size(); ++r) {
-      hit[r] = cache->Lookup(keys[reps[r]], &plans[r]) ? 1 : 0;
-    }
-  }
-
-  // Compute the misses, each under its own run-log buffer and its own
-  // fingerprint-derived RNG stream.
-  //
-  // Per-item isolation: a throwing item (real exception or the
-  // "service.item" fault site, keyed by the item's instance index so the
-  // ordinal is thread-schedule independent) is retried once with the same
-  // RNG stream and a fresh run-log buffer; a second failure marks that
-  // item kFailed (infeasible, no run record, never cached) and leaves
-  // every sibling untouched. The pool propagates nothing: failures are
-  // absorbed inside the lambda.
-  static obs::Counter& retries =
-      obs::Registry::Get().GetCounter("qo.service.retries");
   static obs::Counter& failures =
       obs::Registry::Get().GetCounter("qo.service.failures");
-  std::vector<std::string> logs(reps.size());
-  ForEach(options.pool, reps.size(), [&](size_t r) {
-    if (hit[r]) return;
-    const auto& c = canon[reps[r]];
-    // One trace slice and one latency sample per computed item, covering
-    // the whole attempt (retry included) — the latency a caller of this
-    // item actually saw. Cache-hit and duplicate items get theirs in the
-    // resolve loop, so slices sum to exactly the batch size.
+
+  std::vector<typename Traits::Item> out(instances.size());
+  for (size_t i = 0; i < instances.size(); ++i) {
+    // One trace slice and one latency sample per item.
     obs::TraceSpan slice("qo.service.item", "service");
     auto item_start = std::chrono::steady_clock::now();
-    obs::InstanceShape shape{.family = std::string(Traits::kFamily),
-                             .kind = "batch",
-                             .side = "",
-                             .source = "",
-                             .n = c.instance.NumRelations(),
-                             .edges = c.instance.graph().NumEdges()};
-    auto knobs = Traits::Knobs(options, c);
-    auto attempt = [&] {
-      obs::RunLogBuffer buffer;
-      Rng rng(MixSeed(options.seed, c.fingerprint.lo));
-      FaultInjector::Get().MaybeThrow("service.item", reps[r]);
-      auto result = obs::InstrumentedRun(
-          std::string(Traits::kFamily) + "." + entry->name, shape,
-          [&] { return entry->run(c.instance, knobs, &rng); });
-      plans[r] = Traits::ToPlan(result);
-      logs[r] = buffer.Take();
-    };
-    try {
-      attempt();
-    } catch (const std::exception&) {
-      retries.Increment();
+    typename Traits::Canonical c = Traits::Canonicalize(instances[i]);
+    Hash128 key = Traits::Key(c, *entry, options);
+    CachedPlan plan;
+    bool hit = cache != nullptr && cache->Lookup(key, &plan);
+    if (!hit) {
+      // Per-item isolation: a throwing item (a real exception or the
+      // "service.item" fault site at the item's index) is kFailed:
+      // infeasible, no run record, never cached. Its siblings are
+      // untouched.
+      obs::InstanceShape shape{.family = std::string(Traits::kFamily),
+                               .kind = "batch",
+                               .side = "",
+                               .source = "",
+                               .n = c.instance.NumRelations(),
+                               .edges = c.instance.graph().NumEdges()};
+      auto knobs = Traits::Knobs(options, c);
+      std::string log;
       try {
-        attempt();
+        obs::RunLogBuffer buffer;
+        Rng rng(MixSeed(options.seed, c.fingerprint.lo));
+        FaultInjector::Get().MaybeThrow("service.item", i);
+        auto result = obs::InstrumentedRun(
+            std::string(Traits::kFamily) + "." + entry->name, shape,
+            [&] { return entry->run(c.instance, knobs, &rng); });
+        plan = Traits::ToPlan(result);
+        log = buffer.Take();
       } catch (const std::exception&) {
         failures.Increment();
-        CachedPlan failed;
-        failed.status = PlanStatus::kFailed;
-        plans[r] = failed;
-        logs[r].clear();
+        plan = CachedPlan{};
+        plan.status = PlanStatus::kFailed;
       }
-    }
-    uint64_t item_us = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - item_start)
-            .count());
-    ItemHistogram(plans[r].status, /*cache_hit=*/false).Record(item_us);
-    if (slice.armed()) {
-      slice.Annotate("fingerprint", FingerprintHex(c.fingerprint));
-      slice.Annotate("cache_hit", false);
-      slice.Annotate("status", PlanStatusName(plans[r].status));
-    }
-  });
-
-  // Replay buffered records in representative (= first occurrence) order,
-  // then populate the cache serially in the same order so LRU state and
-  // eviction decisions are scheduling-independent.
-  if (obs::RunLog::Global() != nullptr) {
-    for (const std::string& text : logs) {
-      if (!text.empty()) obs::RunLog::Global()->WriteRaw(text);
-    }
-  }
-  if (cache != nullptr) {
-    for (size_t r = 0; r < reps.size(); ++r) {
-      if (hit[r]) continue;
+      if (obs::RunLog* run_log = obs::RunLog::Global()) run_log->WriteRaw(log);
       // Only deterministic outcomes are cacheable: complete and
       // budget-exhausted plans are pure functions of (instance, options,
       // seed). Deadline-cut plans depend on the wall clock and failed
       // items must stay retryable — neither may poison the cache.
-      if (plans[r].status != PlanStatus::kComplete &&
-          plans[r].status != PlanStatus::kBudgetExhausted) {
-        continue;
+      if (cache != nullptr && (plan.status == PlanStatus::kComplete ||
+                               plan.status == PlanStatus::kBudgetExhausted)) {
+        cache->Insert(key, plan);
       }
-      cache->Insert(keys[reps[r]], plans[r]);
     }
-  }
-
-  // Resolve every instance from its representative's plan. In-batch
-  // duplicates probe the cache (serially) so the hit counters reflect
-  // the work the cache actually saved.
-  std::vector<typename Traits::Item> out(count);
-  for (size_t i = 0; i < count; ++i) {
-    size_t r = rep_slot[i];
-    // Computed misses already got their slice and latency sample in the
-    // compute loop; everything else (probe hits and in-batch duplicates)
-    // is served here, and its cost is the resolve itself.
-    bool served_here = !(i == reps[r] && !hit[r]);
-    obs::TraceSpan slice(served_here ? "qo.service.item" : "qo.service.resolve",
-                         "service");
-    auto item_start = std::chrono::steady_clock::now();
-    bool from_cache = hit[r] != 0;
-    if (cache != nullptr && i != reps[r]) {
-      from_cache = cache->Lookup(keys[i], nullptr);
-    }
-    out[i].from_cache = from_cache;
-    out[i].fingerprint = canon[i].fingerprint;
-    Traits::FromPlan(plans[r], canon[i].from_canonical, &out[i].result);
-    if (served_here) {
-      uint64_t item_us = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - item_start)
-              .count());
-      ItemHistogram(plans[r].status, /*cache_hit=*/true).Record(item_us);
-    }
+    out[i].from_cache = hit;
+    out[i].fingerprint = c.fingerprint;
+    Traits::FromPlan(plan, c.from_canonical, &out[i].result);
+    uint64_t item_us = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - item_start)
+            .count());
+    ItemHistogram(plan.status, hit).Record(item_us);
     if (slice.armed()) {
-      slice.Annotate("fingerprint", FingerprintHex(canon[i].fingerprint));
-      slice.Annotate("cache_hit", from_cache);
-      slice.Annotate("status", PlanStatusName(plans[r].status));
+      slice.Annotate("fingerprint", FingerprintHex(c.fingerprint));
+      slice.Annotate("cache_hit", hit);
+      slice.Annotate("status", PlanStatusName(plan.status));
     }
   }
   return out;

@@ -1,10 +1,10 @@
 #ifndef AQO_QO_SERVICE_H_
 #define AQO_QO_SERVICE_H_
 
-// Batch optimization service: optimize many instances at once, fanning
-// across a ThreadPool and consulting a PlanCache first.
+// Batch optimization service: optimize instances one at a time in batch
+// order, consulting a PlanCache first.
 //
-// Determinism contract (the batch analogue of SweepRunner's):
+// Determinism contract:
 //
 //   * Every instance is optimized on its *canonical* form
 //     (qo/fingerprint.h) with an Rng seeded Rng(MixSeed(options.seed,
@@ -13,13 +13,11 @@
 //     bit-identical canonical results by construction — the cache merely
 //     memoizes what recomputation would reproduce anyway. That is why
 //     results are bit-identical (costs, sequences, evaluation counts)
-//     whether the cache is on, off, cold, warm, or shared across
-//     threads, and for every thread count (tests/service_differential_test.cc).
-//   * Each computed instance runs under its own obs::RunLogBuffer; the
-//     buffers are replayed in instance order afterwards, so the run-log
-//     record stream is also independent of scheduling.
-//   * Cache probes and inserts happen serially in instance order, so the
-//     qo.plan_cache.* counter totals of a batch are deterministic too.
+//     whether the cache is on, off, cold, warm, or shared
+//     (tests/service_differential_test.cc).
+//   * Cache probes, inserts and run-log records follow instance order, so
+//     the qo.plan_cache.* counter totals and the run-log record stream of
+//     a batch are deterministic too.
 //
 // Sequences returned to the caller are mapped back from canonical labels
 // through the instance's own relabeling permutation; both cost models
@@ -36,8 +34,6 @@
 
 namespace aqo {
 
-class ThreadPool;
-
 struct BatchOptions {
   // Registry name of the optimizer to run (qo/registry.h).
   std::string optimizer = "dp";
@@ -49,10 +45,6 @@ struct BatchOptions {
   // Base seed: instance i's stream is Rng(MixSeed(seed, fingerprint.lo)).
   uint64_t seed = 0;
 
-  // Fan computation across this pool when set (null or 1 thread =
-  // serial). Never changes any result bit.
-  ThreadPool* pool = nullptr;
-
   // Consult/populate this cache when set. Never changes any result bit.
   // Plans cut by a wall-clock deadline (qon.budget / qoh.budget
   // .deadline_ms) are never inserted: they depend on the clock.
@@ -60,8 +52,7 @@ struct BatchOptions {
 };
 
 // Per-item fault isolation: an item whose optimizer throws (or trips an
-// injected fault, util/fault_injection.h) is retried exactly once with
-// the same RNG stream; a second failure yields an infeasible result with
+// injected fault, util/fault_injection.h) yields an infeasible result with
 // result.status == PlanStatus::kFailed for that item only — sibling
 // items, the cache, and counter totals are unaffected.
 struct QonBatchItem {

@@ -271,17 +271,16 @@ SqoCpResult SolveSqoNlOnly(const SqoCpInstance& inst) {
   SqoCpResult result;
   bool have = false;
 
-  for (int start = 0; start <= s; ++start) {
-    // Satellites after the prefix, in ascending NL rank (ASI-optimal; the
-    // star graph imposes no precedence among satellites once R_0 is in).
-    std::vector<int> order;
-    for (int i = 1; i <= s; ++i) {
-      if (i != start) order.push_back(i);
-    }
-    std::sort(order.begin(), order.end(), [&inst](int a, int b) {
-      return NlRankLess(inst, a - 1, b - 1);
-    });
+  // Satellites after the prefix go in ascending NL rank (ASI-optimal; the
+  // star graph imposes no precedence among satellites once R_0 is in). A
+  // satellite's rank does not depend on the start, so one sort serves all.
+  std::vector<int> ranked;
+  for (int i = 1; i <= s; ++i) ranked.push_back(i);
+  std::stable_sort(ranked.begin(), ranked.end(), [&inst](int a, int b) {
+    return NlRankLess(inst, a - 1, b - 1);
+  });
 
+  for (int start = 0; start <= s; ++start) {
     SqoCpPlan plan;
     if (start == 0) {
       plan.sequence.push_back(0);
@@ -290,7 +289,8 @@ SqoCpResult SolveSqoNlOnly(const SqoCpInstance& inst) {
       plan.sequence.push_back(0);
       plan.methods.push_back(JoinMethod::kNestedLoops);
     }
-    for (int sat : order) {
+    for (int sat : ranked) {
+      if (sat == start) continue;
       plan.sequence.push_back(sat);
       plan.methods.push_back(JoinMethod::kNestedLoops);
     }

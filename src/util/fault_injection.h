@@ -22,8 +22,8 @@
 namespace aqo {
 
 // Thrown by FaultInjector::MaybeThrow at an armed site. Derives from
-// std::runtime_error so generic catch-and-retry paths treat an injected
-// fault exactly like a real one.
+// std::runtime_error so generic catch paths treat an injected fault
+// exactly like a real one.
 class FaultInjectedError : public std::runtime_error {
  public:
   explicit FaultInjectedError(const std::string& what)
@@ -43,9 +43,9 @@ class FaultInjector {
   static FaultInjector& Get();
 
   // Arms the injector: the next `times` probes at `site` whose ordinal
-  // equals `ordinal` fail. `times` defaults to 1 (fail once; a retry of
-  // the same ordinal then succeeds — the recovery path). `times` >= 2
-  // makes the retry fail too (the permanent-failure path).
+  // equals `ordinal` fail. `times` defaults to 1 (fail once; a later probe
+  // of the same ordinal succeeds). `times` >= 2 fails that many matching
+  // probes, e.g. a persistence write and the breaker's later probe.
   void Arm(const std::string& site, uint64_t ordinal, int times = 1);
 
   // Returns to the inert state. Always safe to call.

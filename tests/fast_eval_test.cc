@@ -38,7 +38,6 @@
 #include "qo/workloads.h"
 #include "reductions/clique_to_qon.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace aqo {
 namespace {
@@ -307,7 +306,7 @@ TEST(RankedIi, MatchesNaiveReferenceOnBothSidesOfThreshold) {
   }
 }
 
-TEST(RankedIi, BatchMatchesNaiveReferenceAcrossThreads) {
+TEST(RankedIi, BatchMatchesNaiveReference) {
   std::vector<QonInstance> batch;
   for (int n : IiSizes()) {
     for (NamedInstance& input : IiInputs(n)) {
@@ -323,16 +322,11 @@ TEST(RankedIi, BatchMatchesNaiveReferenceAcrossThreads) {
     ScopedNaiveCostEvaluation naive_scope;
     naive = OptimizeQonBatch(batch, options);
   }
-  for (int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    options.pool = &pool;
-    std::vector<QonBatchItem> ranked = OptimizeQonBatch(batch, options);
-    ASSERT_EQ(ranked.size(), naive.size());
-    for (size_t i = 0; i < ranked.size(); ++i) {
-      ExpectSameResult(ranked[i].result, naive[i].result,
-                       "item " + std::to_string(i) + " threads=" +
-                           std::to_string(threads));
-    }
+  std::vector<QonBatchItem> ranked = OptimizeQonBatch(batch, options);
+  ASSERT_EQ(ranked.size(), naive.size());
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    ExpectSameResult(ranked[i].result, naive[i].result,
+                     "item " + std::to_string(i));
   }
 }
 

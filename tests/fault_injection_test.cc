@@ -2,17 +2,14 @@
 // plan cache, driven by the deterministic injector
 // (util/fault_injection.h):
 //
-//   * an injected per-item fault is retried exactly once with the same
-//     RNG stream, so a single-shot fault recovers bit-identically;
-//   * a two-shot (permanent) fault marks that item kFailed while every
-//     sibling item stays bit-identical — across threads {1, 2, 4} and
-//     cache on/off — and the failed item stays retryable;
+//   * an injected per-item fault marks that item kFailed while every
+//     sibling item stays bit-identical, with the cache on or off, and the
+//     failed item stays retryable;
 //   * a dropped cache insert degrades gracefully: results never change,
 //     later probes just miss.
 //
 // Ordinals come from program structure (batch item index, per-cache
-// insert sequence), so every scenario reproduces bit-identically
-// regardless of thread schedule.
+// insert sequence), so every scenario reproduces bit-identically.
 
 #include <string>
 #include <vector>
@@ -26,17 +23,14 @@
 #include "qo/workloads.h"
 #include "util/fault_injection.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace aqo {
 namespace {
 
 constexpr uint64_t kSeed = 7;
-const int kThreadCounts[] = {1, 2, 4};
 
-// Distinct (non-duplicate) instances so every item is its own
-// representative: the "service.item" ordinal equals the item index
-// whether or not a cache deduplicates the batch.
+// Distinct (non-duplicate) instances, so every item computes: the
+// "service.item" ordinal is the item index.
 std::vector<QonInstance> DistinctInstances() {
   Rng rng(51);
   std::vector<QonInstance> batch;
@@ -48,7 +42,7 @@ std::vector<QonInstance> DistinctInstances() {
 
 BatchOptions BaseOptions() {
   BatchOptions options;
-  options.optimizer = "sa";  // stochastic: retry-with-same-stream matters
+  options.optimizer = "sa";  // stochastic: siblings keep their own streams
   options.qon.sa.iterations = 200;
   options.qon.sa.restarts = 1;
   options.seed = kSeed;
@@ -74,35 +68,28 @@ class FaultInjectionTest : public ::testing::Test {
   void TearDown() override { FaultInjector::Get().Disarm(); }
 };
 
-TEST_F(FaultInjectionTest, SingleShotFaultRetriesOnceAndRecoversBitwise) {
+TEST_F(FaultInjectionTest, SingleShotFaultFailsOnlyTheVictim) {
   std::vector<QonInstance> batch = DistinctInstances();
   BatchOptions options = BaseOptions();
   std::vector<QonBatchItem> reference = OptimizeQonBatch(batch, options);
 
   constexpr uint64_t kVictim = 2;
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    options.pool = &pool;
-    std::string label = "threads=" + std::to_string(threads);
+  uint64_t failures_before = CounterValue("qo.service.failures");
+  FaultInjector::Get().Arm("service.item", kVictim, /*times=*/1);
+  std::vector<QonBatchItem> got = OptimizeQonBatch(batch, options);
+  FaultInjector::Get().Disarm();
 
-    uint64_t retries_before = CounterValue("qo.service.retries");
-    uint64_t failures_before = CounterValue("qo.service.failures");
-    FaultInjector::Get().Arm("service.item", kVictim, /*times=*/1);
-    std::vector<QonBatchItem> got = OptimizeQonBatch(batch, options);
-    FaultInjector::Get().Disarm();
-
-    // Exactly one retry, no failure, and — because the retry re-seeds the
-    // identical RNG stream — every item, victim included, is bit-equal.
-    EXPECT_EQ(CounterValue("qo.service.retries") - retries_before, 1u)
-        << label;
-    EXPECT_EQ(CounterValue("qo.service.failures") - failures_before, 0u)
-        << label;
-    ASSERT_EQ(got.size(), reference.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      ExpectItemBits(reference[i], got[i],
-                     label + " item " + std::to_string(i));
-      EXPECT_EQ(got[i].result.status, PlanStatus::kComplete) << label;
+  // The item fails at its first throw; every sibling is bit-equal.
+  EXPECT_EQ(CounterValue("qo.service.failures") - failures_before, 1u);
+  ASSERT_EQ(got.size(), reference.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (i == kVictim) {
+      EXPECT_FALSE(got[i].result.feasible);
+      EXPECT_EQ(got[i].result.status, PlanStatus::kFailed);
+      continue;
     }
+    ExpectItemBits(reference[i], got[i], "sibling " + std::to_string(i));
+    EXPECT_EQ(got[i].result.status, PlanStatus::kComplete);
   }
 }
 
@@ -112,49 +99,41 @@ TEST_F(FaultInjectionTest, PermanentFaultFailsOnlyTheVictim) {
   std::vector<QonBatchItem> reference = OptimizeQonBatch(batch, options);
 
   constexpr uint64_t kVictim = 3;
-  for (int threads : kThreadCounts) {
-    for (bool use_cache : {false, true}) {
-      ThreadPool pool(threads);
-      PlanCache cache;
-      options.pool = &pool;
-      options.cache = use_cache ? &cache : nullptr;
-      std::string label = "threads=" + std::to_string(threads) +
-                          " cache=" + (use_cache ? "on" : "off");
+  for (bool use_cache : {false, true}) {
+    PlanCache cache;
+    options.cache = use_cache ? &cache : nullptr;
+    std::string label = std::string("cache=") + (use_cache ? "on" : "off");
 
-      uint64_t retries_before = CounterValue("qo.service.retries");
-      uint64_t failures_before = CounterValue("qo.service.failures");
-      FaultInjector::Get().Arm("service.item", kVictim, /*times=*/2);
-      std::vector<QonBatchItem> got = OptimizeQonBatch(batch, options);
-      FaultInjector::Get().Disarm();
+    uint64_t failures_before = CounterValue("qo.service.failures");
+    FaultInjector::Get().Arm("service.item", kVictim, /*times=*/2);
+    std::vector<QonBatchItem> got = OptimizeQonBatch(batch, options);
+    FaultInjector::Get().Disarm();
 
-      EXPECT_EQ(CounterValue("qo.service.retries") - retries_before, 1u)
-          << label;
-      EXPECT_EQ(CounterValue("qo.service.failures") - failures_before, 1u)
-          << label;
-      ASSERT_EQ(got.size(), reference.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        if (i == kVictim) {
-          EXPECT_FALSE(got[i].result.feasible) << label;
-          EXPECT_EQ(got[i].result.status, PlanStatus::kFailed) << label;
-          continue;
-        }
-        ExpectItemBits(reference[i], got[i],
-                       label + " sibling " + std::to_string(i));
+    EXPECT_EQ(CounterValue("qo.service.failures") - failures_before, 1u)
+        << label;
+    ASSERT_EQ(got.size(), reference.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      if (i == kVictim) {
+        EXPECT_FALSE(got[i].result.feasible) << label;
+        EXPECT_EQ(got[i].result.status, PlanStatus::kFailed) << label;
+        continue;
       }
-
-      if (use_cache) {
-        // kFailed is never cached, so the victim stays retryable: the
-        // next (fault-free) run through the same cache recomputes it and
-        // matches the reference bit for bit.
-        std::vector<QonBatchItem> healed = OptimizeQonBatch(batch, options);
-        for (size_t i = 0; i < healed.size(); ++i) {
-          ExpectItemBits(reference[i], healed[i],
-                         label + " healed " + std::to_string(i));
-        }
-        EXPECT_FALSE(got[kVictim].from_cache) << label;
-      }
-      options.cache = nullptr;
+      ExpectItemBits(reference[i], got[i],
+                     label + " sibling " + std::to_string(i));
     }
+
+    if (use_cache) {
+      // kFailed is never cached, so the victim stays retryable: the
+      // next (fault-free) run through the same cache recomputes it and
+      // matches the reference bit for bit.
+      std::vector<QonBatchItem> healed = OptimizeQonBatch(batch, options);
+      for (size_t i = 0; i < healed.size(); ++i) {
+        ExpectItemBits(reference[i], healed[i],
+                       label + " healed " + std::to_string(i));
+      }
+      EXPECT_FALSE(got[kVictim].from_cache) << label;
+    }
+    options.cache = nullptr;
   }
 }
 

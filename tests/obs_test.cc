@@ -408,7 +408,9 @@ TEST(Histogram, SnapshotTotalsAndExtrema) {
   // Sparse buckets are index-sorted with counts matching the totals.
   uint64_t bucket_total = 0;
   for (size_t i = 0; i < data.buckets.size(); ++i) {
-    if (i > 0) EXPECT_LT(data.buckets[i - 1].first, data.buckets[i].first);
+    if (i > 0) {
+      EXPECT_LT(data.buckets[i - 1].first, data.buckets[i].first);
+    }
     bucket_total += data.buckets[i].second;
   }
   EXPECT_EQ(bucket_total, 4u);
@@ -571,8 +573,8 @@ TEST(Trace, SpansAndSlicesBecomeCompleteEvents) {
 
 TEST(Trace, ServiceEmitsOneItemSlicePerBatchItem) {
   // The acceptance contract: with tracing armed, a batch of N instances
-  // yields exactly N "qo.service.item" slices — computed misses from the
-  // compute loop, hits and duplicates from the resolve loop.
+  // yields exactly N "qo.service.item" slices, computed misses and cache
+  // hits alike.
   QonInstance base = SmallInstance();
   std::vector<QonInstance> batch = {base, base, base, base, base};
   PlanCacheOptions cache_options;
@@ -600,7 +602,7 @@ TEST(Trace, ServiceEmitsOneItemSlicePerBatchItem) {
   }
   EXPECT_EQ(item_slices, batch.size());
   EXPECT_TRUE(saw_computed);  // first occurrence computed
-  EXPECT_TRUE(saw_served);    // the four duplicates served from the rep
+  EXPECT_TRUE(saw_served);    // the four duplicates served from the cache
 }
 
 }  // namespace

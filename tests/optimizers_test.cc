@@ -45,10 +45,6 @@ TEST(DpOptimizer, MatchesExhaustiveNoCartesian) {
   Rng rng(62);
   OptimizerOptions options;
   options.forbid_cartesian = true;
-  OptimizerOptions sampling_options = options;
-  sampling_options.samples = 20;
-  OptimizerOptions ii_options = options;
-  ii_options.restarts = 2;
   for (int trial = 0; trial < 40; ++trial) {
     int n = static_cast<int>(rng.UniformInt(2, 8));
     QonInstance inst = RandomInstance(n, rng.UniformReal(0.3, 1.0), &rng);
@@ -69,10 +65,6 @@ TEST(DpOptimizer, InfeasibleOnDisconnectedWhenCartesianForbidden) {
   QonInstance inst(g, sizes);
   OptimizerOptions options;
   options.forbid_cartesian = true;
-  OptimizerOptions sampling_options = options;
-  sampling_options.samples = 20;
-  OptimizerOptions ii_options = options;
-  ii_options.restarts = 2;
   EXPECT_FALSE(DpQonOptimizer(inst, options).feasible);
   EXPECT_TRUE(DpQonOptimizer(inst).feasible);
 }

@@ -87,7 +87,7 @@ TEST(ParallelDifferential, AllConnectedGraphsUpTo5MatchOracleAndParallel) {
     for (uint64_t code = 0; code < codes; ++code) {
       Graph g = GraphFromCode(n, code);
       if (!g.IsConnected()) continue;
-      QonInstance inst = InstanceFor(g, (uint64_t{n} << 32) | code);
+      QonInstance inst = InstanceFor(g, (static_cast<uint64_t>(n) << 32) | code);
       OptimizerResult serial = DpQonOptimizerSerial(inst);
       ASSERT_TRUE(serial.feasible);
 

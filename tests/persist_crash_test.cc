@@ -1,17 +1,15 @@
 // Crash-point sweep for plan-cache persistence (qo/persist.h): for every
 // fault ordinal at every persist site ("persist.append", "persist.fsync",
-// "persist.snapshot"), and for thread counts {1, 2, 4}, simulate the
-// crash, recover the state directory into a fresh cache, and assert that
-// service batch results through the recovered cache are bit-identical to
-// a cold-cache computation.
+// "persist.snapshot"), simulate the crash, recover the state directory
+// into a fresh cache, and assert that service batch results through the
+// recovered cache are bit-identical to a cold-cache computation.
 //
 // The sweep is exhaustive by construction rather than by a hard-coded
 // count: ordinals are tried from 0 upward until a run completes with no
 // fault fired (store.failed() == false), which proves the previous
 // ordinal was the last live probe. Fault ordinals come from per-store
 // counters driven by the service's serial insert order, so "crash at
-// append #k" means the same bytes hit disk for every thread count — that
-// is what makes the recovery assertion meaningful across {1, 2, 4}.
+// append #k" always means the same bytes hit disk.
 
 #include <bit>
 #include <filesystem>
@@ -26,7 +24,6 @@
 #include "qo/workloads.h"
 #include "util/fault_injection.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace aqo {
 namespace {
@@ -63,9 +60,9 @@ void ExpectBitIdentical(const std::vector<QonBatchItem>& got,
   }
 }
 
-std::string SweepDir(const char* site, uint64_t ordinal, int threads) {
+std::string SweepDir(const char* site, uint64_t ordinal) {
   std::string dir = testing::TempDir() + "aqo_crash_" + site + "_" +
-                    std::to_string(ordinal) + "_t" + std::to_string(threads);
+                    std::to_string(ordinal);
   for (char& c : dir) {
     if (c == '.') c = '_';
   }
@@ -84,75 +81,65 @@ void RunSweep(const char* site) {
   base.optimizer = "dp";
   base.seed = 11;
 
-  // Cold truth, computed once with no cache and no pool.
+  // Cold truth, computed once with no cache.
   std::vector<QonBatchItem> cold = OptimizeQonBatch(instances, base);
 
-  for (int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    bool swept_past_last_probe = false;
-    for (uint64_t ordinal = 0; ordinal <= kMaxOrdinal; ++ordinal) {
-      SCOPED_TRACE(std::string(site) + " ordinal " +
-                   std::to_string(ordinal) + " threads " +
-                   std::to_string(threads));
-      std::string dir = SweepDir(site, ordinal, threads);
+  bool swept_past_last_probe = false;
+  for (uint64_t ordinal = 0; ordinal <= kMaxOrdinal; ++ordinal) {
+    SCOPED_TRACE(std::string(site) + " ordinal " + std::to_string(ordinal));
+    std::string dir = SweepDir(site, ordinal);
 
-      // The crashing run: cache with write-through persistence, fault
-      // armed at (site, ordinal), a batch, then a snapshot rotation so
-      // the "persist.snapshot" site has probes to hit.
-      bool fired;
-      {
-        PlanCache cache(
-            PlanCacheOptions{.byte_budget = 1 << 20, .shards = 4});
-        // These faults simulate process death, and a dead process never
-        // probes. The run makes at most five write attempts (four
-        // appends and a snapshot), fewer than the eight refused writes
-        // the first probe waits for, so a tripped store stays tripped to
-        // the end of the run. Breaker recovery from *transient* faults is
-        // covered in persist_test.cc.
-        PlanStore store(
-            PersistOptions{.dir = dir, .fsync = true, .breaker = {}});
-        store.AttachTo(&cache);
-        FaultInjector::Get().Arm(site, ordinal);
-        BatchOptions options = base;
-        options.cache = &cache;
-        options.pool = threads > 1 ? &pool : nullptr;
-        std::vector<QonBatchItem> crashed =
-            OptimizeQonBatch(instances, options);
-        store.SaveSnapshot(cache);
-        FaultInjector::Get().Disarm();
-        fired = store.failed();
-        EXPECT_EQ(store.breaker_probes(), 0u);
-        EXPECT_LE(store.breaker_trips(), 1u);
-        // Even while the store is dying, the service's answers stay
-        // bit-identical — persistence failures never leak into results.
-        ExpectBitIdentical(crashed, cold);
-      }
-
-      // Recovery: whatever prefix reached disk must load cleanly...
-      PlanCache warm(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 4});
-      PlanStore reader(PersistOptions{.dir = dir, .fsync = false});
-      ParseResult<RecoveryStats> stats = reader.LoadAndRecover(&warm);
-      ASSERT_TRUE(stats.ok()) << stats.error;
-      // ...and a batch through the recovered cache must reproduce the
-      // cold results bit-for-bit (hits replay persisted bits, misses
-      // recompute — indistinguishable by contract).
-      BatchOptions warm_options = base;
-      warm_options.cache = &warm;
-      warm_options.pool = threads > 1 ? &pool : nullptr;
-      ExpectBitIdentical(OptimizeQonBatch(instances, warm_options), cold);
-
-      std::filesystem::remove_all(dir);
-      if (!fired) {
-        // No probe carried this ordinal: every live crash point at this
-        // site has now been swept.
-        swept_past_last_probe = true;
-        EXPECT_GT(ordinal, 0u) << "site never fired — wrong site name?";
-        break;
-      }
+    // The crashing run: cache with write-through persistence, fault
+    // armed at (site, ordinal), a batch, then a snapshot rotation so
+    // the "persist.snapshot" site has probes to hit.
+    bool fired;
+    {
+      PlanCache cache(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 4});
+      // These faults simulate process death, and a dead process never
+      // probes. The run makes at most five write attempts (four
+      // appends and a snapshot), fewer than the eight refused writes
+      // the first probe waits for, so a tripped store stays tripped to
+      // the end of the run. Breaker recovery from *transient* faults is
+      // covered in persist_test.cc.
+      PlanStore store(PersistOptions{.dir = dir, .fsync = true, .breaker = {}});
+      store.AttachTo(&cache);
+      FaultInjector::Get().Arm(site, ordinal);
+      BatchOptions options = base;
+      options.cache = &cache;
+      std::vector<QonBatchItem> crashed = OptimizeQonBatch(instances, options);
+      store.SaveSnapshot(cache);
+      FaultInjector::Get().Disarm();
+      fired = store.failed();
+      EXPECT_EQ(store.breaker_probes(), 0u);
+      EXPECT_LE(store.breaker_trips(), 1u);
+      // Even while the store is dying, the service's answers stay
+      // bit-identical — persistence failures never leak into results.
+      ExpectBitIdentical(crashed, cold);
     }
-    EXPECT_TRUE(swept_past_last_probe)
-        << site << ": still firing at ordinal " << kMaxOrdinal;
+
+    // Recovery: whatever prefix reached disk must load cleanly...
+    PlanCache warm(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 4});
+    PlanStore reader(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
+    ParseResult<RecoveryStats> stats = reader.LoadAndRecover(&warm);
+    ASSERT_TRUE(stats.ok()) << stats.error;
+    // ...and a batch through the recovered cache must reproduce the
+    // cold results bit-for-bit (hits replay persisted bits, misses
+    // recompute — indistinguishable by contract).
+    BatchOptions warm_options = base;
+    warm_options.cache = &warm;
+    ExpectBitIdentical(OptimizeQonBatch(instances, warm_options), cold);
+
+    std::filesystem::remove_all(dir);
+    if (!fired) {
+      // No probe carried this ordinal: every live crash point at this
+      // site has now been swept.
+      swept_past_last_probe = true;
+      EXPECT_GT(ordinal, 0u) << "site never fired — wrong site name?";
+      break;
+    }
   }
+  EXPECT_TRUE(swept_past_last_probe)
+      << site << ": still firing at ordinal " << kMaxOrdinal;
 }
 
 TEST_F(PersistCrashSweep, AppendCrashAtEveryOrdinal) {

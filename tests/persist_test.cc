@@ -352,11 +352,11 @@ TEST(PlanStore, SnapshotThenRecoverReproducesTheCache) {
   PlanCache cache(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 4});
   for (int i = 0; i < 32; ++i) cache.Insert(TestKey(i), TestPlan(i));
 
-  PlanStore store(PersistOptions{.dir = dir, .fsync = false});
+  PlanStore store(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
   ASSERT_TRUE(store.SaveSnapshot(cache)) << store.error();
 
   PlanCache warm(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 4});
-  PlanStore reader(PersistOptions{.dir = dir, .fsync = false});
+  PlanStore reader(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
   ParseResult<RecoveryStats> stats = reader.LoadAndRecover(&warm);
   ASSERT_TRUE(stats.ok()) << stats.error;
   EXPECT_TRUE(stats.value->had_snapshot);
@@ -377,7 +377,7 @@ TEST(PlanStore, WriteThroughJournalRecoversWithoutASnapshot) {
   std::string dir = TestDir("journal");
   {
     PlanCache cache(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 2});
-    PlanStore store(PersistOptions{.dir = dir, .fsync = false});
+    PlanStore store(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
     store.AttachTo(&cache);
     for (int i = 0; i < 10; ++i) cache.Insert(TestKey(i), TestPlan(i));
     EXPECT_FALSE(store.failed()) << store.error();
@@ -386,7 +386,7 @@ TEST(PlanStore, WriteThroughJournalRecoversWithoutASnapshot) {
     cache.Insert(TestKey(3), TestPlan(3));
   }
   PlanCache warm(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 2});
-  PlanStore reader(PersistOptions{.dir = dir, .fsync = false});
+  PlanStore reader(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
   ParseResult<RecoveryStats> stats = reader.LoadAndRecover(&warm);
   ASSERT_TRUE(stats.ok()) << stats.error;
   EXPECT_FALSE(stats.value->had_snapshot);
@@ -399,7 +399,7 @@ TEST(PlanStore, TornJournalTailIsRepairedAndAppendable) {
   std::string dir = TestDir("repair");
   {
     PlanCache cache(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 2});
-    PlanStore store(PersistOptions{.dir = dir, .fsync = false});
+    PlanStore store(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
     store.AttachTo(&cache);
     for (int i = 0; i < 4; ++i) cache.Insert(TestKey(i), TestPlan(i));
   }
@@ -410,7 +410,7 @@ TEST(PlanStore, TornJournalTailIsRepairedAndAppendable) {
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 7));
 
   PlanCache warm(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 2});
-  PlanStore store(PersistOptions{.dir = dir, .fsync = false});
+  PlanStore store(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
   ParseResult<RecoveryStats> stats = store.LoadAndRecover(&warm);
   ASSERT_TRUE(stats.ok()) << stats.error;
   EXPECT_TRUE(stats.value->torn_tail);
@@ -422,7 +422,7 @@ TEST(PlanStore, TornJournalTailIsRepairedAndAppendable) {
   EXPECT_FALSE(store.failed()) << store.error();
 
   PlanCache warm2(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 2});
-  PlanStore reader(PersistOptions{.dir = dir, .fsync = false});
+  PlanStore reader(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
   ParseResult<RecoveryStats> stats2 = reader.LoadAndRecover(&warm2);
   ASSERT_TRUE(stats2.ok()) << stats2.error;
   EXPECT_FALSE(stats2.value->torn_tail);
@@ -466,7 +466,7 @@ TEST(PlanStore, UnreadableHeaderIsAHardError) {
   std::ofstream(dir + "/snapshot.bin", std::ios::binary)
       << "definitely not an AQO file";
   PlanCache cache(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 2});
-  PlanStore store(PersistOptions{.dir = dir, .fsync = false});
+  PlanStore store(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
   ParseResult<RecoveryStats> stats = store.LoadAndRecover(&cache);
   ASSERT_FALSE(stats.ok());
   EXPECT_NE(stats.error.find("snapshot.bin"), std::string::npos);
@@ -480,7 +480,7 @@ TEST(PlanStore, TenThousandEntryJournalRecovers) {
   constexpr int kEntries = 10000;
   {
     PlanCache cache(PlanCacheOptions{.byte_budget = 64 << 20, .shards = 8});
-    PlanStore store(PersistOptions{.dir = dir, .fsync = false});
+    PlanStore store(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
     store.AttachTo(&cache);
     for (int i = 0; i < kEntries; ++i) cache.Insert(TestKey(i), TestPlan(i));
     EXPECT_FALSE(store.failed()) << store.error();
@@ -491,7 +491,7 @@ TEST(PlanStore, TenThousandEntryJournalRecovers) {
                                       .count;
 
   PlanCache warm(PlanCacheOptions{.byte_budget = 64 << 20, .shards = 8});
-  PlanStore reader(PersistOptions{.dir = dir, .fsync = false});
+  PlanStore reader(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
   ParseResult<RecoveryStats> stats = reader.LoadAndRecover(&warm);
   ASSERT_TRUE(stats.ok()) << stats.error;
   EXPECT_EQ(stats.value->log_entries, static_cast<uint64_t>(kEntries));
@@ -535,7 +535,7 @@ uint64_t ExpectedBackoff(const PersistBreakerOptions& breaker,
 
 TEST(PlanStoreBreaker, TripRefuseProbeReopenRepairsTheJournal) {
   std::string dir = TestDir("trip");
-  PersistOptions options{.dir = dir, .fsync = false};
+  PersistOptions options{.dir = dir, .fsync = false, .breaker = {}};
   options.breaker.backoff_base = 4;
   options.breaker.backoff_max = 64;
   options.breaker.seed = 7;
@@ -593,7 +593,7 @@ TEST(PlanStoreBreaker, TripRefuseProbeReopenRepairsTheJournal) {
   // the tear before re-appending. The faulted and refused entries never
   // reached disk.
   PlanCache warm(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 2});
-  PlanStore reader(PersistOptions{.dir = dir, .fsync = false});
+  PlanStore reader(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
   ParseResult<RecoveryStats> stats = reader.LoadAndRecover(&warm);
   ASSERT_TRUE(stats.ok()) << stats.error;
   EXPECT_TRUE(stats.value->damage.empty()) << stats.value->damage;
@@ -609,7 +609,7 @@ TEST(PlanStoreBreaker, TripRefuseProbeReopenRepairsTheJournal) {
 
 TEST(PlanStoreBreaker, FailedProbeEscalatesToOpenThenRecovers) {
   std::string dir = TestDir("escalate");
-  PersistOptions options{.dir = dir, .fsync = false};
+  PersistOptions options{.dir = dir, .fsync = false, .breaker = {}};
   options.breaker.backoff_base = 4;
   options.breaker.backoff_max = 64;
   options.breaker.seed = 11;
@@ -663,7 +663,7 @@ TEST(PlanStoreBreaker, FailedProbeEscalatesToOpenThenRecovers) {
 
   // The journal is clean end to end despite two mid-record tears.
   PlanCache warm(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 2});
-  PlanStore reader(PersistOptions{.dir = dir, .fsync = false});
+  PlanStore reader(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
   ParseResult<RecoveryStats> stats = reader.LoadAndRecover(&warm);
   ASSERT_TRUE(stats.ok()) << stats.error;
   EXPECT_TRUE(stats.value->damage.empty()) << stats.value->damage;
@@ -672,7 +672,7 @@ TEST(PlanStoreBreaker, FailedProbeEscalatesToOpenThenRecovers) {
 
 TEST(PlanStoreBreaker, SnapshotWritesAreGatedAndCanProbe) {
   std::string dir = TestDir("snapgate");
-  PersistOptions options{.dir = dir, .fsync = false};
+  PersistOptions options{.dir = dir, .fsync = false, .breaker = {}};
   options.breaker.backoff_base = 2;
   options.breaker.seed = 3;
   const uint64_t backoff = ExpectedBackoff(options.breaker, 1);
@@ -697,7 +697,7 @@ TEST(PlanStoreBreaker, SnapshotWritesAreGatedAndCanProbe) {
   EXPECT_EQ(store.breaker_reopens(), 1u);
 
   PlanCache warm(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 2});
-  PlanStore reader(PersistOptions{.dir = dir, .fsync = false});
+  PlanStore reader(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
   ParseResult<RecoveryStats> stats = reader.LoadAndRecover(&warm);
   ASSERT_TRUE(stats.ok()) << stats.error;
   EXPECT_TRUE(stats.value->had_snapshot);
@@ -757,7 +757,7 @@ TEST(PersistService, RecoveredQohCacheReproducesColdResultsBitwise) {
   std::string dir = TestDir("qoh");
   {
     PlanCache cache(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 4});
-    PlanStore store(PersistOptions{.dir = dir, .fsync = false});
+    PlanStore store(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
     store.AttachTo(&cache);
     BatchOptions with_cache = options;
     with_cache.cache = &cache;
@@ -767,7 +767,7 @@ TEST(PersistService, RecoveredQohCacheReproducesColdResultsBitwise) {
 
   // Recover into a fresh cache; every item must now hit and still match.
   PlanCache warm(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 4});
-  PlanStore reader(PersistOptions{.dir = dir, .fsync = false});
+  PlanStore reader(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
   ParseResult<RecoveryStats> stats = reader.LoadAndRecover(&warm);
   ASSERT_TRUE(stats.ok()) << stats.error;
   ASSERT_GT(stats.value->entries_loaded, 0u);
@@ -792,7 +792,7 @@ TEST(PersistService, RecoveredQonCacheReproducesColdResultsBitwise) {
   std::string dir = TestDir("qon");
   {
     PlanCache cache(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 4});
-    PlanStore store(PersistOptions{.dir = dir, .fsync = false});
+    PlanStore store(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
     store.AttachTo(&cache);
     BatchOptions with_cache = options;
     with_cache.cache = &cache;
@@ -801,7 +801,7 @@ TEST(PersistService, RecoveredQonCacheReproducesColdResultsBitwise) {
   }
 
   PlanCache warm(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 4});
-  PlanStore reader(PersistOptions{.dir = dir, .fsync = false});
+  PlanStore reader(PersistOptions{.dir = dir, .fsync = false, .breaker = {}});
   ParseResult<RecoveryStats> stats = reader.LoadAndRecover(&warm);
   ASSERT_TRUE(stats.ok()) << stats.error;
   EXPECT_TRUE(stats.value->had_snapshot);

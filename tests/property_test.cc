@@ -22,9 +22,12 @@
 #include "qo/analysis.h"
 #include "qo/cost_eval.h"
 #include "qo/fast_eval.h"
+#include "qo/fingerprint.h"
 #include "qo/optimizers.h"
+#include "qo/plan_cache.h"
 #include "qo/qoh.h"
 #include "qo/registry.h"
+#include "qo/service.h"
 #include "qo/workloads.h"
 #include "reductions/clique_to_qon.h"
 #include "reductions/sat_to_clique.h"
@@ -759,10 +762,9 @@ TEST(CostEvaluatorInvariance, QohRegistryTripleUnchangedByFastPath) {
   }
 }
 
-// Same invariance through the batch service, across thread counts: the
-// evaluators are created per optimizer invocation, so worker threads
-// never share incremental state.
-TEST(CostEvaluatorInvariance, ServiceBatchUnchangedByFastPathAcrossThreads) {
+// Same invariance through the batch service: the evaluators are created
+// per optimizer invocation, so batch items never share incremental state.
+TEST(CostEvaluatorInvariance, ServiceBatchUnchangedByFastPath) {
   Rng gen(603);
   std::vector<QonInstance> qon_batch;
   std::vector<QohInstance> qoh_batch;
@@ -770,37 +772,31 @@ TEST(CostEvaluatorInvariance, ServiceBatchUnchangedByFastPathAcrossThreads) {
     qon_batch.push_back(RandomQonWorkload(4 + i, &gen));
     qoh_batch.push_back(RandomQohWorkload(4 + i % 4, &gen, 0.5));
   }
-  for (int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    BatchOptions options;
-    options.optimizer = "sa";
-    options.seed = 41;
-    options.pool = &pool;
+  BatchOptions options;
+  options.optimizer = "sa";
+  options.seed = 41;
 
-    std::vector<QonBatchItem> fast = OptimizeQonBatch(qon_batch, options);
-    std::vector<QohBatchItem> fast_h = OptimizeQohBatch(qoh_batch, options);
-    ScopedNaiveCostEvaluation naive_scope;
-    std::vector<QonBatchItem> naive = OptimizeQonBatch(qon_batch, options);
-    std::vector<QohBatchItem> naive_h = OptimizeQohBatch(qoh_batch, options);
+  std::vector<QonBatchItem> fast = OptimizeQonBatch(qon_batch, options);
+  std::vector<QohBatchItem> fast_h = OptimizeQohBatch(qoh_batch, options);
+  ScopedNaiveCostEvaluation naive_scope;
+  std::vector<QonBatchItem> naive = OptimizeQonBatch(qon_batch, options);
+  std::vector<QohBatchItem> naive_h = OptimizeQohBatch(qoh_batch, options);
 
-    ASSERT_EQ(fast.size(), naive.size());
-    for (size_t i = 0; i < fast.size(); ++i) {
-      SCOPED_TRACE("qon item " + std::to_string(i) + " threads=" +
-                   std::to_string(threads));
-      EXPECT_EQ(fast[i].result.feasible, naive[i].result.feasible);
-      EXPECT_EQ(fast[i].result.cost.Log2(), naive[i].result.cost.Log2());
-      EXPECT_EQ(fast[i].result.sequence, naive[i].result.sequence);
-      EXPECT_EQ(fast[i].result.evaluations, naive[i].result.evaluations);
-    }
-    ASSERT_EQ(fast_h.size(), naive_h.size());
-    for (size_t i = 0; i < fast_h.size(); ++i) {
-      SCOPED_TRACE("qoh item " + std::to_string(i) + " threads=" +
-                   std::to_string(threads));
-      EXPECT_EQ(fast_h[i].result.feasible, naive_h[i].result.feasible);
-      EXPECT_EQ(fast_h[i].result.cost.Log2(), naive_h[i].result.cost.Log2());
-      EXPECT_EQ(fast_h[i].result.sequence, naive_h[i].result.sequence);
-      EXPECT_EQ(fast_h[i].result.evaluations, naive_h[i].result.evaluations);
-    }
+  ASSERT_EQ(fast.size(), naive.size());
+  for (size_t i = 0; i < fast.size(); ++i) {
+    SCOPED_TRACE("qon item " + std::to_string(i));
+    EXPECT_EQ(fast[i].result.feasible, naive[i].result.feasible);
+    EXPECT_EQ(fast[i].result.cost.Log2(), naive[i].result.cost.Log2());
+    EXPECT_EQ(fast[i].result.sequence, naive[i].result.sequence);
+    EXPECT_EQ(fast[i].result.evaluations, naive[i].result.evaluations);
+  }
+  ASSERT_EQ(fast_h.size(), naive_h.size());
+  for (size_t i = 0; i < fast_h.size(); ++i) {
+    SCOPED_TRACE("qoh item " + std::to_string(i));
+    EXPECT_EQ(fast_h[i].result.feasible, naive_h[i].result.feasible);
+    EXPECT_EQ(fast_h[i].result.cost.Log2(), naive_h[i].result.cost.Log2());
+    EXPECT_EQ(fast_h[i].result.sequence, naive_h[i].result.sequence);
+    EXPECT_EQ(fast_h[i].result.evaluations, naive_h[i].result.evaluations);
   }
 }
 

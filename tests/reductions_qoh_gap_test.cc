@@ -3,11 +3,13 @@
 // Lemma 13/14 NO-side floor — exhaustively for n = 9.
 
 #include <algorithm>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "graph/clique.h"
 #include "graph/generators.h"
+#include "qo/cost_eval.h"
 #include "qo/optimizers.h"
 #include "reductions/clique_to_qoh.h"
 #include "util/random.h"
@@ -16,22 +18,33 @@ namespace aqo {
 namespace {
 
 // Exhaustive optimum over all sequences that start with relation `first`.
+// The sweep prices every sequence on one QohCostEvaluator, which walks the
+// next_permutation order incrementally; the naive OptimalDecomposition
+// then re-prices the winner and must agree bit for bit, so callers read
+// the naive reference's numbers.
 QohPlan BestPlanStartingWith(const QohInstance& inst, int first) {
   int n = inst.NumRelations();
   JoinSequence rest;
   for (int i = 0; i < n; ++i) {
     if (i != first) rest.push_back(i);
   }
+  QohCostEvaluator evaluator(inst);
   QohPlan best;
+  JoinSequence best_seq;
   do {
     JoinSequence seq = {first};
     seq.insert(seq.end(), rest.begin(), rest.end());
-    QohPlan plan = OptimalDecomposition(inst, seq);
+    const QohPlan& plan = evaluator.Evaluate(seq);
     if (plan.feasible && (!best.feasible || plan.cost < best.cost)) {
       best = plan;
+      best_seq = std::move(seq);
     }
   } while (std::next_permutation(rest.begin(), rest.end()));
-  return best;
+  if (!best.feasible) return best;
+  QohPlan naive = OptimalDecomposition(inst, best_seq);
+  EXPECT_TRUE(naive.feasible);
+  EXPECT_EQ(naive.cost.Log2(), best.cost.Log2());
+  return naive;
 }
 
 TEST(ReduceTwoThirdsCliqueToQoh, ConstructionShape) {

@@ -71,7 +71,8 @@ ParseResult<QonInstance> ParseQonInstance(std::istream& is) {
       int i = -1;
       double lg = 0.0;
       body >> i >> lg;
-      if (body.fail() || i < 0 || i >= n || !std::isfinite(lg)) {
+      if (body.fail() || i < 0 || i >= n ||
+          !(std::abs(lg) <= kMaxSerializedLog2)) {
         return Fail<QonInstance>("bad rel line", line);
       }
       sizes[static_cast<size_t>(i)] = LogDouble::FromLog2(lg);
@@ -80,7 +81,7 @@ ParseResult<QonInstance> ParseQonInstance(std::istream& is) {
       double lg = 0.0;
       body >> i >> j >> lg;
       if (body.fail() || i < 0 || i >= n || j < 0 || j >= n || i == j ||
-          !std::isfinite(lg)) {
+          !(std::abs(lg) <= kMaxSerializedLog2)) {
         return Fail<QonInstance>("bad edge line", line);
       }
       if (lg > 0.0) {
@@ -92,7 +93,7 @@ ParseResult<QonInstance> ParseQonInstance(std::istream& is) {
       double lg = 0.0;
       body >> i >> j >> lg;
       if (body.fail() || i < 0 || i >= n || j < 0 || j >= n || i == j ||
-          !std::isfinite(lg)) {
+          !(std::abs(lg) <= kMaxSerializedLog2)) {
         return Fail<QonInstance>("bad w line", line);
       }
       costs.emplace_back(i, j, lg);
@@ -158,7 +159,8 @@ ParseResult<QohInstance> ParseQohInstance(std::istream& is) {
       int i = -1;
       double lg = 0.0;
       body >> i >> lg;
-      if (body.fail() || i < 0 || i >= n || !std::isfinite(lg)) {
+      if (body.fail() || i < 0 || i >= n ||
+          !(std::abs(lg) <= kMaxSerializedLog2)) {
         return Fail<QohInstance>("bad rel line", line);
       }
       sizes[static_cast<size_t>(i)] = LogDouble::FromLog2(lg);
@@ -167,7 +169,7 @@ ParseResult<QohInstance> ParseQohInstance(std::istream& is) {
       double lg = 0.0;
       body >> i >> j >> lg;
       if (body.fail() || i < 0 || i >= n || j < 0 || j >= n || i == j ||
-          !std::isfinite(lg)) {
+          !(std::abs(lg) <= kMaxSerializedLog2)) {
         return Fail<QohInstance>("bad edge line", line);
       }
       if (lg > 0.0) {

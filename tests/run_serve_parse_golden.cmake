@@ -6,9 +6,10 @@
 # exactly. The stream covers valid QO_N and QO_H bodies, comments, blank
 # lines and CRLF, every edge of the number and line grammar, bodies with
 # no or an unknown family, n = 0 bodies, every registry entry at n = 1, 2
-# and just past its ceiling, header deadlines and bad header tokens, so it
-# pins the header tokens, family lookup, body hand-off and domain
-# admission in aqo_serve as well as the reader. make_requests.py in that
+# and just past its ceiling, header deadlines, bad header tokens and log2
+# values past the reader's bound, so it pins the header tokens, family
+# lookup, body hand-off and domain admission in aqo_serve as well as the
+# reader. make_requests.py in that
 # directory says how both files were made.
 #
 # Usage: cmake -DAQO_SERVE=<bin> -DGOLDEN_DIR=<tests/serve_parse_golden>

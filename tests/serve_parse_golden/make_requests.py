@@ -18,7 +18,8 @@ refused by the reader), and one fresh QO_N instance three times under
 (`status=complete`: the cut plan was not cached) and with 1e15 ms (the
 same bytes as none). The stream ends with two header tokens that are
 neither `optimizer=<name>` nor a number, each answered `err <id>
-header: ...`.
+header: ...`, and one QO_N and one QO_H body whose log2 sizes exceed
+kMaxSerializedLog2 (each answered `err <id> parse: bad rel line: ...`).
 responses.bin is what `aqo_serve --seed=3` answers, with or without
 `--deadline-ms=1e15`; regenerate it only when a response is meant to
 change:
@@ -129,6 +130,12 @@ def main():
         bodies.append((f"{deadline} optimizer=dp", fresh))
     bodies += [(" optimiser=greedy", "qon 3\n" + three),
                (" 5ms", "qon 3\n" + three)]
+    # Log2 values past kMaxSerializedLog2: their sums would overflow the
+    # cost model, so the reader refuses them.
+    huge = "".join(f"rel {i} 1.7e308\n" for i in range(3))
+    for header in ("qon 3", "qoh 3 170 0.5"):
+        bodies.append((" optimizer=greedy",
+                       f"{header}\n{huge}edge 0 1 0\nedge 1 2 0\n"))
     out = sys.stdout.buffer
     for k, (tokens, body) in enumerate(bodies):
         # `tokens` follow the id in the header. None: a header frame with

@@ -1,9 +1,8 @@
 // The batch service's determinism contract (qo/service.h), end to end:
-// for EVERY optimizer in the registry and every thread count, a batch of
-// relabeled-duplicate-heavy instances optimizes to bit-identical results
-// (costs, sequences, evaluation counts) whether the cache is off and
-// serial, off and parallel, cold, or warm — and a warm cache serves every
-// instance.
+// for EVERY optimizer in the registry, a batch of relabeled-duplicate-heavy
+// instances optimizes to bit-identical results (costs, sequences,
+// evaluation counts) whether the cache is off, cold, warm, or shared —
+// and a warm cache serves every instance.
 
 #include <numeric>
 #include <string>
@@ -17,13 +16,11 @@
 #include "qo/service.h"
 #include "qo/workloads.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace aqo {
 namespace {
 
 constexpr uint64_t kSeed = 5;
-const int kThreadCounts[] = {1, 2, 4};
 
 std::vector<int> RandomPermutation(int n, Rng* rng) {
   std::vector<int> perm(static_cast<size_t>(n));
@@ -108,7 +105,7 @@ void ExpectSameItems(const std::string& label, const std::vector<Item>& a,
   }
 }
 
-TEST(ServiceDifferential, QonCacheAndThreadsNeverChangeAnyBit) {
+TEST(ServiceDifferential, QonCacheNeverChangesAnyBit) {
   std::vector<QonInstance> batch = QonBatchInstances();
   for (const std::string& name : OptimizerRegistry::Qon().Names()) {
     BatchOptions options;
@@ -116,40 +113,34 @@ TEST(ServiceDifferential, QonCacheAndThreadsNeverChangeAnyBit) {
     options.qon = FastQonKnobs();
     options.seed = kSeed;
 
-    // Reference: cache off, serial.
+    // Reference: cache off.
     std::vector<QonBatchItem> reference = OptimizeQonBatch(batch, options);
+    ExpectSameItems(name + " nocache", reference,
+                    OptimizeQonBatch(batch, options));
 
+    PlanCache cold_cache;
+    options.cache = &cold_cache;
+    std::vector<QonBatchItem> cold = OptimizeQonBatch(batch, options);
+    ExpectSameItems(name + " cold", reference, cold);
+
+    std::vector<QonBatchItem> warm = OptimizeQonBatch(batch, options);
+    ExpectSameItems(name + " warm", reference, warm);
+    for (size_t i = 0; i < warm.size(); ++i) {
+      EXPECT_TRUE(warm[i].from_cache) << name << " warm item " << i;
+    }
+    EXPECT_GT(cold_cache.GetStats().hits, 0u) << name;
+
+    // A cache shared by successive batches must agree too.
     PlanCache shared_cache;
-    for (int threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      std::string label = name + " threads=" + std::to_string(threads);
-
-      options.pool = &pool;
-      options.cache = nullptr;
-      ExpectSameItems(label + " nocache", reference,
-                      OptimizeQonBatch(batch, options));
-
-      PlanCache cold_cache;
-      options.cache = &cold_cache;
-      std::vector<QonBatchItem> cold = OptimizeQonBatch(batch, options);
-      ExpectSameItems(label + " cold", reference, cold);
-
-      std::vector<QonBatchItem> warm = OptimizeQonBatch(batch, options);
-      ExpectSameItems(label + " warm", reference, warm);
-      for (size_t i = 0; i < warm.size(); ++i) {
-        EXPECT_TRUE(warm[i].from_cache) << label << " warm item " << i;
-      }
-      EXPECT_GT(cold_cache.GetStats().hits, 0u) << label;
-
-      // A cache shared across different thread counts must agree too.
-      options.cache = &shared_cache;
-      ExpectSameItems(label + " shared", reference,
+    options.cache = &shared_cache;
+    for (int round = 0; round < 2; ++round) {
+      ExpectSameItems(name + " shared", reference,
                       OptimizeQonBatch(batch, options));
     }
   }
 }
 
-TEST(ServiceDifferential, QohCacheAndThreadsNeverChangeAnyBit) {
+TEST(ServiceDifferential, QohCacheNeverChangesAnyBit) {
   std::vector<QohInstance> batch = QohBatchInstances();
   for (const std::string& name : QohOptimizerRegistry::Get().Names()) {
     BatchOptions options;
@@ -158,41 +149,35 @@ TEST(ServiceDifferential, QohCacheAndThreadsNeverChangeAnyBit) {
     options.seed = kSeed;
 
     std::vector<QohBatchItem> reference = OptimizeQohBatch(batch, options);
+    std::vector<QohBatchItem> again = OptimizeQohBatch(batch, options);
+    ExpectSameItems(name + " nocache", reference, again);
+    for (size_t i = 0; i < again.size(); ++i) {
+      if (!reference[i].result.feasible) continue;
+      EXPECT_EQ(reference[i].result.decomposition.starts,
+                again[i].result.decomposition.starts)
+          << name << " item " << i;
+    }
+
+    PlanCache cold_cache;
+    options.cache = &cold_cache;
+    std::vector<QohBatchItem> cold = OptimizeQohBatch(batch, options);
+    ExpectSameItems(name + " cold", reference, cold);
+
+    std::vector<QohBatchItem> warm = OptimizeQohBatch(batch, options);
+    ExpectSameItems(name + " warm", reference, warm);
+    for (size_t i = 0; i < warm.size(); ++i) {
+      EXPECT_TRUE(warm[i].from_cache) << name << " warm item " << i;
+      if (!reference[i].result.feasible) continue;
+      EXPECT_EQ(reference[i].result.decomposition.starts,
+                warm[i].result.decomposition.starts)
+          << name << " item " << i;
+    }
+    EXPECT_GT(cold_cache.GetStats().hits, 0u) << name;
 
     PlanCache shared_cache;
-    for (int threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      std::string label = name + " threads=" + std::to_string(threads);
-
-      options.pool = &pool;
-      options.cache = nullptr;
-      std::vector<QohBatchItem> parallel = OptimizeQohBatch(batch, options);
-      ExpectSameItems(label + " nocache", reference, parallel);
-      for (size_t i = 0; i < parallel.size(); ++i) {
-        if (!reference[i].result.feasible) continue;
-        EXPECT_EQ(reference[i].result.decomposition.starts,
-                  parallel[i].result.decomposition.starts)
-            << label << " item " << i;
-      }
-
-      PlanCache cold_cache;
-      options.cache = &cold_cache;
-      std::vector<QohBatchItem> cold = OptimizeQohBatch(batch, options);
-      ExpectSameItems(label + " cold", reference, cold);
-
-      std::vector<QohBatchItem> warm = OptimizeQohBatch(batch, options);
-      ExpectSameItems(label + " warm", reference, warm);
-      for (size_t i = 0; i < warm.size(); ++i) {
-        EXPECT_TRUE(warm[i].from_cache) << label << " warm item " << i;
-        if (!reference[i].result.feasible) continue;
-        EXPECT_EQ(reference[i].result.decomposition.starts,
-                  warm[i].result.decomposition.starts)
-            << label << " item " << i;
-      }
-      EXPECT_GT(cold_cache.GetStats().hits, 0u) << label;
-
-      options.cache = &shared_cache;
-      ExpectSameItems(label + " shared", reference,
+    options.cache = &shared_cache;
+    for (int round = 0; round < 2; ++round) {
+      ExpectSameItems(name + " shared", reference,
                       OptimizeQohBatch(batch, options));
     }
   }

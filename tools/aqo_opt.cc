@@ -21,10 +21,6 @@
 // aborting. --budget-evals=N / --deadline-ms=M cut runs short (anytime
 // mode, docs/robustness.md); cut-short lines carry a [status] marker.
 //
-// --plan-cache-mb=N demonstrates the canonical-fingerprint plan cache:
-// the instance is expanded into --repeat relabeled duplicates and the
-// batch is optimized through the cache (see docs/api.md).
-//
 // --json-out=<path> writes a JSONL run-log, --trace-out=<path> a Chrome
 // trace-event JSON of the run, and --latency-table=1 a percentile table
 // of every latency histogram (docs/observability.md).
@@ -101,8 +97,7 @@ int Main(int argc, char** argv) {
                            .n = inst.NumRelations(),
                            .edges = inst.graph().NumEdges()};
 
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  Rng rng(seed);
+  Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   // --threads=N sizes the pool the subset DP runs on; the result is
   // bit-identical for every value (see docs/parallelism.md).
   ThreadPool pool(flags.Threads());
@@ -117,21 +112,6 @@ int Main(int argc, char** argv) {
     Report(name, obs::InstrumentedRun("qon." + name, shape, [&] {
              return OptimizerRegistry::Qon().Run(name, inst, knobs, &rng);
            }));
-  }
-
-  // Plan-cache demonstration: --repeat relabeled duplicates of the input
-  // instance, optimized as one batch through the cache with the first
-  // selected optimizer. Flags are read unconditionally (never warn).
-  auto cache = bench::PlanCacheFromFlags(flags);
-  int repeat = static_cast<int>(flags.GetInt("repeat", 4));
-  if (cache != nullptr) {
-    BatchOptions batch;
-    batch.optimizer = names.front();
-    batch.qon = knobs;
-    batch.qon.pool = nullptr;  // batch-level pool fans the instances instead
-    batch.seed = seed;
-    std::cout << "\n";
-    bench::RunQonPlanCacheDemo(cache.get(), &pool, batch, {inst}, repeat);
   }
   return 0;
 }

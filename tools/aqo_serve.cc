@@ -189,7 +189,6 @@ std::string ServeFamily(const std::string& id, std::string_view family,
   BatchOptions options = config.*Family::kConfig;
   auto& knobs = options.*Family::kKnobs;
   options.cache = cache;
-  options.pool = nullptr;
   Family::UsePool(&knobs, pool);
   if (deadline_ms) knobs.budget.deadline_ms = *deadline_ms;
   auto admission = Admit(Family::Registry(),
