@@ -217,6 +217,11 @@ class RunLogSession {
 //   * results come back indexed, so tables built from them in a plain
 //     loop are byte-identical for every --threads value.
 //
+// Cells start from the highest index down (ThreadPool::ParallelFor's
+// claim order). The grids put their largest instances last, so the
+// longest cells start first and no thread picks one up at the end of a
+// sweep.
+//
 // The metamorphic guarantee (threads ∈ {1, 2, 8} agree exactly) is locked
 // in by tests/property_test.cc and the qon_gap_threads_differential ctest.
 class SweepRunner {

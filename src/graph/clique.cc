@@ -106,45 +106,4 @@ MaxCliqueResult MaxClique(const Graph& g, uint64_t node_limit, int target) {
   return result;
 }
 
-bool HasCliqueOfSize(const Graph& g, int k, uint64_t node_limit) {
-  if (k <= 0) return true;
-  if (k > g.NumVertices()) return false;
-  MaxCliqueResult r = MaxClique(g, node_limit, k);
-  return static_cast<int>(r.clique.size()) >= k;
-}
-
-std::vector<int> GreedyClique(const Graph& g, Rng* rng, int restarts) {
-  AQO_CHECK(restarts >= 1);
-  int n = g.NumVertices();
-  std::vector<int> best;
-  for (int r = 0; r < restarts; ++r) {
-    // Random starting vertex; then repeatedly add the candidate with the
-    // most neighbors inside the shrinking candidate set.
-    if (n == 0) break;
-    std::vector<int> clique;
-    DynamicBitset candidates(n);
-    candidates.SetAll();
-    int v = static_cast<int>(rng->UniformInt(0, n - 1));
-    while (true) {
-      clique.push_back(v);
-      candidates &= g.Neighbors(v);
-      if (candidates.None()) break;
-      int best_v = -1;
-      int best_score = -1;
-      candidates.ForEachSetBit([&](int w) {
-        int score = g.Neighbors(w).AndCount(candidates);
-        if (score > best_score) {
-          best_score = score;
-          best_v = w;
-        }
-      });
-      v = best_v;
-    }
-    if (clique.size() > best.size()) best = std::move(clique);
-  }
-  std::sort(best.begin(), best.end());
-  AQO_CHECK(g.IsClique(best));
-  return best;
-}
-
 }  // namespace aqo

@@ -1,15 +1,13 @@
 #ifndef AQO_OBS_JSON_H_
 #define AQO_OBS_JSON_H_
 
-// Minimal JSON document model for the run-log emitter and its consumers:
-// enough to serialize telemetry records and to re-parse them in tests and
-// tooling (the schema-guard test round-trips every emitted line). Not a
-// general-purpose JSON library: numbers are int64/uint64/double, no
-// \uXXXX escapes beyond pass-through of ASCII, objects keep insertion
-// order.
+// Minimal JSON document model for the run-log emitter: enough to
+// serialize telemetry records (the tests' reader, tests/json_reader.h,
+// re-parses every emitted line into this model). Not a general-purpose
+// JSON library: numbers are int64/uint64/double, no \uXXXX escapes
+// beyond pass-through of ASCII, objects keep insertion order.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -75,9 +73,6 @@ class JsonValue {
 
   // Compact single-line serialization (newline-free: JSONL-safe).
   std::string Dump() const;
-
-  // Strict-enough parser; nullopt on malformed input or trailing garbage.
-  static std::optional<JsonValue> Parse(std::string_view text);
 
  private:
   void DumpTo(std::string* out) const;

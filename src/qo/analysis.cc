@@ -41,9 +41,15 @@ CostProfile ComputeCostProfile(const QonInstance& inst,
 std::string PlanToString(const QonInstance& inst, const JoinSequence& seq,
                          const std::vector<std::string>& names) {
   AQO_CHECK(IsPermutation(seq, inst.NumRelations()));
-  auto name = [&names](int r) {
-    return static_cast<size_t>(r) < names.size() ? names[static_cast<size_t>(r)]
-                                                 : "R" + std::to_string(r);
+  auto name = [&names](int r) -> std::string {
+    if (static_cast<size_t>(r) < names.size()) {
+      return names[static_cast<size_t>(r)];
+    }
+    // Appended, not "R" + std::to_string(r): g++ 12 at -O3 reports a
+    // false -Wrestrict on the inlined operator+.
+    std::string label = "R";
+    label += std::to_string(r);
+    return label;
   };
   std::vector<LogDouble> prefix = PrefixSizes(inst, seq);
   std::vector<LogDouble> h = QonJoinCosts(inst, seq);

@@ -54,7 +54,8 @@ LogDouble CoutSequenceCost(const QonInstance& inst, const JoinSequence& seq);
 // Exact left-deep C_out optimum via subset DP (n <= kSubsetDpMaxRelations).
 // The optional budget (checked per subset) makes it anytime: a
 // cut-short run returns the deterministic min-next-intermediate greedy
-// sequence, costed under C_out, as its best-so-far plan.
+// sequence, costed under C_out, as its best-so-far plan. The registry's
+// `cout` entry (qo/registry.h) re-prices the plan under QO_N.
 OptimizerResult CoutOptimalJoinOrder(const QonInstance& inst,
                                      const Budget& budget = {});
 

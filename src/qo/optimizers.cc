@@ -10,7 +10,6 @@
 #include "qo/cost_eval.h"
 #include "qo/fast_eval.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace aqo {
 
@@ -104,11 +103,7 @@ OptimizerResult ExhaustiveQonOptimizer(const QonInstance& inst,
   return result;
 }
 
-// --- Subset DP (serial and layer-synchronized parallel) ---
-//
-// Both variants below must evaluate identical floating-point expression
-// trees so their results agree bit for bit; the helpers here are the
-// single source of truth for operand order. See docs/parallelism.md.
+// --- Subset DP ---
 
 namespace dp_detail {
 
@@ -148,22 +143,6 @@ LogDouble CandidateCost(const QonInstance& inst,
   return dp[src] + subset_size[src] * min_w;
 }
 
-// Appends the masks of popcount `k` over `n` bits in increasing numeric
-// order (Gosper's hack).
-void EnumerateLayer(int n, int k, std::vector<size_t>* out) {
-  out->clear();
-  if (k <= 0 || k > n) return;
-  size_t mask = (static_cast<size_t>(1) << k) - 1;
-  size_t limit = static_cast<size_t>(1) << n;
-  while (mask < limit) {
-    out->push_back(mask);
-    size_t c = mask & (~mask + 1);
-    size_t r = mask + c;
-    if (r >= limit) break;  // top combination: the hack would wrap
-    mask = (((r ^ mask) >> 2) / c) | r;
-  }
-}
-
 // Peels the recorded last relations into the optimal sequence and
 // cross-checks the reconstructed cost.
 OptimizerResult FinishDp(const QonInstance& inst,
@@ -200,7 +179,6 @@ OptimizerResult FinishDpCutShort(const QonInstance& inst,
                                  PlanStatus status, uint64_t dp_evaluations) {
   OptimizerOptions fallback = options;
   fallback.budget = {};
-  fallback.pool = nullptr;
   OptimizerResult result = GreedyQonOptimizer(inst, fallback);
   result.evaluations += dp_evaluations;
   result.status = status;
@@ -212,9 +190,7 @@ void FlushDpCounters(uint64_t states, uint64_t transitions, uint64_t pruned) {
   static obs::Counter& dp_transitions = CounterRef("qon.dp.transitions");
   static obs::Counter& dp_pruned = CounterRef("qon.dp.pruned_cartesian");
   // Counted in locals and flushed once: even relaxed atomics are too hot
-  // for the innermost DP loop (measurable % on BM_DpOptimizer). Flushing
-  // happens on the invoking thread so per-thread counter attribution (see
-  // obs/metrics.h) charges the whole DP to its run record.
+  // for the innermost DP loop (measurable % on BM_DpOptimizer).
   dp_states.Add(states);
   dp_transitions.Add(transitions);
   dp_pruned.Add(pruned);
@@ -222,8 +198,8 @@ void FlushDpCounters(uint64_t states, uint64_t transitions, uint64_t pruned) {
 
 }  // namespace dp_detail
 
-OptimizerResult DpQonOptimizerSerial(const QonInstance& inst,
-                                     const OptimizerOptions& options) {
+OptimizerResult DpQonOptimizer(const QonInstance& inst,
+                               const OptimizerOptions& options) {
   using namespace dp_detail;
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
@@ -269,9 +245,9 @@ OptimizerResult DpQonOptimizerSerial(const QonInstance& inst,
       size_t next = mask | bit;
       bool fresh = !reachable[next];
       local_states += fresh;
-      // On exact cost ties the lowest last-relation id wins, making the
-      // reconstructed sequence independent of subset enumeration order
-      // (the parallel DP visits transitions destination-major).
+      // On exact cost ties the lowest last-relation id wins, so the
+      // reconstructed sequence does not depend on the order in which
+      // subsets are enumerated.
       if (fresh || candidate < dp[next] ||
           (candidate == dp[next] && j < last[next])) {
         reachable[next] = 1;
@@ -283,128 +259,6 @@ OptimizerResult DpQonOptimizerSerial(const QonInstance& inst,
 
   FlushDpCounters(local_states, evaluations, local_pruned);
   return FinishDp(inst, dp, last, reachable, full, evaluations);
-}
-
-OptimizerResult DpQonOptimizerParallel(const QonInstance& inst,
-                                       ThreadPool* pool,
-                                       const OptimizerOptions& options) {
-  using namespace dp_detail;
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    return DpQonOptimizerSerial(inst, options);
-  }
-  int n = inst.NumRelations();
-  AQO_CHECK(n >= 2);
-  AQO_CHECK(n <= kSubsetDpMaxRelations)
-      << "subset DP is 2^n — instance too large";
-  size_t full = (static_cast<size_t>(1) << n) - 1;
-
-  // Layer-synchronized fill of N[mask]: each mask's value depends only on
-  // the previous cardinality layer, so layers parallelize cleanly.
-  std::vector<LogDouble> subset_size(full + 1, LogDouble::One());
-  std::vector<size_t> layer;
-  for (int k = 1; k <= n; ++k) {
-    EnumerateLayer(n, k, &layer);
-    pool->ParallelFor(layer.size(), [&](size_t idx) {
-      size_t mask = layer[idx];
-      subset_size[mask] = SubsetSizeOf(inst, subset_size, mask);
-    });
-  }
-
-  std::vector<LogDouble> dp(full + 1);
-  std::vector<int8_t> last(full + 1, kNoParent);
-  std::vector<uint8_t> reachable(full + 1, 0);
-  for (int i = 0; i < n; ++i) {
-    size_t mask = static_cast<size_t>(1) << i;
-    reachable[mask] = 1;
-    dp[mask] = LogDouble::Zero();
-    last[mask] = static_cast<int8_t>(i);
-  }
-
-  // Destination-major DP: every transition into a popcount-(k+1) state
-  // comes from a popcount-k state, so after layer k is final each
-  // destination of layer k+1 can be minimized independently — one writer
-  // per state, no cross-thread merge of float values at all. Per-chunk
-  // counter locals are summed (order-free uint64 adds) and flushed once on
-  // this thread.
-  // Cancellation is checked at layer boundaries only: each layer's
-  // evaluation total is a pure function of the instance, so even the
-  // budget path trips at the same point for every thread count. (The
-  // dispatcher still routes budget-capped runs to the serial DP for the
-  // tighter per-mask granularity.)
-  RunGuard guard(options.budget);
-  size_t chunk_count = static_cast<size_t>(pool->num_threads());
-  std::vector<uint64_t> chunk_states(chunk_count), chunk_evals(chunk_count),
-      chunk_pruned(chunk_count);
-  uint64_t total_states = 0, total_evals = 0, total_pruned = 0;
-  for (int k = 1; k < n; ++k) {
-    if (guard.ShouldStop(total_evals)) {
-      FlushDpCounters(total_states, total_evals, total_pruned);
-      return FinishDpCutShort(inst, options, guard.status(), total_evals);
-    }
-    EnumerateLayer(n, k + 1, &layer);
-    std::fill(chunk_states.begin(), chunk_states.end(), 0);
-    std::fill(chunk_evals.begin(), chunk_evals.end(), 0);
-    std::fill(chunk_pruned.begin(), chunk_pruned.end(), 0);
-    pool->ParallelForChunks(
-        layer.size(), [&](int chunk, size_t begin, size_t end) {
-          uint64_t states = 0, evals = 0, pruned = 0;
-          for (size_t idx = begin; idx < end; ++idx) {
-            size_t next = layer[idx];
-            int best_j = kNoParent;
-            LogDouble best;
-            for (size_t bits = next; bits != 0; bits &= bits - 1) {
-              int j = std::countr_zero(bits);
-              size_t src = next ^ (static_cast<size_t>(1) << j);
-              if (!reachable[src]) continue;
-              if (options.forbid_cartesian &&
-                  !MaskConnectsTo(inst.graph(), src, j)) {
-                ++pruned;
-                continue;
-              }
-              LogDouble candidate =
-                  CandidateCost(inst, subset_size, dp, src, j);
-              ++evals;
-              // Same tie-break as the serial DP: lowest j on equal cost
-              // (j ascends here, so keeping the strict winner suffices,
-              // but stay explicit).
-              if (best_j == kNoParent || candidate < best ||
-                  (candidate == best && j < best_j)) {
-                best = candidate;
-                best_j = j;
-              }
-            }
-            if (best_j != kNoParent) {
-              reachable[next] = 1;
-              dp[next] = best;
-              last[next] = static_cast<int8_t>(best_j);
-              ++states;
-            }
-          }
-          chunk_states[static_cast<size_t>(chunk)] = states;
-          chunk_evals[static_cast<size_t>(chunk)] = evals;
-          chunk_pruned[static_cast<size_t>(chunk)] = pruned;
-        });
-    for (size_t c = 0; c < chunk_count; ++c) {
-      total_states += chunk_states[c];
-      total_evals += chunk_evals[c];
-      total_pruned += chunk_pruned[c];
-    }
-  }
-
-  FlushDpCounters(total_states, total_evals, total_pruned);
-  return FinishDp(inst, dp, last, reachable, full, total_evals);
-}
-
-OptimizerResult DpQonOptimizer(const QonInstance& inst,
-                               const OptimizerOptions& options) {
-  // Budget-capped runs always take the serial DP: its per-mask check
-  // gives the cap real bite on small caps, and the capped trajectory is
-  // trivially thread-count independent (see docs/robustness.md).
-  if (options.budget.max_evaluations == 0 && options.pool != nullptr &&
-      options.pool->num_threads() > 1) {
-    return DpQonOptimizerParallel(inst, options.pool, options);
-  }
-  return DpQonOptimizerSerial(inst, options);
 }
 
 OptimizerResult GreedyQonOptimizer(const QonInstance& inst,

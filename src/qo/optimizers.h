@@ -16,8 +16,6 @@
 
 namespace aqo {
 
-class ThreadPool;
-
 struct OptimizerResult {
   bool feasible = false;    // false when constraints rule out every sequence
   JoinSequence sequence;
@@ -26,7 +24,7 @@ struct OptimizerResult {
   // kComplete for a full run; kBudgetExhausted / kDeadlineExceeded when the
   // run was cut short (sequence/cost are then the best-so-far plan, still
   // cost-consistent: cost == QonSequenceCost(inst, sequence)). kFailed is
-  // only produced by the batch service (qo/service.h) after a retry fails.
+  // only produced by the batch service (qo/service.h) when the run throws.
   PlanStatus status = PlanStatus::kComplete;
 };
 
@@ -59,12 +57,6 @@ struct OptimizerOptions {
   // this restriction.
   bool forbid_cartesian = false;
 
-  // When set (and num_threads() > 1), DpQonOptimizer runs the
-  // layer-synchronized parallel DP on this pool. The result — cost bits,
-  // sequence, evaluation count — is identical to the serial DP; see
-  // docs/parallelism.md and tests/parallel_differential_test.cc.
-  ThreadPool* pool = nullptr;
-
   // RandomSamplingOptimizer: number of random sequences drawn.
   int samples = 1000;
 
@@ -78,9 +70,7 @@ struct OptimizerOptions {
   // run deterministically at that many cost evaluations; budget.deadline_ms
   // adds a (nondeterministic) wall-clock limit. A default Budget changes
   // nothing: results, run-logs, and counters are bit-identical to an
-  // unbudgeted build. Note: a capped DpQonOptimizer always takes the
-  // serial path — mid-layer cutoffs in the parallel DP would not be
-  // reproducible across thread counts.
+  // unbudgeted build.
   Budget budget;
 };
 
@@ -96,35 +86,17 @@ inline constexpr int kExhaustiveQohMaxRelations = 9;
 OptimizerResult ExhaustiveQonOptimizer(const QonInstance& inst,
                                        const OptimizerOptions& options = {});
 
-// Exact left-deep optimum by dynamic programming over relation subsets.
-// Correct because the QO_N extension cost depends on the prefix only
-// through its *set*: N(X) and min_{k in X} AccessCost(k, j) are
-// order-independent. O(2^n * n^2); guarded to kSubsetDpMaxRelations.
+// Exact left-deep optimum by dynamic programming over relation subsets,
+// one pass over the subsets in numeric order. Correct because the QO_N
+// extension cost depends on the prefix only through its *set*: N(X) and
+// min_{k in X} AccessCost(k, j) are order-independent. O(2^n * n^2);
+// guarded to kSubsetDpMaxRelations.
 //
-// Ties between equal-cost extensions break toward the lowest relation id
-// (in every variant), so the returned sequence is a pure function of the
-// instance — never of subset enumeration order or thread count.
-// Dispatches to the parallel DP when options.pool is set, the serial DP
-// otherwise; the two are interchangeable bit for bit.
+// Ties between equal-cost extensions break toward the lowest relation id,
+// so the returned sequence is a pure function of the instance, never of
+// subset enumeration order.
 OptimizerResult DpQonOptimizer(const QonInstance& inst,
                                const OptimizerOptions& options = {});
-
-// The serial reference implementation (what DpQonOptimizer runs without a
-// pool): one pass over subsets in numeric order.
-OptimizerResult DpQonOptimizerSerial(const QonInstance& inst,
-                                     const OptimizerOptions& options = {});
-
-// Layer-synchronized parallel DP: subsets are processed one cardinality
-// layer at a time, each layer's *destination* states partitioned across
-// `pool` in deterministic static chunks. Every destination is written by
-// exactly one thread (its transitions all come from the previous layer),
-// so no merge step can reorder floating-point operations: the dp table,
-// the reconstructed sequence, the evaluation count, and the telemetry
-// counter totals are bit-identical to DpQonOptimizerSerial for every
-// thread count. `pool` may be null (falls back to serial).
-OptimizerResult DpQonOptimizerParallel(const QonInstance& inst,
-                                       ThreadPool* pool,
-                                       const OptimizerOptions& options = {});
 
 // Greedy: tries every relation as the first, then repeatedly appends the
 // relation with the cheapest next join. O(n^3). Polynomial baseline.

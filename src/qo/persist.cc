@@ -5,6 +5,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <chrono>
@@ -418,14 +419,11 @@ bool PlanStore::Fail(const std::string& reason) {
   // Exponential backoff in refused-write units, deterministic jitter from
   // the breaker seed so probe points reproduce run to run.
   uint64_t shift = trips_ > 20 ? 20 : trips_ - 1;
-  uint64_t base = options_.breaker.backoff_base << shift;
-  if (base > options_.breaker.backoff_max) {
-    base = options_.breaker.backoff_max;
-  }
+  uint64_t base = std::min(kBreakerBackoffBase << shift, kBreakerBackoffMax);
   Rng jitter(MixSeed(options_.breaker.seed, trips_));
   backoff_current_ =
       base + static_cast<uint64_t>(jitter.UniformInt(
-                 0, static_cast<int64_t>(options_.breaker.backoff_base)));
+                 0, static_cast<int64_t>(kBreakerBackoffBase)));
   SetHealth(next, reason);
   // One-shot operator warning (the silent-latch fix): a tripped store is
   // an event a human should see once, not per refused write.

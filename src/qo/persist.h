@@ -77,16 +77,17 @@ enum class PersistFileKind : uint32_t {
   // rejected as the wrong kind.
 };
 
-// Circuit-breaker configuration for PlanStore write failures
-// (docs/robustness.md has the state machine). Backoff is counted in
-// *refused write attempts*, not wall time, so the probe schedule is a
-// pure function of the request stream — two runs with the same stream
-// and fault schedule trip, probe, and reopen at identical points.
+// The circuit breaker for PlanStore write failures (docs/robustness.md
+// has the state machine). Backoff is counted in *refused write
+// attempts*, not wall time, so the probe schedule is a pure function of
+// the request stream — two runs with the same stream and fault schedule
+// trip, probe, and reopen at identical points. Trip t waits
+// min(kBreakerBackoffBase << (t - 1), kBreakerBackoffMax) refused writes
+// plus a jitter in [0, kBreakerBackoffBase].
+inline constexpr uint64_t kBreakerBackoffBase = 8;
+inline constexpr uint64_t kBreakerBackoffMax = 1024;
+
 struct PersistBreakerOptions {
-  // Refused writes before the first probe after a trip.
-  uint64_t backoff_base = 8;
-  // Ceiling for the doubled backoff after repeated probe failures.
-  uint64_t backoff_max = 1024;
   // Seeds the deterministic jitter added to each backoff window (spreads
   // probe points so a fleet of stores doesn't probe in lockstep while
   // staying reproducible per seed).

@@ -235,9 +235,15 @@ const OptimizerRegistry& OptimizerRegistry::Qon() {
          },
          .degrade_to = "greedy", .clamp = nullptr},
         {.name = "cout",
-         .description = "exact optimum under the C_out cost metric",
+         .description = "C_out-optimal order, priced under QO_N",
          .deterministic = true, .knobs = {},
-         .run = kWithBudget<&CoutOptimalJoinOrder>,
+         // A served plan's cost is the QO_N cost of that plan, as for
+         // every other entry; the C_out optimum only picks the order.
+         .run = [](auto& inst, auto& options, Rng*) {
+           OptimizerResult result = CoutOptimalJoinOrder(inst, options.budget);
+           result.cost = QonSequenceCost(inst, result.sequence);
+           return result;
+         },
          .min_n = 2, .max_n = kSubsetDpMaxRelations,
          .estimate = SubsetDp,
          .degrade_to = "greedy", .clamp = nullptr},

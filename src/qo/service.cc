@@ -19,7 +19,10 @@ void AddString(HashAccumulator* acc, std::string_view s) {
   for (char c : s) acc->Add(static_cast<uint64_t>(static_cast<uint8_t>(c)));
 }
 
-constexpr uint64_t kQonKeyTag = 0x716f6e5f6b657931ULL;
+// "qon_key2": bumped from "qon_key1" when the `cout` entry started to
+// return the QO_N cost of its plan, so no persisted entry serves the old
+// cost bits (docs/persistence.md).
+constexpr uint64_t kQonKeyTag = 0x716f6e5f6b657932ULL;
 constexpr uint64_t kQohKeyTag = 0x716f685f6b657931ULL;
 // Deterministic optimizers ignore the Rng; folding a fixed sentinel
 // instead of the seed lets their entries hit across seeds.

@@ -27,7 +27,7 @@ enum class PlanStatus : uint8_t {
   kComplete = 0,          // ran to its natural end
   kBudgetExhausted = 1,   // evaluation cap hit; result is best-so-far
   kDeadlineExceeded = 2,  // wall-clock deadline hit; result is best-so-far
-  kFailed = 3,            // run threw (or was faulted) and retry failed
+  kFailed = 3,            // run threw (or was faulted); no plan
 };
 
 // Stable lowercase name, e.g. "budget_exhausted" (used in run-log JSON).

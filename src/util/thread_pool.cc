@@ -1,35 +1,35 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
+#include <exception>
+#include <limits>
 
 #include "util/check.h"
 
 namespace aqo {
+
+// One ParallelFor call: the claim counter, and the lowest index whose
+// body threw.
+struct ThreadPool::Job {
+  Job(size_t n, const std::function<void(size_t)>& f) : count(n), body(f) {}
+  const size_t count;
+  const std::function<void(size_t)>& body;
+  std::atomic<size_t> claimed{0};
+  std::mutex error_mu;
+  size_t error_index = std::numeric_limits<size_t>::max();
+  std::exception_ptr error;
+};
 
 int ThreadPool::HardwareConcurrency() {
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::Range ThreadPool::ChunkOf(size_t count, int threads, int t) {
-  AQO_CHECK(threads >= 1);
-  AQO_CHECK(0 <= t && t < threads);
-  size_t nt = static_cast<size_t>(threads);
-  size_t ti = static_cast<size_t>(t);
-  size_t base = count / nt;
-  size_t rem = count % nt;
-  size_t begin = ti * base + std::min(ti, rem);
-  size_t end = begin + base + (ti < rem ? 1 : 0);
-  return Range{begin, end};
-}
-
 ThreadPool::ThreadPool(int threads)
     : threads_(threads == 0 ? HardwareConcurrency() : threads) {
   AQO_CHECK(threads_ >= 1) << "threads=" << threads;
-  errors_.assign(static_cast<size_t>(threads_), nullptr);
   workers_.reserve(static_cast<size_t>(threads_ - 1));
   for (int t = 1; t < threads_; ++t) {
-    workers_.emplace_back([this, t] { WorkerLoop(t); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -42,87 +42,66 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::WorkerLoop(int chunk_index) {
+void ThreadPool::Drain(Job* job) {
+  while (true) {
+    size_t c = job->claimed.fetch_add(1);
+    if (c >= job->count) return;
+    size_t i = job->count - 1 - c;
+    try {
+      job->body(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(job->error_mu);
+      if (i < job->error_index) {
+        job->error_index = i;
+        job->error = std::current_exception();
+      }
+    }
+  }
+}
+
+void ThreadPool::WorkerLoop() {
   uint64_t seen = 0;
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
     if (stop_) return;
     seen = generation_;
-    const ChunkFn* job = job_;
-    size_t count = job_count_;
+    Job* job = job_;
     lock.unlock();
-    std::exception_ptr error;
-    try {
-      Range r = ChunkOf(count, threads_, chunk_index);
-      if (r.begin < r.end) (*job)(chunk_index, r.begin, r.end);
-    } catch (...) {
-      error = std::current_exception();
-    }
+    Drain(job);
     lock.lock();
-    errors_[static_cast<size_t>(chunk_index)] = error;
     if (--pending_ == 0) done_cv_.notify_all();
   }
 }
 
-void ThreadPool::RunInline(size_t count, const ChunkFn& chunk) {
-  // Preserve the chunk boundaries the concurrent execution would use, so
-  // per-chunk accumulators merge identically either way.
-  for (int t = 0; t < threads_; ++t) {
-    Range r = ChunkOf(count, threads_, t);
-    if (r.begin < r.end) chunk(t, r.begin, r.end);
-  }
-}
-
-void ThreadPool::ParallelForChunks(size_t count, const ChunkFn& chunk) {
-  if (count == 0) return;
-  bool expected = false;
-  if (workers_.empty() ||
-      !busy_.compare_exchange_strong(expected, true,
-                                     std::memory_order_acquire)) {
-    // threads_ == 1, a nested call from inside a running chunk, or a
-    // concurrent external submitter: run the chunks inline. Exceptions
-    // propagate naturally (chunk 0 first — the lowest index).
-    RunInline(count, chunk);
-    return;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_ = &chunk;
-    job_count_ = count;
-    pending_ = threads_ - 1;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-
-  std::exception_ptr my_error;
-  try {
-    Range r = ChunkOf(count, threads_, 0);
-    if (r.begin < r.end) chunk(0, r.begin, r.end);
-  } catch (...) {
-    my_error = std::current_exception();
-  }
-
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return pending_ == 0; });
-  job_ = nullptr;
-  errors_[0] = my_error;
-  std::exception_ptr first;
-  for (std::exception_ptr& e : errors_) {
-    if (e != nullptr && first == nullptr) first = e;
-    e = nullptr;
-  }
-  lock.unlock();
-  busy_.store(false, std::memory_order_release);
-  if (first != nullptr) std::rethrow_exception(first);
-}
-
 void ThreadPool::ParallelFor(size_t count,
                              const std::function<void(size_t)>& body) {
-  ParallelForChunks(count, [&body](int /*chunk*/, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) body(i);
-  });
+  if (count == 0) return;
+  Job job(count, body);
+  // threads_ == 1, a nested call from inside a running body, or a
+  // concurrent external submitter: the caller drains the job alone.
+  bool expected = false;
+  bool pooled = !workers_.empty() &&
+                busy_.compare_exchange_strong(expected, true,
+                                              std::memory_order_acquire);
+  if (pooled) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      job_ = &job;
+      pending_ = threads_ - 1;
+      ++generation_;
+    }
+    work_cv_.notify_all();
+  }
+  Drain(&job);
+  if (pooled) {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [&] { return pending_ == 0; });
+    job_ = nullptr;
+    lock.unlock();
+    busy_.store(false, std::memory_order_release);
+  }
+  if (job.error != nullptr) std::rethrow_exception(job.error);
 }
 
 }  // namespace aqo

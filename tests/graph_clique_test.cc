@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
-#include "graph/vertex_cover.h"
+#include "tests/graph_oracles.h"
 #include "util/random.h"
 
 namespace aqo {

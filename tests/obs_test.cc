@@ -9,6 +9,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include "qo/service.h"
 #include "reductions/pipeline.h"
 #include "sat/cnf.h"
+#include "tests/json_reader.h"
 #include "util/log_double.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -110,7 +112,7 @@ TEST(Json, DumpParseRoundTrip) {
 
   std::string line = rec.Dump();
   EXPECT_EQ(line.find('\n'), std::string::npos);  // JSONL-safe
-  auto parsed = obs::JsonValue::Parse(line);
+  auto parsed = ParseJson(line);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->Find("name")->AsString(), "qon.dp");
   EXPECT_EQ(parsed->Find("n")->AsInt(), 42);
@@ -123,11 +125,11 @@ TEST(Json, DumpParseRoundTrip) {
 }
 
 TEST(Json, ParseRejectsMalformedInput) {
-  EXPECT_FALSE(obs::JsonValue::Parse("{").has_value());
-  EXPECT_FALSE(obs::JsonValue::Parse("{}trailing").has_value());
-  EXPECT_FALSE(obs::JsonValue::Parse("{'single':1}").has_value());
-  EXPECT_FALSE(obs::JsonValue::Parse("[1,]").has_value());
-  EXPECT_TRUE(obs::JsonValue::Parse(" {\"a\": [1, 2]} ").has_value());
+  EXPECT_FALSE(ParseJson("{").has_value());
+  EXPECT_FALSE(ParseJson("{}trailing").has_value());
+  EXPECT_FALSE(ParseJson("{'single':1}").has_value());
+  EXPECT_FALSE(ParseJson("[1,]").has_value());
+  EXPECT_TRUE(ParseJson(" {\"a\": [1, 2]} ").has_value());
 }
 
 TEST(Json, NonFiniteNumbersSerializeAsNull) {
@@ -169,7 +171,7 @@ std::vector<obs::JsonValue> EmitAndParse() {
   std::istringstream lines(sink.str());
   std::string line;
   while (std::getline(lines, line)) {
-    auto parsed = obs::JsonValue::Parse(line);
+    auto parsed = ParseJson(line);
     EXPECT_TRUE(parsed.has_value()) << "unparseable JSONL line: " << line;
     if (parsed.has_value()) records.push_back(std::move(*parsed));
   }
@@ -253,7 +255,7 @@ TEST(RunLog, InfeasibleRunSerializesNullCost) {
   };
   obs::InstrumentedRun("qon.fake", shape, [] { return FakeResult{}; });
   obs::RunLog::CloseGlobal();
-  auto parsed = obs::JsonValue::Parse(sink.str());
+  auto parsed = ParseJson(sink.str());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_FALSE(parsed->Find("feasible")->AsBool());
   EXPECT_TRUE(parsed->Find("cost_log2")->is_null());
@@ -276,18 +278,24 @@ TEST(RunLog, InstrumentedRunIsPassthroughWithoutGlobalLog) {
 TEST(ThreadCounterTally, AttributesOnlyTheCallingThreadsIncrements) {
   obs::Counter& counter =
       obs::Registry::Get().GetCounter("test.tally.concurrent");
-  // Pool workers hammer the same global counter while this thread's tally
-  // is open; the tally must see exactly this thread's increments.
-  ThreadPool pool(4);
+  uint64_t before = counter.Value();
+  // Three other threads hammer the same global counter while this
+  // thread's tally is open; the tally must see exactly this thread's
+  // increments, and the global counter all of them.
   obs::ThreadCounterTally tally;
-  pool.ParallelForChunks(400, [&](int /*chunk*/, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) counter.Increment();
-  });
+  std::vector<std::thread> others;
+  for (int t = 0; t < 3; ++t) {
+    others.emplace_back([&counter] {
+      for (int i = 0; i < 100; ++i) counter.Increment();
+    });
+  }
+  for (int i = 0; i < 100; ++i) counter.Increment();
+  for (std::thread& t : others) t.join();
   auto snapshot = tally.Snapshot();
   ASSERT_EQ(snapshot.size(), 1u);
   EXPECT_EQ(snapshot[0].first, "test.tally.concurrent");
-  // Chunk 0 always runs on the submitting thread: 100 of the 400.
   EXPECT_EQ(snapshot[0].second, 100u);
+  EXPECT_EQ(counter.Value() - before, 400u);
 }
 
 TEST(ThreadCounterTally, NestedTallyFoldsIntoParent) {
@@ -484,7 +492,7 @@ TEST(Histogram, RegistrySnapshotIsNameSortedAndStable) {
 
 // Parses a recorder's output and returns the traceEvents array.
 std::vector<obs::JsonValue> TraceEventsOf(const std::string& text) {
-  auto parsed = obs::JsonValue::Parse(text);
+  auto parsed = ParseJson(text);
   EXPECT_TRUE(parsed.has_value()) << "trace output is not valid JSON";
   std::vector<obs::JsonValue> events;
   if (!parsed.has_value()) return events;

@@ -2,8 +2,8 @@
 // registry entries' cost estimates and degrade rules, Admit's refusals,
 // leaky-bucket tier transitions, and the serve-path property the whole
 // design exists for — the shed/degrade decision trace is a pure function
-// of the request stream, bit-identical across thread counts and
-// plan-cache configurations, and invariant under instance relabeling.
+// of the request stream, bit-identical with and without a plan cache,
+// and invariant under instance relabeling.
 
 #include "qo/overload.h"
 
@@ -22,7 +22,6 @@
 #include "qo/service.h"
 #include "qo/workloads.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace aqo {
 namespace {
@@ -324,8 +323,8 @@ TEST(LoadGovernor, SameStreamSameDecisions) {
 // The serve-path property: the decision trace is a pure function of the
 // request stream. Every request goes through Admit, the admission the
 // serve path runs, over a fixed synthetic stream while the admitted work
-// *actually runs* through the optimizer registry on thread pools of
-// different sizes, with and without a plan cache in front. The trace
+// *actually runs* through the optimizer registry, with and without a
+// plan cache in front. The trace
 // (tier, pressure, charged cost, reason, effective optimizer per request)
 // must come out byte-identical in every configuration, and relabeling
 // every instance must not move a single decision.
@@ -346,8 +345,7 @@ std::vector<StreamRequest> PropertyStream() {
   return stream;
 }
 
-std::string DecisionTrace(int threads, bool with_cache, bool relabel) {
-  ThreadPool pool(threads);
+std::string DecisionTrace(bool with_cache, bool relabel) {
   PlanCache cache(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 2});
   OverloadOptions opts;
   opts.queue_capacity = 6.0;
@@ -367,7 +365,6 @@ std::string DecisionTrace(int threads, bool with_cache, bool relabel) {
     }
 
     OptimizerOptions options;
-    options.pool = &pool;
     auto admission = Admit(OptimizerRegistry::Qon(), optimizer, n, governor,
                            &options);
     const OverloadDecision& d = admission.decision;
@@ -446,23 +443,18 @@ constexpr std::string_view kReferenceTrace =
     "shed 916 7680 genetic pending work over capacity (pressure 916 permille, request cost 256 units)\n"
     "admits=4 degrades=19 sheds=13\n";
 
-TEST(OverloadProperty, DecisionTraceInvariantAcrossThreadsAndCache) {
-  std::string reference = DecisionTrace(1, false, false);
+TEST(OverloadProperty, DecisionTraceInvariantUnderCache) {
+  std::string reference = DecisionTrace(false, false);
   EXPECT_EQ(reference, kReferenceTrace);
-  for (int threads : {1, 2, 4}) {
-    for (bool with_cache : {false, true}) {
-      EXPECT_EQ(DecisionTrace(threads, with_cache, false), reference)
-          << "threads=" << threads << " cache=" << with_cache;
-    }
-  }
+  EXPECT_EQ(DecisionTrace(true, false), reference);
 }
 
 TEST(OverloadProperty, DecisionTraceInvariantUnderRelabeling) {
   // Estimates depend on the instance only through n, and cache keys go
   // through the canonical fingerprint, so relabeling every relation must
   // not move a single decision — even with the cache interposed.
-  EXPECT_EQ(DecisionTrace(2, true, true), DecisionTrace(2, true, false));
-  EXPECT_EQ(DecisionTrace(1, false, true), DecisionTrace(1, false, false));
+  EXPECT_EQ(DecisionTrace(true, true), DecisionTrace(true, false));
+  EXPECT_EQ(DecisionTrace(false, true), DecisionTrace(false, false));
 }
 
 }  // namespace

@@ -1,20 +1,17 @@
-// Differential harness proving the parallel subset DP is interchangeable
-// with the trusted serial DP, and that the serial DP agrees with the
-// exhaustive oracle:
+// Differential harness for the exact QO_N optimizers and the tie-break
+// rules every optimizer follows:
 //
-//   * every connected query graph on n <= 5 vertices (exhaustively
-//     enumerated over edge subsets), serial DP vs the n! oracle and vs
-//     the parallel DP on several pool sizes;
-//   * every graph on 6 vertices (connected or not), parallel vs serial;
-//   * random G(n, p) instances up to n = 10, parallel vs serial, with
-//     and without the cartesian-product restriction;
+//   * every graph on n <= 5 vertices, connected or not (exhaustively
+//     enumerated over edge subsets), with and without the
+//     cartesian-product restriction: the subset DP against the n!
+//     oracle run with the same option, so the DP's reachability
+//     bookkeeping and cartesian-free pruning have a reference;
+//   * random connected graphs up to n = 7, DP vs oracle;
 //   * tie-break regressions: on fully symmetric instances (every
 //     permutation costs the same) each optimizer must return one specific
 //     sequence, a pure function of the instance.
 //
-// "Bit-identical" here is literal: cost compared through exact double
-// equality on Log2(), plus sequence and evaluation-count equality. The
-// oracle comparison allows 1e-9 relative slack because the DP and
+// The oracle comparison allows 1e-9 relative slack because the DP and
 // QonSequenceCost sum the same terms through different expression trees.
 
 #include <algorithm>
@@ -31,7 +28,6 @@
 #include "qo/optimizers.h"
 #include "qo/qon.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace aqo {
 namespace {
@@ -79,96 +75,59 @@ void ExpectBitIdentical(const OptimizerResult& a, const OptimizerResult& b) {
 
 int EdgeBits(int n) { return n * (n - 1) / 2; }
 
-TEST(ParallelDifferential, AllConnectedGraphsUpTo5MatchOracleAndParallel) {
-  ThreadPool pool2(2), pool3(3), pool8(8);
+TEST(DpDifferential, AllGraphsUpTo5MatchOracle) {
   for (int n = 2; n <= 5; ++n) {
     uint64_t codes = uint64_t{1} << EdgeBits(n);
-    int checked = 0;
+    int feasible = 0, infeasible = 0;
     for (uint64_t code = 0; code < codes; ++code) {
       Graph g = GraphFromCode(n, code);
-      if (!g.IsConnected()) continue;
       QonInstance inst = InstanceFor(g, (static_cast<uint64_t>(n) << 32) | code);
-      OptimizerResult serial = DpQonOptimizerSerial(inst);
-      ASSERT_TRUE(serial.feasible);
-
-      // Serial DP vs the n! oracle: same optimum (1e-9 relative slack for
-      // the differing summation trees), and the DP sequence really costs
-      // what the DP claims.
-      OptimizerResult oracle = ExhaustiveQonOptimizer(inst);
-      ASSERT_TRUE(oracle.feasible);
-      double scale = std::max(1.0, std::abs(oracle.cost.Log2()));
-      EXPECT_NEAR(serial.cost.Log2(), oracle.cost.Log2(), 1e-9 * scale)
-          << "n=" << n << " code=" << code;
-      EXPECT_TRUE(
-          QonSequenceCost(inst, serial.sequence).ApproxEquals(serial.cost, 1e-9));
-
-      // Parallel DP is bit-identical for every pool size.
-      for (ThreadPool* pool : {&pool2, &pool3, &pool8}) {
-        OptimizerResult parallel = DpQonOptimizerParallel(inst, pool);
-        ExpectBitIdentical(serial, parallel);
+      for (bool forbid : {false, true}) {
+        OptimizerOptions options;
+        options.forbid_cartesian = forbid;
+        OptimizerResult dp = DpQonOptimizer(inst, options);
+        OptimizerResult oracle = ExhaustiveQonOptimizer(inst, options);
+        // Without the restriction every graph is feasible; with it,
+        // exactly the connected ones.
+        ASSERT_EQ(dp.feasible, oracle.feasible)
+            << "n=" << n << " code=" << code << " forbid=" << forbid;
+        ASSERT_EQ(dp.feasible, !forbid || g.IsConnected())
+            << "n=" << n << " code=" << code << " forbid=" << forbid;
+        if (!dp.feasible) {
+          ++infeasible;
+          continue;
+        }
+        ++feasible;
+        // Same optimum (1e-9 relative slack for the differing summation
+        // trees), and the DP sequence really costs what the DP claims.
+        double scale = std::max(1.0, std::abs(oracle.cost.Log2()));
+        EXPECT_NEAR(dp.cost.Log2(), oracle.cost.Log2(), 1e-9 * scale)
+            << "n=" << n << " code=" << code << " forbid=" << forbid;
+        EXPECT_TRUE(
+            QonSequenceCost(inst, dp.sequence).ApproxEquals(dp.cost, 1e-9));
+        if (forbid) {
+          EXPECT_FALSE(HasCartesianProduct(g, dp.sequence));
+        }
       }
-      ++checked;
     }
-    EXPECT_GT(checked, 0) << "n=" << n;
+    EXPECT_GT(feasible, 0) << "n=" << n;
+    EXPECT_GT(infeasible, 0) << "n=" << n;
   }
 }
 
-TEST(ParallelDifferential, AllGraphsOn6VerticesParallelEqualsSerial) {
-  // Includes disconnected graphs: reachability bookkeeping and the
-  // cartesian-free pruning must agree too, not just the happy path.
-  ThreadPool pool(3);
-  uint64_t codes = uint64_t{1} << EdgeBits(6);
-  for (uint64_t code = 0; code < codes; ++code) {
-    Graph g = GraphFromCode(6, code);
-    QonInstance inst = InstanceFor(g, (uint64_t{6} << 32) | code);
-    for (bool forbid : {false, true}) {
-      OptimizerOptions options;
-      options.forbid_cartesian = forbid;
-      OptimizerResult serial = DpQonOptimizerSerial(inst, options);
-      OptimizerResult parallel = DpQonOptimizerParallel(inst, &pool, options);
-      ExpectBitIdentical(serial, parallel);
-    }
-  }
-}
-
-TEST(ParallelDifferential, RandomGraphsUpTo10ParallelEqualsSerial) {
-  ThreadPool pool2(2), pool5(5), pool8(8);
-  Rng rng(20260807);
-  for (int trial = 0; trial < 120; ++trial) {
-    int n = static_cast<int>(rng.UniformInt(7, 10));
-    double p = rng.UniformReal(0.2, 0.95);
-    Graph g = Gnp(n, p, &rng);
-    QonInstance inst = InstanceFor(g, static_cast<uint64_t>(trial) + 1000);
-    for (bool forbid : {false, true}) {
-      OptimizerOptions options;
-      options.forbid_cartesian = forbid;
-      OptimizerResult serial = DpQonOptimizerSerial(inst, options);
-      for (ThreadPool* pool : {&pool2, &pool5, &pool8}) {
-        OptimizerResult parallel = DpQonOptimizerParallel(inst, pool, options);
-        ExpectBitIdentical(serial, parallel);
-      }
-      // The public entry point dispatches by options.pool and must agree
-      // with both.
-      OptimizerOptions pooled = options;
-      pooled.pool = &pool8;
-      ExpectBitIdentical(serial, DpQonOptimizer(inst, pooled));
-    }
-  }
-}
-
-TEST(ParallelDifferential, RandomGraphsUpTo7MatchOracle) {
+TEST(DpDifferential, RandomGraphsUpTo7MatchOracle) {
   Rng rng(7);
   for (int trial = 0; trial < 40; ++trial) {
     int n = static_cast<int>(rng.UniformInt(4, 7));
     Graph g = ConnectedWithEdgeBudget(
         n, static_cast<int>(rng.UniformInt(n - 1, EdgeBits(n))), &rng);
     QonInstance inst = InstanceFor(g, static_cast<uint64_t>(trial) + 5000);
-    OptimizerResult serial = DpQonOptimizerSerial(inst);
+    OptimizerResult dp = DpQonOptimizer(inst);
     OptimizerResult oracle = ExhaustiveQonOptimizer(inst);
-    ASSERT_TRUE(serial.feasible);
+    ASSERT_TRUE(dp.feasible);
     ASSERT_TRUE(oracle.feasible);
     double scale = std::max(1.0, std::abs(oracle.cost.Log2()));
-    EXPECT_NEAR(serial.cost.Log2(), oracle.cost.Log2(), 1e-9 * scale);
+    EXPECT_NEAR(dp.cost.Log2(), oracle.cost.Log2(), 1e-9 * scale);
   }
 }
 
@@ -198,20 +157,17 @@ TEST(TieBreakRegression, GreedyPicksLowestRelationIdOnTies) {
   EXPECT_EQ(r.sequence, IdentitySequence(6));
 }
 
-TEST(TieBreakRegression, SerialAndParallelDpAgreeOnFullySymmetricTies) {
+TEST(TieBreakRegression, DpPeelsLowestRelationIdsOnFullySymmetricTies) {
   QonInstance inst = SymmetricInstance(7);
-  ThreadPool pool(4);
-  OptimizerResult serial = DpQonOptimizerSerial(inst);
-  OptimizerResult parallel = DpQonOptimizerParallel(inst, &pool);
-  ASSERT_TRUE(serial.feasible);
-  ExpectBitIdentical(serial, parallel);
+  OptimizerResult r = DpQonOptimizer(inst);
+  ASSERT_TRUE(r.feasible);
   // The DP reconstructs by peeling the recorded last relation; with the
   // lowest-id rule the peel order is 0,1,2,... so the sequence is the
   // identity reversed. What matters is that it is *this* sequence, every
-  // run, for every thread count.
+  // run.
   JoinSequence expected = IdentitySequence(7);
   std::reverse(expected.begin(), expected.end());
-  EXPECT_EQ(serial.sequence, expected);
+  EXPECT_EQ(r.sequence, expected);
 }
 
 TEST(TieBreakRegression, BnbExploresLowestRelationFirstOnTies) {

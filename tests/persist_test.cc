@@ -9,6 +9,7 @@
 
 #include "qo/persist.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
@@ -526,18 +527,15 @@ TEST(PlanStore, TenThousandEntryJournalRecovers) {
 uint64_t ExpectedBackoff(const PersistBreakerOptions& breaker,
                          uint64_t trip) {
   uint64_t shift = trip > 20 ? 20 : trip - 1;
-  uint64_t base = breaker.backoff_base << shift;
-  if (base > breaker.backoff_max) base = breaker.backoff_max;
+  uint64_t base = std::min(kBreakerBackoffBase << shift, kBreakerBackoffMax);
   Rng jitter(MixSeed(breaker.seed, trip));
   return base + static_cast<uint64_t>(jitter.UniformInt(
-                    0, static_cast<int64_t>(breaker.backoff_base)));
+                    0, static_cast<int64_t>(kBreakerBackoffBase)));
 }
 
 TEST(PlanStoreBreaker, TripRefuseProbeReopenRepairsTheJournal) {
   std::string dir = TestDir("trip");
   PersistOptions options{.dir = dir, .fsync = false, .breaker = {}};
-  options.breaker.backoff_base = 4;
-  options.breaker.backoff_max = 64;
   options.breaker.seed = 7;
   const uint64_t backoff = ExpectedBackoff(options.breaker, 1);
 
@@ -610,13 +608,11 @@ TEST(PlanStoreBreaker, TripRefuseProbeReopenRepairsTheJournal) {
 TEST(PlanStoreBreaker, FailedProbeEscalatesToOpenThenRecovers) {
   std::string dir = TestDir("escalate");
   PersistOptions options{.dir = dir, .fsync = false, .breaker = {}};
-  options.breaker.backoff_base = 4;
-  options.breaker.backoff_max = 64;
   options.breaker.seed = 11;
   const uint64_t backoff1 = ExpectedBackoff(options.breaker, 1);
   const uint64_t backoff2 = ExpectedBackoff(options.breaker, 2);
-  // Trip 2 doubles the base (8 + jitter): the ladder actually ladders.
-  EXPECT_GE(backoff2, 8u);
+  // Trip 2 doubles the base (16 + jitter): the ladder actually ladders.
+  EXPECT_GE(backoff2, 2 * kBreakerBackoffBase);
 
   PlanCache cache(PlanCacheOptions{.byte_budget = 1 << 20, .shards = 2});
   PlanStore store(options);
@@ -673,7 +669,6 @@ TEST(PlanStoreBreaker, FailedProbeEscalatesToOpenThenRecovers) {
 TEST(PlanStoreBreaker, SnapshotWritesAreGatedAndCanProbe) {
   std::string dir = TestDir("snapgate");
   PersistOptions options{.dir = dir, .fsync = false, .breaker = {}};
-  options.breaker.backoff_base = 2;
   options.breaker.seed = 3;
   const uint64_t backoff = ExpectedBackoff(options.breaker, 1);
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -19,7 +20,6 @@
 #include "graph/clique.h"
 #include "graph/generators.h"
 #include "obs/runlog.h"
-#include "qo/analysis.h"
 #include "qo/cost_eval.h"
 #include "qo/fast_eval.h"
 #include "qo/fingerprint.h"
@@ -451,25 +451,6 @@ TEST(ThreadsInvariance, SweepResultsAndRunLogIdenticalAcrossThreadCounts) {
   }
 }
 
-// The parallel DP is a drop-in for the serial DP inside any consumer:
-// same cost bits, same sequence, same evaluations (the differential
-// harness covers this exhaustively; this is the quick tier-agnostic
-// smoke of the same contract).
-TEST(ThreadsInvariance, DpOptimizerIndependentOfPoolSize) {
-  Rng rng(868686);
-  QonInstance inst = RandomQonInstance(11, 0.6, &rng);
-  OptimizerResult serial = DpQonOptimizerSerial(inst);
-  ASSERT_TRUE(serial.feasible);
-  for (int threads : {2, 3, 8}) {
-    ThreadPool pool(threads);
-    OptimizerResult parallel = DpQonOptimizerParallel(inst, &pool);
-    ASSERT_TRUE(parallel.feasible);
-    EXPECT_EQ(parallel.cost.Log2(), serial.cost.Log2());
-    EXPECT_EQ(parallel.sequence, serial.sequence);
-    EXPECT_EQ(parallel.evaluations, serial.evaluations);
-  }
-}
-
 // --- Plan cache under relabeling (qo/service.h) ---
 //
 // Property: optimize an instance, then submit a relabeled duplicate
@@ -599,9 +580,7 @@ TEST(AnytimeBudget, HugeCapReproducesUncappedBitExactly) {
 
 // Acceptance sweep: a tightly capped run of EVERY registry optimizer
 // returns a valid (cost-consistent) best-so-far plan with status
-// budget_exhausted, deterministically across repeat runs and — for the
-// pool-aware DP — across thread counts (the capped DP always takes the
-// serial path, qo/optimizers.cc).
+// budget_exhausted, deterministically across repeat runs.
 TEST(AnytimeBudget, EveryQonOptimizerReturnsBestSoFarUnderTightCap) {
   Rng workload_rng(603);
   WorkloadOptions tree;
@@ -622,10 +601,9 @@ TEST(AnytimeBudget, EveryQonOptimizerReturnsBestSoFarUnderTightCap) {
     OptimizerResult a = OptimizerRegistry::Qon().Run(name, inst, options, &rng_a);
     ASSERT_TRUE(a.feasible) << name;
     EXPECT_EQ(a.status, PlanStatus::kBudgetExhausted) << name;
-    // Cost consistency under the optimizer's own metric.
-    LogDouble want = (name == "cout") ? CoutSequenceCost(inst, a.sequence)
-                                      : QonSequenceCost(inst, a.sequence);
-    EXPECT_EQ(want.Log2(), a.cost.Log2()) << name;
+    // Cost consistency: every entry prices its plan under QO_N.
+    EXPECT_EQ(QonSequenceCost(inst, a.sequence).Log2(), a.cost.Log2())
+        << name;
 
     // Deterministic: an identical repeat run is bit-identical.
     Rng rng_b(11);
@@ -634,22 +612,6 @@ TEST(AnytimeBudget, EveryQonOptimizerReturnsBestSoFarUnderTightCap) {
     EXPECT_EQ(a.sequence, b.sequence) << name;
     EXPECT_EQ(a.evaluations, b.evaluations) << name;
     EXPECT_EQ(a.status, b.status) << name;
-
-    // Thread counts cannot leak into the capped path.
-    for (int threads : {2, 4}) {
-      ThreadPool pool(threads);
-      OptimizerOptions pooled = options;
-      pooled.pool = &pool;
-      Rng rng_c(11);
-      OptimizerResult c =
-          OptimizerRegistry::Qon().Run(name, inst, pooled, &rng_c);
-      EXPECT_EQ(a.cost.Log2(), c.cost.Log2())
-          << name << " threads=" << threads;
-      EXPECT_EQ(a.sequence, c.sequence) << name << " threads=" << threads;
-      EXPECT_EQ(a.evaluations, c.evaluations)
-          << name << " threads=" << threads;
-      EXPECT_EQ(a.status, c.status) << name << " threads=" << threads;
-    }
   }
 }
 
@@ -683,6 +645,85 @@ TEST(AnytimeBudget, EveryQohOptimizerReturnsBestSoFarUnderTightCap) {
     EXPECT_EQ(a.cost.Log2(), b.cost.Log2()) << name;
     EXPECT_EQ(a.sequence, b.sequence) << name;
     EXPECT_EQ(a.evaluations, b.evaluations) << name;
+  }
+}
+
+// --- A served cost is the cost of the served plan ---
+//
+// Every registry entry of both families returns, as `cost`, the cost of
+// the plan it returns, bit for bit: QonSequenceCost of the sequence, or
+// DecompositionCost of the sequence and decomposition. The one exception
+// is `dp`, which returns the value its subset recurrence folded; that may
+// differ from the plan's left-to-right fold in the last bits, so it is
+// held to 1e-9 relative. Instances cycle through n = 4..10 (within each
+// entry's domain; the n! `exhaustive` entries stop at kMaxExhaustiveN to
+// keep the test fast) and through random, tree, chain and star shapes,
+// so kbz is feasible on some of them.
+TEST(ServedCost, EveryRegistryEntryReturnsTheCostOfItsPlan) {
+  constexpr int kTrials = 28;
+  constexpr int kMaxExhaustiveN = 8;
+  auto in_domain = [&](const std::string& name, int max_n, int n) {
+    return n <= (name == "exhaustive" ? kMaxExhaustiveN : max_n);
+  };
+  const WorkloadShape kShapes[] = {WorkloadShape::kRandom,
+                                   WorkloadShape::kTree, WorkloadShape::kChain,
+                                   WorkloadShape::kStar};
+  OptimizerOptions qon_knobs;
+  qon_knobs.samples = 50;
+  qon_knobs.restarts = 2;
+  qon_knobs.sa.iterations = 500;
+  qon_knobs.sa.restarts = 1;
+  qon_knobs.ga.population = 16;
+  qon_knobs.ga.generations = 8;
+  QohOptimizerOptions qoh_knobs;
+  qoh_knobs.samples = 50;
+  qoh_knobs.restarts = 2;
+  qoh_knobs.sa.iterations = 500;
+  qoh_knobs.sa.restarts = 1;
+
+  const OptimizerRegistry& qon = OptimizerRegistry::Qon();
+  const QohOptimizerRegistry& qoh = QohOptimizerRegistry::Get();
+  std::map<std::string, int> checked;
+  Rng workload_rng(2026);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    int n = 4 + trial % 7;
+    WorkloadOptions shape;
+    shape.shape = kShapes[trial % 4];
+    QonInstance qon_inst = RandomQonWorkload(n, &workload_rng, shape);
+    QohInstance qoh_inst = RandomQohWorkload(n, &workload_rng, 0.4, shape);
+    for (const std::string& name : qon.Names()) {
+      if (!in_domain(name, qon.Find(name)->max_n, n)) continue;
+      Rng rng(MixSeed(7, static_cast<uint64_t>(trial)));
+      OptimizerResult r = qon.Run(name, qon_inst, qon_knobs, &rng);
+      if (!r.feasible) continue;
+      SCOPED_TRACE("QO_N " + name + " trial=" + std::to_string(trial));
+      LogDouble plan = QonSequenceCost(qon_inst, r.sequence);
+      if (name == "dp") {
+        EXPECT_TRUE(plan.ApproxEquals(r.cost, 1e-9));
+      } else {
+        EXPECT_EQ(plan.Log2(), r.cost.Log2());
+      }
+      ++checked["qon." + name];
+    }
+    for (const std::string& name : qoh.Names()) {
+      if (!in_domain(name, qoh.Find(name)->max_n, n)) continue;
+      Rng rng(MixSeed(8, static_cast<uint64_t>(trial)));
+      QohOptimizerResult r = qoh.Run(name, qoh_inst, qoh_knobs, &rng);
+      if (!r.feasible) continue;
+      SCOPED_TRACE("QO_H " + name + " trial=" + std::to_string(trial));
+      PipelineCostResult plan =
+          DecompositionCost(qoh_inst, r.sequence, r.decomposition);
+      ASSERT_TRUE(plan.feasible);
+      EXPECT_EQ(plan.cost.Log2(), r.cost.Log2());
+      ++checked["qoh." + name];
+    }
+  }
+  // No entry is vacuously consistent.
+  for (const std::string& name : qon.Names()) {
+    EXPECT_GT(checked["qon." + name], 0) << name;
+  }
+  for (const std::string& name : qoh.Names()) {
+    EXPECT_GT(checked["qoh." + name], 0) << name;
   }
 }
 

@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "graph/clique.h"
-#include "graph/vertex_cover.h"
 #include "reductions/sat_to_clique.h"
 #include "reductions/sat_to_vc.h"
 #include "sat/dpll.h"
 #include "sat/gen.h"
+#include "tests/graph_oracles.h"
 #include "util/random.h"
 
 namespace aqo {

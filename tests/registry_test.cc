@@ -90,7 +90,10 @@ const std::map<std::string, QonDirect>& QonDirectCalls() {
        }},
       {"cout",
        [](const QonInstance& i, const OptimizerOptions&, Rng*) {
-         return CoutOptimalJoinOrder(i);
+         // The entry serves the C_out-optimal order at its QO_N cost.
+         OptimizerResult r = CoutOptimalJoinOrder(i);
+         r.cost = QonSequenceCost(i, r.sequence);
+         return r;
        }},
       {"kbz",
        [](const QonInstance& i, const OptimizerOptions&, Rng*) {

@@ -14,6 +14,7 @@
 #include "sqo/partition.h"
 #include "sqo/sppcs.h"
 #include "sqo/star_query.h"
+#include "tests/graph_oracles.h"
 #include "util/random.h"
 
 namespace aqo {

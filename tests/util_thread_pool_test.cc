@@ -1,14 +1,14 @@
-// Tests for the deterministic thread pool: static chunk geometry,
-// ParallelFor coverage, exception propagation (lowest chunk wins), nested
-// submission falling back to inline execution, and MixSeed stream
-// independence.
+// Tests for the thread pool: ParallelFor runs every index exactly once,
+// claims indices from the highest down, rethrows the lowest-index
+// exception after every index ran, and runs nested submissions inline;
+// plus MixSeed stream independence.
 
 #include "util/thread_pool.h"
 
 #include <atomic>
-#include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,103 +18,72 @@
 namespace aqo {
 namespace {
 
-TEST(ChunkOf, BalancedContiguousCover) {
-  for (int threads : {1, 2, 3, 7, 16}) {
-    for (size_t count : {size_t{0}, size_t{1}, size_t{5}, size_t{16},
-                         size_t{17}, size_t{1000}}) {
-      size_t covered = 0;
-      size_t prev_end = 0;
-      size_t max_len = 0, min_len = count + 1;
-      for (int t = 0; t < threads; ++t) {
-        ThreadPool::Range r = ThreadPool::ChunkOf(count, threads, t);
-        EXPECT_EQ(r.begin, prev_end);  // contiguous, in order
-        EXPECT_LE(r.begin, r.end);
-        prev_end = r.end;
-        covered += r.end - r.begin;
-        max_len = std::max(max_len, r.end - r.begin);
-        min_len = std::min(min_len, r.end - r.begin);
-      }
-      EXPECT_EQ(prev_end, count);
-      EXPECT_EQ(covered, count);
-      EXPECT_LE(max_len - min_len, size_t{1});  // balanced
-    }
-  }
-}
-
 TEST(ThreadPool, ParallelForVisitsEveryIndexExactlyOnce) {
-  for (int threads : {1, 2, 4, 8}) {
+  for (int threads : {1, 2, 3, 8}) {
     ThreadPool pool(threads);
     EXPECT_EQ(pool.num_threads(), threads);
-    std::vector<std::atomic<int>> hits(257);
-    pool.ParallelFor(hits.size(), [&](size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPool, ChunkAccumulationIsThreadCountDeterministic) {
-  // Sums accumulated per chunk and merged in chunk order are a pure
-  // function of (count, threads): rerunning the same pool geometry gives
-  // identical per-chunk partials.
-  auto partials = [](ThreadPool* pool, size_t count) {
-    std::vector<uint64_t> sums(static_cast<size_t>(pool->num_threads()), 0);
-    pool->ParallelForChunks(count, [&](int chunk, size_t begin, size_t end) {
-      uint64_t s = 0;
-      for (size_t i = begin; i < end; ++i) s += i * i;
-      sums[static_cast<size_t>(chunk)] = s;
-    });
-    return sums;
-  };
-  ThreadPool a(4), b(4);
-  EXPECT_EQ(partials(&a, 1000), partials(&b, 1000));
-  // And the merged total matches the serial pool's.
-  ThreadPool serial(1);
-  uint64_t total4 = 0, total1 = 0;
-  for (uint64_t s : partials(&a, 1000)) total4 += s;
-  for (uint64_t s : partials(&serial, 1000)) total1 += s;
-  EXPECT_EQ(total4, total1);
-}
-
-TEST(ThreadPool, PropagatesLowestChunkException) {
-  ThreadPool pool(4);
-  for (int round = 0; round < 3; ++round) {
-    try {
-      pool.ParallelForChunks(100, [&](int chunk, size_t, size_t) {
-        if (chunk >= 1) {  // chunks 1, 2, 3 all throw; chunk 1 must win
-          throw std::runtime_error("chunk " + std::to_string(chunk));
-        }
+    for (size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{1000}}) {
+      std::vector<std::atomic<int>> hits(count);
+      pool.ParallelFor(count, [&](size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
       });
-      FAIL() << "expected ParallelForChunks to rethrow";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "chunk 1");
+      for (size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "threads=" << threads << " count=" << count << " i=" << i;
+      }
     }
   }
-  // The pool stays usable after an exceptional job.
-  std::atomic<size_t> n{0};
-  pool.ParallelFor(50, [&](size_t) { n.fetch_add(1); });
-  EXPECT_EQ(n.load(), 50u);
+}
+
+TEST(ThreadPool, RethrowsLowestIndexExceptionAfterEveryIndexRan) {
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    for (int round = 0; round < 3; ++round) {
+      std::vector<std::atomic<int>> hits(100);
+      try {
+        pool.ParallelFor(hits.size(), [&](size_t i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+          // Every index from 37 up throws; 37 must win.
+          if (i >= 37) throw std::runtime_error("index " + std::to_string(i));
+        });
+        FAIL() << "expected ParallelFor to rethrow";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "index 37") << "threads=" << threads;
+      }
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    }
+    // The pool stays usable after an exceptional job.
+    std::atomic<size_t> n{0};
+    pool.ParallelFor(50, [&](size_t) { n.fetch_add(1); });
+    EXPECT_EQ(n.load(), 50u);
+  }
+}
+
+TEST(ThreadPool, SingleThreadPoolRunsInlineFromTheHighestIndexDown) {
+  ThreadPool pool(1);
+  std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  pool.ParallelFor(32, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), 32u);
+  for (size_t k = 0; k < order.size(); ++k) EXPECT_EQ(order[k], 31 - k);
 }
 
 TEST(ThreadPool, NestedSubmissionRunsInline) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(64);
   pool.ParallelFor(4, [&](size_t outer) {
-    // A nested job on the same pool must not deadlock; it degrades to an
-    // inline loop on the submitting chunk's thread.
+    // A nested job on the same pool must not deadlock; it runs inline on
+    // the thread that submitted it.
+    std::thread::id self = std::this_thread::get_id();
     pool.ParallelFor(16, [&](size_t inner) {
+      EXPECT_EQ(std::this_thread::get_id(), self);
       hits[outer * 16 + inner].fetch_add(1, std::memory_order_relaxed);
     });
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SingleThreadPoolSpawnsNoWorkersAndRunsInline) {
-  ThreadPool pool(1);
-  std::thread::id caller = std::this_thread::get_id();
-  pool.ParallelFor(32, [&](size_t) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
 }
 
 TEST(MixSeed, StreamsAreDistinctAndReproducible) {

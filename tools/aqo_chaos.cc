@@ -19,10 +19,11 @@
 //       across a real process boundary with the circuit breaker armed.
 //
 //   --scenario=kill-restart --kill-after=<k>
-//       SIGKILLs the server after the k-th response, restarts it warm on
-//       the same state dir, replays the whole stream, and requires every
-//       response byte-identical to the reference (torn journal tails
-//       included in what restart must tolerate).
+//       SIGKILLs the server after the k-th response (1 <= k <= the
+//       stream's frame count), restarts it warm on the same state dir,
+//       replays the whole stream, and requires every response
+//       byte-identical to the reference (torn journal tails included in
+//       what restart must tolerate).
 //
 //   --scenario=frame-garbage --garbage-every=<g> --garbage-bytes=<b>
 //       Injects b seeded garbage bytes after every g-th frame. The
@@ -149,6 +150,10 @@ ServerRun RunServer(const std::string& serve_path,
   // Open-loop writer, like aqo_loadgen's: the whole schedule goes out
   // regardless of response progress. A SIGKILLed server turns writes into
   // EPIPE, which the writer just swallows (SIGPIPE is ignored in main).
+  // With a kill scheduled, the server's stdin stays open after the last
+  // frame until the server is dead: a server that has answered every
+  // frame must block on stdin, not see EOF and exit before the kill
+  // lands.
   std::thread writer([&] {
     for (size_t i = 0; i < frames.size(); ++i) {
       if (!WriteFrameFd(to_server[1], frames[i])) break;
@@ -159,7 +164,7 @@ ServerRun RunServer(const std::string& serve_path,
         if (!WriteAllFd(to_server[1], garbage.data(), garbage.size())) break;
       }
     }
-    ::close(to_server[1]);
+    if (run.kill_after < 0) ::close(to_server[1]);
   });
 
   ServerRun result;
@@ -174,6 +179,7 @@ ServerRun RunServer(const std::string& serve_path,
     }
   }
   writer.join();
+  if (run.kill_after >= 0) ::close(to_server[1]);
   ::close(from_server[0]);
   ::waitpid(pid, &result.wait_status, 0);
   return result;
@@ -473,6 +479,14 @@ int Main(int argc, char** argv) {
   }
   if (scenario == "kill-restart") {
     int kill_after = static_cast<int>(flags.GetInt("kill-after", 5));
+    // The server answers one response per frame and its stdin stays
+    // open until the kill, so a larger k would wait forever.
+    if (kill_after < 1 || static_cast<size_t>(kill_after) > frames.size()) {
+      std::cerr << "error: --kill-after must be in [1, " << frames.size()
+                << "] (the stream's frame count), got " << kill_after
+                << "\n";
+      return 2;
+    }
     return RunKillRestart(serve_path, base_args, frames,
                           reference.responses, state_root, kill_after);
   }

@@ -10,7 +10,8 @@
 // The names come from the optimizer registry (qo/registry.h): dp (exact
 // subset DP), bnb (exact branch & bound, anytime under --budget-evals=),
 // exhaustive, greedy, random, ii, sa, genetic/ga, kbz (trees only, else
-// infeasible), cout (exact under the C_out metric); --optimizers=help
+// infeasible), cout (the C_out-optimal order, priced under QO_N like
+// every entry); --optimizers=help
 // lists each entry's relation-count domain. Unknown names are a hard
 // error listing the valid set. Knob flags (--samples=,
 // --restarts=, --sa-iterations=, ...) apply to whichever optimizers read
@@ -24,9 +25,6 @@
 // --json-out=<path> writes a JSONL run-log, --trace-out=<path> a Chrome
 // trace-event JSON of the run, and --latency-table=1 a percentile table
 // of every latency histogram (docs/observability.md).
-//
-// --threads=N runs the subset DP on an N-worker pool (default: hardware
-// concurrency); every thread count returns bit-identical results.
 
 #include <fstream>
 #include <iostream>
@@ -98,14 +96,10 @@ int Main(int argc, char** argv) {
                            .edges = inst.graph().NumEdges()};
 
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
-  // --threads=N sizes the pool the subset DP runs on; the result is
-  // bit-identical for every value (see docs/parallelism.md).
-  ThreadPool pool(flags.Threads());
   OptimizerOptions defaults;
   defaults.samples = 1000;
   defaults.restarts = 4;
   OptimizerOptions knobs = bench::ReadQonKnobs(flags, defaults);
-  knobs.pool = &pool;
 
   // Run through InstrumentedRun so --json-out records each algorithm.
   for (const std::string& name : names) {

@@ -75,7 +75,6 @@
 #include "qo/plan_cache.h"
 #include "qo/service.h"
 #include "util/fault_injection.h"
-#include "util/thread_pool.h"
 
 namespace aqo {
 namespace {
@@ -129,11 +128,6 @@ struct QonServe {
       &ServerConfig::qon_batch;
   static constexpr OptimizerOptions BatchOptions::*kKnobs = &BatchOptions::qon;
 
-  // QO_N runs the optimizer itself on the pool (the parallel DP); the
-  // single-instance batch stays serial.
-  static void UsePool(OptimizerOptions* knobs, ThreadPool* pool) {
-    knobs->pool = pool;
-  }
   static void WritePipelines(std::ostream&, const OptimizerResult&) {}
 };
 
@@ -148,7 +142,6 @@ struct QohServe {
   static constexpr QohOptimizerOptions BatchOptions::*kKnobs =
       &BatchOptions::qoh;
 
-  static void UsePool(QohOptimizerOptions*, ThreadPool*) {}
   static void WritePipelines(std::ostream& out,
                              const QohOptimizerResult& result) {
     out << "\npipelines";
@@ -167,8 +160,7 @@ std::string ServeFamily(const std::string& id, std::string_view family,
                         std::optional<double> deadline_ms,
                         const std::string& optimizer,
                         std::string_view body, const ServerConfig& config,
-                        PlanCache* cache, ThreadPool* pool,
-                        LoadGovernor* governor) {
+                        PlanCache* cache, LoadGovernor* governor) {
   static obs::Counter& rejects =
       obs::Registry::Get().GetCounter("qo.serve.admission_rejects");
   static obs::Counter& cache_hits =
@@ -189,7 +181,6 @@ std::string ServeFamily(const std::string& id, std::string_view family,
   BatchOptions options = config.*Family::kConfig;
   auto& knobs = options.*Family::kKnobs;
   options.cache = cache;
-  Family::UsePool(&knobs, pool);
   if (deadline_ms) knobs.budget.deadline_ms = *deadline_ms;
   auto admission = Admit(Family::Registry(),
                          optimizer.empty() ? options.optimizer : optimizer,
@@ -226,8 +217,7 @@ std::string ServeOptimize(const std::string& id,
                           std::optional<double> deadline_ms,
                           const std::string& optimizer,
                           std::string_view body, const ServerConfig& config,
-                          PlanCache* cache, ThreadPool* pool,
-                          LoadGovernor* governor) {
+                          PlanCache* cache, LoadGovernor* governor) {
   // The family is the body's first whitespace-separated token, even past
   // blank lines; a body that opens with a comment line names the
   // comment's first word ('#', 'c') and is refused.
@@ -237,11 +227,11 @@ std::string ServeOptimize(const std::string& id,
   family = family.substr(0, family.find_first_of(kSpace));
   if (family == "qon") {
     return ServeFamily<QonServe>(id, family, deadline_ms, optimizer, body,
-                                 config, cache, pool, governor);
+                                 config, cache, governor);
   }
   if (family == "qoh") {
     return ServeFamily<QohServe>(id, family, deadline_ms, optimizer, body,
-                                 config, cache, pool, governor);
+                                 config, cache, governor);
   }
   return "err " + id + " parse: unknown instance family '" +
          std::string(family) + "' (expected qon or qoh)";
@@ -340,8 +330,6 @@ int Main(int argc, char** argv) {
   cache_options.shards = static_cast<int>(cache_shards);
   PlanCache cache(cache_options);
   cache.LogConfig();
-
-  ThreadPool pool(flags.Threads());
 
   // Durable state: recover, then write through.
   std::unique_ptr<PlanStore> store;
@@ -451,7 +439,7 @@ int Main(int argc, char** argv) {
       }
       response = bad_token.empty()
                      ? ServeOptimize(id, deadline_ms, optimizer, body,
-                                     config, &cache, &pool, &governor)
+                                     config, &cache, &governor)
                      : "err " + id + " header: '" + bad_token +
                            "' is neither optimizer=<name> nor a deadline"
                            " in ms";
