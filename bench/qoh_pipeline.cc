@@ -50,7 +50,7 @@ void AllocationTable(const bench::Flags& flags) {
         }
       }
       std::vector<LogDouble> prefix =
-          QohPrefixSizes(gap.instance, witness.sequence);
+          PrefixSizes(gap.instance, witness.sequence);
       LogDouble in_out = prefix[static_cast<size_t>(first)] +
                          prefix[static_cast<size_t>(last) + 1];
       table.AddRow({std::to_string(n), std::to_string(len),

@@ -34,7 +34,6 @@ int main() {
   query.SetSelectivity(0, 4, LogDouble::FromLinear(1.0 / 65536.0));
   query.SetSelectivity(0, 5, LogDouble::FromLinear(1.0 / 8192.0));
   query.SetSelectivity(4, 5, LogDouble::FromLinear(0.25));
-  query.Validate();
 
   // Fact table first (it streams; the dimensions get the hash tables).
   JoinSequence seq = {0, 3, 1, 5, 2, 4};

@@ -34,7 +34,6 @@ int main() {
   query.SetSelectivity(1, 2, LogDouble::FromLinear(1.0 / 150000.0));
   query.SetSelectivity(2, 3, LogDouble::FromLinear(1.0 / 25.0));
   query.SetSelectivity(1, 4, LogDouble::FromLinear(1.0 / 1500000.0));
-  query.Validate();
 
   const char* names[] = {"lineitem", "orders", "customers", "nation",
                          "payments"};

@@ -4,17 +4,30 @@
 // survive a write/reparse round trip. The instance readers must also
 // agree, through both entry points, with the iostreams reader they
 // replaced (tests/reference_reader.h): same decision, same error string,
-// same instance bits.
+// same instance bits; and every accepted instance must hold the invariants
+// of tests/instance_oracle.h.
 
 #include <cstdint>
 #include <sstream>
 #include <string>
 
 #include "io/serialization.h"
+#include "tests/instance_oracle.h"
 #include "tests/reference_reader.h"
 #include "util/check.h"
 
 namespace {
+
+// Anything accepted must hold the instance invariants (instance_oracle.h);
+// graphs and formulas have none beyond what their types enforce.
+std::string Violation(const aqo::QonInstance& inst) {
+  return aqo::QonInvariantViolation(inst);
+}
+std::string Violation(const aqo::QohInstance& inst) {
+  return aqo::QohInvariantViolation(inst);
+}
+std::string Violation(const aqo::Graph&) { return ""; }
+std::string Violation(const aqo::CnfFormula&) { return ""; }
 
 template <typename T, typename ParseFn, typename WriteFn>
 void Check(const std::string& text, ParseFn parse, WriteFn write) {
@@ -24,6 +37,9 @@ void Check(const std::string& text, ParseFn parse, WriteFn write) {
     AQO_CHECK(!parsed.error.empty());
     return;
   }
+  std::string violation = Violation(*parsed.value);
+  AQO_CHECK(violation.empty()) << "accepted instance breaks an invariant: "
+                               << violation;
   // Anything we accept must round-trip through our own writer.
   std::ostringstream os;
   write(*parsed.value, os);

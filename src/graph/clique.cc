@@ -12,8 +12,7 @@ namespace {
 // prune with the color bound.
 class CliqueSearch {
  public:
-  CliqueSearch(const Graph& g, uint64_t node_limit, int target)
-      : g_(g), node_limit_(node_limit), target_(target) {}
+  explicit CliqueSearch(const Graph& g) : g_(g) {}
 
   MaxCliqueResult Run() {
     DynamicBitset all(g_.NumVertices());
@@ -24,18 +23,12 @@ class CliqueSearch {
     result.clique = best_;
     std::sort(result.clique.begin(), result.clique.end());
     result.nodes_explored = nodes_;
-    result.exact = !stopped_;
     return result;
   }
 
  private:
   void Expand(const DynamicBitset& candidates) {
-    if (stopped_) return;
     ++nodes_;
-    if (node_limit_ > 0 && nodes_ > node_limit_) {
-      stopped_ = true;
-      return;
-    }
 
     // Greedy coloring of the candidate set; vertices of color class c can
     // contribute at most c vertices to any clique inside `candidates`.
@@ -69,38 +62,26 @@ class CliqueSearch {
       }
       int v = order[i];
       current_.push_back(v);
-      if (current_.size() > best_.size()) {
-        best_ = current_;
-        if (target_ > 0 && static_cast<int>(best_.size()) >= target_) {
-          stopped_by_target_ = true;
-        }
-      }
-      if (!stopped_by_target_) {
-        DynamicBitset next = remaining;
-        next &= g_.Neighbors(v);
-        if (next.Any()) Expand(next);
-      }
+      if (current_.size() > best_.size()) best_ = current_;
+      DynamicBitset next = remaining;
+      next &= g_.Neighbors(v);
+      if (next.Any()) Expand(next);
       current_.pop_back();
-      if (stopped_ || stopped_by_target_) return;
       remaining.Reset(v);
     }
   }
 
   const Graph& g_;
-  uint64_t node_limit_;
-  int target_;
   uint64_t nodes_ = 0;
-  bool stopped_ = false;
-  bool stopped_by_target_ = false;
   std::vector<int> current_;
   std::vector<int> best_;
 };
 
 }  // namespace
 
-MaxCliqueResult MaxClique(const Graph& g, uint64_t node_limit, int target) {
+MaxCliqueResult MaxClique(const Graph& g) {
   if (g.NumVertices() == 0) return MaxCliqueResult{};
-  CliqueSearch search(g, node_limit, target);
+  CliqueSearch search(g);
   MaxCliqueResult result = search.Run();
   AQO_CHECK(g.IsClique(result.clique));
   return result;

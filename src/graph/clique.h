@@ -17,18 +17,12 @@
 namespace aqo {
 
 struct MaxCliqueResult {
-  std::vector<int> clique;      // vertices of the best clique found, sorted
+  std::vector<int> clique;      // a maximum clique, sorted
   uint64_t nodes_explored = 0;  // search tree size
-  bool exact = true;            // false when the node limit stopped the search
 };
 
-// Exact maximum clique (branch & bound, greedy coloring bound). When
-// `node_limit` > 0 the search aborts after that many nodes and reports the
-// incumbent with exact=false. When `target` > 0 the search additionally
-// stops as soon as a clique of at least `target` vertices is found (the
-// result is then a witness, not necessarily maximum).
-MaxCliqueResult MaxClique(const Graph& g, uint64_t node_limit = 0,
-                          int target = 0);
+// Exact maximum clique (branch & bound, greedy coloring bound).
+MaxCliqueResult MaxClique(const Graph& g);
 
 }  // namespace aqo
 

@@ -102,15 +102,6 @@ bool Graph::IsCliqueSet(const DynamicBitset& vertices) const {
   return ok;
 }
 
-bool Graph::IsVertexCover(const DynamicBitset& cover) const {
-  for (int u = 0; u < n_; ++u) {
-    if (cover.Test(u)) continue;
-    // Every neighbor of an uncovered vertex must be in the cover.
-    if (!Neighbors(u).IsSubsetOf(cover)) return false;
-  }
-  return true;
-}
-
 bool Graph::IsConnected() const {
   if (n_ <= 1) return true;
   DynamicBitset visited(n_);

@@ -60,9 +60,6 @@ class Graph {
   bool IsClique(const std::vector<int>& vertices) const;
   bool IsCliqueSet(const DynamicBitset& vertices) const;
 
-  // True when every edge has at least one endpoint in `cover`.
-  bool IsVertexCover(const DynamicBitset& cover) const;
-
   bool IsConnected() const;
 
   // Number of edges of the subgraph induced by `vertices`.

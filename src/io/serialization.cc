@@ -263,17 +263,46 @@ std::string ReadBody(std::string_view text, std::string_view family, int n,
   return "";
 }
 
-// The n-relation query graph of `edges`; the duplicate-edge error when an
-// edge repeats.
-std::string BuildGraph(int n, const Edges& edges, Graph* g) {
-  *g = Graph(n);
+// The join-graph half of both instance readers: the body after a
+// `family` header of n relations (w lines go to `costs` when it is
+// non-null), the query graph, and the instance `make(graph, sizes)`
+// builds with every edge selectivity set.
+template <typename Instance, typename Make>
+ParseResult<Instance> ReadJoinGraph(std::string_view text,
+                                    std::string_view family, int n,
+                                    Edges* costs, Make make) {
+  std::vector<LogDouble> sizes;
+  Edges edges;
+  std::string error = ReadBody(text, family, n, &sizes, &edges, costs);
+  if (!error.empty()) return Fail<Instance>(error);
+  Graph g(n);
   for (const auto& [i, j, lg] : edges) {
-    if (g->HasEdge(i, j)) {
-      return "duplicate edge " + std::to_string(i) + " " + std::to_string(j);
+    if (g.HasEdge(i, j)) {
+      return Fail<Instance>("duplicate edge " + std::to_string(i) + " " +
+                            std::to_string(j));
     }
-    g->AddEdge(i, j);
+    g.AddEdge(i, j);
   }
-  return "";
+  ParseResult<Instance> out;
+  Instance& inst = out.value.emplace(make(std::move(g), std::move(sizes)));
+  for (const auto& [i, j, lg] : edges) {
+    inst.SetSelectivity(i, j, LogDouble::FromLog2(lg));
+  }
+  return out;
+}
+
+// The rel and edge lines both writers emit after their header.
+void WriteJoinGraph(const JoinGraph& inst, std::ostream& os) {
+  for (int i = 0; i < inst.NumRelations(); ++i) {
+    os << "rel " << i << " ";
+    WriteLog2(os, inst.size(i));
+    os << "\n";
+  }
+  for (const auto& [u, v] : inst.graph().Edges()) {
+    os << "edge " << u << " " << v << " ";
+    WriteLog2(os, inst.selectivity(u, v));
+    os << "\n";
+  }
 }
 
 }  // namespace
@@ -369,16 +398,7 @@ ParseResult<CnfFormula> ParseDimacs(std::istream& is) {
 void WriteQonInstance(const QonInstance& inst, std::ostream& os) {
   int n = inst.NumRelations();
   os << "qon " << n << "\n";
-  for (int i = 0; i < n; ++i) {
-    os << "rel " << i << " ";
-    WriteLog2(os, inst.size(i));
-    os << "\n";
-  }
-  for (const auto& [u, v] : inst.graph().Edges()) {
-    os << "edge " << u << " " << v << " ";
-    WriteLog2(os, inst.selectivity(u, v));
-    os << "\n";
-  }
+  WriteJoinGraph(inst, os);
   // Only non-default access costs are emitted.
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
@@ -408,16 +428,13 @@ ParseResult<QonInstance> ParseQonInstance(std::string_view text) {
     return Fail<QonInstance>("qon header n exceeds supported maximum", line);
   }
 
-  std::vector<LogDouble> sizes;
-  Edges edges, costs;
-  Graph g;
-  std::string error = ReadBody(text, "qon", n, &sizes, &edges, &costs);
-  if (error.empty()) error = BuildGraph(n, edges, &g);
-  if (!error.empty()) return Fail<QonInstance>(error);
-  QonInstance inst(std::move(g), std::move(sizes));
-  for (const auto& [i, j, lg] : edges) {
-    inst.SetSelectivity(i, j, LogDouble::FromLog2(lg));
-  }
+  Edges costs;
+  out = ReadJoinGraph<QonInstance>(
+      text, "qon", n, &costs, [](Graph g, std::vector<LogDouble> sizes) {
+        return QonInstance(std::move(g), std::move(sizes));
+      });
+  if (!out.ok()) return out;
+  QonInstance& inst = *out.value;
   for (const auto& [i, j, lg] : costs) {
     // SetAccessCost CHECK-fails outside [t_j s, t_j]; pre-validate so a
     // malformed file reports instead of aborting.
@@ -431,8 +448,6 @@ ParseResult<QonInstance> ParseQonInstance(std::string_view text) {
     }
     inst.SetAccessCost(i, j, w);
   }
-  inst.Validate();
-  out.value = std::move(inst);
   return out;
 }
 
@@ -447,16 +462,7 @@ void WriteQohInstance(const QohInstance& inst, std::ostream& os) {
   char eta[40];
   std::snprintf(eta, sizeof(eta), "%.17g", inst.eta());
   os << "qoh " << n << " " << memory << " " << eta << "\n";
-  for (int i = 0; i < n; ++i) {
-    os << "rel " << i << " ";
-    WriteLog2(os, inst.size(i));
-    os << "\n";
-  }
-  for (const auto& [u, v] : inst.graph().Edges()) {
-    os << "edge " << u << " " << v << " ";
-    WriteLog2(os, inst.selectivity(u, v));
-    os << "\n";
-  }
+  WriteJoinGraph(inst, os);
 }
 
 ParseResult<QohInstance> ParseQohInstance(std::string_view text) {
@@ -478,19 +484,10 @@ ParseResult<QohInstance> ParseQohInstance(std::string_view text) {
     return Fail<QohInstance>("qoh header n exceeds supported maximum", line);
   }
 
-  std::vector<LogDouble> sizes;
-  Edges edges;
-  Graph g;
-  std::string error = ReadBody(text, "qoh", n, &sizes, &edges, nullptr);
-  if (error.empty()) error = BuildGraph(n, edges, &g);
-  if (!error.empty()) return Fail<QohInstance>(error);
-  QohInstance inst(std::move(g), std::move(sizes), memory, eta);
-  for (const auto& [i, j, lg] : edges) {
-    inst.SetSelectivity(i, j, LogDouble::FromLog2(lg));
-  }
-  inst.Validate();
-  out.value = std::move(inst);
-  return out;
+  return ReadJoinGraph<QohInstance>(
+      text, "qoh", n, nullptr, [&](Graph g, std::vector<LogDouble> sizes) {
+        return QohInstance(std::move(g), std::move(sizes), memory, eta);
+      });
 }
 
 ParseResult<QohInstance> ParseQohInstance(std::istream& is) {

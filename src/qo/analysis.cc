@@ -96,10 +96,7 @@ OptimizerResult CoutGreedyCutShort(const QonInstance& inst, PlanStatus status,
     LogDouble best_next;
     for (int j = 0; j < n; ++j) {
       if (placed[static_cast<size_t>(j)]) continue;
-      LogDouble next = intermediate * inst.size(j);
-      for (int k : seq) {
-        if (inst.graph().HasEdge(k, j)) next *= inst.selectivity(k, j);
-      }
+      LogDouble next = inst.ExtendSize(intermediate, seq, j);
       if (best_j < 0 || next < best_next) {
         best_j = j;
         best_next = next;
@@ -127,17 +124,7 @@ OptimizerResult CoutOptimalJoinOrder(const QonInstance& inst,
   RunGuard guard(budget);
   size_t full = (size_t{1} << n) - 1;
 
-  std::vector<LogDouble> subset_size(full + 1, LogDouble::One());
-  for (size_t mask = 1; mask <= full; ++mask) {
-    int j = std::countr_zero(mask);
-    size_t rest = mask & (mask - 1);
-    LogDouble v = subset_size[rest] * inst.size(j);
-    for (size_t m = rest; m != 0; m &= m - 1) {
-      int k = std::countr_zero(m);
-      if (inst.graph().HasEdge(k, j)) v *= inst.selectivity(k, j);
-    }
-    subset_size[mask] = v;
-  }
+  std::vector<LogDouble> subset_size = SubsetSizes(inst);
 
   // C_out extension cost is N(S union {j}) = subset_size of the new set:
   // dp[S] = min_j dp[S \ {j}] + N(S) for |S| >= 2.

@@ -112,7 +112,7 @@ class BnbSearch {
       // t_j, then MinOf over the prefix in order (bit-identical).
       e.join_cost = intermediate *
                     evaluator_.MinAccessSeeded(inst_.size(j), *prefix, j);
-      e.next_intermediate = evaluator_.ExtendSize(intermediate, *prefix, j);
+      e.next_intermediate = inst_.ExtendSize(intermediate, *prefix, j);
       extensions.push_back(e);
     }
     std::sort(extensions.begin(), extensions.end(),

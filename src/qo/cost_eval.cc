@@ -25,33 +25,10 @@ ScopedNaiveCostEvaluation::~ScopedNaiveCostEvaluation() {
 QonCostEvaluator::QonCostEvaluator(const QonInstance& inst)
     : inst_(&inst), n_(inst.NumRelations()) {
   size_t n = static_cast<size_t>(n_);
-  words_ = (n + 63) / 64;
-  sizes_.resize(n);
   wt_.resize(n * n);
-  selt_.resize(n * n);
-  adj_.assign(n * words_, 0);
-  wlog_.assign(n * n, std::numeric_limits<double>::infinity());
-  mslog_.assign(n * n, 0.0);
-  szlog_.resize(n);
-  for (int t = 0; t < n_; ++t) {
-    sizes_[static_cast<size_t>(t)] = inst.size(t);
-    szlog_[static_cast<size_t>(t)] = inst.size(t).Log2();
-    LogDouble* wrow = wt_.data() + static_cast<size_t>(t) * n;
-    LogDouble* srow = selt_.data() + static_cast<size_t>(t) * n;
-    double* wlrow = wlog_.data() + static_cast<size_t>(t) * n;
-    double* msrow = mslog_.data() + static_cast<size_t>(t) * n;
-    uint64_t* arow = adj_.data() + static_cast<size_t>(t) * words_;
-    for (int k = 0; k < n_; ++k) {
-      if (k != t) {
-        wrow[static_cast<size_t>(k)] = inst.AccessCost(k, t);
-        wlrow[static_cast<size_t>(k)] = inst.AccessCost(k, t).Log2();
-      }
-      srow[static_cast<size_t>(k)] = inst.selectivity(k, t);
-      if (inst.graph().HasEdge(t, k)) {
-        arow[static_cast<size_t>(k >> 6)] |= uint64_t{1} << (k & 63);
-        msrow[static_cast<size_t>(k)] = inst.selectivity(k, t).Log2();
-      }
-    }
+  for (int k = 0; k < n_; ++k) {
+    const LogDouble* row = inst.AccessCostRow(k);
+    for (size_t t = 0; t < n; ++t) wt_[t * n + static_cast<size_t>(k)] = row[t];
   }
   seq_.resize(n);
   prefix_.resize(n + 1);
@@ -72,24 +49,24 @@ LogDouble QonCostEvaluator::EvaluateFrom(int first) {
       // Raw log2 fold: MinOf keeps the left operand only when strictly
       // smaller, and equal log2 values here are bit-identical (no -0.0
       // sources), so the branch-free min matches LogDouble MinOf exactly.
-      const double* AQO_RESTRICT wrow =
-          wlog_.data() + sv * static_cast<size_t>(n_);
-      double mw = wrow[static_cast<size_t>(seq[0])];
+      const LogDouble* AQO_RESTRICT wrow =
+          wt_.data() + sv * static_cast<size_t>(n_);
+      double mw = wrow[static_cast<size_t>(seq[0])].Log2();
       for (size_t j = 1; j < sp; ++j) {
-        double c = wrow[static_cast<size_t>(seq[j])];
+        double c = wrow[static_cast<size_t>(seq[j])].Log2();
         mw = mw < c ? mw : c;
       }
       run_cost_[sp] = run_cost_[sp - 1] + prefix_[sp] * LogDouble::FromLog2(mw);
     }
     // N(prefix + v) = N(prefix) * t_v * (selectivities toward the prefix,
-    // in position order) — the PrefixSizes association. mslog_ stores
-    // +0.0 for non-edges, so the fold needs no adjacency branch: adding
-    // +0.0 is exact, keeping the sum bit-identical to the gated product.
-    const double* AQO_RESTRICT srow =
-        mslog_.data() + sv * static_cast<size_t>(n_);
-    double next = prefix_[sp].Log2() + szlog_[sv];
+    // in position order) — the PrefixSizes association. Row v of S is
+    // exactly log2 +0.0 off the edges, so the raw log2 fold needs no
+    // adjacency branch: adding +0.0 is exact, keeping the sum
+    // bit-identical to the gated product.
+    const LogDouble* AQO_RESTRICT srow = inst_->SelectivityRow(seq[sp]);
+    double next = prefix_[sp].Log2() + inst_->size(seq[sp]).Log2();
     for (size_t j = 0; j < sp; ++j) {
-      next += srow[static_cast<size_t>(seq[j])];
+      next += srow[static_cast<size_t>(seq[j])].Log2();
     }
     prefix_[sp + 1] = LogDouble::FromLog2(next);
   }
@@ -182,35 +159,11 @@ LogDouble QonCostEvaluator::MinAccessSeeded(LogDouble init,
   return best;
 }
 
-LogDouble QonCostEvaluator::ExtendSize(LogDouble intermediate,
-                                       const std::vector<int>& prefix,
-                                       int target) const {
-  if (cost_eval_internal::ForceNaive()) {
-    LogDouble next = intermediate * inst_->size(target);
-    for (int k : prefix) {
-      if (inst_->graph().HasEdge(k, target)) {
-        next *= inst_->selectivity(k, target);
-      }
-    }
-    return next;
-  }
-  size_t st = static_cast<size_t>(target);
-  LogDouble next = intermediate * sizes_[st];
-  const uint64_t* arow = adj_.data() + st * words_;
-  const LogDouble* srow = selt_.data() + st * static_cast<size_t>(n_);
-  for (int k : prefix) {
-    if ((arow[static_cast<size_t>(k >> 6)] >> (k & 63)) & 1) {
-      next *= srow[static_cast<size_t>(k)];
-    }
-  }
-  return next;
-}
-
 bool QonCostEvaluator::ConnectsTo(const std::vector<int>& prefix,
                                   int target) const {
-  const uint64_t* arow = adj_.data() + static_cast<size_t>(target) * words_;
+  const DynamicBitset& adjacent = inst_->graph().Neighbors(target);
   for (int k : prefix) {
-    if ((arow[static_cast<size_t>(k >> 6)] >> (k & 63)) & 1) return true;
+    if (adjacent.Test(k)) return true;
   }
   return false;
 }
@@ -222,12 +175,8 @@ QohCostEvaluator::QohCostEvaluator(const QohInstance& inst)
   AQO_CHECK(n_ >= 2) << "need at least two relations";
   total_joins_ = n_ - 1;
   size_t n = static_cast<size_t>(n_);
-  words_ = (n + 63) / 64;
   memory_linear_ = inst.memory();
   memory_ = LogDouble::FromLinear(memory_linear_);
-  sizes_.resize(n);
-  selt_.resize(n * n);
-  adj_.assign(n * words_, 0);
   rel_hjmin_.resize(n);
   rel_hjmin_lin_.resize(n);
   rel_inner_lin_.resize(n);
@@ -237,7 +186,6 @@ QohCostEvaluator::QohCostEvaluator(const QohInstance& inst)
   for (int t = 0; t < n_; ++t) {
     size_t st = static_cast<size_t>(t);
     LogDouble inner = inst.size(t);
-    sizes_[st] = inner;
     // Exactly the JoinShape fields of PipelineCostImpl that do not depend
     // on the outer stream, computed once per relation.
     LogDouble hjmin = inst.HashJoinMinMemory(inner);
@@ -252,14 +200,6 @@ QohCostEvaluator::QohCostEvaluator(const QohInstance& inst)
     // positive; mirror the branch so no new subtraction can trip.
     rel_denom_[st] = rel_extra_cap_[st] > 0.0 ? inner - hjmin
                                               : LogDouble::Zero();
-    LogDouble* srow = selt_.data() + st * n;
-    uint64_t* arow = adj_.data() + st * words_;
-    for (int k = 0; k < n_; ++k) {
-      srow[static_cast<size_t>(k)] = inst.selectivity(k, t);
-      if (inst.graph().HasEdge(t, k)) {
-        arow[static_cast<size_t>(k >> 6)] |= uint64_t{1} << (k & 63);
-      }
-    }
   }
   seq_.resize(n);
   prefix_.resize(n + 1);
@@ -356,22 +296,10 @@ bool QohCostEvaluator::PipelineCost(int first, int last,
 }
 
 void QohCostEvaluator::EvaluateFrom(int first_pos) {
-  size_t n = static_cast<size_t>(n_);
-  // Prefix sizes: the QohPrefixSizes fold, resumed at first_pos.
+  // Prefix sizes: the PrefixSizes fold, resumed at first_pos.
   if (first_pos == 0) prefix_[0] = LogDouble::One();
-  for (size_t p = static_cast<size_t>(first_pos); p < n; ++p) {
-    int v = seq_[p];
-    size_t sv = static_cast<size_t>(v);
-    LogDouble next = prefix_[p] * sizes_[sv];
-    const uint64_t* arow = adj_.data() + sv * words_;
-    const LogDouble* srow = selt_.data() + sv * n;
-    for (size_t j = 0; j < p; ++j) {
-      int u = seq_[j];
-      if ((arow[static_cast<size_t>(u >> 6)] >> (u & 63)) & 1) {
-        next *= srow[static_cast<size_t>(u)];
-      }
-    }
-    prefix_[p + 1] = next;
+  for (size_t p = static_cast<size_t>(first_pos); p < seq_.size(); ++p) {
+    prefix_[p + 1] = inst_->ExtendSize(prefix_[p], {seq_.data(), p}, seq_[p]);
   }
   // Join shapes: join j (inner seq_[j], outer prefix_[j]) is unaffected by
   // a change at position `first_pos` exactly when j < first_pos.
@@ -379,12 +307,13 @@ void QohCostEvaluator::EvaluateFrom(int first_pos) {
   for (int j = first_join; j <= total_joins_; ++j) {
     size_t sj = static_cast<size_t>(j);
     size_t sv = static_cast<size_t>(seq_[sj]);
-    join_inner_[sj] = sizes_[sv];
+    LogDouble inner = inst_->size(seq_[sj]);
+    join_inner_[sj] = inner;
     join_hjmin_lin_[sj] = rel_hjmin_lin_[sv];
     join_extra_cap_[sj] = rel_extra_cap_[sv];
     join_infeasible_[sj] = rel_build_infeasible_[sv];
-    join_opi_[sj] = prefix_[sj] + sizes_[sv];
-    join_h1_[sj] = join_opi_[sj] + sizes_[sv];
+    join_opi_[sj] = prefix_[sj] + inner;
+    join_h1_[sj] = join_opi_[sj] + inner;
     join_slope_[sj] = rel_extra_cap_[sv] > 0.0
                           ? join_opi_[sj] / rel_denom_[sv]
                           : LogDouble::Zero();
@@ -501,30 +430,6 @@ const QohPlan& QohCostEvaluator::Evaluate(const JoinSequence& seq) {
   pipeline_evals.Add(evals_pre_[static_cast<size_t>(total_joins_)]);
   if (plan_.feasible) fragments.Add(plan_.decomposition.starts.size());
   return plan_;
-}
-
-LogDouble QohCostEvaluator::ExtendSize(LogDouble intermediate,
-                                       const std::vector<int>& prefix,
-                                       int target) const {
-  if (cost_eval_internal::ForceNaive()) {
-    LogDouble next = intermediate * inst_->size(target);
-    for (int k : prefix) {
-      if (inst_->graph().HasEdge(k, target)) {
-        next *= inst_->selectivity(k, target);
-      }
-    }
-    return next;
-  }
-  size_t st = static_cast<size_t>(target);
-  LogDouble next = intermediate * sizes_[st];
-  const uint64_t* arow = adj_.data() + st * words_;
-  const LogDouble* srow = selt_.data() + st * static_cast<size_t>(n_);
-  for (int k : prefix) {
-    if ((arow[static_cast<size_t>(k >> 6)] >> (k & 63)) & 1) {
-      next *= srow[static_cast<size_t>(k)];
-    }
-  }
-  return next;
 }
 
 }  // namespace aqo

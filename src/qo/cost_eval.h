@@ -7,10 +7,12 @@
 // fresh vectors and re-validate the permutation on every call, and always
 // recompute the whole sequence — even when a local-search optimizer only
 // swapped two positions of the previous candidate. The evaluators below
-// copy the instance into flat, cache-friendly rows once (dense access-cost
-// and selectivity rows keyed by the *target* relation, adjacency bitsets as
-// raw words), keep every per-evaluation buffer as reusable scratch, and
-// re-evaluate only the suffix that starts at the first changed position.
+// read sizes, selectivity rows and adjacency straight from the instance
+// (S is symmetric, so row t of S is the row keyed by target t), keep every
+// per-evaluation buffer as reusable scratch, and re-evaluate only the
+// suffix that starts at the first changed position. The one copy is
+// QonCostEvaluator's W transposed to target-major rows, the layout its
+// min-access folds walk.
 //
 // Bit-identity invariant. Every LogDouble the evaluators produce is the
 // result of the exact floating-point expression tree the naive code
@@ -25,8 +27,9 @@
 // differentially against the naive code. See docs/performance.md.
 //
 // Thread safety: an evaluator is a mutable per-invocation object; create
-// one per optimizer run (they are cheap: O(n^2) construction). The
-// instance must stay alive and unmodified for the evaluator's lifetime.
+// one per optimizer run (QonCostEvaluator costs an O(n^2) transpose, the
+// QO_H evaluator O(n)). The instance must stay alive and unmodified for
+// the evaluator's lifetime.
 
 #include <atomic>
 #include <cstdint>
@@ -87,49 +90,26 @@ class QonCostEvaluator {
 
   // Dense stateless primitives for constructive optimizers (greedy, branch
   // & bound). Each folds in exactly the order the naive loops do, so
-  // results are bit-identical; they honor the test-only naive toggle.
+  // results are bit-identical; they honor the test-only naive toggle. The
+  // intermediate-size step is the instance's ExtendSize.
   //
   // min_{k in prefix} AccessCost(k, target), folded left to right.
   LogDouble MinAccess(const std::vector<int>& prefix, int target) const;
   // Same fold but seeded with `init` (branch & bound seeds with t_target).
   LogDouble MinAccessSeeded(LogDouble init, const std::vector<int>& prefix,
                             int target) const;
-  // intermediate * t_target * (selectivities toward prefix, in prefix
-  // order) — one constructive extension of the running intermediate size.
-  LogDouble ExtendSize(LogDouble intermediate, const std::vector<int>& prefix,
-                       int target) const;
   // Whether `target` has a join predicate with any prefix relation.
   bool ConnectsTo(const std::vector<int>& prefix, int target) const;
 
  private:
   LogDouble EvaluateFrom(int first);
-  bool AdjTest(int t, int u) const {
-    return (adj_[static_cast<size_t>(t) * words_ +
-                 static_cast<size_t>(u >> 6)] >>
-            (u & 63)) &
-           1;
-  }
 
   const QonInstance* inst_;
   int n_ = 0;
-  size_t words_ = 0;
-  // Instance data, flattened. Rows are keyed by the target relation t so
-  // the hot folds walk contiguous memory: wt_[t*n + k] = AccessCost(k, t),
-  // selt_[t*n + k] = selectivity(k, t), adj_[t*words + w] = neighbor words.
-  std::vector<LogDouble> sizes_;
+  // W transposed so the min-access folds walk contiguous memory:
+  // wt_[t*n + k] = AccessCost(k, t). The diagonal lanes are never read
+  // (t is outside its own prefix).
   std::vector<LogDouble> wt_;
-  std::vector<LogDouble> selt_;
-  std::vector<uint64_t> adj_;
-  // Raw log2 mirrors of the rows above, for the EvaluateFrom hot loops:
-  // wlog_[t*n + k] = AccessCost(k, t).Log2() (+inf on the diagonal, never
-  // selected since t is outside its own prefix); mslog_[t*n + k] =
-  // selectivity(k, t).Log2() when (t, k) is a graph edge, else +0.0 so the
-  // fold adds it unconditionally — x + 0.0 is exact, and no log2 value
-  // here is -0.0, so the branch-free sum is bit-identical to the gated
-  // LogDouble product. szlog_[t] = size(t).Log2().
-  std::vector<double> wlog_;
-  std::vector<double> mslog_;
-  std::vector<double> szlog_;
   // Incremental state: last sequence, N(prefix) per position, and the
   // left-to-right running cost sum after each join.
   bool valid_ = false;
@@ -155,10 +135,6 @@ class QohCostEvaluator {
   // the evaluator and invalidated by the next Evaluate call.
   const QohPlan& Evaluate(const JoinSequence& seq);
 
-  // Dense constructive primitive (same semantics as the QO_N variant).
-  LogDouble ExtendSize(LogDouble intermediate, const std::vector<int>& prefix,
-                       int target) const;
-
  private:
   void EvaluateFrom(int first_pos);
   // Cost of joins [first, last] as one pipeline; false when the memory
@@ -169,23 +145,12 @@ class QohCostEvaluator {
   // build-infeasible (both maintained by the DP loop in EvaluateFrom).
   bool PipelineCost(int first, int last, const LogDouble* bound,
                     LogDouble* cost);
-  bool AdjTest(int t, int u) const {
-    return (adj_[static_cast<size_t>(t) * words_ +
-                 static_cast<size_t>(u >> 6)] >>
-            (u & 63)) &
-           1;
-  }
 
   const QohInstance* inst_;
   int n_ = 0;
   int total_joins_ = 0;
-  size_t words_ = 0;
   double memory_linear_ = 0.0;
   LogDouble memory_;
-  // Instance data, flattened (rows keyed by target, as in QO_N).
-  std::vector<LogDouble> sizes_;
-  std::vector<LogDouble> selt_;
-  std::vector<uint64_t> adj_;
   // Per-relation hash-build shape (pure functions of t_v and M, computed
   // once): hjmin, its linear form, the linear inner size, the extra memory
   // capacity b - hjmin, the slope denominator b - hjmin as LogDouble (only
@@ -200,7 +165,7 @@ class QohCostEvaluator {
   // Incremental state.
   bool valid_ = false;
   JoinSequence seq_;
-  std::vector<LogDouble> prefix_;  // size n+1 (QohPrefixSizes association)
+  std::vector<LogDouble> prefix_;  // size n+1 (PrefixSizes association)
   // Per-join shapes for the cached sequence, 1-based join index j: the
   // inner relation is seq_[j], the outer stream is prefix_[j].
   std::vector<LogDouble> join_opi_;    // outer + inner

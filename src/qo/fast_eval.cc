@@ -31,22 +31,27 @@ obs::Counter& CandidatesCounter() {
   return c;
 }
 
-// Elementwise kernels over contiguous double rows: lanewise IEEE add and
-// `a < b ? a : b` min, branch-free so the compiler may vectorize them.
+// Elementwise kernels over contiguous rows, the second operand an
+// instance row read as raw log2: lanewise IEEE add and `a < b ? a : b`
+// min, branch-free so the compiler may vectorize them.
 void RowAdd(double* AQO_RESTRICT dst, const double* AQO_RESTRICT a,
-            const double* AQO_RESTRICT b, int n) {
-  for (int i = 0; i < n; ++i) dst[i] = a[i] + b[i];
+            const LogDouble* AQO_RESTRICT b, int n) {
+  for (int i = 0; i < n; ++i) dst[i] = a[i] + b[i].Log2();
 }
 
 void RowMin(double* AQO_RESTRICT dst, const double* AQO_RESTRICT a,
-            const double* AQO_RESTRICT b, int n) {
-  for (int i = 0; i < n; ++i) dst[i] = a[i] < b[i] ? a[i] : b[i];
+            const LogDouble* AQO_RESTRICT b, int n) {
+  for (int i = 0; i < n; ++i) {
+    dst[i] = a[i] < b[i].Log2() ? a[i] : b[i].Log2();
+  }
 }
 
 // dst = min(dst, src).
-void RowMinInPlace(double* AQO_RESTRICT dst, const double* AQO_RESTRICT src,
-                   int n) {
-  for (int i = 0; i < n; ++i) dst[i] = src[i] < dst[i] ? src[i] : dst[i];
+void RowMinInPlace(double* AQO_RESTRICT dst,
+                   const LogDouble* AQO_RESTRICT src, int n) {
+  for (int i = 0; i < n; ++i) {
+    dst[i] = src[i].Log2() < dst[i] ? src[i].Log2() : dst[i];
+  }
 }
 
 // Whether a log2-domain input is an integer: the integer regime's test.
@@ -55,35 +60,23 @@ bool IsInteger(double x) { return std::isfinite(x) && std::floor(x) == x; }
 }  // namespace
 
 QonNeighborhoodEvaluator::QonNeighborhoodEvaluator(const QonInstance& inst)
-    : n_(inst.NumRelations()) {
+    : inst_(&inst), n_(inst.NumRelations()) {
   size_t n = static_cast<size_t>(n_);
-  lt_.resize(n);
-  lwt_.resize(n * n);
-  mselt_.resize(n * n);
   double max_lt = 0.0, max_ms = 0.0, max_lw = 0.0;
   bool integer = true;
   for (int t = 0; t < n_; ++t) {
-    size_t st = static_cast<size_t>(t);
-    lt_[st] = inst.size(t).Log2();
-    max_lt = std::max(max_lt, std::fabs(lt_[st]));
-    integer = integer && IsInteger(lt_[st]);
+    double lt = inst.size(t).Log2();
+    max_lt = std::max(max_lt, std::fabs(lt));
+    integer = integer && IsInteger(lt);
     for (int k = 0; k < n_; ++k) {
-      size_t sk = static_cast<size_t>(k);
-      double lw = k == t ? kInf : inst.AccessCost(k, t).Log2();
-      lwt_[sk * n + st] = lw;
       if (k != t) {
+        double lw = inst.AccessCost(k, t).Log2();
         max_lw = std::max(max_lw, std::fabs(lw));
         integer = integer && IsInteger(lw);
       }
-      // mselt_ row u holds, for every target t, relation u's contribution
-      // to the prefix-size fold when u joins the prefix: log2 sel(u, t)
-      // when the join predicate exists, an exact +0.0 otherwise. Adding
-      // the row is then branch-free; the no-edge lanes are additive
-      // no-ops (-0.0 never occurs: log2 of a finite positive value is
-      // never -0.0-producing here, and cancellation yields +0.0).
-      double ms = inst.graph().HasEdge(t, k) ? inst.selectivity(k, t).Log2()
-                                             : 0.0;
-      mselt_[sk * n + st] = ms;
+      // Relation k's contribution to the prefix-size fold toward t: log2
+      // s_kt on an edge, an exact +0.0 elsewhere (the diagonal included).
+      double ms = inst.selectivity(k, t).Log2();
       max_ms = std::max(max_ms, std::fabs(ms));
       integer = integer && IsInteger(ms);
     }
@@ -129,16 +122,18 @@ void QonNeighborhoodEvaluator::Load(const JoinSequence& seq) {
   std::fill(ps_.begin(), ps_.begin() + static_cast<long>(n), 0.0);
   lp_[0] = 0.0;
   for (size_t p = 1; p < n; ++p) {
-    size_t u = static_cast<size_t>(seq_[p - 1]);
-    RowMin(mp_.data() + p * n, mp_.data() + (p - 1) * n, lwt_.data() + u * n,
-           n_);
+    int u = seq_[p - 1];
+    RowMin(mp_.data() + p * n, mp_.data() + (p - 1) * n,
+           inst_->AccessCostRow(u), n_);
     RowAdd(ps_.data() + p * n, ps_.data() + (p - 1) * n,
-           mselt_.data() + u * n, n_);
-    lp_[p] = lp_[p - 1] + lt_[u] + ps_[(p - 1) * n + u];
+           inst_->SelectivityRow(u), n_);
+    lp_[p] = lp_[p - 1] + inst_->size(u).Log2() +
+             ps_[(p - 1) * n + static_cast<size_t>(u)];
   }
   {
-    size_t u = static_cast<size_t>(seq_[n - 1]);
-    lp_[n] = lp_[n - 1] + lt_[u] + ps_[(n - 1) * n + u];
+    int u = seq_[n - 1];
+    lp_[n] = lp_[n - 1] + inst_->size(u).Log2() +
+             ps_[(n - 1) * n + static_cast<size_t>(u)];
   }
   // Per-join log2 terms and their log-sum-exp partial folds. fwd_ is the
   // exact evaluator's left fold; bwd_ lets a certified price reuse the
@@ -170,15 +165,18 @@ double QonNeighborhoodEvaluator::PriceSwap(int i, int j) {
   // Running min-access row over {seq[0..i-1], y} and running candidate
   // prefix exponent; ps_ rows are corrected for the x -> y substitution
   // via the two masked-selectivity rows of x and y.
-  RowMin(cur_min_.data(), mp_.data() + si * n, lwt_.data() + y * n, n_);
-  const double* AQO_RESTRICT msx = mselt_.data() + x * n;
-  const double* AQO_RESTRICT msy = mselt_.data() + y * n;
-  double clp = lp_[si] + lt_[y] + ps_[si * n + y];
+  RowMin(cur_min_.data(), mp_.data() + si * n,
+         inst_->AccessCostRow(seq_[sj]), n_);
+  const LogDouble* AQO_RESTRICT msx = inst_->SelectivityRow(seq_[si]);
+  const LogDouble* AQO_RESTRICT msy = inst_->SelectivityRow(seq_[sj]);
+  double clp = lp_[si] + inst_->size(seq_[sj]).Log2() + ps_[si * n + y];
   for (size_t p = si + 1; p < sj; ++p) {
-    size_t v = static_cast<size_t>(seq_[p]);
+    int u = seq_[p];
+    size_t v = static_cast<size_t>(u);
     acc = LogAddExp2(acc, clp + cur_min_[v]);
-    clp += lt_[v] + (ps_[p * n + v] - msx[v] + msy[v]);
-    RowMinInPlace(cur_min_.data(), lwt_.data() + v * n, n_);
+    clp += inst_->size(u).Log2() +
+           (ps_[p * n + v] - msx[v].Log2() + msy[v].Log2());
+    RowMinInPlace(cur_min_.data(), inst_->AccessCostRow(u), n_);
   }
   acc = LogAddExp2(acc, clp + cur_min_[x]);
   if (!exact_) return LogAddExp2(acc, bwd_[sj + 1]);

@@ -7,12 +7,12 @@
 // left-to-right expression tree: LogDouble addition is log-sum-exp and is
 // not associative, so the bit-identity contract forbids re-associating the
 // cost fold, and a swap at positions (i, j) costs a Θ(n - i)-long suffix
-// re-fold. QonNeighborhoodEvaluator keeps every per-target quantity as
-// flat structure-of-arrays of raw log2-domain doubles (access costs,
-// masked-selectivity rows where a non-edge contributes an exactly
-// representable +0.0, running min/sum prefix matrices), and prices an
-// arbitrary swap (i, j) of a loaded sequence after an O(n^2) Load by
-// walking only the changed span in O((j - i) * n).
+// re-fold. QonNeighborhoodEvaluator keeps running min/sum prefix matrices
+// of raw log2-domain doubles over the instance's own k-major rows of W
+// and S (a non-edge lane of S is exactly log2 +0.0, so adding a whole row
+// is branch-free), and prices an arbitrary swap (i, j) of a loaded
+// sequence after an O(n^2) Load by walking only the changed span in
+// O((j - i) * n).
 //
 // The constructor puts each instance in one of two regimes; the contract
 // differs (docs/performance.md, "Ranked swaps in `ii`"):
@@ -59,7 +59,7 @@
 // qo.fast_eval.certified_rejects and qo.fast_eval.exact_repricings.
 //
 // Thread safety: same model as qo/cost_eval.h — one evaluator per
-// optimizer run; the instance must outlive it.
+// optimizer run; the instance must outlive it, unmodified.
 
 #include <vector>
 
@@ -93,19 +93,20 @@ class QonNeighborhoodEvaluator {
   double PriceSwap(int i, int j);
 
  private:
+  const QonInstance* inst_;
   int n_ = 0;
   bool exact_ = false;  // integer regime
   double eps_log2_ = 0.0;
-  // Instance data as raw log2 doubles, structure-of-arrays.
-  std::vector<double> lt_;     // lt_[v] = log2 t_v
-  std::vector<double> lwt_;    // lwt_[k*n+t] = log2 AccessCost(k, t); +inf diag
-  std::vector<double> mselt_;  // mselt_[u*n+t] = edge(t,u) ? log2 sel(u,t) : +0.0
-  // Loaded neighborhood state.
+  // Loaded neighborhood state. The row kernels compute every lane, the
+  // diagonal ones (a relation's own W and S entries) included, but no
+  // price reads a lane of a relation already in the prefix.
   bool loaded_ = false;
   JoinSequence seq_;
-  std::vector<double> lp_;    // lp_[p] = log2 N(first p relations), p in [0,n]
-  std::vector<double> mp_;    // mp_[p*n+t] = min_{q<p} lwt_[seq_[q]*n+t]
-  std::vector<double> ps_;    // ps_[p*n+t] = sum_{q<p} mselt_[seq_[q]*n+t]
+  std::vector<double> lp_;  // lp_[p] = log2 N(first p relations), p in [0,n]
+  // mp_[p*n+t] = min_{q<p} log2 AccessCost(seq_[q], t)
+  std::vector<double> mp_;
+  // ps_[p*n+t] = sum_{q<p} log2 selectivity(seq_[q], t)
+  std::vector<double> ps_;
   std::vector<double> term_;  // term_[p] = log2 H_p, the join term at p >= 1
   std::vector<double> fwd_;   // fwd_[p] = lse(join terms 1..p); -inf at 0
   std::vector<double> bwd_;   // bwd_[p] = lse(join terms p..n-1); -inf at n;

@@ -1,6 +1,7 @@
 #include "qo/fingerprint.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <utility>
 
 #include "util/check.h"
@@ -83,125 +84,122 @@ std::vector<int> InvertOrder(const std::vector<int>& order) {
   return perm;
 }
 
+// The join-graph half of a relabeling: the relabeled graph and sizes go
+// to `make`, which builds the family's instance, then every edge gets its
+// selectivity and `per_edge(&out, u, v, pu, pv)` copies the family's own
+// edge data.
+template <typename Instance, typename Make, typename PerEdge>
+Instance PermuteJoinGraph(const Instance& inst, const std::vector<int>& perm,
+                          Make make, PerEdge per_edge) {
+  int n = inst.NumRelations();
+  AQO_CHECK(IsPermutation(perm, n));
+  std::vector<std::pair<int, int>> edges = inst.graph().Edges();
+  Graph g(n);
+  for (const auto& [u, v] : edges) {
+    g.AddEdge(perm[static_cast<size_t>(u)], perm[static_cast<size_t>(v)]);
+  }
+  std::vector<LogDouble> sizes(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    sizes[static_cast<size_t>(perm[static_cast<size_t>(i)])] = inst.size(i);
+  }
+  Instance out = make(std::move(g), std::move(sizes));
+  for (const auto& [u, v] : edges) {
+    int pu = perm[static_cast<size_t>(u)];
+    int pv = perm[static_cast<size_t>(v)];
+    out.SetSelectivity(pu, pv, inst.selectivity(u, v));
+    per_edge(&out, u, v, pu, pv);
+  }
+  return out;
+}
+
+// The join-graph half of canonicalization. Refinement starts each
+// relation's key from its size and folds in, per incident edge, the
+// selectivity and then `edge_data(inst, v, u, acc)`, the family's own
+// data of that edge. The fingerprint hashes `tag`, n, `header`, the
+// sizes, the edge count, and per edge u, v, the selectivity and
+// edge_data(canonical, u, v, acc).
+template <typename Instance, typename Permute, typename EdgeData>
+Canonical<Instance> CanonicalizeJoinGraph(
+    const Instance& inst, uint64_t tag, std::initializer_list<double> header,
+    Permute permute, EdgeData edge_data) {
+  int n = inst.NumRelations();
+  std::vector<uint64_t> keys(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    keys[static_cast<size_t>(i)] =
+        Mix64(std::bit_cast<uint64_t>(inst.size(i).Log2()));
+  }
+  std::vector<int> order =
+      CanonicalOrder(inst.graph(), std::move(keys),
+                     [&](int v, int u, HashAccumulator* acc) {
+                       acc->AddDouble(inst.selectivity(v, u).Log2());
+                       edge_data(inst, v, u, acc);
+                     });
+
+  Canonical<Instance> canon;
+  canon.from_canonical = order;
+  canon.to_canonical = InvertOrder(order);
+  canon.instance = permute(inst, canon.to_canonical);
+
+  // Fingerprint the full canonical instance: equal fingerprints imply
+  // equal canonical instances (up to 128-bit hash collision).
+  HashAccumulator acc(tag);
+  acc.Add(static_cast<uint64_t>(n));
+  for (double field : header) acc.AddDouble(field);
+  const Instance& ci = canon.instance;
+  for (int i = 0; i < n; ++i) acc.AddDouble(ci.size(i).Log2());
+  std::vector<std::pair<int, int>> edges = ci.graph().Edges();
+  acc.Add(static_cast<uint64_t>(edges.size()));
+  for (const auto& [u, v] : edges) {
+    acc.Add(static_cast<uint64_t>(u));
+    acc.Add(static_cast<uint64_t>(v));
+    acc.AddDouble(ci.selectivity(u, v).Log2());
+    edge_data(ci, u, v, &acc);
+  }
+  canon.fingerprint = acc.Digest();
+  return canon;
+}
+
 }  // namespace
 
 QonInstance PermuteQonInstance(const QonInstance& inst,
                                const std::vector<int>& perm) {
-  int n = inst.NumRelations();
-  AQO_CHECK(IsPermutation(perm, n));
-  Graph g(n);
-  for (const auto& [u, v] : inst.graph().Edges()) {
-    g.AddEdge(perm[static_cast<size_t>(u)], perm[static_cast<size_t>(v)]);
-  }
-  std::vector<LogDouble> sizes(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    sizes[static_cast<size_t>(perm[static_cast<size_t>(i)])] = inst.size(i);
-  }
-  QonInstance out(std::move(g), std::move(sizes));
-  for (const auto& [u, v] : inst.graph().Edges()) {
-    int pu = perm[static_cast<size_t>(u)];
-    int pv = perm[static_cast<size_t>(v)];
-    out.SetSelectivity(pu, pv, inst.selectivity(u, v));
-    // Preserve explicit access-path overrides (defaults re-derive to the
-    // same values, so copying unconditionally is exact either way).
-    out.SetAccessCost(pu, pv, inst.AccessCost(u, v));
-    out.SetAccessCost(pv, pu, inst.AccessCost(v, u));
-  }
-  return out;
+  return PermuteJoinGraph(
+      inst, perm,
+      [](Graph g, std::vector<LogDouble> sizes) {
+        return QonInstance(std::move(g), std::move(sizes));
+      },
+      // Explicit access-path overrides (defaults re-derive to the same
+      // values, so copying unconditionally is exact either way).
+      [&](QonInstance* out, int u, int v, int pu, int pv) {
+        out->SetAccessCost(pu, pv, inst.AccessCost(u, v));
+        out->SetAccessCost(pv, pu, inst.AccessCost(v, u));
+      });
 }
 
 QohInstance PermuteQohInstance(const QohInstance& inst,
                                const std::vector<int>& perm) {
-  int n = inst.NumRelations();
-  AQO_CHECK(IsPermutation(perm, n));
-  Graph g(n);
-  for (const auto& [u, v] : inst.graph().Edges()) {
-    g.AddEdge(perm[static_cast<size_t>(u)], perm[static_cast<size_t>(v)]);
-  }
-  std::vector<LogDouble> sizes(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    sizes[static_cast<size_t>(perm[static_cast<size_t>(i)])] = inst.size(i);
-  }
-  QohInstance out(std::move(g), std::move(sizes), inst.memory(), inst.eta());
-  for (const auto& [u, v] : inst.graph().Edges()) {
-    out.SetSelectivity(perm[static_cast<size_t>(u)],
-                       perm[static_cast<size_t>(v)], inst.selectivity(u, v));
-  }
-  return out;
+  return PermuteJoinGraph(
+      inst, perm,
+      [&](Graph g, std::vector<LogDouble> sizes) {
+        return QohInstance(std::move(g), std::move(sizes), inst.memory(),
+                           inst.eta());
+      },
+      [](QohInstance*, int, int, int, int) {});
 }
 
 CanonicalQon CanonicalizeQon(const QonInstance& inst) {
-  int n = inst.NumRelations();
-  std::vector<uint64_t> keys(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    keys[static_cast<size_t>(i)] =
-        Mix64(std::bit_cast<uint64_t>(inst.size(i).Log2()));
-  }
-  std::vector<int> order =
-      CanonicalOrder(inst.graph(), std::move(keys),
-                     [&](int v, int u, HashAccumulator* acc) {
-                       acc->AddDouble(inst.selectivity(v, u).Log2());
-                       acc->AddDouble(inst.AccessCost(v, u).Log2());
-                       acc->AddDouble(inst.AccessCost(u, v).Log2());
-                     });
-
-  CanonicalQon canon;
-  canon.from_canonical = order;
-  canon.to_canonical = InvertOrder(order);
-  canon.instance = PermuteQonInstance(inst, canon.to_canonical);
-
-  // Fingerprint the full canonical instance: equal fingerprints imply
-  // equal canonical instances (up to 128-bit hash collision).
-  HashAccumulator acc(kQonTag);
-  acc.Add(static_cast<uint64_t>(n));
-  const QonInstance& ci = canon.instance;
-  for (int i = 0; i < n; ++i) acc.AddDouble(ci.size(i).Log2());
-  std::vector<std::pair<int, int>> edges = ci.graph().Edges();
-  acc.Add(static_cast<uint64_t>(edges.size()));
-  for (const auto& [u, v] : edges) {
-    acc.Add(static_cast<uint64_t>(u));
-    acc.Add(static_cast<uint64_t>(v));
-    acc.AddDouble(ci.selectivity(u, v).Log2());
-    acc.AddDouble(ci.AccessCost(u, v).Log2());
-    acc.AddDouble(ci.AccessCost(v, u).Log2());
-  }
-  canon.fingerprint = acc.Digest();
-  return canon;
+  return CanonicalizeJoinGraph(
+      inst, kQonTag, {}, PermuteQonInstance,
+      [](const QonInstance& in, int a, int b, HashAccumulator* acc) {
+        acc->AddDouble(in.AccessCost(a, b).Log2());
+        acc->AddDouble(in.AccessCost(b, a).Log2());
+      });
 }
 
 CanonicalQoh CanonicalizeQoh(const QohInstance& inst) {
-  int n = inst.NumRelations();
-  std::vector<uint64_t> keys(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    keys[static_cast<size_t>(i)] =
-        Mix64(std::bit_cast<uint64_t>(inst.size(i).Log2()));
-  }
-  std::vector<int> order =
-      CanonicalOrder(inst.graph(), std::move(keys),
-                     [&](int v, int u, HashAccumulator* acc) {
-                       acc->AddDouble(inst.selectivity(v, u).Log2());
-                     });
-
-  CanonicalQoh canon;
-  canon.from_canonical = order;
-  canon.to_canonical = InvertOrder(order);
-  canon.instance = PermuteQohInstance(inst, canon.to_canonical);
-
-  HashAccumulator acc(kQohTag);
-  acc.Add(static_cast<uint64_t>(n));
-  acc.AddDouble(inst.memory());
-  acc.AddDouble(inst.eta());
-  const QohInstance& ci = canon.instance;
-  for (int i = 0; i < n; ++i) acc.AddDouble(ci.size(i).Log2());
-  std::vector<std::pair<int, int>> edges = ci.graph().Edges();
-  acc.Add(static_cast<uint64_t>(edges.size()));
-  for (const auto& [u, v] : edges) {
-    acc.Add(static_cast<uint64_t>(u));
-    acc.Add(static_cast<uint64_t>(v));
-    acc.AddDouble(ci.selectivity(u, v).Log2());
-  }
-  canon.fingerprint = acc.Digest();
-  return canon;
+  return CanonicalizeJoinGraph(
+      inst, kQohTag, {inst.memory(), inst.eta()}, PermuteQohInstance,
+      [](const QohInstance&, int, int, HashAccumulator*) {});
 }
 
 JoinSequence MapSequenceFromCanonical(const JoinSequence& seq,

@@ -50,19 +50,15 @@ QonInstance PermuteQonInstance(const QonInstance& inst,
 QohInstance PermuteQohInstance(const QohInstance& inst,
                                const std::vector<int>& perm);
 
-struct CanonicalQon {
-  QonInstance instance;             // canonically relabeled
+template <typename Instance>
+struct Canonical {
+  Instance instance;                // canonically relabeled
   std::vector<int> to_canonical;    // to_canonical[original] = canonical
   std::vector<int> from_canonical;  // from_canonical[canonical] = original
   Hash128 fingerprint;              // hash of the full canonical instance
 };
-
-struct CanonicalQoh {
-  QohInstance instance;
-  std::vector<int> to_canonical;
-  std::vector<int> from_canonical;
-  Hash128 fingerprint;
-};
+using CanonicalQon = Canonical<QonInstance>;
+using CanonicalQoh = Canonical<QohInstance>;
 
 CanonicalQon CanonicalizeQon(const QonInstance& inst);
 CanonicalQoh CanonicalizeQoh(const QohInstance& inst);

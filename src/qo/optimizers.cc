@@ -109,21 +109,6 @@ namespace dp_detail {
 
 constexpr int kNoParent = -1;
 
-// N[mask] from N[mask minus its lowest bit]: multiply in the relation,
-// then the selectivities toward it in ascending-bit order.
-LogDouble SubsetSizeOf(const QonInstance& inst,
-                       const std::vector<LogDouble>& subset_size,
-                       size_t mask) {
-  int j = std::countr_zero(mask);
-  size_t rest = mask & (mask - 1);
-  LogDouble v = subset_size[rest] * inst.size(j);
-  for (size_t m = rest; m != 0; m &= m - 1) {
-    int k = std::countr_zero(m);
-    if (inst.graph().HasEdge(k, j)) v *= inst.selectivity(k, j);
-  }
-  return v;
-}
-
 bool MaskConnectsTo(const Graph& g, size_t mask, int j) {
   for (size_t m = mask; m != 0; m &= m - 1) {
     if (g.HasEdge(std::countr_zero(m), j)) return true;
@@ -208,10 +193,7 @@ OptimizerResult DpQonOptimizer(const QonInstance& inst,
   size_t full = (static_cast<size_t>(1) << n) - 1;
 
   // N[mask]: intermediate size of the relation set `mask`.
-  std::vector<LogDouble> subset_size(full + 1, LogDouble::One());
-  for (size_t mask = 1; mask <= full; ++mask) {
-    subset_size[mask] = SubsetSizeOf(inst, subset_size, mask);
-  }
+  std::vector<LogDouble> subset_size = SubsetSizes(inst);
 
   std::vector<LogDouble> dp(full + 1);
   std::vector<int8_t> last(full + 1, kNoParent);  // last relation joined
@@ -309,7 +291,7 @@ OptimizerResult GreedyQonOptimizer(const QonInstance& inst,
       }
       extensions.Increment();
       cost += best_h;
-      intermediate = evaluator.ExtendSize(intermediate, prefix, best_j);
+      intermediate = inst.ExtendSize(intermediate, prefix, best_j);
       prefix.push_back(best_j);
       placed.Set(best_j);
     }
@@ -560,7 +542,7 @@ QohOptimizerResult GreedyQohOptimizer(const QohInstance& inst,
       LogDouble best_size;
       for (int j = 0; j < n; ++j) {
         if (placed.Test(j)) continue;
-        LogDouble next = evaluator.ExtendSize(intermediate, seq, j);
+        LogDouble next = inst.ExtendSize(intermediate, seq, j);
         if (best_j < 0 || next < best_size) {
           best_j = j;
           best_size = next;

@@ -121,23 +121,11 @@ PipelineCostResult PipelineCostImpl(const QohInstance& inst,
 
 QohInstance::QohInstance(Graph graph, std::vector<LogDouble> sizes,
                          double memory, double eta)
-    : graph_(std::move(graph)), sizes_(std::move(sizes)) {
-  int n = graph_.NumVertices();
-  AQO_CHECK_EQ(static_cast<int>(sizes_.size()), n);
-  for (LogDouble t : sizes_) AQO_CHECK(t > LogDouble::Zero());
+    : JoinGraph(std::move(graph), std::move(sizes)) {
   AQO_CHECK(0.0 < eta && eta < 1.0);
   AQO_CHECK(memory > 0.0 && std::isfinite(memory));
-  sel_.assign(static_cast<size_t>(n) * static_cast<size_t>(n),
-              LogDouble::One());
   memory_ = memory;
   eta_ = eta;
-}
-
-void QohInstance::SetSelectivity(int i, int j, LogDouble s) {
-  AQO_CHECK(graph_.HasEdge(i, j)) << "selectivity on non-edge " << i << "," << j;
-  AQO_CHECK(s > LogDouble::Zero() && s <= LogDouble::One());
-  sel_[Index(i, j)] = s;
-  sel_[Index(j, i)] = s;
 }
 
 void QohInstance::SetMemory(double m) {
@@ -153,38 +141,6 @@ double QohInstance::HashJoinMinMemoryLinear(LogDouble pages) const {
   return HjMinLinear(pages, eta_);
 }
 
-void QohInstance::Validate() const {
-  int n = NumRelations();
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      AQO_CHECK(sel_[Index(i, j)] == sel_[Index(j, i)]) << "asymmetric S";
-      if (!graph_.HasEdge(i, j)) {
-        AQO_CHECK(sel_[Index(i, j)] == LogDouble::One())
-            << "selectivity != 1 on non-edge";
-      }
-    }
-  }
-}
-
-std::vector<LogDouble> QohPrefixSizes(const QohInstance& inst,
-                                      const JoinSequence& seq) {
-  // Hot path (once per OptimalDecomposition call): debug-only check; the
-  // release-build validation lives at the entry points below.
-  AQO_DCHECK(IsPermutation(seq, inst.NumRelations()));
-  std::vector<LogDouble> sizes(seq.size() + 1);
-  sizes[0] = LogDouble::One();
-  for (size_t i = 0; i < seq.size(); ++i) {
-    int v = seq[i];
-    LogDouble next = sizes[i] * inst.size(v);
-    for (size_t j = 0; j < i; ++j) {
-      if (inst.graph().HasEdge(seq[j], v)) next *= inst.selectivity(seq[j], v);
-    }
-    sizes[i + 1] = next;
-  }
-  return sizes;
-}
-
 std::pair<int, int> PipelineDecomposition::Fragment(int f,
                                                     int total_joins) const {
   AQO_CHECK(0 <= f && f < NumFragments());
@@ -198,7 +154,7 @@ PipelineCostResult OptimalPipelineCost(const QohInstance& inst,
                                        const JoinSequence& seq, int first_join,
                                        int last_join) {
   AQO_CHECK(IsPermutation(seq, inst.NumRelations()));
-  std::vector<LogDouble> prefix = QohPrefixSizes(inst, seq);
+  std::vector<LogDouble> prefix = PrefixSizes(inst, seq);
   return PipelineCostImpl(inst, seq, prefix, first_join, last_join);
 }
 
@@ -214,7 +170,7 @@ PipelineCostResult DecompositionCost(const QohInstance& inst,
     AQO_CHECK(decomp.starts[f] > decomp.starts[f - 1]);
     AQO_CHECK(decomp.starts[f] <= total_joins);
   }
-  std::vector<LogDouble> prefix = QohPrefixSizes(inst, seq);
+  std::vector<LogDouble> prefix = PrefixSizes(inst, seq);
   LogDouble cost = LogDouble::Zero();
   for (int f = 0; f < decomp.NumFragments(); ++f) {
     auto [first, last] = decomp.Fragment(f, total_joins);
@@ -243,7 +199,7 @@ QohPlan OptimalDecomposition(const QohInstance& inst, const JoinSequence& seq) {
   int total_joins = static_cast<int>(seq.size()) - 1;
   AQO_CHECK(total_joins >= 1) << "need at least two relations";
   AQO_CHECK(IsPermutation(seq, inst.NumRelations()));
-  std::vector<LogDouble> prefix = QohPrefixSizes(inst, seq);
+  std::vector<LogDouble> prefix = PrefixSizes(inst, seq);
 
   // dp[k]: best cost of executing joins 1..k; parent[k]: start of the last
   // fragment in the best split.

@@ -35,27 +35,23 @@
 #include <optional>
 #include <vector>
 
-#include "graph/graph.h"
-#include "qo/join_sequence.h"
-#include "util/log_double.h"
+#include "qo/join_graph.h"
 
 namespace aqo {
 
-class QohInstance {
+// The query graph, sizes and selectivities of qo/join_graph.h, plus the
+// memory budget M and hjmin's eta. N(prefix) is PrefixSizes, as in QO_N.
+class QohInstance : public JoinGraph {
  public:
   QohInstance() = default;
 
-  // `memory` is the budget M in pages; `eta` parameterizes hjmin.
+  // `memory` is the budget M in pages, finite and > 0; `eta` in (0, 1)
+  // parameterizes hjmin.
   QohInstance(Graph graph, std::vector<LogDouble> sizes, double memory,
               double eta = 0.5);
 
-  int NumRelations() const { return graph_.NumVertices(); }
-  const Graph& graph() const { return graph_; }
-
-  LogDouble size(int i) const { return sizes_[static_cast<size_t>(i)]; }
-  LogDouble selectivity(int i, int j) const { return sel_[Index(i, j)]; }
   // Requires an edge and 0 < s <= 1.
-  void SetSelectivity(int i, int j, LogDouble s);
+  using JoinGraph::SetSelectivity;
 
   double memory() const { return memory_; }
   void SetMemory(double m);
@@ -67,27 +63,10 @@ class QohInstance {
   // exponent exceeds double range — certainly above any budget).
   double HashJoinMinMemoryLinear(LogDouble pages) const;
 
-  void Validate() const;
-
  private:
-  size_t Index(int i, int j) const {
-    AQO_DCHECK(0 <= i && i < NumRelations());
-    AQO_DCHECK(0 <= j && j < NumRelations());
-    return static_cast<size_t>(i) * static_cast<size_t>(NumRelations()) +
-           static_cast<size_t>(j);
-  }
-
-  Graph graph_;
-  std::vector<LogDouble> sizes_;
-  std::vector<LogDouble> sel_;
   double memory_ = 0.0;
   double eta_ = 0.5;
 };
-
-// N(prefix) for prefix lengths 0..n (entry 0 is 1), with the QO_H
-// selectivity semantics (same formula as QO_N).
-std::vector<LogDouble> QohPrefixSizes(const QohInstance& inst,
-                                      const JoinSequence& seq);
 
 // A pipeline decomposition of the n-1 joins of a sequence: fragment f
 // covers joins [starts[f], starts[f+1]-1] in 1-based join indices;

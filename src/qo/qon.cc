@@ -3,11 +3,8 @@
 namespace aqo {
 
 QonInstance::QonInstance(Graph graph, std::vector<LogDouble> sizes)
-    : graph_(std::move(graph)), sizes_(std::move(sizes)) {
-  int n = graph_.NumVertices();
-  AQO_CHECK_EQ(static_cast<int>(sizes_.size()), n);
-  for (LogDouble t : sizes_) AQO_CHECK(t > LogDouble::Zero());
-  sel_.assign(static_cast<size_t>(n) * static_cast<size_t>(n), LogDouble::One());
+    : JoinGraph(std::move(graph), std::move(sizes)) {
+  int n = NumRelations();
   w_.assign(static_cast<size_t>(n) * static_cast<size_t>(n), LogDouble::One());
   for (int k = 0; k < n; ++k) {
     for (int j = 0; j < n; ++j) {
@@ -17,8 +14,7 @@ QonInstance::QonInstance(Graph graph, std::vector<LogDouble> sizes)
 }
 
 void QonInstance::SetSize(int i, LogDouble t) {
-  AQO_CHECK(t > LogDouble::Zero());
-  sizes_[static_cast<size_t>(i)] = t;
+  JoinGraph::SetSize(i, t);
   for (int k = 0; k < NumRelations(); ++k) {
     if (k != i) {
       ResetDefaultAccessCost(k, i);
@@ -28,10 +24,7 @@ void QonInstance::SetSize(int i, LogDouble t) {
 }
 
 void QonInstance::SetSelectivity(int i, int j, LogDouble s) {
-  AQO_CHECK(graph_.HasEdge(i, j)) << "selectivity on non-edge " << i << "," << j;
-  AQO_CHECK(s > LogDouble::Zero() && s <= LogDouble::One());
-  sel_[Index(i, j)] = s;
-  sel_[Index(j, i)] = s;
+  JoinGraph::SetSelectivity(i, j, s);
   ResetDefaultAccessCost(i, j);
   ResetDefaultAccessCost(j, i);
 }
@@ -39,55 +32,17 @@ void QonInstance::SetSelectivity(int i, int j, LogDouble s) {
 void QonInstance::ResetDefaultAccessCost(int k, int j) {
   // Default: perfect index when a predicate exists (expected matching
   // tuples, the lower bound), full scan otherwise.
-  w_[Index(k, j)] = sizes_[static_cast<size_t>(j)] * sel_[Index(k, j)];
+  w_[Index(k, j)] = size(j) * selectivity(k, j);
 }
 
 void QonInstance::SetAccessCost(int k, int j, LogDouble w) {
   AQO_CHECK(k != j);
-  LogDouble lo = sizes_[static_cast<size_t>(j)] * sel_[Index(k, j)];
-  LogDouble hi = sizes_[static_cast<size_t>(j)];
+  LogDouble lo = size(j) * selectivity(k, j);
+  LogDouble hi = size(j);
   AQO_CHECK(lo <= w && w <= hi)
       << "access cost out of [t_j s, t_j]: w=" << w << " lo=" << lo
       << " hi=" << hi;
   w_[Index(k, j)] = w;
-}
-
-void QonInstance::Validate() const {
-  int n = NumRelations();
-  for (int i = 0; i < n; ++i) {
-    AQO_CHECK(sizes_[static_cast<size_t>(i)] > LogDouble::Zero());
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      AQO_CHECK(sel_[Index(i, j)] == sel_[Index(j, i)]) << "asymmetric S";
-      if (!graph_.HasEdge(i, j)) {
-        AQO_CHECK(sel_[Index(i, j)] == LogDouble::One())
-            << "selectivity != 1 on non-edge";
-      }
-      LogDouble lo = sizes_[static_cast<size_t>(j)] * sel_[Index(i, j)];
-      LogDouble hi = sizes_[static_cast<size_t>(j)];
-      AQO_CHECK(lo <= w_[Index(i, j)] && w_[Index(i, j)] <= hi)
-          << "W out of range at (" << i << "," << j << ")";
-    }
-  }
-}
-
-std::vector<LogDouble> PrefixSizes(const QonInstance& inst,
-                                   const JoinSequence& seq) {
-  // Hot path (one call per candidate in the naive evaluators): the O(n)
-  // permutation check plus its allocation stays debug-only here; release
-  // builds validate at the entry points (QonSequenceCost, the evaluators).
-  AQO_DCHECK(IsPermutation(seq, inst.NumRelations()));
-  std::vector<LogDouble> sizes(seq.size() + 1);
-  sizes[0] = LogDouble::One();
-  for (size_t i = 0; i < seq.size(); ++i) {
-    int v = seq[i];
-    LogDouble next = sizes[i] * inst.size(v);
-    for (size_t j = 0; j < i; ++j) {
-      if (inst.graph().HasEdge(seq[j], v)) next *= inst.selectivity(seq[j], v);
-    }
-    sizes[i + 1] = next;
-  }
-  return sizes;
 }
 
 std::vector<LogDouble> QonJoinCosts(const QonInstance& inst,

@@ -66,7 +66,6 @@ QohGapInstance ReduceTwoThirdsCliqueToQoh(const Graph& g,
   for (const auto& [u, v] : g.Edges()) {
     inst.SetSelectivity(u + 1, v + 1, inv_alpha);
   }
-  inst.Validate();
 
   // The construction's point: R_0 can never be hashed.
   AQO_CHECK(inst.HashJoinMinMemory(gap.t0) > LogDouble::FromLinear(memory))

@@ -69,7 +69,6 @@ QonGapInstance ReduceCliqueToQon(const Graph& g, const QonGapParams& params) {
     // Defaults already give w = t * (1/alpha) on edges and t on non-edges,
     // exactly the paper's W matrix.
   }
-  inst.Validate();
   gap.instance = std::move(inst);
   return gap;
 }
@@ -86,12 +85,7 @@ JoinSequence CliqueFirstWitnessGreedy(const QonInstance& inst,
   // Intermediate size of the clique prefix.
   LogDouble intermediate = LogDouble::One();
   for (size_t i = 0; i < clique.size(); ++i) {
-    LogDouble next = intermediate * inst.size(clique[i]);
-    for (size_t j = 0; j < i; ++j) {
-      if (g.HasEdge(clique[j], clique[i]))
-        next *= inst.selectivity(clique[j], clique[i]);
-    }
-    intermediate = next;
+    intermediate = inst.ExtendSize(intermediate, {clique.data(), i}, clique[i]);
   }
   while (static_cast<int>(seq.size()) < n) {
     int best = -1;
@@ -102,10 +96,7 @@ JoinSequence CliqueFirstWitnessGreedy(const QonInstance& inst,
       LogDouble min_w = inst.size(v);
       for (int k : seq) min_w = MinOf(min_w, inst.AccessCost(k, v));
       LogDouble h = intermediate * min_w;
-      LogDouble next = intermediate * inst.size(v);
-      for (int k : seq) {
-        if (g.HasEdge(k, v)) next *= inst.selectivity(k, v);
-      }
+      LogDouble next = inst.ExtendSize(intermediate, seq, v);
       // Rank by the immediate join cost, then by the resulting
       // intermediate size (the quantity that multiplies all later costs).
       bool better = best < 0 || h < best_h ||

@@ -129,7 +129,6 @@ SparseQonGapInstance ReduceCliqueToSparseQon(const Graph& g1,
     // auxiliary edges and the bridge — gets 1/beta.
     inst.SetSelectivity(a, b, (a < n && b < n) ? inv_alpha : inv_beta);
   }
-  inst.Validate();
   gap.instance = std::move(inst);
   return gap;
 }
@@ -209,7 +208,6 @@ SparseQohGapInstance ReduceTwoThirdsCliqueToSparseQoh(
       inst.SetSelectivity(a, b, half);
     }
   }
-  inst.Validate();
   AQO_CHECK(inst.HashJoinMinMemory(gap.t0) > LogDouble::FromLinear(memory));
   gap.instance = std::move(inst);
   return gap;

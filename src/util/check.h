@@ -74,11 +74,6 @@ struct Voidify {
                ::aqo::internal::CheckMessage(#cond, __FILE__, __LINE__)
 
 #define AQO_CHECK_EQ(a, b) AQO_CHECK((a) == (b)) << " (" << (a) << " vs " << (b) << ") "
-#define AQO_CHECK_NE(a, b) AQO_CHECK((a) != (b)) << " (" << (a) << " vs " << (b) << ") "
-#define AQO_CHECK_LE(a, b) AQO_CHECK((a) <= (b)) << " (" << (a) << " vs " << (b) << ") "
-#define AQO_CHECK_LT(a, b) AQO_CHECK((a) < (b)) << " (" << (a) << " vs " << (b) << ") "
-#define AQO_CHECK_GE(a, b) AQO_CHECK((a) >= (b)) << " (" << (a) << " vs " << (b) << ") "
-#define AQO_CHECK_GT(a, b) AQO_CHECK((a) > (b)) << " (" << (a) << " vs " << (b) << ") "
 
 #ifdef NDEBUG
 #define AQO_DCHECK(cond) AQO_CHECK(true)

@@ -129,7 +129,8 @@ TEST(QonCostEvaluator, DensePrimitivesBitIdenticalToNaiveFolds) {
     ASSERT_EQ(Bits(eval.MinAccessSeeded(seeded_init, prefix, target)),
               Bits(naive_seeded));
 
-    // One constructive extension of the running intermediate size.
+    // One constructive extension of the running intermediate size: the
+    // instance's own fold, against the naive loop over the accessors.
     LogDouble intermediate = LogDouble::FromLinear(rng.UniformReal(1.0, 1e6));
     LogDouble naive_ext = intermediate * inst.size(target);
     for (int k : prefix) {
@@ -137,7 +138,7 @@ TEST(QonCostEvaluator, DensePrimitivesBitIdenticalToNaiveFolds) {
         naive_ext *= inst.selectivity(k, target);
       }
     }
-    ASSERT_EQ(Bits(eval.ExtendSize(intermediate, prefix, target)),
+    ASSERT_EQ(Bits(inst.ExtendSize(intermediate, prefix, target)),
               Bits(naive_ext));
 
     bool naive_connects = false;
@@ -232,12 +233,11 @@ TEST(QohCostEvaluator, ReplaysDecompCountersExactly) {
   }
 }
 
-TEST(QohCostEvaluator, DensePrimitiveMatchesNaiveFold) {
+TEST(QohInstance, ExtendSizeMatchesNaiveFold) {
   Rng rng(77);
   for (int trial = 0; trial < 100; ++trial) {
     int n = 3 + trial % 6;
     QohInstance inst = RandomQohWorkload(n, &rng, 0.5);
-    QohCostEvaluator eval(inst);
     JoinSequence perm = IdentitySequence(n);
     rng.Shuffle(&perm);
     size_t len = static_cast<size_t>(rng.UniformInt(1, n - 1));
@@ -251,7 +251,7 @@ TEST(QohCostEvaluator, DensePrimitiveMatchesNaiveFold) {
         naive_ext *= inst.selectivity(k, target);
       }
     }
-    ASSERT_EQ(Bits(eval.ExtendSize(intermediate, prefix, target)),
+    ASSERT_EQ(Bits(inst.ExtendSize(intermediate, prefix, target)),
               Bits(naive_ext));
   }
 }
@@ -397,12 +397,12 @@ TEST(DegenerateSequences, QonSingletonHasZeroCost) {
   EXPECT_EQ(Bits(prefix[1]), Bits(LogDouble::FromLinear(42.0)));
 }
 
-TEST(DegenerateSequences, QohPrefixSizesOnEmptyAndSingleton) {
+TEST(DegenerateSequences, PrefixSizesOfQohEmptyAndSingleton) {
   QohInstance empty(Graph(0), {}, /*memory=*/64.0, /*eta=*/0.5);
-  EXPECT_EQ(QohPrefixSizes(empty, {}).size(), 1u);
+  EXPECT_EQ(PrefixSizes(empty, {}).size(), 1u);
 
   QohInstance single(Graph(1), {LogDouble::FromLinear(8.0)}, 64.0, 0.5);
-  std::vector<LogDouble> prefix = QohPrefixSizes(single, {0});
+  std::vector<LogDouble> prefix = PrefixSizes(single, {0});
   ASSERT_EQ(prefix.size(), 2u);
   EXPECT_EQ(Bits(prefix[0]), Bits(LogDouble::One()));
   EXPECT_EQ(Bits(prefix[1]), Bits(LogDouble::FromLinear(8.0)));

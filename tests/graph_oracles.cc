@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/clique.h"
 #include "util/check.h"
 
 namespace aqo {
@@ -94,15 +93,17 @@ std::vector<int> ApproxVertexCover(const Graph& g) {
   std::sort(cover.begin(), cover.end());
   DynamicBitset cover_set(g.NumVertices());
   for (int v : cover) cover_set.Set(v);
-  AQO_CHECK(g.IsVertexCover(cover_set));
+  AQO_CHECK(IsVertexCover(g, cover_set));
   return cover;
 }
 
-bool HasCliqueOfSize(const Graph& g, int k, uint64_t node_limit) {
-  if (k <= 0) return true;
-  if (k > g.NumVertices()) return false;
-  MaxCliqueResult r = MaxClique(g, node_limit, k);
-  return static_cast<int>(r.clique.size()) >= k;
+bool IsVertexCover(const Graph& g, const DynamicBitset& cover) {
+  for (int u = 0; u < g.NumVertices(); ++u) {
+    if (cover.Test(u)) continue;
+    // Every neighbor of an uncovered vertex must be in the cover.
+    if (!g.Neighbors(u).IsSubsetOf(cover)) return false;
+  }
+  return true;
 }
 
 std::vector<int> GreedyClique(const Graph& g, Rng* rng, int restarts) {

@@ -3,8 +3,8 @@
 
 // Test-only graph oracles. The vertex cover solvers validate the
 // 3SAT -> VERTEX COVER gadget reduction (Theorem 2 of the paper, via
-// Garey & Johnson) that underlies Lemmas 3 and 4; the clique helpers
-// cross-check graph/clique.h's MaxClique. No program code calls them.
+// Garey & Johnson) that underlies Lemmas 3 and 4; the greedy clique
+// cross-checks graph/clique.h's MaxClique. No program code calls them.
 
 #include <cstdint>
 #include <vector>
@@ -22,8 +22,8 @@ int MinVertexCoverSize(const Graph& g);
 // Maximal-matching 2-approximation; returns the cover vertices.
 std::vector<int> ApproxVertexCover(const Graph& g);
 
-// True iff omega(g) >= k; uses MaxClique's targeted search.
-bool HasCliqueOfSize(const Graph& g, int k, uint64_t node_limit = 0);
+// True when every edge of `g` has at least one endpoint in `cover`.
+bool IsVertexCover(const Graph& g, const DynamicBitset& cover);
 
 // Randomized greedy clique: `restarts` greedy runs from random seeds,
 // keeping the best. Always returns a (possibly empty) clique, sorted.

@@ -74,16 +74,6 @@ TEST(Graph, CliqueChecks) {
   EXPECT_FALSE(g.IsCliqueSet(set));
 }
 
-TEST(Graph, VertexCoverCheck) {
-  Graph g = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
-  DynamicBitset cover(4);
-  cover.Set(1);
-  cover.Set(2);
-  EXPECT_TRUE(g.IsVertexCover(cover));
-  cover.Reset(2);
-  EXPECT_FALSE(g.IsVertexCover(cover));
-}
-
 TEST(Graph, Connectivity) {
   EXPECT_TRUE(Graph(0).IsConnected());
   EXPECT_TRUE(Graph(1).IsConnected());

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "tests/instance_oracle.h"
 #include "util/random.h"
 
 namespace aqo {
@@ -59,6 +60,32 @@ TEST(QohInstance, HjMin) {
                    4.0);
 }
 
+// Random sequences of the mutators hold every invariant.
+TEST(QohInstance, RandomMutatorSequencesKeepTheInvariants) {
+  Rng rng(57);
+  for (int trial = 0; trial < 20; ++trial) {
+    int n = static_cast<int>(rng.UniformInt(2, 9));
+    QohInstance inst = SmallInstance(n, 1000.0, &rng);
+    std::vector<std::pair<int, int>> edges = inst.graph().Edges();
+    for (int step = 0; step < 100; ++step) {
+      double draw = rng.UniformReal();
+      if (rng.Bernoulli(0.8) && !edges.empty()) {
+        auto [i, j] = edges[static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(edges.size()) - 1))];
+        inst.SetSelectivity(
+            i, j,
+            draw < 0.1   ? LogDouble::One()
+            : draw < 0.2 ? LogDouble::FromLog2(-1000.0)
+                         : LogDouble::FromLinear(rng.UniformReal(1e-6, 1.0)));
+      } else {
+        inst.SetMemory(draw < 0.1 ? 1.0 : rng.UniformReal(1.0, 1e12));
+      }
+      ASSERT_EQ(QohInvariantViolation(inst), "")
+          << "trial " << trial << ", step " << step;
+    }
+  }
+}
+
 TEST(QohCost, FullMemoryPipelineCostsReadBuildWrite) {
   // With memory >= sum of inner sizes, g = 0 for every join: the pipeline
   // costs input + sum(inner builds) + output.
@@ -66,7 +93,7 @@ TEST(QohCost, FullMemoryPipelineCostsReadBuildWrite) {
   int n = 5;
   QohInstance inst = SmallInstance(n, 1e9, &rng);
   JoinSequence seq = IdentitySequence(n);
-  std::vector<LogDouble> prefix = QohPrefixSizes(inst, seq);
+  std::vector<LogDouble> prefix = PrefixSizes(inst, seq);
   PipelineCostResult r = OptimalPipelineCost(inst, seq, 1, n - 1);
   ASSERT_TRUE(r.feasible);
   LogDouble expected = prefix[1] + prefix[static_cast<size_t>(n)];
@@ -146,7 +173,7 @@ TEST(QohCost, AllocationIsOptimalVsRandomAllocations) {
     JoinSequence seq = IdentitySequence(n);
     PipelineCostResult opt = OptimalPipelineCost(inst, seq, 1, n - 1);
     if (!opt.feasible) continue;
-    std::vector<LogDouble> prefix = QohPrefixSizes(inst, seq);
+    std::vector<LogDouble> prefix = PrefixSizes(inst, seq);
     for (int attempt = 0; attempt < 50; ++attempt) {
       // Random allocation: floors plus random split of the leftover.
       double floor_sum = 0.0;

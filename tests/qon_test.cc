@@ -2,11 +2,17 @@
 
 #include "qo/qon.h"
 
+#include <bit>
 #include <cmath>
+#include <concepts>
+#include <cstdint>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "qo/qoh.h"
+#include "tests/instance_oracle.h"
 #include "util/random.h"
 
 namespace aqo {
@@ -49,6 +55,21 @@ QonInstance RandomSmallInstance(int n, Rng* rng) {
   return inst;
 }
 
+// A JoinGraph& reads an instance but cannot change it: QonInstance
+// re-derives W on every size or selectivity change, so only the families
+// may expose the setters.
+template <typename T>
+concept SetsSelectivity =
+    requires(T& g) { g.SetSelectivity(0, 1, LogDouble::One()); };
+template <typename T>
+concept SetsSize = requires(T& g) { g.SetSize(0, LogDouble::One()); };
+static_assert(!SetsSelectivity<JoinGraph> && !SetsSize<JoinGraph>);
+static_assert(!std::is_assignable_v<JoinGraph&, const JoinGraph&>);
+static_assert(SetsSelectivity<QonInstance> && SetsSize<QonInstance>);
+static_assert(SetsSelectivity<QohInstance>);
+
+uint64_t Bits(LogDouble x) { return std::bit_cast<uint64_t>(x.Log2()); }
+
 TEST(QonInstance, DefaultsAndValidation) {
   Graph g = Graph::FromEdges(3, {{0, 1}, {1, 2}});
   QonInstance inst(g, {LogDouble::FromLinear(10.0), LogDouble::FromLinear(20.0),
@@ -60,7 +81,7 @@ TEST(QonInstance, DefaultsAndValidation) {
   inst.SetSelectivity(0, 1, LogDouble::FromLinear(0.5));
   EXPECT_DOUBLE_EQ(inst.AccessCost(0, 1).ToLinear(), 10.0);
   EXPECT_DOUBLE_EQ(inst.AccessCost(1, 0).ToLinear(), 5.0);
-  inst.Validate();
+  EXPECT_EQ(QonInvariantViolation(inst), "");
 }
 
 TEST(QonInstance, AccessCostOverrideWithinBounds) {
@@ -69,7 +90,65 @@ TEST(QonInstance, AccessCostOverrideWithinBounds) {
   inst.SetSelectivity(0, 1, LogDouble::FromLinear(0.1));
   inst.SetAccessCost(0, 1, LogDouble::FromLinear(50.0));  // in [10, 100]
   EXPECT_DOUBLE_EQ(inst.AccessCost(0, 1).ToLinear(), 50.0);
-  inst.Validate();
+  EXPECT_EQ(QonInvariantViolation(inst), "");
+}
+
+// Random sequences of the three mutators hold every invariant, and each
+// call leaves the access costs it promises: SetSelectivity and SetSize
+// re-derive the ones they touch to their defaults, overridden or not, and
+// SetAccessCost sets exactly one.
+TEST(QonInstance, RandomMutatorSequencesKeepTheInvariants) {
+  Rng rng(43);
+  for (int trial = 0; trial < 20; ++trial) {
+    int n = static_cast<int>(rng.UniformInt(2, 9));
+    QonInstance inst = RandomSmallInstance(n, &rng);
+    std::vector<std::pair<int, int>> edges = inst.graph().Edges();
+    for (int step = 0; step < 200; ++step) {
+      int op = static_cast<int>(rng.UniformInt(0, 2));
+      double draw = rng.UniformReal();
+      if (op == 0 && !edges.empty()) {
+        auto [i, j] = edges[static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(edges.size()) - 1))];
+        LogDouble sel = draw < 0.1   ? LogDouble::One()
+                        : draw < 0.2 ? LogDouble::FromLog2(-1000.0)
+                                     : LogDouble::FromLinear(
+                                           rng.UniformReal(1e-6, 1.0));
+        inst.SetSelectivity(i, j, sel);
+        EXPECT_EQ(Bits(inst.AccessCost(i, j)), Bits(inst.size(j) * sel));
+        EXPECT_EQ(Bits(inst.AccessCost(j, i)), Bits(inst.size(i) * sel));
+      } else if (op == 1) {
+        int k = static_cast<int>(rng.UniformInt(0, n - 1));
+        int j = static_cast<int>(rng.UniformInt(0, n - 2));
+        if (j >= k) ++j;
+        LogDouble lo = inst.size(j) * inst.selectivity(k, j);
+        LogDouble hi = inst.size(j);
+        // Either end of [lo, hi], or a point between them.
+        LogDouble w =
+            draw < 0.2   ? lo
+            : draw < 0.4 ? hi
+                         : MinOf(hi, LogDouble::FromLog2(
+                                         lo.Log2() + rng.UniformReal() *
+                                                         (hi.Log2() - lo.Log2())));
+        inst.SetAccessCost(k, j, w);
+        EXPECT_EQ(Bits(inst.AccessCost(k, j)), Bits(w));
+      } else {
+        int i = static_cast<int>(rng.UniformInt(0, n - 1));
+        LogDouble t = draw < 0.1 ? LogDouble::One()
+                                 : LogDouble::FromLinear(static_cast<double>(
+                                       rng.UniformInt(2, 1000000)));
+        inst.SetSize(i, t);
+        for (int k = 0; k < n; ++k) {
+          if (k == i) continue;
+          EXPECT_EQ(Bits(inst.AccessCost(k, i)),
+                    Bits(t * inst.selectivity(k, i)));
+          EXPECT_EQ(Bits(inst.AccessCost(i, k)),
+                    Bits(inst.size(k) * inst.selectivity(i, k)));
+        }
+      }
+      ASSERT_EQ(QonInvariantViolation(inst), "")
+          << "trial " << trial << ", step " << step;
+    }
+  }
 }
 
 TEST(QonCost, PrefixSizesMatchHandComputation) {

@@ -12,6 +12,7 @@
 #include "qo/cost_eval.h"
 #include "qo/optimizers.h"
 #include "reductions/clique_to_qoh.h"
+#include "tests/instance_oracle.h"
 #include "util/random.h"
 
 namespace aqo {
@@ -51,6 +52,7 @@ TEST(ReduceTwoThirdsCliqueToQoh, ConstructionShape) {
   Graph g = Graph::Complete(9);
   QohGapParams params;  // alpha = 4, eta = 0.5
   QohGapInstance gap = ReduceTwoThirdsCliqueToQoh(g, params);
+  EXPECT_EQ(QohInvariantViolation(gap.instance), "");
   EXPECT_EQ(gap.instance.NumRelations(), 10);
   // t = 4^4 = 256; t0 = (9 * 256)^12.
   EXPECT_DOUBLE_EQ(gap.t.Log2(), 8.0);
@@ -82,7 +84,7 @@ TEST(Lemma11, WitnessIntermediatesStayBelowL) {
   QohGapInstance gap = ReduceTwoThirdsCliqueToQoh(g, QohGapParams{});
   std::vector<int> clique = {0, 1, 2, 3, 4, 5};
   QohWitnessPlan plan = QohYesWitness(gap, clique);
-  std::vector<LogDouble> prefix = QohPrefixSizes(gap.instance, plan.sequence);
+  std::vector<LogDouble> prefix = PrefixSizes(gap.instance, plan.sequence);
   double l_log2 = gap.LBound().Log2();
   // Paper indices: N_j = prefix[j + 1]; check N_1, N_{n/3}, N_{2n/3},
   // N_{n-1}, N_n (the materialized intermediates).

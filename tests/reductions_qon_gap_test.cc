@@ -8,6 +8,7 @@
 #include "graph/generators.h"
 #include "qo/optimizers.h"
 #include "reductions/clique_to_qon.h"
+#include "tests/instance_oracle.h"
 #include "util/random.h"
 
 namespace aqo {
@@ -18,6 +19,7 @@ TEST(ReduceCliqueToQon, ConstructionShape) {
   Graph g = Gnp(10, 0.5, &rng);
   QonGapParams params{.c = 0.8, .d = 0.2, .log2_alpha = 4.0};
   QonGapInstance gap = ReduceCliqueToQon(g, params);
+  EXPECT_EQ(QonInvariantViolation(gap.instance), "");
   EXPECT_EQ(gap.instance.NumRelations(), 10);
   EXPECT_EQ(gap.instance.graph(), g);
   // t = alpha^{(c - d/2) n} = 2^{4 * 0.7 * 10}.

@@ -35,7 +35,7 @@ TEST(SatToVc, CoverFromAssignmentIsValidCover) {
     EXPECT_EQ(static_cast<int>(cover.size()), r.CoverSizeForUnsat(0));
     DynamicBitset cover_set(r.graph.NumVertices());
     for (int v : cover) cover_set.Set(v);
-    EXPECT_TRUE(r.graph.IsVertexCover(cover_set));
+    EXPECT_TRUE(IsVertexCover(r.graph, cover_set));
   }
 }
 

@@ -8,6 +8,7 @@
 #include "graph/generators.h"
 #include "qo/optimizers.h"
 #include "reductions/sparse.h"
+#include "tests/instance_oracle.h"
 #include "util/random.h"
 
 namespace aqo {
@@ -28,6 +29,7 @@ TEST(SparseQon, ConstructionMeetsEdgeBudget) {
     params.k = 3;  // m = 216
     params.edge_budget = SparseEdgeBudget(216, tau);
     SparseQonGapInstance gap = ReduceCliqueToSparseQon(g1, params, &rng);
+    EXPECT_EQ(QonInvariantViolation(gap.instance), "");
     EXPECT_EQ(gap.m, 216);
     EXPECT_EQ(static_cast<int64_t>(gap.instance.graph().NumEdges()),
               params.edge_budget);
@@ -91,6 +93,7 @@ TEST(SparseQoh, ConstructionMeetsEdgeBudgetAndForcesSentinel) {
   params.k = 2;  // m = 81
   params.edge_budget = SparseEdgeBudget(81, 0.9);
   SparseQohGapInstance gap = ReduceTwoThirdsCliqueToSparseQoh(g1, params, &rng);
+  EXPECT_EQ(QohInvariantViolation(gap.instance), "");
   EXPECT_EQ(gap.m, 81);
   EXPECT_EQ(static_cast<int64_t>(gap.instance.graph().NumEdges()),
             params.edge_budget);

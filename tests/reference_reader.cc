@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "io/serialization.h"
+#include "tests/instance_oracle.h"
 
 namespace aqo::reference {
 
@@ -127,7 +128,8 @@ ParseResult<QonInstance> ParseQonInstance(std::istream& is) {
     }
     inst.SetAccessCost(i, j, w);
   }
-  inst.Validate();
+  std::string violation = QonInvariantViolation(inst);
+  AQO_CHECK(violation.empty()) << violation;
   out.value = std::move(inst);
   return out;
 }
@@ -193,7 +195,8 @@ ParseResult<QohInstance> ParseQohInstance(std::istream& is) {
   for (const auto& [i, j, lg] : edges) {
     inst.SetSelectivity(i, j, LogDouble::FromLog2(lg));
   }
-  inst.Validate();
+  std::string violation = QohInvariantViolation(inst);
+  AQO_CHECK(violation.empty()) << violation;
   out.value = std::move(inst);
   return out;
 }

@@ -11,6 +11,7 @@
 #include "qo/workloads.h"
 #include "sqo/sppcs.h"
 #include "sqo/star_query.h"
+#include "tests/instance_oracle.h"
 #include "util/bigint.h"
 #include "util/random.h"
 
@@ -43,7 +44,7 @@ TEST(Workloads, InstancesValidateAndRespectBounds) {
   options.max_selectivity = 0.5;
   for (int trial = 0; trial < 20; ++trial) {
     QonInstance inst = RandomQonWorkload(8, &rng, options);
-    inst.Validate();
+    EXPECT_EQ(QonInvariantViolation(inst), "");
     for (int i = 0; i < 8; ++i) {
       EXPECT_GE(inst.size(i).ToLinear(), 100.0 * (1 - 1e-9));
       EXPECT_LE(inst.size(i).ToLinear(), 1000.0 * (1 + 1e-9));
@@ -56,10 +57,28 @@ TEST(Workloads, InstancesValidateAndRespectBounds) {
   }
 }
 
+TEST(Workloads, EveryShapeHoldsTheInstanceInvariants) {
+  Rng rng(175);
+  for (WorkloadShape shape :
+       {WorkloadShape::kChain, WorkloadShape::kStar, WorkloadShape::kTree,
+        WorkloadShape::kCycle, WorkloadShape::kClique,
+        WorkloadShape::kRandom}) {
+    WorkloadOptions options;
+    options.shape = shape;
+    for (int n : {3, 9, 40}) {
+      EXPECT_EQ(QonInvariantViolation(RandomQonWorkload(n, &rng, options)), "")
+          << "n=" << n;
+      EXPECT_EQ(
+          QohInvariantViolation(RandomQohWorkload(n, &rng, 0.3, options)), "")
+          << "n=" << n;
+    }
+  }
+}
+
 TEST(Workloads, QohWorkloadFeasibleAtFullMemory) {
   Rng rng(173);
   QohInstance inst = RandomQohWorkload(8, &rng, /*memory_fraction=*/1.5);
-  inst.Validate();
+  EXPECT_EQ(QohInvariantViolation(inst), "");
   JoinSequence seq = IdentitySequence(8);
   EXPECT_TRUE(OptimalDecomposition(inst, seq).feasible);
 }
