@@ -7,17 +7,21 @@
 // (qo/service.h) through one shared PlanCache. No input may abort.
 //
 // Two bounds keep a run short without skipping any stage. Every optimizer
-// run is capped at kMaxEvaluations cost evaluations, and instances above
-// kMaxOptimizeRelations relations are admitted but not optimized: dp and
-// exhaustive grow as 2^n and n!, so an uncapped run at the server's full
-// domain measures patience, not robustness. The parse and admission of
-// large instances is covered by fuzz_serialization and
-// serve_parse_golden.
+// run is capped at kMaxEvaluations cost evaluations. An entry with a
+// relation ceiling (exhaustive, dp, cout, bnb: they grow as n!, 2^n or
+// worse, so an uncapped run at their full domain measures patience, not
+// robustness) optimizes up to kMaxBoundedRelations relations; an entry
+// without one up to kMaxOptimizeRelations, which takes the label step to
+// served sizes and QO_N `ii` past kIiRankedSwapsMinRelations, into its
+// ranked swaps and their integer-regime check. Larger instances are
+// admitted but not optimized; their parse and admission are covered by
+// fuzz_serialization and serve_parse_golden.
 //
 // Corpus: examples/fixtures/serve_request holds one body per probe value
 // (0, +-1, 52, 53, 1023, 1024, -1074, 1e300, +-1.7e308) in each field a
 // request carries a number in: QO_N sizes, selectivities and access costs,
-// QO_H sizes, memory and eta.
+// QO_H sizes, memory and eta; plus random bodies (QO_N n = 12, QO_H n = 9
+// and 30) and an n = 28 QO_N chain whose log2 values are all integers.
 
 #include <cstdint>
 #include <sstream>
@@ -34,7 +38,8 @@
 namespace {
 
 constexpr uint64_t kMaxEvaluations = 200;
-constexpr int kMaxOptimizeRelations = 12;
+constexpr int kMaxBoundedRelations = 12;
+constexpr int kMaxOptimizeRelations = 40;
 
 // Every name a request may carry: the canonical names, then the aliases
 // of the listing `aqo_serve --optimizer=help` prints ("aliases: a -> b").
@@ -92,7 +97,10 @@ void ServeEveryName(const Registry& registry, Knobs aqo::BatchOptions::*knobs,
           aqo::Admit(registry, name, inst.NumRelations(), *governor, &k);
       AQO_CHECK(admission.requested != nullptr) << "unlisted name " << name;
       if (!admission.error.empty()) continue;
-      if (inst.NumRelations() > kMaxOptimizeRelations) continue;
+      int max_n = admission.entry->max_n == aqo::kNoRelationCeiling
+                      ? kMaxOptimizeRelations
+                      : kMaxBoundedRelations;
+      if (inst.NumRelations() > max_n) continue;
       options.optimizer = admission.entry->name;
       auto items = optimize({inst}, options);
       AQO_CHECK(items.size() == 1);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -399,12 +400,15 @@ void WriteQonInstance(const QonInstance& inst, std::ostream& os) {
   int n = inst.NumRelations();
   os << "qon " << n << "\n";
   WriteJoinGraph(inst, os);
-  // Only non-default access costs are emitted.
+  // An access cost is emitted whenever its log2 bits differ from those of
+  // the default the instance derives (QonInstance::ResetDefaultAccessCost),
+  // so a reparse restores every cost bit for bit.
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       if (i == j) continue;
       LogDouble def = inst.size(j) * inst.selectivity(i, j);
-      if (!inst.AccessCost(i, j).ApproxEquals(def, 1e-12)) {
+      if (std::bit_cast<uint64_t>(inst.AccessCost(i, j).Log2()) !=
+          std::bit_cast<uint64_t>(def.Log2())) {
         os << "w " << i << " " << j << " ";
         WriteLog2(os, inst.AccessCost(i, j));
         os << "\n";

@@ -15,7 +15,10 @@
 //   qoh:        "qoh <n> <memory> <eta>" + rel/edge lines as above
 //
 // Sizes/selectivities/costs are written as log2 values: the gap instances
-// do not fit in any linear-domain notation.
+// do not fit in any linear-domain notation. Every number is written with
+// %.17g, and a w line goes out whenever the cost's log2 bits differ from
+// its default's (-0 and +0 included), so a reparse of a written instance
+// has every bit of the original and the same fingerprint.
 //
 // Error handling: the Parse* readers never abort on malformed input —
 // they validate every line (tags, indices, ranges, duplicates, semantic

@@ -17,24 +17,25 @@ constexpr uint64_t kQohTag = 0x514f485f68746167ULL;
 
 // One round of key refinement: each relation's new key folds in the
 // sorted multiset of its incident-edge summaries. All inputs are
-// label-invariant, so the refined keys are too.
+// label-invariant, so the refined keys are too. A summary starts from a
+// copy of its neighbour's accumulator, seeded once per round.
 template <typename EdgeDataFn>
 std::vector<uint64_t> RefineKeys(const Graph& g,
                                  const std::vector<uint64_t>& keys,
                                  const EdgeDataFn& edge_data) {
   int n = g.NumVertices();
+  std::vector<HashAccumulator> seeded(keys.begin(), keys.end());
   std::vector<uint64_t> next(static_cast<size_t>(n));
   std::vector<uint64_t> incident;
   for (int v = 0; v < n; ++v) {
     incident.clear();
-    for (int u = 0; u < n; ++u) {
-      if (u == v || !g.HasEdge(v, u)) continue;
-      HashAccumulator edge(keys[static_cast<size_t>(u)]);
+    g.Neighbors(v).ForEachSetBit([&](int u) {
+      HashAccumulator edge = seeded[static_cast<size_t>(u)];
       edge_data(v, u, &edge);
       incident.push_back(edge.Digest().lo);
-    }
+    });
     std::sort(incident.begin(), incident.end());
-    HashAccumulator acc(keys[static_cast<size_t>(v)]);
+    HashAccumulator acc = seeded[static_cast<size_t>(v)];
     for (uint64_t h : incident) acc.Add(h);
     next[static_cast<size_t>(v)] = acc.Digest().lo;
   }
@@ -112,51 +113,66 @@ Instance PermuteJoinGraph(const Instance& inst, const std::vector<int>& perm,
   return out;
 }
 
-// The join-graph half of canonicalization. Refinement starts each
-// relation's key from its size and folds in, per incident edge, the
-// selectivity and then `edge_data(inst, v, u, acc)`, the family's own
-// data of that edge. The fingerprint hashes `tag`, n, `header`, the
-// sizes, the edge count, and per edge u, v, the selectivity and
-// edge_data(canonical, u, v, acc).
-template <typename Instance, typename Permute, typename EdgeData>
-Canonical<Instance> CanonicalizeJoinGraph(
-    const Instance& inst, uint64_t tag, std::initializer_list<double> header,
-    Permute permute, EdgeData edge_data) {
+// The join-graph half of the label step. Refinement starts each
+// relation's key from its size and folds in, per incident edge v-u, the
+// selectivity and then `edge_data(v, u, acc)`, the family's own data of
+// that edge. The fingerprint hashes `tag`, n, `header`, the sizes, the
+// edge count, and per edge (cu, cv) of the relabeled graph, in the order
+// Graph::Edges() lists it (cu < cv, lexicographic): cu, cv, the
+// selectivity and edge_data(from[cu], from[cv], acc). Every value is read
+// from `inst` at the original labels, which are the values
+// PermuteJoinGraph copies, so the bits are those of hashing the canonical
+// instance.
+template <typename Instance, typename EdgeData>
+CanonicalLabels LabelJoinGraph(const Instance& inst, uint64_t tag,
+                               std::initializer_list<double> header,
+                               EdgeData edge_data) {
   int n = inst.NumRelations();
+  const Graph& g = inst.graph();
   std::vector<uint64_t> keys(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     keys[static_cast<size_t>(i)] =
         Mix64(std::bit_cast<uint64_t>(inst.size(i).Log2()));
   }
-  std::vector<int> order =
-      CanonicalOrder(inst.graph(), std::move(keys),
-                     [&](int v, int u, HashAccumulator* acc) {
-                       acc->AddDouble(inst.selectivity(v, u).Log2());
-                       edge_data(inst, v, u, acc);
-                     });
+  CanonicalLabels labels;
+  labels.from_canonical = CanonicalOrder(
+      g, std::move(keys), [&](int v, int u, HashAccumulator* acc) {
+        acc->AddDouble(inst.selectivity(v, u).Log2());
+        edge_data(v, u, acc);
+      });
+  labels.to_canonical = InvertOrder(labels.from_canonical);
+  const std::vector<int>& to = labels.to_canonical;
+  const std::vector<int>& from = labels.from_canonical;
+  AQO_CHECK(IsPermutation(to, n));
 
-  Canonical<Instance> canon;
-  canon.from_canonical = order;
-  canon.to_canonical = InvertOrder(order);
-  canon.instance = permute(inst, canon.to_canonical);
+  // The relabeled graph's upper triangle, bit cu * n + cv for cu < cv:
+  // ascending bits are its edges in lexicographic order.
+  DynamicBitset upper(n * n);
+  for (int u = 0; u < n; ++u) {
+    int cu = to[static_cast<size_t>(u)];
+    g.Neighbors(u).ForEachSetBit([&](int v) {
+      int cv = to[static_cast<size_t>(v)];
+      if (cu < cv) upper.Set(cu * n + cv);
+    });
+  }
 
-  // Fingerprint the full canonical instance: equal fingerprints imply
-  // equal canonical instances (up to 128-bit hash collision).
   HashAccumulator acc(tag);
   acc.Add(static_cast<uint64_t>(n));
   for (double field : header) acc.AddDouble(field);
-  const Instance& ci = canon.instance;
-  for (int i = 0; i < n; ++i) acc.AddDouble(ci.size(i).Log2());
-  std::vector<std::pair<int, int>> edges = ci.graph().Edges();
-  acc.Add(static_cast<uint64_t>(edges.size()));
-  for (const auto& [u, v] : edges) {
-    acc.Add(static_cast<uint64_t>(u));
-    acc.Add(static_cast<uint64_t>(v));
-    acc.AddDouble(ci.selectivity(u, v).Log2());
-    edge_data(ci, u, v, &acc);
-  }
-  canon.fingerprint = acc.Digest();
-  return canon;
+  for (int c : from) acc.AddDouble(inst.size(c).Log2());
+  acc.Add(static_cast<uint64_t>(g.NumEdges()));
+  upper.ForEachSetBit([&](int bit) {
+    int cu = bit / n;
+    int cv = bit % n;
+    int u = from[static_cast<size_t>(cu)];
+    int v = from[static_cast<size_t>(cv)];
+    acc.Add(static_cast<uint64_t>(cu));
+    acc.Add(static_cast<uint64_t>(cv));
+    acc.AddDouble(inst.selectivity(u, v).Log2());
+    edge_data(u, v, &acc);
+  });
+  labels.fingerprint = acc.Digest();
+  return labels;
 }
 
 }  // namespace
@@ -187,19 +203,29 @@ QohInstance PermuteQohInstance(const QohInstance& inst,
       [](QohInstance*, int, int, int, int) {});
 }
 
+CanonicalLabels LabelQon(const QonInstance& inst) {
+  return LabelJoinGraph(inst, kQonTag, {},
+                        [&](int a, int b, HashAccumulator* acc) {
+                          acc->AddDouble(inst.AccessCost(a, b).Log2());
+                          acc->AddDouble(inst.AccessCost(b, a).Log2());
+                        });
+}
+
+CanonicalLabels LabelQoh(const QohInstance& inst) {
+  return LabelJoinGraph(inst, kQohTag, {inst.memory(), inst.eta()},
+                        [](int, int, HashAccumulator*) {});
+}
+
 CanonicalQon CanonicalizeQon(const QonInstance& inst) {
-  return CanonicalizeJoinGraph(
-      inst, kQonTag, {}, PermuteQonInstance,
-      [](const QonInstance& in, int a, int b, HashAccumulator* acc) {
-        acc->AddDouble(in.AccessCost(a, b).Log2());
-        acc->AddDouble(in.AccessCost(b, a).Log2());
-      });
+  CanonicalLabels labels = LabelQon(inst);
+  QonInstance canonical = PermuteQonInstance(inst, labels.to_canonical);
+  return {std::move(labels), std::move(canonical)};
 }
 
 CanonicalQoh CanonicalizeQoh(const QohInstance& inst) {
-  return CanonicalizeJoinGraph(
-      inst, kQohTag, {inst.memory(), inst.eta()}, PermuteQohInstance,
-      [](const QohInstance&, int, int, HashAccumulator*) {});
+  CanonicalLabels labels = LabelQoh(inst);
+  QohInstance canonical = PermuteQohInstance(inst, labels.to_canonical);
+  return {std::move(labels), std::move(canonical)};
 }
 
 JoinSequence MapSequenceFromCanonical(const JoinSequence& seq,

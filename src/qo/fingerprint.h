@@ -33,6 +33,13 @@
 //     strict position order, so the mapped-back sequence costs bitwise
 //     the same in the original instance as the canonical sequence does
 //     in the canonical one (the property test asserts exact Log2 bits).
+//
+// Canonicalization is two steps. The label step (LabelQon / LabelQoh)
+// computes the order, both permutations and the fingerprint, hashing the
+// canonical instance's words in canonical order straight from the
+// caller's instance; it builds no instance. The relabel step
+// (PermuteQ*Instance) builds the canonical instance. A plan-cache hit
+// needs only the first; CanonicalizeQon / CanonicalizeQoh run both.
 
 #include <vector>
 
@@ -50,16 +57,27 @@ QonInstance PermuteQonInstance(const QonInstance& inst,
 QohInstance PermuteQohInstance(const QohInstance& inst,
                                const std::vector<int>& perm);
 
-template <typename Instance>
-struct Canonical {
-  Instance instance;                // canonically relabeled
+// The canonical relabeling of an instance and the fingerprint of the
+// relabeled instance.
+struct CanonicalLabels {
   std::vector<int> to_canonical;    // to_canonical[original] = canonical
   std::vector<int> from_canonical;  // from_canonical[canonical] = original
   Hash128 fingerprint;              // hash of the full canonical instance
 };
+
+// The label step. The fingerprint has the bits of hashing
+// PermuteQ*Instance(inst, to_canonical), without building it.
+CanonicalLabels LabelQon(const QonInstance& inst);
+CanonicalLabels LabelQoh(const QohInstance& inst);
+
+template <typename Instance>
+struct Canonical : CanonicalLabels {
+  Instance instance;  // canonically relabeled
+};
 using CanonicalQon = Canonical<QonInstance>;
 using CanonicalQoh = Canonical<QohInstance>;
 
+// The label step, then PermuteQ*Instance(inst, to_canonical).
 CanonicalQon CanonicalizeQon(const QonInstance& inst);
 CanonicalQoh CanonicalizeQoh(const QohInstance& inst);
 

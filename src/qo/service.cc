@@ -82,7 +82,8 @@ std::vector<typename Traits::Item> RunBatch(
     // One trace slice and one latency sample per item.
     obs::TraceSpan slice("qo.service.item", "service");
     auto item_start = std::chrono::steady_clock::now();
-    typename Traits::Canonical c = Traits::Canonicalize(instances[i]);
+    const typename Traits::Instance& inst = instances[i];
+    CanonicalLabels c = Traits::Label(inst);
     Hash128 key = Traits::Key(c, *entry, options);
     CachedPlan plan;
     bool hit = cache != nullptr && cache->Lookup(key, &plan);
@@ -95,17 +96,21 @@ std::vector<typename Traits::Item> RunBatch(
                                .kind = "batch",
                                .side = "",
                                .source = "",
-                               .n = c.instance.NumRelations(),
-                               .edges = c.instance.graph().NumEdges()};
+                               .n = inst.NumRelations(),
+                               .edges = inst.graph().NumEdges()};
       auto knobs = Traits::Knobs(options, c);
       std::string log;
       try {
         obs::RunLogBuffer buffer;
         Rng rng(MixSeed(options.seed, c.fingerprint.lo));
         FaultInjector::Get().MaybeThrow("service.item", i);
+        // The canonical instance is built on a miss only: a hit needs
+        // nothing but the labels.
+        typename Traits::Instance canonical =
+            Traits::Permute(inst, c.to_canonical);
         auto result = obs::InstrumentedRun(
             std::string(Traits::kFamily) + "." + entry->name, shape,
-            [&] { return entry->run(c.instance, knobs, &rng); });
+            [&] { return entry->run(canonical, knobs, &rng); });
         plan = Traits::ToPlan(result);
         log = buffer.Take();
       } catch (const std::exception&) {
@@ -142,17 +147,15 @@ std::vector<typename Traits::Item> RunBatch(
 
 struct QonTraits {
   using Instance = QonInstance;
-  using Canonical = CanonicalQon;
   using Item = QonBatchItem;
   static constexpr std::string_view kFamily = "qon";
 
   static const OptimizerRegistry& Registry() {
     return OptimizerRegistry::Qon();
   }
-  static CanonicalQon Canonicalize(const QonInstance& inst) {
-    return CanonicalizeQon(inst);
-  }
-  static Hash128 Key(const CanonicalQon& canon,
+  static constexpr auto Label = &LabelQon;
+  static constexpr auto Permute = &PermuteQonInstance;
+  static Hash128 Key(const CanonicalLabels& canon,
                      const QonOptimizerEntry& entry,
                      const BatchOptions& options) {
     return QonPlanCacheKey(canon.fingerprint, entry.name, options.qon,
@@ -160,7 +163,7 @@ struct QonTraits {
                                                : options.seed);
   }
   static OptimizerOptions Knobs(const BatchOptions& options,
-                                const CanonicalQon&) {
+                                const CanonicalLabels&) {
     return options.qon;
   }
   static CachedPlan ToPlan(const OptimizerResult& r) {
@@ -180,22 +183,20 @@ struct QonTraits {
 
 struct QohTraits {
   using Instance = QohInstance;
-  using Canonical = CanonicalQoh;
   using Item = QohBatchItem;
   static constexpr std::string_view kFamily = "qoh";
 
   static const QohOptimizerRegistry& Registry() {
     return QohOptimizerRegistry::Get();
   }
-  static CanonicalQoh Canonicalize(const QohInstance& inst) {
-    return CanonicalizeQoh(inst);
-  }
+  static constexpr auto Label = &LabelQoh;
+  static constexpr auto Permute = &PermuteQohInstance;
   // The sentinel_first knob names a relation in *caller* labels; the
   // service runs on the canonical instance, so it is remapped per
   // instance — and folded into the cache key in canonical form, which is
   // exactly the form two relabeled duplicates agree on.
   static QohOptimizerOptions Knobs(const BatchOptions& options,
-                                   const CanonicalQoh& canon) {
+                                   const CanonicalLabels& canon) {
     QohOptimizerOptions knobs = options.qoh;
     if (knobs.sentinel_first >= 0) {
       knobs.sentinel_first =
@@ -203,7 +204,7 @@ struct QohTraits {
     }
     return knobs;
   }
-  static Hash128 Key(const CanonicalQoh& canon,
+  static Hash128 Key(const CanonicalLabels& canon,
                      const QohOptimizerEntry& entry,
                      const BatchOptions& options) {
     return QohPlanCacheKey(canon.fingerprint, entry.name,

@@ -14,7 +14,9 @@
 //     memoizes what recomputation would reproduce anyway. That is why
 //     results are bit-identical (costs, sequences, evaluation counts)
 //     whether the cache is on, off, cold, warm, or shared
-//     (tests/service_differential_test.cc).
+//     (tests/service_differential_test.cc). The cache is keyed on the
+//     label step's fingerprint, and the canonical instance is built only
+//     on a miss.
 //   * Cache probes, inserts and run-log records follow instance order, so
 //     the qo.plan_cache.* counter totals and the run-log record stream of
 //     a batch are deterministic too.

@@ -2,19 +2,25 @@
 // relabeled instance canonicalizes to bit-identical bytes and the same
 // 128-bit fingerprint; the retained permutations are inverse bijections;
 // sequences mapped back from canonical labels cost bitwise the same on
-// the original instance.
+// the original instance; the label step matches a reference that hashes
+// the relabeled instance itself, bit for bit.
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <initializer_list>
 #include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "graph/generators.h"
 #include "qo/fingerprint.h"
 #include "qo/optimizers.h"
 #include "qo/qoh_optimizers.h"
 #include "qo/service.h"
 #include "qo/workloads.h"
+#include "reductions/clique_to_qoh.h"
 #include "reductions/clique_to_qon.h"
 #include "tests/instance_oracle.h"
 #include "util/random.h"
@@ -255,6 +261,326 @@ TEST(FingerprintPins, PlanCacheKeys) {
   ExpectHash(QohPlanCacheKey(CanonicalizeQoh(PinnedQohInstance()).fingerprint,
                              "greedy", QohOptimizerOptions{}, 7),
              0xf06132d1880b82aaULL, 0x78557e45706d6f6dULL);
+}
+
+// --- The label step against a reference -------------------------------
+//
+// The reference is the algorithm LabelQon / LabelQoh replaced: refinement
+// tests all n^2 pairs and seeds a new accumulator per edge, and the
+// fingerprint hashes the relabeled instance PermuteQ*Instance builds,
+// edge by edge in Graph::Edges() order. The label step must give the same
+// permutations and the same fingerprint bits on every instance.
+namespace reference {
+
+constexpr uint64_t kQonTag = 0x514f4e5f6e6f7461ULL;
+constexpr uint64_t kQohTag = 0x514f485f68746167ULL;
+
+template <typename EdgeData>
+std::vector<uint64_t> RefineKeys(const Graph& g,
+                                 const std::vector<uint64_t>& keys,
+                                 const EdgeData& edge_data) {
+  int n = g.NumVertices();
+  std::vector<uint64_t> next(static_cast<size_t>(n));
+  std::vector<uint64_t> incident;
+  for (int v = 0; v < n; ++v) {
+    incident.clear();
+    for (int u = 0; u < n; ++u) {
+      if (u == v || !g.HasEdge(v, u)) continue;
+      HashAccumulator edge(keys[static_cast<size_t>(u)]);
+      edge_data(v, u, &edge);
+      incident.push_back(edge.Digest().lo);
+    }
+    std::sort(incident.begin(), incident.end());
+    HashAccumulator acc(keys[static_cast<size_t>(v)]);
+    for (uint64_t h : incident) acc.Add(h);
+    next[static_cast<size_t>(v)] = acc.Digest().lo;
+  }
+  return next;
+}
+
+size_t DistinctCount(std::vector<uint64_t> keys) {
+  std::sort(keys.begin(), keys.end());
+  return static_cast<size_t>(
+      std::unique(keys.begin(), keys.end()) - keys.begin());
+}
+
+template <typename Instance, typename Permute, typename EdgeData>
+CanonicalLabels Canonicalize(const Instance& inst, uint64_t tag,
+                             std::initializer_list<double> header,
+                             Permute permute, EdgeData edge_data) {
+  int n = inst.NumRelations();
+  std::vector<uint64_t> keys(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    keys[static_cast<size_t>(i)] =
+        Mix64(std::bit_cast<uint64_t>(inst.size(i).Log2()));
+  }
+  auto refine_data = [&](int v, int u, HashAccumulator* acc) {
+    acc->AddDouble(inst.selectivity(v, u).Log2());
+    edge_data(inst, v, u, acc);
+  };
+  size_t classes = DistinctCount(keys);
+  for (int round = 0; round < n; ++round) {
+    std::vector<uint64_t> next = RefineKeys(inst.graph(), keys, refine_data);
+    size_t next_classes = DistinctCount(next);
+    keys = std::move(next);
+    if (next_classes <= classes) break;
+    classes = next_classes;
+  }
+  CanonicalLabels labels;
+  labels.from_canonical.resize(static_cast<size_t>(n));
+  std::iota(labels.from_canonical.begin(), labels.from_canonical.end(), 0);
+  std::sort(labels.from_canonical.begin(), labels.from_canonical.end(),
+            [&](int a, int b) {
+              uint64_t ka = keys[static_cast<size_t>(a)];
+              uint64_t kb = keys[static_cast<size_t>(b)];
+              if (ka != kb) return ka < kb;
+              return a < b;
+            });
+  labels.to_canonical.resize(static_cast<size_t>(n));
+  for (int c = 0; c < n; ++c) {
+    labels.to_canonical[static_cast<size_t>(
+        labels.from_canonical[static_cast<size_t>(c)])] = c;
+  }
+
+  Instance ci = permute(inst, labels.to_canonical);
+  HashAccumulator acc(tag);
+  acc.Add(static_cast<uint64_t>(n));
+  for (double field : header) acc.AddDouble(field);
+  for (int i = 0; i < n; ++i) acc.AddDouble(ci.size(i).Log2());
+  std::vector<std::pair<int, int>> edges = ci.graph().Edges();
+  acc.Add(static_cast<uint64_t>(edges.size()));
+  for (const auto& [u, v] : edges) {
+    acc.Add(static_cast<uint64_t>(u));
+    acc.Add(static_cast<uint64_t>(v));
+    acc.AddDouble(ci.selectivity(u, v).Log2());
+    edge_data(ci, u, v, &acc);
+  }
+  labels.fingerprint = acc.Digest();
+  return labels;
+}
+
+CanonicalLabels Qon(const QonInstance& inst) {
+  return Canonicalize(
+      inst, kQonTag, {}, PermuteQonInstance,
+      [](const QonInstance& in, int a, int b, HashAccumulator* acc) {
+        acc->AddDouble(in.AccessCost(a, b).Log2());
+        acc->AddDouble(in.AccessCost(b, a).Log2());
+      });
+}
+
+CanonicalLabels Qoh(const QohInstance& inst) {
+  return Canonicalize(inst, kQohTag, {inst.memory(), inst.eta()},
+                      PermuteQohInstance,
+                      [](const QohInstance&, int, int, HashAccumulator*) {});
+}
+
+}  // namespace reference
+
+void ExpectSameLabels(const CanonicalLabels& got, const CanonicalLabels& want,
+                      const char* what) {
+  EXPECT_EQ(got.fingerprint, want.fingerprint) << what;
+  EXPECT_EQ(got.to_canonical, want.to_canonical) << what;
+  EXPECT_EQ(got.from_canonical, want.from_canonical) << what;
+}
+
+// Checks the label step and CanonicalizeQon against the reference on
+// `inst`; returns the number of instances checked (1).
+int CheckQon(const QonInstance& inst) {
+  CanonicalLabels want = reference::Qon(inst);
+  ExpectSameLabels(LabelQon(inst), want, "LabelQon");
+  CanonicalQon canon = CanonicalizeQon(inst);
+  ExpectSameLabels(canon, want, "CanonicalizeQon");
+  ExpectSameQonBytes(canon.instance,
+                     PermuteQonInstance(inst, want.to_canonical));
+  return 1;
+}
+
+int CheckQoh(const QohInstance& inst) {
+  CanonicalLabels want = reference::Qoh(inst);
+  ExpectSameLabels(LabelQoh(inst), want, "LabelQoh");
+  ExpectSameLabels(CanonicalizeQoh(inst), want, "CanonicalizeQoh");
+  return 1;
+}
+
+// Sizes, selectivities and (QO_N) access costs on `g`. With `ties`, every
+// size and every selectivity is the same, so refinement separates
+// relations by structure alone; otherwise they are drawn at random and
+// about half of the QO_N edges get access-cost overrides, each direction
+// drawn independently.
+std::vector<LogDouble> MakeSizes(int n, bool ties, Rng* rng) {
+  std::vector<LogDouble> sizes;
+  for (int i = 0; i < n; ++i) {
+    sizes.push_back(ties ? LogDouble::FromLog2(10.0)
+                         : LogDouble::FromLog2(rng->UniformReal(3.0, 20.0)));
+  }
+  return sizes;
+}
+
+LogDouble MakeSelectivity(bool ties, Rng* rng) {
+  return ties ? LogDouble::FromLog2(-3.0)
+              : LogDouble::FromLog2(rng->UniformReal(-16.0, 0.0));
+}
+
+QonInstance MakeQon(const Graph& g, bool ties, Rng* rng) {
+  QonInstance inst(g, MakeSizes(g.NumVertices(), ties, rng));
+  for (const auto& [u, v] : g.Edges()) {
+    inst.SetSelectivity(u, v, MakeSelectivity(ties, rng));
+  }
+  if (ties) return inst;
+  for (const auto& [u, v] : g.Edges()) {
+    for (auto [k, j] : {std::pair{u, v}, std::pair{v, u}}) {
+      if (!rng->Bernoulli(0.5)) continue;
+      double lo = (inst.size(j) * inst.selectivity(k, j)).Log2();
+      double hi = inst.size(j).Log2();
+      double w = std::min(hi, rng->UniformReal(lo, hi));
+      inst.SetAccessCost(k, j, LogDouble::FromLog2(w));
+    }
+  }
+  return inst;
+}
+
+QohInstance MakeQoh(const Graph& g, bool ties, Rng* rng) {
+  QohInstance inst(g, MakeSizes(g.NumVertices(), ties, rng),
+                   ties ? 4096.0 : rng->UniformReal(100.0, 1e6),
+                   ties ? 0.5 : rng->UniformReal(0.1, 0.9));
+  for (const auto& [u, v] : g.Edges()) {
+    inst.SetSelectivity(u, v, MakeSelectivity(ties, rng));
+  }
+  return inst;
+}
+
+// Gnp, tree, chain, star, complete, empty, cycle and K_{a,b} at n.
+std::vector<Graph> Shapes(int n, Rng* rng) {
+  std::vector<Graph> shapes = {Gnp(n, 0.5, rng), RandomTree(n, rng),
+                               Chain(n), Star(n), Graph::Complete(n),
+                               Graph(n)};
+  if (n >= 3) shapes.push_back(Cycle(n));
+  if (n >= 2) shapes.push_back(CompleteMultipartite(n, 2));
+  return shapes;
+}
+
+TEST(LabelStep, MatchesTheReferenceOnEveryShapeAndRelabeling) {
+  Rng rng(79);
+  int checked = 0;
+  for (int n = 1; n <= 40; ++n) {
+    for (const Graph& g : Shapes(n, &rng)) {
+      for (bool ties : {false, true}) {
+        QonInstance qon = MakeQon(g, ties, &rng);
+        QohInstance qoh = MakeQoh(g, ties, &rng);
+        checked += CheckQon(qon) + CheckQoh(qoh);
+        for (int relabel = 0; relabel < 2; ++relabel) {
+          std::vector<int> perm = RandomPermutation(n, &rng);
+          checked += CheckQon(PermuteQonInstance(qon, perm));
+          checked += CheckQoh(PermuteQohInstance(qoh, perm));
+        }
+      }
+    }
+  }
+  EXPECT_GE(checked, 2000);
+}
+
+TEST(LabelStep, MatchesTheReferenceOnGapInstances) {
+  Rng rng(80);
+  std::vector<QonInstance> qon;
+  for (const Graph& g : {Cycle(7), CompleteMultipartite(9, 3),
+                         Graph::Complete(6), Gnp(12, 0.5, &rng)}) {
+    qon.push_back(
+        ReduceCliqueToQon(g, QonGapParams{.c = 2.0 / 3.0, .d = 1.0 / 3.0,
+                                          .log2_alpha = 6.0})
+            .instance);
+  }
+  std::vector<QohInstance> qoh;
+  for (const Graph& g : {Graph::Complete(9), CompleteMultipartite(9, 3),
+                         Gnp(9, 0.6, &rng)}) {
+    qoh.push_back(ReduceTwoThirdsCliqueToQoh(g, QohGapParams{}).instance);
+  }
+  for (const QonInstance& inst : qon) {
+    CheckQon(inst);
+    for (int relabel = 0; relabel < 3; ++relabel) {
+      CheckQon(PermuteQonInstance(
+          inst, RandomPermutation(inst.NumRelations(), &rng)));
+    }
+  }
+  for (const QohInstance& inst : qoh) {
+    CheckQoh(inst);
+    for (int relabel = 0; relabel < 3; ++relabel) {
+      CheckQoh(PermuteQohInstance(
+          inst, RandomPermutation(inst.NumRelations(), &rng)));
+    }
+  }
+}
+
+// The pins below are golden like those above: their values were recorded
+// from a CanonicalizeQ* that hashed the relabeled instance itself.
+
+// K_{3,4} with every size and selectivity equal: refinement separates
+// the two sides by degree and nothing else.
+QonInstance TieHeavyQonInstance() {
+  Graph g = CompleteMultipartite(7, 2);
+  QonInstance inst(g, std::vector<LogDouble>(7, LogDouble::FromLog2(10.0)));
+  for (const auto& [u, v] : g.Edges()) {
+    inst.SetSelectivity(u, v, LogDouble::FromLog2(-3.0));
+  }
+  return inst;
+}
+
+// The shape of an e2ebench serve_hot request: n = 30 relations and 217 of
+// the 435 possible edges, log-uniform sizes in [10, 1e6], selectivities
+// uniform in [1e-5, 1], QO_H memory half the summed sizes.
+Graph HotGraph(Rng* rng) { return RandomWithEdgeCount(30, 217, rng); }
+
+std::vector<LogDouble> HotSizes(Rng* rng) {
+  std::vector<LogDouble> sizes;
+  for (int i = 0; i < 30; ++i) {
+    sizes.push_back(LogDouble::FromLog2(
+        rng->UniformReal(std::log2(10.0), std::log2(1e6))));
+  }
+  return sizes;
+}
+
+QonInstance HotQonInstance() {
+  Rng rng(30217);
+  Graph g = HotGraph(&rng);
+  QonInstance inst(g, HotSizes(&rng));
+  for (const auto& [u, v] : g.Edges()) {
+    inst.SetSelectivity(u, v,
+                        LogDouble::FromLinear(rng.UniformReal(1e-5, 1.0)));
+  }
+  return inst;
+}
+
+QohInstance HotQohInstance() {
+  Rng rng(30218);
+  Graph g = HotGraph(&rng);
+  std::vector<LogDouble> sizes = HotSizes(&rng);
+  double total = 0.0;
+  for (LogDouble t : sizes) total += std::exp2(t.Log2());
+  QohInstance inst(g, sizes, 0.5 * total);
+  for (const auto& [u, v] : g.Edges()) {
+    inst.SetSelectivity(u, v,
+                        LogDouble::FromLinear(rng.UniformReal(1e-5, 1.0)));
+  }
+  return inst;
+}
+
+TEST(FingerprintPins, TieHeavyQonInstance) {
+  ExpectHash(CanonicalizeQon(TieHeavyQonInstance()).fingerprint,
+             0x538e7a356ab386f4ULL, 0x844c0f1ea5e6c942ULL);
+  ExpectHash(LabelQon(TieHeavyQonInstance()).fingerprint,
+             0x538e7a356ab386f4ULL, 0x844c0f1ea5e6c942ULL);
+}
+
+TEST(FingerprintPins, ServeHotShapedInstances) {
+  ASSERT_EQ(HotQonInstance().graph().NumEdges(), 217);
+  ASSERT_EQ(HotQohInstance().graph().NumEdges(), 217);
+  ExpectHash(CanonicalizeQon(HotQonInstance()).fingerprint,
+             0x972010005df101ccULL, 0x049e0cf803764384ULL);
+  ExpectHash(LabelQon(HotQonInstance()).fingerprint,
+             0x972010005df101ccULL, 0x049e0cf803764384ULL);
+  ExpectHash(CanonicalizeQoh(HotQohInstance()).fingerprint,
+             0x073f73b1faf2d1ffULL, 0x5d0fe5417ea0ac75ULL);
+  ExpectHash(LabelQoh(HotQohInstance()).fingerprint,
+             0x073f73b1faf2d1ffULL, 0x5d0fe5417ea0ac75ULL);
 }
 
 }  // namespace

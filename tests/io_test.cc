@@ -2,13 +2,18 @@
 
 #include "io/serialization.h"
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "qo/fingerprint.h"
 #include "qo/optimizers.h"
+#include "qo/workloads.h"
 #include "reductions/clique_to_qon.h"
 #include "sat/dpll.h"
 #include "sat/gen.h"
@@ -97,6 +102,45 @@ TEST(QonIo, AccessCostOverridesSurvive) {
       copy.value->AccessCost(0, 1).ApproxEquals(LogDouble::FromLinear(32.0)));
   EXPECT_TRUE(
       copy.value->AccessCost(1, 0).ApproxEquals(LogDouble::FromLinear(25.0)));
+}
+
+// An override within rounding of its default, or one that differs from
+// it only in the sign of a zero log2, is still an override: the writer
+// emits it, so the reparse keeps its bits and the instance's fingerprint.
+TEST(QonIo, OverridesNextToTheirDefaultKeepTheirBits) {
+  struct Case {
+    double size_log2;  // of relation 1
+    double sel_log2;   // of edge {0, 1}
+    double w_log2;     // AccessCost(0, 1)
+  };
+  // Defaults 2^19 and 2^+0; overrides 2^19.000000000000004 and 2^-0.
+  for (Case c : {Case{20.0, -1.0, 19.000000000000004}, Case{1.0, -1.0, -0.0}}) {
+    QonInstance inst(
+        Graph::FromEdges(2, {{0, 1}}),
+        {LogDouble::FromLog2(20.0), LogDouble::FromLog2(c.size_log2)});
+    inst.SetSelectivity(0, 1, LogDouble::FromLog2(c.sel_log2));
+    inst.SetAccessCost(0, 1, LogDouble::FromLog2(c.w_log2));
+    std::string text = QonToString(inst);
+    ParseResult<QonInstance> copy = ParseText(&ParseQonInstance, text);
+    ASSERT_TRUE(copy.ok()) << copy.error;
+    for (auto [k, j] : {std::pair{0, 1}, std::pair{1, 0}}) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(copy.value->AccessCost(k, j).Log2()),
+                std::bit_cast<uint64_t>(inst.AccessCost(k, j).Log2()))
+          << text;
+    }
+    EXPECT_EQ(LabelQon(*copy.value).fingerprint, LabelQon(inst).fingerprint)
+        << text;
+  }
+}
+
+// Without overrides nothing but the rel and edge lines is written.
+TEST(QonIo, DefaultAccessCostsWriteNoWLines) {
+  Rng rng(145);
+  for (int trial = 0; trial < 20; ++trial) {
+    QonInstance inst = RandomQonWorkload(
+        static_cast<int>(rng.UniformInt(2, 12)), &rng);
+    EXPECT_EQ(QonToString(inst).find("\nw "), std::string::npos);
+  }
 }
 
 TEST(QonIo, GapInstanceRoundTripsWithHugeNumbers) {

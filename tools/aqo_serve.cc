@@ -62,6 +62,8 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "io/framing.h"
@@ -119,6 +121,7 @@ void LogOverloadDecision(const std::string& id, const OverloadDecision& d,
 // request flow itself is shared, in the shape of RunBatch<Traits> in
 // qo/service.cc.
 struct QonServe {
+  using Instance = QonInstance;
   static ParseResult<QonInstance> Parse(std::string_view body) {
     return ParseQonInstance(body);
   }
@@ -132,6 +135,7 @@ struct QonServe {
 };
 
 struct QohServe {
+  using Instance = QohInstance;
   static ParseResult<QohInstance> Parse(std::string_view body) {
     return ParseQohInstance(body);
   }
@@ -177,7 +181,7 @@ std::string ServeFamily(const std::string& id, std::string_view family,
     out << "err " << id << " parse: " << parsed.error;
     return out.str();
   }
-  const auto& inst = *parsed.value;
+  auto& inst = *parsed.value;
   BatchOptions options = config.*Family::kConfig;
   auto& knobs = options.*Family::kKnobs;
   options.cache = cache;
@@ -196,7 +200,9 @@ std::string ServeFamily(const std::string& id, std::string_view family,
     return out.str();
   }
   options.optimizer = admission.entry->name;
-  auto items = Family::Optimize({inst}, options);
+  std::vector<typename Family::Instance> batch;
+  batch.push_back(std::move(inst));
+  auto items = Family::Optimize(batch, options);
   const auto& item = items.front();
   if (item.from_cache) cache_hits.Increment();
   out << "ok " << id << " " << family

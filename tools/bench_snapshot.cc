@@ -4,21 +4,25 @@
 // full-evaluation and swap-neighborhood workloads, and writes the results
 // (with speedup ratios) as JSON.
 //
-// Regenerate the committed snapshot from a Release build:
+// Regenerate the committed snapshots from a Release build:
 //
 //   cmake -S . -B build-release -DCMAKE_BUILD_TYPE=Release
 //   cmake --build build-release -j --target bench_snapshot
 //   ./build-release/tools/bench_snapshot
 //       --out=BENCH_COST_EVAL.json --fast-out=BENCH_FAST_EVAL.json
-// (one invocation with both flags on the command line)
+//       --canon-out=BENCH_CANON.json
+// (one invocation with all three flags on the command line)
 //
-// One run emits both snapshots: the incremental-vs-naive comparison
-// (BENCH_COST_EVAL.json) and QO_N swap pricing vs exact neighborhood
+// One run emits three snapshots: the incremental-vs-naive comparison
+// (BENCH_COST_EVAL.json); QO_N swap pricing vs exact neighborhood
 // pricing (BENCH_FAST_EVAL.json), on a random instance ("neighborhood",
 // certified prices) and on the f_N NO instance the gap tables build
-// ("neighborhood_fN", integer regime: exact prices). The cost-eval rows
-// "sentinel_first" price the plans E6 samples on its f_{H,e} NO instance
-// (m = 81 and 144 relations).
+// ("neighborhood_fN", integer regime: exact prices); and the served
+// request's front half (BENCH_CANON.json): per family, on a seeded
+// Gnp(n, 0.5) instance, ns per parse of its text, per label step (all a
+// plan-cache hit needs) and per CanonicalizeQ* (a miss: the labels plus
+// the relabeled instance). The cost-eval rows "sentinel_first" price the
+// plans E6 samples on its f_{H,e} NO instance (m = 81 and 144 relations).
 //
 // Workloads are fully seeded (instances, start sequences, and the swap
 // schedule), so reruns on the same machine are directly comparable; only
@@ -31,13 +35,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/generators.h"
+#include "io/serialization.h"
 #include "qo/cost_eval.h"
 #include "qo/fast_eval.h"
+#include "qo/fingerprint.h"
 #include "qo/qoh.h"
 #include "qo/qon.h"
 #include "reductions/clique_to_qon.h"
@@ -48,6 +55,7 @@ namespace aqo {
 namespace {
 
 constexpr int kSizes[] = {10, 30, 100, 300};
+constexpr int kCanonSizes[] = {10, 30, 100};
 
 QonInstance MakeQonInstance(int n, uint64_t seed) {
   Rng rng(seed);
@@ -289,6 +297,101 @@ Row MeasureQonNeighborhood(const QonInstance& inst, const char* workload,
   return {"qon", workload, n, exact, fast};
 }
 
+// MakeQonInstance's query as a QO_H instance, memory half the summed
+// sizes.
+QohInstance ToQohInstance(const QonInstance& qon) {
+  std::vector<LogDouble> sizes;
+  double total = 0.0;
+  for (int i = 0; i < qon.NumRelations(); ++i) {
+    sizes.push_back(qon.size(i));
+    total += qon.size(i).ToLinear();
+  }
+  QohInstance inst(qon.graph(), std::move(sizes), 0.5 * total);
+  for (const auto& [u, v] : qon.graph().Edges()) {
+    inst.SetSelectivity(u, v, qon.selectivity(u, v));
+  }
+  return inst;
+}
+
+struct CanonRow {
+  const char* family;
+  int n;
+  int edges;
+  double parse_ns;
+  double label_ns;
+  double canonicalize_ns;
+};
+
+// Folds fingerprints and parsed sizes so no timed call can be discarded.
+uint64_t g_canon_sink;
+
+// One family's row: `text` is the instance as a request body carries it.
+template <typename Parse, typename Label, typename Canonicalize,
+          typename Instance>
+CanonRow MeasureCanon(const char* family, const Instance& inst,
+                      const std::string& text, Parse parse, Label label,
+                      Canonicalize canonicalize, double min_seconds) {
+  CanonRow row{family, inst.NumRelations(), inst.graph().NumEdges(), 0, 0, 0};
+  row.parse_ns = TimeNs(16, min_seconds, [&](long) {
+    g_canon_sink += static_cast<uint64_t>(parse(text).value->NumRelations());
+  });
+  row.label_ns = TimeNs(16, min_seconds, [&](long) {
+    g_canon_sink += label(inst).fingerprint.lo;
+  });
+  row.canonicalize_ns = TimeNs(16, min_seconds, [&](long) {
+    g_canon_sink += canonicalize(inst).fingerprint.lo;
+  });
+  return row;
+}
+
+std::vector<CanonRow> MeasureCanonRows(double min_seconds) {
+  std::vector<CanonRow> rows;
+  for (int n : kCanonSizes) {
+    QonInstance qon = MakeQonInstance(n, 42);
+    QohInstance qoh = ToQohInstance(qon);
+    std::ostringstream qoh_text;
+    WriteQohInstance(qoh, qoh_text);
+    rows.push_back(MeasureCanon(
+        "qon", qon, QonToString(qon),
+        [](std::string_view t) { return ParseQonInstance(t); }, LabelQon,
+        CanonicalizeQon, min_seconds));
+    rows.push_back(MeasureCanon(
+        "qoh", qoh, qoh_text.str(),
+        [](std::string_view t) { return ParseQohInstance(t); }, LabelQoh,
+        CanonicalizeQoh, min_seconds));
+  }
+  return rows;
+}
+
+int WriteCanonSnapshot(const std::string& out,
+                       const std::vector<CanonRow>& rows) {
+  std::FILE* f = std::fopen(out.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", out.c_str());
+    return 1;
+  }
+  std::fprintf(f, "{\n  \"benchmark\": \"canon\",\n");
+  std::fprintf(f, "  \"unit\": \"ns_per_call\",\n  \"rows\": [\n");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const CanonRow& r = rows[i];
+    std::fprintf(f,
+                 "    {\"family\": \"%s\", \"n\": %d, \"edges\": %d, "
+                 "\"parse_ns\": %.1f, \"label_ns\": %.1f, "
+                 "\"canonicalize_ns\": %.1f, \"speedup\": %.2f}%s\n",
+                 r.family, r.n, r.edges, r.parse_ns, r.label_ns,
+                 r.canonicalize_ns, r.canonicalize_ns / r.label_ns,
+                 i + 1 < rows.size() ? "," : "");
+    std::printf("%-4s canon        n=%-4d parse=%10.1f ns  label=%10.1f ns  "
+                "canonicalize=%10.1f ns  %6.2fx\n",
+                r.family, r.n, r.parse_ns, r.label_ns, r.canonicalize_ns,
+                r.canonicalize_ns / r.label_ns);
+  }
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+  std::printf("wrote %s\n", out.c_str());
+  return 0;
+}
+
 // Writes one snapshot file. `baseline_key`/`eval_key` name the two timing
 // columns ("naive"/"eval" for the cost-eval snapshot, "exact"/"fast" for
 // the fast-eval one).
@@ -324,20 +427,24 @@ int WriteSnapshot(const std::string& out, const char* benchmark,
 int Main(int argc, char** argv) {
   EscapeSink(&g_sink);
   EscapeSink(&g_fast_sink);
+  EscapeSink(&g_canon_sink);
   std::string out = "BENCH_COST_EVAL.json";
   std::string fast_out = "BENCH_FAST_EVAL.json";
+  std::string canon_out = "BENCH_CANON.json";
   double min_seconds = 0.2;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out = argv[i] + 6;
     } else if (std::strncmp(argv[i], "--fast-out=", 11) == 0) {
       fast_out = argv[i] + 11;
+    } else if (std::strncmp(argv[i], "--canon-out=", 12) == 0) {
+      canon_out = argv[i] + 12;
     } else if (std::strncmp(argv[i], "--min-seconds=", 14) == 0) {
       min_seconds = std::atof(argv[i] + 14);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--out=FILE] [--fast-out=FILE]"
-                   " [--min-seconds=S]\n",
+                   " [--canon-out=FILE] [--min-seconds=S]\n",
                    argv[0]);
       return 2;
     }
@@ -365,7 +472,10 @@ int Main(int argc, char** argv) {
   rc = WriteSnapshot(fast_out, "fast_eval", "ns_per_candidate", "exact",
                      "fast", fast_rows);
   if (rc != 0) return rc;
-  std::printf("(sink=%g fast_sink=%g)\n", g_sink.Log2(), g_fast_sink);
+  rc = WriteCanonSnapshot(canon_out, MeasureCanonRows(min_seconds));
+  if (rc != 0) return rc;
+  std::printf("(sink=%g fast_sink=%g canon_sink=%llu)\n", g_sink.Log2(),
+              g_fast_sink, static_cast<unsigned long long>(g_canon_sink));
   return 0;
 }
 
