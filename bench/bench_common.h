@@ -266,16 +266,11 @@ inline OptimizerOptions ReadQonKnobs(const Flags& flags,
   o.restarts = static_cast<int>(flags.GetInt("restarts", o.restarts));
   o.sa.iterations =
       static_cast<int>(flags.GetInt("sa-iterations", o.sa.iterations));
-  o.sa.initial_temperature =
-      flags.GetDouble("sa-temperature", o.sa.initial_temperature);
-  o.sa.cooling = flags.GetDouble("sa-cooling", o.sa.cooling);
   o.sa.restarts = static_cast<int>(flags.GetInt("sa-restarts", o.sa.restarts));
   o.ga.population =
       static_cast<int>(flags.GetInt("ga-population", o.ga.population));
   o.ga.generations =
       static_cast<int>(flags.GetInt("ga-generations", o.ga.generations));
-  o.ga.crossover_rate = flags.GetDouble("ga-crossover", o.ga.crossover_rate);
-  o.ga.mutation_rate = flags.GetDouble("ga-mutation", o.ga.mutation_rate);
   // Anytime knobs (docs/robustness.md): --budget-evals= is the
   // deterministic evaluation cap, --deadline-ms= the wall-clock deadline.
   // Both default to 0 = unlimited, which changes nothing bit-for-bit.
@@ -295,9 +290,6 @@ inline QohOptimizerOptions ReadQohKnobs(const Flags& flags,
       static_cast<int>(flags.GetInt("sentinel-first", o.sentinel_first));
   o.sa.iterations =
       static_cast<int>(flags.GetInt("sa-iterations", o.sa.iterations));
-  o.sa.initial_temperature =
-      flags.GetDouble("sa-temperature", o.sa.initial_temperature);
-  o.sa.cooling = flags.GetDouble("sa-cooling", o.sa.cooling);
   o.sa.restarts = static_cast<int>(flags.GetInt("sa-restarts", o.sa.restarts));
   o.budget.max_evaluations = static_cast<uint64_t>(flags.GetInt(
       "budget-evals", static_cast<int64_t>(o.budget.max_evaluations)));

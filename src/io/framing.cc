@@ -163,10 +163,6 @@ FrameRead FrameReader::Next(std::string* payload, std::string* error) {
         if (last_skipped_ == 0 || !validator_ || validator_(candidate)) {
           buffer_.erase(0, 4 + static_cast<size_t>(len));
           *payload = std::move(candidate);
-          if (last_skipped_ > 0) {
-            ++resync_count_;
-            total_skipped_ += last_skipped_;
-          }
           return FrameRead::kFrame;
         }
       }

@@ -19,7 +19,8 @@
 // plausible and whose payload passes the caller's validator (for the
 // serve protocol: "starts with a known verb"). Skipped garbage is
 // counted, never silently swallowed: the frame after a resync is flagged
-// so the server can answer `err ? frame: ...` for the corrupt region.
+// with the skipped byte count (last_skipped()), so the server can answer
+// `err ? parse: resynchronized after N bytes ...` for the corrupt region.
 // Scanning buffers unconsumed candidate bytes internally, so a rejected
 // candidate loses no data — which is why resync lives in a stateful
 // reader rather than a free function.
@@ -81,8 +82,6 @@ class FrameReader {
 
   bool resynced() const { return last_skipped_ > 0; }
   uint64_t last_skipped() const { return last_skipped_; }
-  uint64_t total_skipped() const { return total_skipped_; }
-  uint64_t resync_count() const { return resync_count_; }
 
  private:
   // Ensures buffer_ holds at least `need` bytes, reading from is_.
@@ -93,8 +92,6 @@ class FrameReader {
   Validator validator_;
   std::string buffer_;  // bytes read but not yet consumed
   uint64_t last_skipped_ = 0;
-  uint64_t total_skipped_ = 0;
-  uint64_t resync_count_ = 0;
 };
 
 }  // namespace aqo

@@ -83,7 +83,7 @@ class Histogram {
   // once writers are quiescent). Bucket list is index-sorted.
   HistogramData Snapshot() const;
 
-  // Test isolation only, like Counter::Reset.
+  // Test isolation only.
   void Reset();
 
   const std::string& name() const { return name_; }

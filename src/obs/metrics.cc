@@ -29,9 +29,8 @@ ThreadCounterTally::~ThreadCounterTally() {
 
 ThreadCounterTally* ThreadCounterTally::Current() { return tls_tally; }
 
-std::vector<std::pair<std::string, uint64_t>> ThreadCounterTally::Snapshot()
-    const {
-  std::vector<std::pair<std::string, uint64_t>> out;
+CounterSnapshot ThreadCounterTally::Snapshot() const {
+  CounterSnapshot out;
   out.reserve(deltas_.size());
   for (const auto& [counter, delta] : deltas_) {
     if (delta != 0) out.emplace_back(counter->name(), delta);
@@ -57,18 +56,6 @@ Counter& Registry::GetCounter(std::string_view name) {
   return *it->second;
 }
 
-Gauge& Registry::GetGauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_
-             .emplace(std::string(name),
-                      std::unique_ptr<Gauge>(new Gauge(std::string(name))))
-             .first;
-  }
-  return *it->second;
-}
-
 Histogram& Registry::GetHistogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
@@ -88,30 +75,6 @@ std::vector<std::pair<std::string, HistogramData>> Registry::Histograms()
   out.reserve(histograms_.size());
   for (const auto& [name, histogram] : histograms_) {
     out.emplace_back(name, histogram->Snapshot());
-  }
-  return out;
-}
-
-CounterSnapshot Registry::Counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  CounterSnapshot out;
-  out.reserve(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    out.emplace_back(name, counter->Value());
-  }
-  return out;
-}
-
-CounterSnapshot Registry::Delta(const CounterSnapshot& before,
-                                const CounterSnapshot& after) {
-  CounterSnapshot out;
-  size_t i = 0;
-  for (const auto& [name, value] : after) {
-    // Both snapshots are name-sorted; advance `before` to the match.
-    while (i < before.size() && before[i].first < name) ++i;
-    uint64_t prev =
-        (i < before.size() && before[i].first == name) ? before[i].second : 0;
-    if (value != prev) out.emplace_back(name, value - prev);
   }
   return out;
 }

@@ -1,16 +1,17 @@
 #ifndef AQO_OBS_METRICS_H_
 #define AQO_OBS_METRICS_H_
 
-// Process-wide counter/gauge registry. Counters are the always-on layer of
-// the telemetry subsystem: optimizers and reductions increment them
-// unconditionally (a single relaxed atomic add on the hot path), and the
-// run-log machinery snapshots them around an invocation to attribute the
-// deltas to one record.
+// Process-wide counter registry. Counters are the always-on layer of the
+// telemetry subsystem: optimizers increment them unconditionally (a
+// single relaxed atomic add on the hot path), and InstrumentedRun
+// (obs/runlog.h) tallies the increments of one invocation into the
+// `counters` of its `optimizer_run` record. That record is the only way
+// a counter leaves the process.
 //
 // Names are hierarchical, dot-separated, lowercase: <area>.<algo>.<what>,
-// e.g. "qon.dp.states", "qon.sa.accepts", "qoh.decomp.fragments",
-// "reduce.sat_to_clique.vertices". See docs/observability.md for the
-// naming conventions and the list of counters each algorithm maintains.
+// e.g. "qon.dp.states", "qon.sa.accepts", "qoh.decomp.fragments". See
+// docs/observability.md for the naming conventions and the list of
+// counters each algorithm maintains.
 //
 // Hot-path usage pattern (one registry lookup per process, then a relaxed
 // increment per event):
@@ -36,14 +37,16 @@ class Counter;
 class Histogram;
 struct HistogramData;
 
+// Name -> count pairs, sorted by name.
+using CounterSnapshot = std::vector<std::pair<std::string, uint64_t>>;
+
 // Scoped per-thread counter attribution. While a tally is on a thread's
 // stack, every Counter increment made *by that thread* is also recorded
 // into the tally, so the run-log layer can attribute an invocation's exact
 // counter deltas even while other threads hammer the same global counters
 // concurrently (a whole-registry before/after snapshot cannot). Tallies
 // nest: popping an inner tally folds its totals into the enclosing one,
-// matching the old snapshot semantics where an outer record includes the
-// work of nested instrumented runs.
+// so an outer record includes the work of nested instrumented runs.
 //
 // The hot-path cost when no tally is active — the always-on case — is one
 // thread-local pointer load and a predictable branch per increment.
@@ -59,8 +62,8 @@ class ThreadCounterTally {
   static ThreadCounterTally* Current();
 
   // Name-sorted (counter, delta) pairs recorded so far, zero deltas
-  // dropped — same shape as Registry::Delta output.
-  std::vector<std::pair<std::string, uint64_t>> Snapshot() const;
+  // dropped.
+  CounterSnapshot Snapshot() const;
 
  private:
   friend class Counter;
@@ -73,7 +76,7 @@ class ThreadCounterTally {
 };
 
 // Monotonic event counter. Increments are relaxed atomics: safe from any
-// thread, no ordering guarantees needed (snapshots are advisory).
+// thread, no ordering guarantees needed.
 class Counter {
  public:
   void Add(uint64_t delta) {
@@ -84,7 +87,6 @@ class Counter {
   }
   void Increment() { Add(1); }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
   const std::string& name() const { return name_; }
 
  private:
@@ -94,52 +96,26 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-// Last-write-wins scalar (e.g. "qon.bnb.best_cost_log2"). Same threading
-// rules as Counter.
-class Gauge {
- public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-  const std::string& name() const { return name_; }
-
- private:
-  friend class Registry;
-  explicit Gauge(std::string name) : name_(std::move(name)) {}
-  std::string name_;
-  std::atomic<double> value_{0.0};
-};
-
-// Name -> metric snapshot, sorted by name (map iteration order).
-using CounterSnapshot = std::vector<std::pair<std::string, uint64_t>>;
-
-// Process-wide registry. GetCounter/GetGauge/GetHistogram find-or-create
-// under a mutex; returned references are stable for the life of the
-// process, so callers cache them in function-local statics and never
-// touch the lock again.
+// Process-wide registry. GetCounter/GetHistogram find-or-create under a
+// mutex; returned references are stable for the life of the process, so
+// callers cache them in function-local statics and never touch the lock
+// again.
 class Registry {
  public:
   static Registry& Get();
 
   Counter& GetCounter(std::string_view name);
-  Gauge& GetGauge(std::string_view name);
   // Latency distributions (obs/histogram.h); names end in `_us`.
   Histogram& GetHistogram(std::string_view name);
 
-  CounterSnapshot Counters() const;
   // Name-sorted snapshot of every histogram (empty ones included, so the
   // set of keys is stable once all call sites have been reached).
   std::vector<std::pair<std::string, HistogramData>> Histograms() const;
-
-  // after - before, dropping entries whose delta is 0. `before` may lack
-  // counters that were created after it was taken.
-  static CounterSnapshot Delta(const CounterSnapshot& before,
-                               const CounterSnapshot& after);
 
  private:
   Registry() = default;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 

@@ -49,7 +49,7 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
   AQO_CHECK(ga.population >= 4);
-  AQO_CHECK(ga.elites < ga.population);
+  static_assert(kGaElites < 4, "the elites must leave room for offspring");
 
   static obs::Counter& generations =
       obs::Registry::Get().GetCounter("qon.ga.generations");
@@ -104,11 +104,11 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
     generations.Increment();
     std::sort(population.begin(), population.end(), better);
     std::vector<Individual> next(population.begin(),
-                                 population.begin() + ga.elites);
+                                 population.begin() + kGaElites);
     auto tournament_pick = [&]() -> const Individual& {
       const Individual* best = &population[static_cast<size_t>(
           rng->UniformInt(0, ga.population - 1))];
-      for (int t = 1; t < ga.tournament; ++t) {
+      for (int t = 1; t < kGaTournament; ++t) {
         const Individual& cand = population[static_cast<size_t>(
             rng->UniformInt(0, ga.population - 1))];
         if (better(cand, *best)) best = &cand;
@@ -117,7 +117,7 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
     };
     while (static_cast<int>(next.size()) < ga.population) {
       Individual child;
-      if (rng->Bernoulli(ga.crossover_rate)) {
+      if (rng->Bernoulli(kGaCrossoverRate)) {
         crossovers.Increment();
         child.sequence =
             OrderCrossover(tournament_pick().sequence,
@@ -125,7 +125,7 @@ OptimizerResult GeneticOptimizer(const QonInstance& inst, Rng* rng,
       } else {
         child.sequence = tournament_pick().sequence;
       }
-      if (rng->Bernoulli(ga.mutation_rate)) {
+      if (rng->Bernoulli(kGaMutationRate)) {
         mutations.Increment();
         size_t a = static_cast<size_t>(rng->UniformInt(0, n - 1));
         size_t b = static_cast<size_t>(rng->UniformInt(0, n - 1));

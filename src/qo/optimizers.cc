@@ -359,7 +359,7 @@ OptimizerResult SimulatedAnnealingOptimizer(const QonInstance& inst, Rng* rng,
       result.cost = current_cost;
       result.sequence = current;
     }
-    double temperature = options.sa.initial_temperature;
+    double temperature = kSaInitialTemperature;
     for (int it = 0; it < options.sa.iterations; ++it) {
       // Checked before the move draw, so a capped trajectory is an exact
       // prefix of the uncapped one (the guard never consumes RNG state).
@@ -378,7 +378,7 @@ OptimizerResult SimulatedAnnealingOptimizer(const QonInstance& inst, Rng* rng,
         candidate.erase(candidate.begin() + static_cast<int64_t>(from));
         candidate.insert(candidate.begin() + static_cast<int64_t>(to), v);
       }
-      temperature *= options.sa.cooling;
+      temperature *= kSaCooling;
       if (!SequenceAllowed(inst, candidate, options)) continue;
       LogDouble candidate_cost = evaluator.Cost(candidate);
       ++result.evaluations;

@@ -32,20 +32,28 @@ struct OptimizerResult {
 // signature (instance, OptimizerOptions, Rng*) stays closed as knobs grow.
 struct SaKnobs {
   int iterations = 20000;
-  double initial_temperature = 5.0;  // in log2-cost units
-  double cooling = 0.999;
   int restarts = 3;
 };
+
+// SimulatedAnnealingOptimizer's schedule: the initial temperature (in
+// log2-cost units) and the geometric cooling factor applied per move.
+inline constexpr double kSaInitialTemperature = 5.0;
+inline constexpr double kSaCooling = 0.999;
 
 // Genetic-optimizer knobs (see qo/genetic.h for the algorithm).
 struct GaKnobs {
   int population = 64;
   int generations = 120;
-  double crossover_rate = 0.9;
-  double mutation_rate = 0.3;
-  int tournament = 3;
-  int elites = 2;
 };
+
+// GeneticOptimizer's operators: the probability that a child is an order
+// crossover of two parents (else a copy of one), the probability that it
+// then takes a swap mutation, the tournament size, and the elites carried
+// unchanged into each generation.
+inline constexpr double kGaCrossoverRate = 0.9;
+inline constexpr double kGaMutationRate = 0.3;
+inline constexpr int kGaTournament = 3;
+inline constexpr int kGaElites = 2;
 
 // The full QO_N optimizer knob surface. Every optimizer reads the knobs it
 // understands and ignores the rest, so one options value drives any

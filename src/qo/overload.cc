@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "obs/metrics.h"
-
 namespace aqo {
 
 const char* OverloadTierName(OverloadTier tier) {
@@ -53,15 +51,6 @@ void LoadGovernor::OnControlFrame() {
 
 OverloadDecision LoadGovernor::OnArrival(double cost_units,
                                          double degraded_cost_units) {
-  static obs::Counter& admit_counter =
-      obs::Registry::Get().GetCounter("qo.overload.admits");
-  static obs::Counter& degrade_counter =
-      obs::Registry::Get().GetCounter("qo.overload.degrades");
-  static obs::Counter& shed_counter =
-      obs::Registry::Get().GetCounter("qo.overload.sheds");
-  static obs::Gauge& pressure_gauge =
-      obs::Registry::Get().GetGauge("qo.overload.pressure_permille");
-
   OverloadDecision decision;
   decision.cost_units = cost_units;
   if (!armed()) {
@@ -91,14 +80,12 @@ OverloadDecision LoadGovernor::OnArrival(double cost_units,
     pending_requests_ += 1.0;
     pending_cost_ += cost_units;
     ++admits_;
-    admit_counter.Increment();
   } else if (fits(degraded_cost_units)) {
     decision.tier = OverloadTier::kDegrade;
     decision.cost_units = degraded_cost_units;
     pending_requests_ += 1.0;
     pending_cost_ += degraded_cost_units;
     ++degrades_;
-    degrade_counter.Increment();
     std::ostringstream why;
     why << "pressure " << decision.pressure_permille
         << " permille >= degrade threshold "
@@ -107,14 +94,12 @@ OverloadDecision LoadGovernor::OnArrival(double cost_units,
   } else {
     decision.tier = OverloadTier::kShed;
     ++sheds_;
-    shed_counter.Increment();
     std::ostringstream why;
     why << "pending work over capacity (pressure "
         << decision.pressure_permille << " permille, request cost "
         << degraded_cost_units << " units)";
     decision.reason = why.str();
   }
-  pressure_gauge.Set(static_cast<double>(PressurePermille()));
   return decision;
 }
 

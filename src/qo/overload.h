@@ -36,10 +36,10 @@
 // touches nothing — the serve path stays byte-identical to an ungoverned
 // build.
 //
-// Telemetry: qo.overload.{admits,degrades,sheds} counters, the
-// qo.overload.pressure_permille gauge, and an `overload_decision` JSONL
-// record per shed/degrade when a run log is attached
-// (docs/robustness.md).
+// Telemetry: the admits()/degrades()/sheds() totals and
+// PressurePermille() (the serve `ping` and `health` verbs report them),
+// and an `overload_decision` JSONL record per shed/degrade when a run log
+// is attached (docs/robustness.md).
 
 #include <algorithm>
 #include <cstdint>

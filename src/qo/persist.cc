@@ -17,6 +17,7 @@
 #include <istream>
 #include <limits>
 #include <sstream>
+#include <tuple>
 
 #include "obs/histogram.h"
 #include "obs/json.h"
@@ -41,6 +42,8 @@ constexpr size_t kFixedPayloadBytes = 44;
 // two int vectors); a bigger stored length is corruption, not a big plan.
 constexpr uint32_t kMaxRecordBytes = 16u << 20;
 
+// The qo.persist.{appends,append_bytes,fsyncs} counters: e2ebench's
+// serve replay (e2ebench/benchkit/replay_serve.cc) reads these by name.
 obs::Counter& CounterRef(const char* name) {
   return obs::Registry::Get().GetCounter(name);
 }
@@ -384,10 +387,7 @@ const char* PersistHealthName(PersistHealth health) {
 }
 
 void PlanStore::SetHealth(PersistHealth health, const std::string& reason) {
-  static obs::Gauge& health_gauge =
-      obs::Registry::Get().GetGauge("qo.persist.health");
   health_ = health;
-  health_gauge.Set(static_cast<double>(health));
   if (obs::RunLog* log = obs::RunLog::Global()) {
     obs::JsonValue record = obs::JsonValue::Object();
     record["type"] = "persist_health";
@@ -403,9 +403,6 @@ void PlanStore::SetHealth(PersistHealth health, const std::string& reason) {
 }
 
 bool PlanStore::Fail(const std::string& reason) {
-  static obs::Counter& failures = CounterRef("qo.persist.failures");
-  static obs::Counter& trips = CounterRef("qo.persist.breaker_trips");
-  failures.Increment();
   error_ = reason;
   probe_in_flight_ = false;
   // healthy -> read-only on the first failure; a failed probe (we were
@@ -414,7 +411,6 @@ bool PlanStore::Fail(const std::string& reason) {
                            ? PersistHealth::kReadOnly
                            : PersistHealth::kOpen;
   ++trips_;
-  trips.Increment();
   refused_since_trip_ = 0;
   // Exponential backoff in refused-write units, deterministic jitter from
   // the breaker seed so probe points reproduce run to run.
@@ -438,19 +434,13 @@ bool PlanStore::Fail(const std::string& reason) {
 }
 
 bool PlanStore::AllowWrite() {
-  static obs::Counter& refusals = CounterRef("qo.persist.breaker_refusals");
-  static obs::Counter& probes = CounterRef("qo.persist.breaker_probes");
   if (health_ == PersistHealth::kHealthy) return true;
   ++refused_since_trip_;
-  if (refused_since_trip_ < backoff_current_) {
-    refusals.Increment();
-    return false;
-  }
+  if (refused_since_trip_ < backoff_current_) return false;
   // Probe slot: let this write through. Force a journal reopen first so
   // the repair path truncates any torn tail the trip left behind —
   // re-appending after a tear must never create mid-file garbage.
   ++probes_;
-  probes.Increment();
   probe_in_flight_ = true;
   if (journal_fd_ >= 0) {
     ::close(journal_fd_);
@@ -460,9 +450,7 @@ bool PlanStore::AllowWrite() {
 }
 
 void PlanStore::Reopen() {
-  static obs::Counter& reopens = CounterRef("qo.persist.breaker_reopens");
   ++reopens_;
-  reopens.Increment();
   probe_in_flight_ = false;
   refused_since_trip_ = 0;
   backoff_current_ = 0;
@@ -510,14 +498,11 @@ bool PlanStore::OpenJournal(bool truncate) {
           return Fail("journal.log: " + scan.info.damage);
         }
         if (scan.valid_bytes < bytes.size()) {
-          static obs::Counter& repairs =
-              CounterRef("qo.persist.journal_repairs");
           if (::truncate(path.c_str(),
                          static_cast<off_t>(scan.valid_bytes)) != 0) {
             return Fail(std::string("journal repair truncate failed: ") +
                         std::strerror(errno));
           }
-          repairs.Increment();
         }
       }
     }
@@ -574,9 +559,6 @@ bool PlanStore::AppendEntry(const Hash128& key, const CachedPlan& plan) {
 }
 
 bool PlanStore::SaveSnapshot(const PlanCache& cache) {
-  static obs::Counter& saves = CounterRef("qo.persist.snapshot_saves");
-  static obs::Counter& snapshot_entries =
-      CounterRef("qo.persist.snapshot_entries");
   static obs::Histogram& snapshot_us =
       HistogramRef("qo.persist.snapshot_us");
   std::lock_guard<std::mutex> lock(append_mu_);
@@ -636,17 +618,11 @@ bool PlanStore::SaveSnapshot(const PlanCache& cache) {
   // also in the snapshot; replaying them is a harmless refresh (the key
   // determines the plan bits).
   if (!OpenJournal(/*truncate=*/true)) return false;
-  saves.Increment();
-  snapshot_entries.Add(entries.size());
   if (probe_in_flight_) Reopen();
   return true;
 }
 
 ParseResult<RecoveryStats> PlanStore::LoadAndRecover(PlanCache* cache) {
-  static obs::Counter& recovered =
-      CounterRef("qo.persist.recovered_entries");
-  static obs::Counter& torn_tails = CounterRef("qo.persist.torn_tails");
-  static obs::Counter& crc_failures = CounterRef("qo.persist.crc_failures");
   static obs::Histogram& recover_us =
       HistogramRef("qo.persist.recover_us");
   AQO_CHECK(cache != nullptr);
@@ -679,14 +655,8 @@ ParseResult<RecoveryStats> PlanStore::LoadAndRecover(PlanCache* cache) {
     }
     if (!scan.info.damage.empty() && stats.damage.empty()) {
       stats.damage = path + ": " + scan.info.damage;
-      if (scan.info.damage.find("CRC mismatch") != std::string::npos) {
-        crc_failures.Increment();
-      }
     }
-    if (scan.info.torn_tail) {
-      stats.torn_tail = true;
-      torn_tails.Increment();
-    }
+    if (scan.info.torn_tail) stats.torn_tail = true;
     if (valid_bytes != nullptr) *valid_bytes = scan.valid_bytes;
     *entry_count = scan.info.entries.size();
     for (const PersistedEntry& entry : scan.info.entries) {
@@ -706,14 +676,11 @@ ParseResult<RecoveryStats> PlanStore::LoadAndRecover(PlanCache* cache) {
     return result;
   }
   // Repair a torn/damaged journal tail now, so later appends extend a
-  // clean file (OpenJournal would do the same scan lazily; doing it here
-  // makes the repair observable in the recovery stats).
+  // clean file. Best effort: should the truncate fail, OpenJournal's own
+  // scan repairs the tail before the first append.
   if (stats.had_log && (stats.torn_tail || !stats.damage.empty())) {
-    static obs::Counter& repairs = CounterRef("qo.persist.journal_repairs");
-    if (::truncate(JournalPath().c_str(),
-                   static_cast<off_t>(journal_valid_bytes)) == 0) {
-      repairs.Increment();
-    }
+    std::ignore = ::truncate(JournalPath().c_str(),
+                             static_cast<off_t>(journal_valid_bytes));
   }
 
   stats.recover_us = static_cast<uint64_t>(
@@ -721,7 +688,6 @@ ParseResult<RecoveryStats> PlanStore::LoadAndRecover(PlanCache* cache) {
           std::chrono::steady_clock::now() - start)
           .count());
   recover_us.Record(stats.recover_us);
-  recovered.Add(stats.entries_loaded);
 
   if (obs::RunLog* log = obs::RunLog::Global()) {
     obs::JsonValue record = obs::JsonValue::Object();

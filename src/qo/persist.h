@@ -50,11 +50,14 @@
 //   "persist.snapshot" — the k-th SaveSnapshot dies after writing half of
 //                        snapshot.tmp, before the rename.
 //
-// Telemetry: qo.persist.* counters (appends, append_bytes, fsyncs,
-// snapshot_saves, snapshot_entries, recovered_entries, torn_tails,
-// crc_failures, failures) plus qo.persist.{append_us,snapshot_us,
-// recover_us} histograms; LoadAndRecover emits a `persist_recovery`
-// run-log record with full provenance when a global run-log is attached.
+// Telemetry: LoadAndRecover returns RecoveryStats and emits a
+// `persist_recovery` run-log record with full provenance when a global
+// run-log is attached; health() and the breaker_*() totals report the
+// circuit breaker, and every transition emits a `persist_health` record.
+// Appends, snapshots and recovery record into the qo.persist.{append_us,
+// snapshot_us,recover_us} histograms; the qo.persist.{appends,
+// append_bytes,fsyncs} counters are read only by e2ebench's in-process
+// serve replay.
 
 #include <cstdint>
 #include <iosfwd>
@@ -104,8 +107,8 @@ struct PersistOptions {
   PersistBreakerOptions breaker;
 };
 
-// PlanStore health, exported as the qo.persist.health gauge (0/1/2) and
-// the serve `health` verb:
+// PlanStore health, reported by PlanStore::health() and the serve `ping`
+// and `health` verbs:
 //   kHealthy  — writes flow;
 //   kReadOnly — first write failure: appends/snapshots are refused while
 //               the breaker counts down to a probe; reads (the already-
@@ -203,7 +206,7 @@ class PlanStore {
   // damage point. Returns a ParseResult error only when a file exists but
   // its header is unreadable (not our file / unsupported version) — the
   // caller should not silently ignore that. Emits a `persist_recovery`
-  // run-log record and qo.persist.* counters either way.
+  // run-log record either way.
   //
   // Call before AttachTo: recovery inserts must not be re-appended.
   ParseResult<RecoveryStats> LoadAndRecover(PlanCache* cache);
@@ -214,7 +217,7 @@ class PlanStore {
 
   // Current circuit-breaker state. Transitions are logged to stderr
   // (one-shot per store, on the first trip) and to the run log as
-  // `persist_health` records; the qo.persist.health gauge mirrors it.
+  // `persist_health` records.
   PersistHealth health() const { return health_; }
 
   // True while unhealthy (read-only or open): writes are currently being

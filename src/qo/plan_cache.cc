@@ -10,10 +10,6 @@ namespace aqo {
 
 namespace {
 
-obs::Counter& CounterRef(const char* name) {
-  return obs::Registry::Get().GetCounter(name);
-}
-
 // Approximate resident size of one entry: the plan's heap payload plus a
 // flat estimate of the list node + hash-map slot bookkeeping.
 size_t PlanBytes(const CachedPlan& plan) {
@@ -37,8 +33,6 @@ PlanCache::PlanCache(const PlanCacheOptions& options) : options_(options) {
 }
 
 bool PlanCache::Lookup(const Hash128& key, CachedPlan* out) {
-  static obs::Counter& hits = CounterRef("qo.plan_cache.hits");
-  static obs::Counter& misses = CounterRef("qo.plan_cache.misses");
   static obs::Histogram& probe_us =
       obs::Registry::Get().GetHistogram("qo.plan_cache.probe_us");
   obs::ScopedLatencyTimer timer(probe_us);
@@ -46,21 +40,16 @@ bool PlanCache::Lookup(const Hash128& key, CachedPlan* out) {
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    misses.Increment();
     misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   if (out != nullptr) *out = it->second->plan;
-  hits.Increment();
   hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 void PlanCache::Insert(const Hash128& key, const CachedPlan& plan) {
-  static obs::Counter& inserts = CounterRef("qo.plan_cache.inserts");
-  static obs::Counter& evictions = CounterRef("qo.plan_cache.evictions");
-  static obs::Counter& dropped = CounterRef("qo.plan_cache.insert_dropped");
   static obs::Histogram& insert_us =
       obs::Registry::Get().GetHistogram("qo.plan_cache.insert_us");
   obs::ScopedLatencyTimer timer(insert_us);
@@ -71,10 +60,7 @@ void PlanCache::Insert(const Hash128& key, const CachedPlan& plan) {
   // and oversize paths count too; the service performs inserts serially
   // in representative order, keeping the ordinal deterministic.
   uint64_t attempt = insert_attempts_.fetch_add(1, std::memory_order_relaxed);
-  if (FaultInjector::Get().ShouldFail("plan_cache.insert", attempt)) {
-    dropped.Increment();
-    return;
-  }
+  if (FaultInjector::Get().ShouldFail("plan_cache.insert", attempt)) return;
   size_t bytes = PlanBytes(plan);
   if (bytes > shard_budget_) return;  // would evict an entire shard
   Shard& shard = ShardFor(key);
@@ -92,13 +78,11 @@ void PlanCache::Insert(const Hash128& key, const CachedPlan& plan) {
       shard.bytes -= victim.bytes;
       shard.index.erase(victim.key);
       shard.lru.pop_back();
-      evictions.Increment();
       evictions_.fetch_add(1, std::memory_order_relaxed);
     }
     shard.lru.push_front(Entry{key, plan, bytes});
     shard.index.emplace(key, shard.lru.begin());
     shard.bytes += bytes;
-    inserts.Increment();
     inserts_.fetch_add(1, std::memory_order_relaxed);
   }
   // Write-through hook, outside the shard lock so the observer may do

@@ -19,11 +19,12 @@
 // Byte accounting is per shard (budget divided evenly), so eviction
 // decisions never need a global lock.
 //
-// Telemetry: qo.plan_cache.{hits,misses,inserts,evictions} counters fire
-// on the corresponding events; LogConfig/LogStats emit
-// `plan_cache_config` / `plan_cache_stats` records to the global run log
-// so a JSONL consumer can recover the cache configuration and hit rate
-// of any run (the CI smoke asserts on them).
+// Telemetry: GetStats() holds this cache's hit, miss, insert and eviction
+// totals; LogConfig/LogStats emit `plan_cache_config` /
+// `plan_cache_stats` records to the global run log so a JSONL consumer
+// can recover the cache configuration and hit rate of any run (the CI
+// smoke asserts on them). Probes and inserts also record into the
+// qo.plan_cache.{probe_us,insert_us} histograms.
 
 #include <atomic>
 #include <cstdint>
@@ -136,8 +137,7 @@ class PlanCache {
   std::vector<std::unique_ptr<Shard>> shards_;
   InsertObserver insert_observer_;
 
-  // Per-instance totals (the qo.plan_cache.* obs counters are
-  // process-wide and would alias across caches).
+  // Per-instance totals, read through GetStats().
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> inserts_{0};

@@ -149,12 +149,12 @@ QohOptimizerResult SimulatedAnnealingQohOptimizer(
       best.sequence = current;
       best.decomposition = plan.decomposition;
     }
-    double temperature = options.sa.initial_temperature;
+    double temperature = kQohSaInitialTemperature;
     for (int it = 0; it < options.sa.iterations; ++it) {
       // Before the move draw: the guard never consumes RNG state, so a
       // capped trajectory is an exact prefix of the uncapped one.
       if (guard.ShouldStop(best.evaluations)) break;
-      temperature *= options.sa.cooling;
+      temperature *= kQohSaCooling;
       JoinSequence candidate = current;
       if (static_cast<size_t>(n) - lo < 2) break;
       size_t a = static_cast<size_t>(

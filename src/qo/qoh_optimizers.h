@@ -17,10 +17,13 @@ namespace aqo {
 // QO_H simulated-annealing knobs, nested in QohOptimizerOptions.
 struct QohSaKnobs {
   int iterations = 3000;
-  double initial_temperature = 5.0;  // log2-cost units
   int restarts = 2;
-  double cooling = 0.998;
 };
+
+// SimulatedAnnealingQohOptimizer's schedule: the initial temperature (in
+// log2-cost units) and the geometric cooling factor applied per move.
+inline constexpr double kQohSaInitialTemperature = 5.0;
+inline constexpr double kQohSaCooling = 0.998;
 
 // The full QO_H optimizer knob surface — the QO_H analogue of
 // OptimizerOptions. Every QO_H heuristic reads the knobs it understands

@@ -75,8 +75,6 @@ void ClampAnnealing(Options* options) {
 
 std::vector<KnobSpec> AnnealingKnobs() {
   return {{"--sa-iterations=", "moves per restart"},
-          {"--sa-temperature=", "initial temperature (log2-cost units)"},
-          {"--sa-cooling=", "geometric cooling factor"},
           {"--sa-restarts=", "independent annealing runs"}};
 }
 
@@ -211,9 +209,7 @@ const OptimizerRegistry& OptimizerRegistry::Qon() {
          .description = "genetic algorithm (knobs: options.ga)",
          .deterministic = false,
          .knobs = {{"--ga-population=", "individuals per generation"},
-                   {"--ga-generations=", "generations evolved"},
-                   {"--ga-crossover=", "crossover probability"},
-                   {"--ga-mutation=", "mutation probability"}},
+                   {"--ga-generations=", "generations evolved"}},
          .run = kWithRng<&GeneticOptimizer>,
          .min_n = 2, .max_n = kNoRelationCeiling,
          .estimate = [](const OptimizerOptions& options, int) {

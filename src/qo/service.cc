@@ -74,8 +74,6 @@ std::vector<typename Traits::Item> RunBatch(
   AQO_CHECK(entry != nullptr)
       << "unknown " << Traits::kFamily << " optimizer: " << options.optimizer;
   PlanCache* cache = options.cache;
-  static obs::Counter& failures =
-      obs::Registry::Get().GetCounter("qo.service.failures");
 
   std::vector<typename Traits::Item> out(instances.size());
   for (size_t i = 0; i < instances.size(); ++i) {
@@ -114,7 +112,6 @@ std::vector<typename Traits::Item> RunBatch(
         plan = Traits::ToPlan(result);
         log = buffer.Take();
       } catch (const std::exception&) {
-        failures.Increment();
         plan = CachedPlan{};
         plan.status = PlanStatus::kFailed;
       }
@@ -254,15 +251,18 @@ Hash128 QonPlanCacheKey(const Hash128& fingerprint, std::string_view optimizer,
   acc.Add(static_cast<uint64_t>(options.samples));
   acc.Add(static_cast<uint64_t>(options.restarts));
   acc.Add(static_cast<uint64_t>(options.sa.iterations));
-  acc.AddDouble(options.sa.initial_temperature);
-  acc.AddDouble(options.sa.cooling);
+  // The annealing and genetic constants keep the slots of the knobs they
+  // replaced, as the retired bnb_node_limit keeps its slot below, so old
+  // keys stay valid.
+  acc.AddDouble(kSaInitialTemperature);
+  acc.AddDouble(kSaCooling);
   acc.Add(static_cast<uint64_t>(options.sa.restarts));
   acc.Add(static_cast<uint64_t>(options.ga.population));
   acc.Add(static_cast<uint64_t>(options.ga.generations));
-  acc.AddDouble(options.ga.crossover_rate);
-  acc.AddDouble(options.ga.mutation_rate);
-  acc.Add(static_cast<uint64_t>(options.ga.tournament));
-  acc.Add(static_cast<uint64_t>(options.ga.elites));
+  acc.AddDouble(kGaCrossoverRate);
+  acc.AddDouble(kGaMutationRate);
+  acc.Add(static_cast<uint64_t>(kGaTournament));
+  acc.Add(static_cast<uint64_t>(kGaElites));
   // The slot of the retired bnb_node_limit knob: 0 keeps old keys valid.
   acc.Add(uint64_t{0});
   // Deterministic eval cap: different caps yield different (valid)
@@ -286,8 +286,9 @@ Hash128 QohPlanCacheKey(const Hash128& fingerprint, std::string_view optimizer,
   acc.Add(static_cast<uint64_t>(
       static_cast<int64_t>(options.sentinel_first)));
   acc.Add(static_cast<uint64_t>(options.sa.iterations));
-  acc.AddDouble(options.sa.initial_temperature);
-  acc.AddDouble(options.sa.cooling);
+  // The annealing constants keep their knobs' slots (see QonPlanCacheKey).
+  acc.AddDouble(kQohSaInitialTemperature);
+  acc.AddDouble(kQohSaCooling);
   acc.Add(static_cast<uint64_t>(options.sa.restarts));
   // See QonPlanCacheKey: the eval cap shapes the cached plan bits.
   acc.Add(options.budget.max_evaluations);

@@ -18,8 +18,8 @@
 //     label step's fingerprint, and the canonical instance is built only
 //     on a miss.
 //   * Cache probes, inserts and run-log records follow instance order, so
-//     the qo.plan_cache.* counter totals and the run-log record stream of
-//     a batch are deterministic too.
+//     the cache's GetStats() totals and the run-log record stream of a
+//     batch are deterministic too.
 //
 // Sequences returned to the caller are mapped back from canonical labels
 // through the instance's own relabeling permutation; both cost models

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
@@ -23,12 +22,6 @@ LogDouble QohGapInstance::GBound(double epsilon) const {
 QohGapInstance ReduceTwoThirdsCliqueToQoh(const Graph& g,
                                           const QohGapParams& params) {
   obs::TraceSpan span("reduce.clique_to_qoh", "span");
-  static obs::Counter& calls =
-      obs::Registry::Get().GetCounter("reduce.clique_to_qoh.calls");
-  static obs::Counter& relations =
-      obs::Registry::Get().GetCounter("reduce.clique_to_qoh.relations");
-  calls.Increment();
-  relations.Add(static_cast<uint64_t>(g.NumVertices()) + 1);  // + sentinel R_0
   int n = g.NumVertices();
   AQO_CHECK(n >= 9 && n % 3 == 0) << "f_H needs n >= 9 divisible by 3";
   AQO_CHECK(params.log2_alpha >= 2.0) << "need alpha >= 4";

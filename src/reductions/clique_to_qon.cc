@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
@@ -42,12 +41,6 @@ LogDouble QonGapInstance::CertifiedLowerBound(int omega_upper) const {
 
 QonGapInstance ReduceCliqueToQon(const Graph& g, const QonGapParams& params) {
   obs::TraceSpan span("reduce.clique_to_qon", "span");
-  static obs::Counter& calls =
-      obs::Registry::Get().GetCounter("reduce.clique_to_qon.calls");
-  static obs::Counter& relations =
-      obs::Registry::Get().GetCounter("reduce.clique_to_qon.relations");
-  calls.Increment();
-  relations.Add(static_cast<uint64_t>(g.NumVertices()));
   AQO_CHECK(params.log2_alpha >= 2.0) << "need alpha >= 4";
   AQO_CHECK(0.0 < params.d && params.d < params.c && params.c <= 1.0);
   int n = g.NumVertices();

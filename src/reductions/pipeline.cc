@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sat/dpll.h"
 #include "util/check.h"
@@ -12,9 +11,6 @@ namespace aqo {
 SatToQonComposition ComposeSatToQon(const CnfFormula& formula,
                                     const SatToQonOptions& options) {
   obs::TraceSpan span("compose.sat_to_qon", "span");
-  static obs::Counter& calls =
-      obs::Registry::Get().GetCounter("compose.sat_to_qon.calls");
-  calls.Increment();
   AQO_CHECK(formula.IsThreeCnf());
   AQO_CHECK(formula.NumClauses() >= 1);
   SatToQonComposition out;
@@ -59,9 +55,6 @@ SatToQonComposition ComposeSatToQon(const CnfFormula& formula,
 SatToQohComposition ComposeSatToQoh(const CnfFormula& formula,
                                     const SatToQohOptions& options) {
   obs::TraceSpan span("compose.sat_to_qoh", "span");
-  static obs::Counter& calls =
-      obs::Registry::Get().GetCounter("compose.sat_to_qoh.calls");
-  calls.Increment();
   AQO_CHECK(formula.IsThreeCnf());
   AQO_CHECK(formula.NumClauses() >= 1);
   SatToQohComposition out;

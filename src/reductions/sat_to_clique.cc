@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
@@ -13,9 +12,6 @@ namespace {
 SatToCliqueResult BuildWithPadding(const CnfFormula& formula,
                                    int num_universal) {
   obs::TraceSpan span("reduce.sat_to_clique", "span");
-  static obs::Counter& calls =
-      obs::Registry::Get().GetCounter("reduce.sat_to_clique.calls");
-  calls.Increment();
   SatToCliqueResult result;
   result.num_vars = formula.num_vars();
   result.num_clauses = formula.NumClauses();
@@ -29,12 +25,6 @@ SatToCliqueResult BuildWithPadding(const CnfFormula& formula,
   for (int p = 0; p < num_universal; ++p) {
     for (int v = 0; v < n0 + p; ++v) g.AddEdge(n0 + p, v);
   }
-  static obs::Counter& vertices =
-      obs::Registry::Get().GetCounter("reduce.sat_to_clique.vertices");
-  static obs::Counter& edges =
-      obs::Registry::Get().GetCounter("reduce.sat_to_clique.edges");
-  vertices.Add(static_cast<uint64_t>(g.NumVertices()));
-  edges.Add(static_cast<uint64_t>(g.NumEdges()));
   result.graph = std::move(g);
   result.vc = std::move(vc);
   return result;

@@ -201,8 +201,15 @@ TEST(QohCostEvaluator, BitIdenticalToOptimalDecomposition) {
   }
 }
 
+// The counter increments `fn` makes on the calling thread.
+template <typename Fn>
+obs::CounterSnapshot CountersOf(Fn&& fn) {
+  obs::ThreadCounterTally tally;
+  fn();
+  return tally.Snapshot();
+}
+
 TEST(QohCostEvaluator, ReplaysDecompCountersExactly) {
-  auto& reg = obs::Registry::Get();
   for (uint64_t seed = 0; seed < 50; ++seed) {
     Rng rng(5000 + seed);
     int n = 3 + static_cast<int>(seed % 7);
@@ -210,25 +217,22 @@ TEST(QohCostEvaluator, ReplaysDecompCountersExactly) {
     JoinSequence seq = IdentitySequence(n);
     rng.Shuffle(&seq);
 
-    obs::CounterSnapshot b0 = reg.Counters();
-    QohPlan naive = OptimalDecomposition(inst, seq);
-    obs::CounterSnapshot a0 = reg.Counters();
+    QohPlan naive;
+    obs::CounterSnapshot naive_counters =
+        CountersOf([&] { naive = OptimalDecomposition(inst, seq); });
+    ASSERT_FALSE(naive_counters.empty()) << "seed=" << seed;
 
     QohCostEvaluator eval(inst);
-    obs::CounterSnapshot b1 = reg.Counters();
-    const QohPlan& fast = eval.Evaluate(seq);
-    obs::CounterSnapshot a1 = reg.Counters();
-
-    ASSERT_EQ(obs::Registry::Delta(b0, a0), obs::Registry::Delta(b1, a1))
+    const QohPlan* fast = nullptr;
+    obs::CounterSnapshot fast_counters =
+        CountersOf([&] { fast = &eval.Evaluate(seq); });
+    ASSERT_EQ(naive_counters, fast_counters)
         << "qoh.decomp.* counter deltas diverged, seed=" << seed;
-    ASSERT_EQ(fast.feasible, naive.feasible);
+    ASSERT_EQ(fast->feasible, naive.feasible);
 
     // A cache-hit on the identical sequence must replay the same logical
     // counter amounts again (the naive path would have recounted them).
-    obs::CounterSnapshot b2 = reg.Counters();
-    eval.Evaluate(seq);
-    obs::CounterSnapshot a2 = reg.Counters();
-    ASSERT_EQ(obs::Registry::Delta(b0, a0), obs::Registry::Delta(b2, a2))
+    ASSERT_EQ(naive_counters, CountersOf([&] { eval.Evaluate(seq); }))
         << "cache-hit replay diverged, seed=" << seed;
   }
 }
@@ -271,18 +275,17 @@ TEST(QohInstance, ExtendSizeMatchesNaiveFold) {
 // returns the feasibility of each plan.
 std::vector<bool> ExpectNaiveAlongPlans(const QohInstance& inst,
                                         const std::vector<JoinSequence>& plans) {
-  auto& reg = obs::Registry::Get();
   QohCostEvaluator eval(inst);
   std::vector<bool> feasible;
   for (size_t i = 0; i < plans.size(); ++i) {
     SCOPED_TRACE("plan " + std::to_string(i));
-    obs::CounterSnapshot before = reg.Counters();
-    QohPlan naive = OptimalDecomposition(inst, plans[i]);
-    obs::CounterSnapshot mid = reg.Counters();
-    const QohPlan& fast = eval.Evaluate(plans[i]);
-    obs::CounterSnapshot after = reg.Counters();
-    EXPECT_EQ(obs::Registry::Delta(before, mid),
-              obs::Registry::Delta(mid, after));
+    QohPlan naive;
+    obs::CounterSnapshot naive_counters =
+        CountersOf([&] { naive = OptimalDecomposition(inst, plans[i]); });
+    const QohPlan* fast_plan = nullptr;
+    EXPECT_EQ(naive_counters,
+              CountersOf([&] { fast_plan = &eval.Evaluate(plans[i]); }));
+    const QohPlan& fast = *fast_plan;
     EXPECT_EQ(fast.feasible, naive.feasible);
     if (fast.feasible && naive.feasible) {
       EXPECT_EQ(Bits(fast.cost), Bits(naive.cost));

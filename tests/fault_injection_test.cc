@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/metrics.h"
 #include "qo/plan_cache.h"
 #include "qo/registry.h"
 #include "qo/service.h"
@@ -49,10 +48,6 @@ BatchOptions BaseOptions() {
   return options;
 }
 
-uint64_t CounterValue(const char* name) {
-  return obs::Registry::Get().GetCounter(name).Value();
-}
-
 void ExpectItemBits(const QonBatchItem& want, const QonBatchItem& got,
                     const std::string& label) {
   EXPECT_EQ(want.result.feasible, got.result.feasible) << label;
@@ -74,13 +69,11 @@ TEST_F(FaultInjectionTest, SingleShotFaultFailsOnlyTheVictim) {
   std::vector<QonBatchItem> reference = OptimizeQonBatch(batch, options);
 
   constexpr uint64_t kVictim = 2;
-  uint64_t failures_before = CounterValue("qo.service.failures");
   FaultInjector::Get().Arm("service.item", kVictim, /*times=*/1);
   std::vector<QonBatchItem> got = OptimizeQonBatch(batch, options);
   FaultInjector::Get().Disarm();
 
   // The item fails at its first throw; every sibling is bit-equal.
-  EXPECT_EQ(CounterValue("qo.service.failures") - failures_before, 1u);
   ASSERT_EQ(got.size(), reference.size());
   for (size_t i = 0; i < got.size(); ++i) {
     if (i == kVictim) {
@@ -104,13 +97,10 @@ TEST_F(FaultInjectionTest, PermanentFaultFailsOnlyTheVictim) {
     options.cache = use_cache ? &cache : nullptr;
     std::string label = std::string("cache=") + (use_cache ? "on" : "off");
 
-    uint64_t failures_before = CounterValue("qo.service.failures");
     FaultInjector::Get().Arm("service.item", kVictim, /*times=*/2);
     std::vector<QonBatchItem> got = OptimizeQonBatch(batch, options);
     FaultInjector::Get().Disarm();
 
-    EXPECT_EQ(CounterValue("qo.service.failures") - failures_before, 1u)
-        << label;
     ASSERT_EQ(got.size(), reference.size());
     for (size_t i = 0; i < got.size(); ++i) {
       if (i == kVictim) {
@@ -144,13 +134,11 @@ TEST_F(FaultInjectionTest, DroppedCacheInsertDegradesGracefully) {
 
   PlanCache cache;
   options.cache = &cache;
-  uint64_t dropped_before = CounterValue("qo.plan_cache.insert_dropped");
   // Drop the first insert *attempt* on this cache instance.
   FaultInjector::Get().Arm("plan_cache.insert", /*ordinal=*/0, /*times=*/1);
   std::vector<QonBatchItem> cold = OptimizeQonBatch(batch, options);
   FaultInjector::Get().Disarm();
 
-  EXPECT_EQ(CounterValue("qo.plan_cache.insert_dropped") - dropped_before, 1u);
   EXPECT_EQ(cache.GetStats().inserts, batch.size() - 1);
   ASSERT_EQ(cold.size(), reference.size());
   for (size_t i = 0; i < cold.size(); ++i) {

@@ -1,9 +1,10 @@
-// Tests for the telemetry subsystem (src/obs): the counter registry, the
-// trace slices, the JSON model, and — most importantly — the JSONL
-// run-log schema guard: every record the instrumentation emits must
-// re-parse and carry the keys docs/observability.md promises. If a key
-// here goes missing, downstream tooling reading run-logs breaks; update
-// the doc together with this test.
+// Tests for the telemetry subsystem (src/obs): the counter registry and
+// its per-thread tallies, the trace slices, the JSON model, and — most
+// importantly — the JSONL run-log schema guard: every record the
+// instrumentation emits must re-parse and carry the keys
+// docs/observability.md promises. If a key here goes missing, downstream
+// tooling reading run-logs breaks; update the doc together with this
+// test.
 
 #include <algorithm>
 #include <cmath>
@@ -26,6 +27,7 @@
 #include "qo/qon.h"
 #include "qo/registry.h"
 #include "qo/service.h"
+#include "qo/workloads.h"
 #include "reductions/pipeline.h"
 #include "sat/cnf.h"
 #include "tests/json_reader.h"
@@ -43,56 +45,10 @@ TEST(Metrics, CounterFindOrCreateReturnsStableRef) {
   obs::Counter& a = obs::Registry::Get().GetCounter("test.obs.stable");
   obs::Counter& b = obs::Registry::Get().GetCounter("test.obs.stable");
   EXPECT_EQ(&a, &b);
-  a.Reset();
+  uint64_t before = b.Value();
   a.Increment();
   a.Add(41);
-  EXPECT_EQ(b.Value(), 42u);
-}
-
-TEST(Metrics, SnapshotRoundTrip) {
-  obs::Counter& x = obs::Registry::Get().GetCounter("test.obs.snap.x");
-  obs::Counter& y = obs::Registry::Get().GetCounter("test.obs.snap.y");
-  x.Reset();
-  y.Reset();
-  x.Add(7);
-  y.Add(9);
-  obs::CounterSnapshot snap = obs::Registry::Get().Counters();
-  uint64_t seen_x = 0, seen_y = 0;
-  for (const auto& [name, value] : snap) {
-    if (name == "test.obs.snap.x") seen_x = value;
-    if (name == "test.obs.snap.y") seen_y = value;
-  }
-  EXPECT_EQ(seen_x, 7u);
-  EXPECT_EQ(seen_y, 9u);
-  // Snapshots come back sorted by name: stable record layout.
-  for (size_t i = 1; i < snap.size(); ++i) {
-    EXPECT_LT(snap[i - 1].first, snap[i].first);
-  }
-}
-
-TEST(Metrics, DeltaDropsUnchangedCounters) {
-  obs::Counter& moved = obs::Registry::Get().GetCounter("test.obs.delta.moved");
-  obs::Counter& still = obs::Registry::Get().GetCounter("test.obs.delta.still");
-  moved.Reset();
-  still.Reset();
-  still.Add(5);
-  obs::CounterSnapshot before = obs::Registry::Get().Counters();
-  moved.Add(3);
-  obs::CounterSnapshot delta =
-      obs::Registry::Delta(before, obs::Registry::Get().Counters());
-  uint64_t moved_delta = 0;
-  for (const auto& [name, value] : delta) {
-    EXPECT_NE(name, "test.obs.delta.still");  // zero delta: dropped
-    if (name == "test.obs.delta.moved") moved_delta = value;
-  }
-  EXPECT_EQ(moved_delta, 3u);
-}
-
-TEST(Metrics, GaugeHoldsLastValue) {
-  obs::Gauge& g = obs::Registry::Get().GetGauge("test.obs.gauge");
-  g.Set(2.5);
-  g.Set(-1.25);
-  EXPECT_DOUBLE_EQ(g.Value(), -1.25);
+  EXPECT_EQ(b.Value() - before, 42u);
 }
 
 // --- JSON model ------------------------------------------------------------
@@ -312,6 +268,91 @@ TEST(ThreadCounterTally, NestedTallyFoldsIntoParent) {
   auto outer_snapshot = outer.Snapshot();
   ASSERT_EQ(outer_snapshot.size(), 1u);
   EXPECT_EQ(outer_snapshot[0].second, 10u);  // own 3 + folded inner 7
+}
+
+TEST(ThreadCounterTally, SnapshotIsNameSorted) {
+  obs::Counter& y = obs::Registry::Get().GetCounter("test.tally.sorted.y");
+  obs::Counter& x = obs::Registry::Get().GetCounter("test.tally.sorted.x");
+  obs::ThreadCounterTally tally;
+  y.Add(9);
+  x.Add(7);
+  // Snapshots come back sorted by name: a stable record layout.
+  EXPECT_EQ(tally.Snapshot(),
+            (obs::CounterSnapshot{{"test.tally.sorted.x", 7},
+                                  {"test.tally.sorted.y", 9}}));
+}
+
+// The `counters` of the one optimizer_run record in `jsonl`.
+obs::CounterSnapshot RunRecordCounters(const std::string& jsonl) {
+  obs::CounterSnapshot counters;
+  int runs = 0;
+  std::istringstream lines(jsonl);
+  for (std::string line; std::getline(lines, line);) {
+    auto parsed = ParseJson(line);
+    EXPECT_TRUE(parsed.has_value()) << "unparseable JSONL line: " << line;
+    if (!parsed.has_value() ||
+        parsed->Find("type")->AsString() != "optimizer_run") {
+      continue;
+    }
+    ++runs;
+    for (const auto& [name, value] : parsed->Find("counters")->members()) {
+      counters.emplace_back(name, value.AsUint());
+    }
+  }
+  EXPECT_EQ(runs, 1);
+  return counters;
+}
+
+// A counter leaves the process only in an optimizer_run record, so no
+// counter may move outside a run: a one-instance batch that misses its
+// cache tallies exactly the counters of the record it emits, and the same
+// batch again, now a hit, tallies nothing and emits no record.
+template <typename Instance, typename Item>
+void ExpectBatchCountsOnlyItsRun(
+    std::vector<Item> (*optimize)(const std::vector<Instance>&,
+                                  const BatchOptions&),
+    const Instance& inst, const std::string& optimizer) {
+  PlanCache cache;
+  BatchOptions options;
+  options.optimizer = optimizer;
+  options.cache = &cache;
+  const std::vector<Instance> batch = {inst};
+
+  std::ostringstream sink;
+  obs::RunLog::AttachGlobal(&sink);
+  obs::CounterSnapshot miss;
+  obs::CounterSnapshot hit;
+  bool miss_from_cache = true;
+  bool hit_from_cache = false;
+  {
+    obs::ThreadCounterTally tally;
+    miss_from_cache = optimize(batch, options).front().from_cache;
+    miss = tally.Snapshot();
+  }
+  const std::string miss_log = sink.str();
+  {
+    obs::ThreadCounterTally tally;
+    hit_from_cache = optimize(batch, options).front().from_cache;
+    hit = tally.Snapshot();
+  }
+  obs::RunLog::CloseGlobal();
+
+  EXPECT_FALSE(miss_from_cache);
+  EXPECT_FALSE(miss.empty());
+  EXPECT_EQ(miss, RunRecordCounters(miss_log));
+  EXPECT_TRUE(hit_from_cache);
+  EXPECT_EQ(hit, obs::CounterSnapshot{});
+  EXPECT_EQ(sink.str(), miss_log);
+}
+
+TEST(ThreadCounterTally, QonBatchCountsOnlyItsRun) {
+  ExpectBatchCountsOnlyItsRun(&OptimizeQonBatch, SmallInstance(), "dp");
+}
+
+TEST(ThreadCounterTally, QohBatchCountsOnlyItsRun) {
+  Rng rng(17);
+  ExpectBatchCountsOnlyItsRun(&OptimizeQohBatch,
+                              RandomQohWorkload(6, &rng), "ii");
 }
 
 // --- Run-log buffering for sweep-order stability ----------------------------

@@ -553,9 +553,6 @@ TEST(PlanStoreBreaker, TripRefuseProbeReopenRepairsTheJournal) {
   EXPECT_TRUE(store.failed());
   EXPECT_EQ(store.breaker_trips(), 1u);
   EXPECT_NE(store.error().find("injected crash"), std::string::npos);
-  EXPECT_DOUBLE_EQ(
-      obs::Registry::Get().GetGauge("qo.persist.health").Value(),
-      static_cast<double>(PersistHealth::kReadOnly));
 
   // The next backoff-1 writes are refused; the store stays read-only and
   // never touches the (torn) journal.
@@ -577,9 +574,6 @@ TEST(PlanStoreBreaker, TripRefuseProbeReopenRepairsTheJournal) {
   EXPECT_TRUE(store.error().empty());
   EXPECT_EQ(store.breaker_probes(), 1u);
   EXPECT_EQ(store.breaker_reopens(), 1u);
-  EXPECT_DOUBLE_EQ(
-      obs::Registry::Get().GetGauge("qo.persist.health").Value(),
-      static_cast<double>(PersistHealth::kHealthy));
 
   // Post-reopen appends flow normally again.
   const int final_key = next;
@@ -642,9 +636,6 @@ TEST(PlanStoreBreaker, FailedProbeEscalatesToOpenThenRecovers) {
   EXPECT_EQ(store.breaker_trips(), 2u);
   EXPECT_EQ(store.breaker_probes(), 1u);
   EXPECT_EQ(store.breaker_reopens(), 0u);
-  EXPECT_DOUBLE_EQ(
-      obs::Registry::Get().GetGauge("qo.persist.health").Value(),
-      static_cast<double>(PersistHealth::kOpen));
 
   // The longer second window elapses; the healthy probe closes the loop.
   for (uint64_t r = 0; r + 1 < backoff2; ++r) {

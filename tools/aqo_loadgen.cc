@@ -9,10 +9,8 @@
 //     exactly that).
 //   * drive (--serve=<path-to-aqo_serve> [--serve-args="..."]): forks the
 //     server over a pipe pair, sends the same stream with open-loop
-//     pacing (--pace-ms= between arrivals, or --burst=<k>/<gap-ms> for
-//     back-to-back groups of k with a gap between groups — both
-//     independent of response times), reads responses, and records
-//     per-request round-trip latency
+//     pacing (--pace-ms= between arrivals, independent of response
+//     times), reads responses, and records per-request round-trip latency
 //     into the loadgen.request_us histogram — print percentiles with
 //     --latency-table, or export everything with --json-out.
 //
@@ -175,49 +173,16 @@ Workload BuildWorkload(const bench::Flags& flags) {
   return workload;
 }
 
-// Burst pacing (--burst=<k>/<gap-ms>): arrivals leave in back-to-back
-// groups of k with a gap-ms pause between groups — the overload shape the
-// load governor is built for. Pacing only shifts *when* frames are sent;
-// the frame byte stream itself is unchanged, so a burst run and a smooth
-// run of the same seed produce identical request bytes (and therefore
-// identical shed/degrade decisions from the slot-indexed governor).
-struct BurstSpec {
-  int k = 0;  // 0 = bursting off
-  double gap_ms = 0.0;
-};
-
-BurstSpec ParseBurst(const std::string& spec) {
-  BurstSpec burst;
-  if (spec.empty()) return burst;
-  size_t slash = spec.find('/');
-  burst.k = std::atoi(spec.c_str());
-  burst.gap_ms =
-      slash == std::string::npos ? 0.0 : std::atof(spec.c_str() + slash + 1);
-  if (burst.k <= 0) {
-    std::cerr << "error: --burst expects <k>/<gap-ms> with k >= 1, got '"
-              << spec << "'\n";
-    std::exit(2);
-  }
-  return burst;
-}
-
-// Sleeps after frame `index` according to burst/pace settings.
-void PaceAfter(size_t index, const BurstSpec& burst, double pace_ms) {
-  if (burst.k > 0) {
-    if ((index + 1) % static_cast<size_t>(burst.k) == 0 &&
-        burst.gap_ms > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(burst.gap_ms));
-    }
-  } else if (pace_ms > 0) {
+// Sleeps --pace-ms= after each frame (0 = back to back).
+void PaceAfter(double pace_ms) {
+  if (pace_ms > 0) {
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(pace_ms));
   }
 }
 
 int Drive(const Workload& workload, const std::string& serve_path,
-          const std::string& serve_args, double pace_ms,
-          const BurstSpec& burst) {
+          const std::string& serve_args, double pace_ms) {
   int to_server[2];
   int from_server[2];
   AQO_CHECK(::pipe(to_server) == 0 && ::pipe(from_server) == 0);
@@ -253,16 +218,13 @@ int Drive(const Workload& workload, const std::string& serve_path,
     for (size_t i = 0; i < workload.frames.size(); ++i) {
       sent[i] = Clock::now();
       if (!WriteFrameFd(to_server[1], workload.frames[i])) break;
-      PaceAfter(i, burst, pace_ms);
+      PaceAfter(pace_ms);
     }
     ::close(to_server[1]);  // EOF → graceful server shutdown
   });
 
   obs::Histogram& latency =
       obs::Registry::Get().GetHistogram("loadgen.request_us");
-  obs::Counter& responses =
-      obs::Registry::Get().GetCounter("loadgen.responses");
-  obs::Counter& errors = obs::Registry::Get().GetCounter("loadgen.errors");
   std::string payload;
   size_t index = 0;
   while (index < workload.frames.size()) {
@@ -274,8 +236,6 @@ int Drive(const Workload& workload, const std::string& serve_path,
                                                               sent[index])
             .count());
     latency.Record(us);
-    responses.Increment();
-    if (payload.compare(0, 4, "err ") == 0) errors.Increment();
     ++index;
   }
   writer.join();
@@ -300,10 +260,8 @@ int Main(int argc, char** argv) {
   Workload workload = BuildWorkload(flags);
   std::string serve_path = flags.GetString("serve");
   double pace_ms = flags.GetDouble("pace-ms", 0.0);
-  BurstSpec burst = ParseBurst(flags.GetString("burst"));
   if (!serve_path.empty()) {
-    return Drive(workload, serve_path, flags.GetString("serve-args"), pace_ms,
-                 burst);
+    return Drive(workload, serve_path, flags.GetString("serve-args"), pace_ms);
   }
 
   std::string out_path = flags.GetString("out");
@@ -318,9 +276,9 @@ int Main(int argc, char** argv) {
   std::ostream& out = out_path.empty() ? std::cout : file;
   for (size_t i = 0; i < workload.frames.size(); ++i) {
     WriteFrame(out, workload.frames[i]);
-    if (burst.k > 0 || pace_ms > 0) {
+    if (pace_ms > 0) {
       out.flush();
-      PaceAfter(i, burst, pace_ms);
+      PaceAfter(pace_ms);
     }
   }
   out.flush();

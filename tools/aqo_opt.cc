@@ -1,8 +1,7 @@
 // aqo_opt — join-order optimizer CLI.
 //
 // Reads a QO_N instance (library text format, see io/serialization.h) from
-// stdin and optimizes it with every optimizer named in --optimizers=
-// (--algo= is an alias):
+// stdin and optimizes it with every optimizer named in --optimizers=:
 //
 //   aqo_gen --kind=random --n=14 | aqo_opt --optimizers=dp
 //   aqo_gen --kind=gap-no --n=60 | aqo_opt --optimizers=greedy,ii,sa
@@ -62,9 +61,8 @@ int Main(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   bench::RunLogSession session(flags, "aqo_opt", /*default_seed=*/1);
 
-  // --optimizers= takes precedence; --algo= is the historical alias.
-  std::string def = flags.GetString("algo", "dp,greedy,ii");
-  std::vector<std::string> names = bench::SelectedQonOptimizersOrDie(flags, def);
+  std::vector<std::string> names =
+      bench::SelectedQonOptimizersOrDie(flags, "dp,greedy,ii");
 
   // --in=<file> reads the instance from a file instead of stdin. Malformed
   // input is a structured error (ParseResult), not an abort.

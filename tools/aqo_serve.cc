@@ -46,10 +46,14 @@
 // deadline_exceeded — such plans are never cached. --budget-evals= is the
 // deterministic analogue and IS cacheable (docs/robustness.md).
 //
-// Telemetry: qo.serve.* counters, the qo.serve.request_us histogram and
-// its qo.serve.parse_us part (with a serve.parse trace slice), qo.persist.*
-// for storage, plus --json-out/--trace-out/--latency-table from the
-// shared harness flags.
+// Telemetry: the qo.serve.request_us histogram (one sample per frame,
+// timed from the return of FrameReader::Next, after any resync frame is
+// written, through the periodic-snapshot check) and its qo.serve.parse_us
+// part (with a serve.parse trace slice); the `ping`/`health` verbs and
+// the shutdown stderr line report the governor, store and cache totals.
+// --json-out/--trace-out/--latency-table come from the shared harness
+// flags; with --json-out each computed request also emits its
+// `optimizer_run` record.
 
 #include <algorithm>
 #include <csignal>
@@ -165,10 +169,6 @@ std::string ServeFamily(const std::string& id, std::string_view family,
                         const std::string& optimizer,
                         std::string_view body, const ServerConfig& config,
                         PlanCache* cache, LoadGovernor* governor) {
-  static obs::Counter& rejects =
-      obs::Registry::Get().GetCounter("qo.serve.admission_rejects");
-  static obs::Counter& cache_hits =
-      obs::Registry::Get().GetCounter("qo.serve.cache_hits");
   static obs::Histogram& parse_us =
       obs::Registry::Get().GetHistogram("qo.serve.parse_us");
   std::ostringstream out;
@@ -195,7 +195,6 @@ std::string ServeFamily(const std::string& id, std::string_view family,
                         admission.entry->name);
   }
   if (!admission.error.empty()) {
-    if (d.tier != OverloadTier::kShed) rejects.Increment();
     out << "err " << id << " " << admission.error;
     return out.str();
   }
@@ -204,7 +203,6 @@ std::string ServeFamily(const std::string& id, std::string_view family,
   batch.push_back(std::move(inst));
   auto items = Family::Optimize(batch, options);
   const auto& item = items.front();
-  if (item.from_cache) cache_hits.Increment();
   out << "ok " << id << " " << family
       << " feasible=" << (item.result.feasible ? 1 : 0)
       << " status=" << PlanStatusName(item.result.status)
@@ -372,10 +370,6 @@ int Main(int argc, char** argv) {
   sigaction(SIGTERM, &sa, nullptr);
   sigaction(SIGINT, &sa, nullptr);
 
-  static obs::Counter& requests =
-      obs::Registry::Get().GetCounter("qo.serve.requests");
-  static obs::Counter& errors =
-      obs::Registry::Get().GetCounter("qo.serve.errors");
   static obs::Histogram& request_us =
       obs::Registry::Get().GetHistogram("qo.serve.request_us");
 
@@ -402,10 +396,6 @@ int Main(int argc, char** argv) {
       break;
     }
     if (frames.resynced()) {
-      static obs::Counter& resyncs =
-          obs::Registry::Get().GetCounter("qo.serve.frame_resyncs");
-      resyncs.Increment();
-      errors.Increment();
       std::ostringstream garbage;
       garbage << "err ? parse: resynchronized after "
               << frames.last_skipped() << " bytes of frame garbage";
@@ -413,7 +403,6 @@ int Main(int argc, char** argv) {
       std::cout.flush();
     }
     obs::ScopedLatencyTimer timer(request_us);
-    requests.Increment();
     // First line: "<verb> <id> [tokens]"; the rest is the body.
     size_t eol = payload.find('\n');
     std::string head =
@@ -498,7 +487,6 @@ int Main(int argc, char** argv) {
     } else {
       response = "err ? bad request header: " + head;
     }
-    if (response.compare(0, 4, "err ") == 0) errors.Increment();
     WriteFrame(std::cout, response);
     std::cout.flush();
     if (store != nullptr && config.snapshot_every > 0 &&
