@@ -9,18 +9,8 @@
 #include <string>
 
 #include "io/framing.h"
+#include "io/serve_request.h"
 #include "util/check.h"
-
-namespace {
-
-// The serve loop's validator (tools/aqo_serve.cc).
-bool LooksLikeVerb(const std::string& payload) {
-  return payload.rfind("req ", 0) == 0 || payload.rfind("ping ", 0) == 0 ||
-         payload.rfind("health ", 0) == 0 ||
-         payload.rfind("snapshot ", 0) == 0;
-}
-
-}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // Resync slides one byte at a time (O(garbage^2) worst case); the cap
@@ -39,7 +29,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
 
   std::istringstream is(bytes);
-  aqo::FrameReader reader(is, LooksLikeVerb);
+  // The serve loop's validator.
+  aqo::FrameReader reader(is, aqo::StartsWithServeVerb);
   std::string payload;
   std::string error;
   uint64_t consumed = 0;

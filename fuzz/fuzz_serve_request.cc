@@ -1,27 +1,30 @@
-// Fuzz target: the request path of tools/aqo_serve.cc. The input is read
-// as a QO_N or QO_H instance body (io/serialization.h), and every instance
-// that parses goes where a served request goes, for every registry name
-// and alias the server lists: Admit (qo/overload.h), once with the load
-// governor disarmed and once through a governor armed with small
-// capacities, then a one-instance OptimizeQonBatch / OptimizeQohBatch
-// (qo/service.h) through one shared PlanCache. No input may abort.
+// Fuzz target: aqo_serve's request path, entered where the server enters
+// it: SplitServeFrame (io/serve_request.h) reads the verb and id, and
+// ServeRequest the rest of the header; it parses the body, admits it,
+// runs a one-instance batch and encodes the response. An
+// input that starts with `req ` is served unchanged, so the header
+// grammar is fuzzed too; any other input is a body, served as
+// `req f optimizer=<name>` plus the body for every registry name and
+// alias of its family. Each request runs with the load governor disarmed
+// and again armed with small capacities, through one shared PlanCache. No
+// input may abort, and every response is `ok` or `err`.
 //
-// Two bounds keep a run short without skipping any stage. Every optimizer
-// run is capped at kMaxEvaluations cost evaluations. An entry with a
-// relation ceiling (exhaustive, dp, cout, bnb: they grow as n!, 2^n or
-// worse, so an uncapped run at their full domain measures patience, not
-// robustness) optimizes up to kMaxBoundedRelations relations; an entry
-// without one up to kMaxOptimizeRelations, which takes the label step to
-// served sizes and QO_N `ii` past kIiRankedSwapsMinRelations, into its
-// ranked swaps and their integer-regime check. Larger instances are
-// admitted but not optimized; their parse and admission are covered by
-// fuzz_serialization and serve_parse_golden.
+// Every optimizer run is capped at kMaxEvaluations cost evaluations. A
+// requested entry with a relation ceiling (exhaustive, dp, cout, bnb grow
+// as n!, 2^n or worse) is served up to kMaxBoundedRelations relations,
+// and again above its ceiling, where Admit refuses it before any run; one
+// without up to kMaxOptimizeRelations, which takes the label step to
+// served sizes and QO_N `ii` into its ranked swaps (n >= 28) and their
+// integer-regime check. A whole `req ` input names its entry in a header
+// this harness does not read, so it is served up to kMaxBoundedRelations.
+// Larger bodies are left to fuzz_serialization and serve_parse_golden.
 //
 // Corpus: examples/fixtures/serve_request holds one body per probe value
 // (0, +-1, 52, 53, 1023, 1024, -1074, 1e300, +-1.7e308) in each field a
 // request carries a number in: QO_N sizes, selectivities and access costs,
 // QO_H sizes, memory and eta; plus random bodies (QO_N n = 12, QO_H n = 9
-// and 30) and an n = 28 QO_N chain whose log2 values are all integers.
+// and 30), an n = 28 QO_N chain whose log2 values are all integers, and
+// two whole requests (req_*.txt) that seed the header grammar.
 
 #include <cstdint>
 #include <sstream>
@@ -30,9 +33,7 @@
 #include <vector>
 
 #include "io/serialization.h"
-#include "qo/overload.h"
-#include "qo/plan_cache.h"
-#include "qo/service.h"
+#include "io/serve_request.h"
 #include "util/check.h"
 
 namespace {
@@ -59,71 +60,82 @@ std::vector<std::string> RequestNames(const Registry& registry) {
 
 // One small cache for the whole run, so probes hit and inserts evict.
 aqo::PlanCache& SharedCache() {
-  static aqo::PlanCache cache([] {
-    aqo::PlanCacheOptions options;
-    options.byte_budget = size_t{1} << 16;
-    options.shards = 2;
-    return options;
-  }());
+  static aqo::PlanCache cache(
+      aqo::PlanCacheOptions{.byte_budget = size_t{1} << 16, .shards = 2});
   return cache;
 }
 
-// Capacities a few requests fill, so the armed governor admits, degrades
-// and sheds within one input's requests.
-aqo::OverloadOptions SmallCapacities() {
-  aqo::OverloadOptions options;
-  options.queue_capacity = 4.0;
-  options.drain_requests = 0.5;
-  options.cost_capacity = 1000.0;
+// aqo_serve's defaults for one family, with every run capped.
+aqo::BatchOptions Options(const char* optimizer) {
+  aqo::BatchOptions options;
+  options.optimizer = optimizer;
+  options.seed = 1;
+  options.cache = &SharedCache();
+  options.qon.budget.max_evaluations = kMaxEvaluations;
+  options.qoh.budget.max_evaluations = kMaxEvaluations;
   return options;
 }
 
-// One request per name, as aqo_serve's ServeFamily runs it: Admit on the
-// request's knobs, then the admitted (possibly degraded) entry.
-template <typename Registry, typename Knobs, typename Instance,
-          typename Optimize>
-void ServeEveryName(const Registry& registry, Knobs aqo::BatchOptions::*knobs,
-                    const Instance& inst, Optimize optimize) {
-  aqo::LoadGovernor disarmed;
-  aqo::LoadGovernor armed(SmallCapacities());
-  for (const std::string& name : RequestNames(registry)) {
-    for (aqo::LoadGovernor* governor : {&disarmed, &armed}) {
-      aqo::BatchOptions options;
-      options.seed = 1;
-      options.cache = &SharedCache();
-      Knobs& k = options.*knobs;
-      k.budget.max_evaluations = kMaxEvaluations;
-      auto admission =
-          aqo::Admit(registry, name, inst.NumRelations(), *governor, &k);
-      AQO_CHECK(admission.requested != nullptr) << "unlisted name " << name;
-      if (!admission.error.empty()) continue;
-      int max_n = admission.entry->max_n == aqo::kNoRelationCeiling
-                      ? kMaxOptimizeRelations
-                      : kMaxBoundedRelations;
-      if (inst.NumRelations() > max_n) continue;
-      options.optimizer = admission.entry->name;
-      auto items = optimize({inst}, options);
-      AQO_CHECK(items.size() == 1);
+// One input's requests, each through both governors.
+class Requests {
+ public:
+  void Serve(std::string_view payload) {
+    static const aqo::BatchOptions qon = Options("dp");
+    static const aqo::BatchOptions qoh = Options("greedy");
+    aqo::ServeFrame request = aqo::SplitServeFrame(payload);
+    // aqo_serve answers a header without an id itself.
+    if (request.id.empty()) return;
+    for (aqo::LoadGovernor* governor : {&disarmed_, &armed_}) {
+      std::string response =
+          aqo::ServeRequest(request, qon, qoh, governor);
+      AQO_CHECK(response.starts_with("ok ") || response.starts_with("err "))
+          << response;
     }
   }
-}
+
+  // `req f optimizer=<name>` plus `body`, for every name whose bound
+  // admits n or whose entry refuses n as outside its domain.
+  template <typename Registry>
+  void ServeEveryName(const Registry& registry, std::string_view body,
+                      int n) {
+    for (const std::string& name : RequestNames(registry)) {
+      const auto* entry = registry.Find(name);
+      AQO_CHECK(entry != nullptr) << "unlisted name " << name;
+      int bound = entry->max_n == aqo::kNoRelationCeiling
+                      ? kMaxOptimizeRelations
+                      : kMaxBoundedRelations;
+      if (n > bound && n <= entry->max_n) continue;
+      Serve("req f optimizer=" + name + "\n" + std::string(body));
+    }
+  }
+
+ private:
+  aqo::LoadGovernor disarmed_;
+  aqo::LoadGovernor armed_{aqo::OverloadOptions{
+      .queue_capacity = 4.0, .drain_requests = 0.5, .cost_capacity = 1000.0}};
+};
 
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   constexpr size_t kMaxInput = 1 << 12;
   if (size > kMaxInput) size = kMaxInput;
-  std::string_view body(reinterpret_cast<const char*>(data), size);
-
+  std::string_view input(reinterpret_cast<const char*>(data), size);
+  // A whole request's body follows its header line.
+  bool whole = input.starts_with("req ");
+  std::string_view body = whole ? aqo::SplitServeFrame(input).body : input;
   aqo::ParseResult<aqo::QonInstance> qon = aqo::ParseQonInstance(body);
-  if (qon.ok()) {
-    ServeEveryName(aqo::OptimizerRegistry::Qon(), &aqo::BatchOptions::qon,
-                   *qon.value, aqo::OptimizeQonBatch);
-  }
   aqo::ParseResult<aqo::QohInstance> qoh = aqo::ParseQohInstance(body);
-  if (qoh.ok()) {
-    ServeEveryName(aqo::QohOptimizerRegistry::Get(), &aqo::BatchOptions::qoh,
-                   *qoh.value, aqo::OptimizeQohBatch);
+  int n = qon.ok()   ? qon.value->NumRelations()
+          : qoh.ok() ? qoh.value->NumRelations()
+                     : 0;
+  Requests requests;
+  if (whole) {
+    if (n <= kMaxBoundedRelations) requests.Serve(input);
+  } else if (qon.ok()) {
+    requests.ServeEveryName(aqo::OptimizerRegistry::Qon(), body, n);
+  } else if (qoh.ok()) {
+    requests.ServeEveryName(aqo::QohOptimizerRegistry::Get(), body, n);
   }
   return 0;
 }

@@ -1,11 +1,17 @@
 #include "io/framing.h"
 
+#include <fcntl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
+#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <sstream>
+
+#include "util/check.h"
 
 namespace aqo {
 
@@ -19,15 +25,31 @@ uint32_t DecodeLen(const char* p) {
   return len;
 }
 
+// The u32 little-endian length prefix of a `size`-byte payload.
+std::string LengthPrefix(size_t size) {
+  std::string prefix(4, '\0');
+  for (size_t i = 0; i < 4; ++i) {
+    prefix[i] = static_cast<char>((size >> (8 * i)) & 0xFF);
+  }
+  return prefix;
+}
+
+// Reads exactly `size` bytes: 1 = read, 0 = EOF before the first byte,
+// -1 = an error or EOF after it.
+int ReadExactly(int fd, char* data, size_t size) {
+  for (size_t got = 0; got < size;) {
+    ssize_t r = ::read(fd, data + got, size - got);
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) return r == 0 && got == 0 ? 0 : -1;
+    got += static_cast<size_t>(r);
+  }
+  return 1;
+}
+
 }  // namespace
 
 void WriteFrame(std::ostream& os, const std::string& payload) {
-  char prefix[4];
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    prefix[i] = static_cast<char>((len >> (8 * i)) & 0xFF);
-  }
-  os.write(prefix, sizeof(prefix));
+  os.write(LengthPrefix(payload.size()).data(), 4);
   os.write(payload.data(),
            static_cast<std::streamsize>(payload.size()));
 }
@@ -66,55 +88,80 @@ FrameRead ReadFrame(std::istream& is, std::string* payload,
   return FrameRead::kFrame;
 }
 
-bool WriteAllFd(int fd, const char* data, size_t size) {
-  while (size > 0) {
-    ssize_t wrote = ::write(fd, data, size);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += wrote;
-    size -= static_cast<size_t>(wrote);
+// --- ServerProcess ---
+
+ServerProcess::ServerProcess(const std::vector<std::string>& argv) {
+  AQO_CHECK(!argv.empty());
+  std::signal(SIGPIPE, SIG_IGN);
+  // Built before fork: the child of a threaded process must not allocate.
+  std::vector<char*> args;
+  for (const std::string& a : argv) {
+    args.push_back(const_cast<char*>(a.c_str()));
+  }
+  args.push_back(nullptr);
+  int to[2];
+  int from[2];
+  AQO_CHECK(::pipe2(to, O_CLOEXEC) == 0 && ::pipe2(from, O_CLOEXEC) == 0);
+  pid_ = ::fork();
+  AQO_CHECK(pid_ >= 0);
+  if (pid_ == 0) {
+    // Only stdin and stdout survive exec, even if a pipe end was one.
+    ::dup2(to[0], STDIN_FILENO);
+    ::dup2(from[1], STDOUT_FILENO);
+    ::fcntl(STDIN_FILENO, F_SETFD, 0);
+    ::fcntl(STDOUT_FILENO, F_SETFD, 0);
+    std::signal(SIGPIPE, SIG_DFL);
+    ::execv(args[0], args.data());
+    std::perror("execv");
+    ::_exit(127);
+  }
+  ::close(to[0]);
+  ::close(from[1]);
+  to_ = to[1];
+  from_ = from[0];
+}
+
+bool ServerProcess::Send(const std::string& payload) {
+  return SendBytes(LengthPrefix(payload.size())) && SendBytes(payload);
+}
+
+bool ServerProcess::SendBytes(std::string_view bytes) {
+  while (!bytes.empty()) {
+    ssize_t wrote = ::write(to_, bytes.data(), bytes.size());
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote < 0) return false;
+    bytes.remove_prefix(static_cast<size_t>(wrote));
   }
   return true;
 }
 
-bool WriteFrameFd(int fd, const std::string& payload) {
+int ServerProcess::Receive(std::string* payload) {
   char prefix[4];
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    prefix[i] = static_cast<char>((len >> (8 * i)) & 0xFF);
-  }
-  return WriteAllFd(fd, prefix, sizeof(prefix)) &&
-         WriteAllFd(fd, payload.data(), payload.size());
-}
-
-int ReadFrameFd(int fd, std::string* payload) {
-  char prefix[4];
-  size_t got = 0;
-  while (got < sizeof(prefix)) {
-    ssize_t r = ::read(fd, prefix + got, sizeof(prefix) - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (r == 0) return got == 0 ? 0 : -1;
-    got += static_cast<size_t>(r);
-  }
+  int read = ReadExactly(from_, prefix, sizeof(prefix));
+  if (read <= 0) return read;
   uint32_t len = DecodeLen(prefix);
   if (len > kMaxFrameBytes) return -1;
   payload->resize(len);
-  size_t off = 0;
-  while (off < len) {
-    ssize_t r = ::read(fd, payload->data() + off, len - off);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (r == 0) return -1;
-    off += static_cast<size_t>(r);
+  return ReadExactly(from_, payload->data(), len) == 1 ? 1 : -1;
+}
+
+void ServerProcess::CloseInput() {
+  if (to_ >= 0) ::close(to_);
+  to_ = -1;
+}
+
+void ServerProcess::Kill() {
+  if (pid_ > 0) ::kill(pid_, SIGKILL);
+}
+
+int ServerProcess::Wait() {
+  CloseInput();
+  if (from_ >= 0) ::close(from_);
+  from_ = -1;
+  while (pid_ > 0 && ::waitpid(pid_, &status_, 0) < 0 && errno == EINTR) {
   }
-  return 1;
+  pid_ = -1;
+  return status_;
 }
 
 // --- FrameReader ---

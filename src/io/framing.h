@@ -4,8 +4,8 @@
 // Length-prefixed message framing for the aqo_serve wire protocol
 // (docs/persistence.md): each frame is a u32 little-endian payload length
 // followed by that many payload bytes. Payloads are opaque here — the
-// server layers a small line-oriented request/response text format on
-// top (tools/aqo_serve.cc).
+// serve protocol layers a small line-oriented request/response text
+// format on top (io/serve_request.h).
 //
 // Reading distinguishes three outcomes: a complete frame, clean EOF (the
 // stream ended exactly on a frame boundary — how a client says goodbye),
@@ -25,10 +25,14 @@
 // candidate loses no data — which is why resync lives in a stateful
 // reader rather than a free function.
 
+#include <sys/types.h>
+
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace aqo {
 
@@ -51,14 +55,39 @@ void WriteFrame(std::ostream& os, const std::string& payload);
 FrameRead ReadFrame(std::istream& is, std::string* payload,
                     std::string* error);
 
-// --- fd-level framing (pipes; aqo_loadgen / aqo_chaos drive modes) ---
+// --- Server client (aqo_loadgen's drive mode, aqo_chaos) ---
 
-// Full, EINTR-retrying write; false on error.
-bool WriteAllFd(int fd, const char* data, size_t size);
-// Writes one frame (prefix + payload); false on error.
-bool WriteFrameFd(int fd, const std::string& payload);
-// Reads one frame: 1 = frame, 0 = clean EOF, -1 = error/truncation.
-int ReadFrameFd(int fd, std::string* payload);
+// A server child on a pipe pair: frames go to its stdin and come back
+// from its stdout. Constructing one ignores SIGPIPE in this process (not
+// in the child), so writing to a server that has exited fails instead of
+// killing the client. One thread may send while another receives.
+class ServerProcess {
+ public:
+  // Spawns the program at path argv[0] (exit status 127 if it cannot).
+  explicit ServerProcess(const std::vector<std::string>& argv);
+  ~ServerProcess() { Kill(); Wait(); }
+
+  ServerProcess(const ServerProcess&) = delete;
+  ServerProcess& operator=(const ServerProcess&) = delete;
+
+  // Writes one frame / raw bytes; false once stdin is closed or broken.
+  bool Send(const std::string& payload);
+  bool SendBytes(std::string_view bytes);
+  // Reads one frame: 1 = frame, 0 = clean EOF, -1 = error/truncation.
+  int Receive(std::string* payload);
+  // Closes the server's stdin: EOF, a graceful shutdown.
+  void CloseInput();
+  // SIGKILLs the server unless it has been reaped.
+  void Kill();
+  // Closes both pipes, reaps the server once and returns its wait status.
+  int Wait();
+
+ private:
+  pid_t pid_ = -1;  // -1 once reaped
+  int to_ = -1;     // the server's stdin
+  int from_ = -1;   // the server's stdout
+  int status_ = 0;
+};
 
 // --- Resynchronizing reader ---
 

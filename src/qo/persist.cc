@@ -189,9 +189,9 @@ const char* KindName(PersistFileKind kind) {
   return "unknown";
 }
 
-// Header check shared by the strict and lenient readers. Returns true and
-// fills nothing on success; false with a precise reason otherwise.
-bool CheckHeader(const std::string& bytes, PersistFileKind expected_kind,
+// The file-header check of ScanPersistFile. Returns true and fills
+// nothing on success; false with a precise reason otherwise.
+bool CheckHeader(std::string_view bytes, PersistFileKind expected_kind,
                  std::string* error) {
   std::ostringstream why;
   if (bytes.size() < kHeaderBytes) {
@@ -230,11 +230,10 @@ struct ScanResult {
   size_t valid_bytes = 0;
 };
 
-// The replay loop both readers share: header, then per record the frame
-// (length + CRC) and the plan-entry payload, stopping at the first torn
-// or damaged record. Strictness is a presentation decision layered on
-// top of this result.
-ScanResult ScanPersistFile(const std::string& bytes,
+// The replay loop RecoverPersistFile, LoadAndRecover and the journal
+// repair share: header, then per record the frame (length + CRC) and the
+// plan-entry payload, stopping at the first torn or damaged record.
+ScanResult ScanPersistFile(std::string_view bytes,
                            PersistFileKind expected_kind) {
   ScanResult scan;
   if (!CheckHeader(bytes, expected_kind, &scan.info.damage)) return scan;
@@ -326,30 +325,8 @@ std::string EncodePersistRecord(const PersistedEntry& entry) {
   return out;
 }
 
-ParseResult<std::vector<PersistedEntry>> ReadPersistFile(
-    std::istream& is, PersistFileKind expected_kind) {
-  ParseResult<std::vector<PersistedEntry>> result;
-  std::string bytes = SlurpStream(is);
-  ScanResult scan = ScanPersistFile(bytes, expected_kind);
-  if (!scan.info.damage.empty()) {
-    result.error = scan.info.damage;
-    return result;
-  }
-  if (scan.info.torn_tail) {
-    std::ostringstream why;
-    why << "torn final record (" << (bytes.size() - scan.valid_bytes)
-        << " trailing bytes after record #" << scan.info.entries.size()
-        << "'s end)";
-    result.error = why.str();
-    return result;
-  }
-  result.value = std::move(scan.info.entries);
-  return result;
-}
-
-PersistFileInfo RecoverPersistFile(std::istream& is,
+PersistFileInfo RecoverPersistFile(std::string_view bytes,
                                    PersistFileKind expected_kind) {
-  std::string bytes = SlurpStream(is);
   return ScanPersistFile(bytes, expected_kind).info;
 }
 

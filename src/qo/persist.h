@@ -31,9 +31,8 @@
 //     and reports torn_tail (a normal crash artifact, not corruption);
 //   * corruption — a CRC mismatch or malformed payload stops replay at
 //     the damage point, salvaging everything before it and reporting the
-//     reason. The strict reader (ReadPersistFile) instead fails with a
-//     ParseResult error carrying the same reason — tools use it to
-//     distinguish "inspect this file" from "recover what you can";
+//     reason (RecoverPersistFile's `damage`; tests pin each reason on the
+//     committed corruption fixtures);
 //   * the snapshot is atomic by construction, so after any single crash
 //     LoadAndRecover reconstructs exactly the successfully-persisted
 //     prefix of the insert history (tests/persist_crash_test.cc sweeps
@@ -60,9 +59,9 @@
 // serve replay.
 
 #include <cstdint>
-#include <iosfwd>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "qo/plan_cache.h"
@@ -129,7 +128,7 @@ struct PersistedEntry {
   CachedPlan plan;
 };
 
-// Lenient per-file replay result (RecoverPersistFile).
+// Per-file replay result (RecoverPersistFile).
 struct PersistFileInfo {
   std::vector<PersistedEntry> entries;  // salvaged, in write order
   bool torn_tail = false;  // file ends mid-record (crash artifact)
@@ -156,19 +155,14 @@ std::string EncodePersistRecord(const PersistedEntry& entry);
 // The 16-byte file header for `kind`.
 std::string EncodePersistHeader(PersistFileKind kind);
 
-// --- Whole-file readers ---
+// --- Whole-file reader ---
 
-// Strict: any damage — bad magic, unsupported version, wrong kind,
-// truncated header, CRC mismatch, malformed payload, torn tail — is a
-// ParseResult error with a precise reason. Use for inspection tools and
-// fixture tests; recovery paths use RecoverPersistFile instead.
-ParseResult<std::vector<PersistedEntry>> ReadPersistFile(
-    std::istream& is, PersistFileKind expected_kind);
-
-// Lenient: salvages every record before the first damage point. A
-// header-level problem (file is not ours at all) still comes back as
-// `damage` with zero entries. Torn tails are reported but are not damage.
-PersistFileInfo RecoverPersistFile(std::istream& is,
+// Salvages every record of a file's bytes before the first damage point.
+// A header-level problem (bad magic, unsupported version, wrong kind,
+// truncated header: the file is not ours at all) comes back as `damage`
+// with zero entries; a CRC mismatch or malformed payload as `damage`
+// naming the record. Torn tails are reported but are not damage.
+PersistFileInfo RecoverPersistFile(std::string_view bytes,
                                    PersistFileKind expected_kind);
 
 // --- The store ---

@@ -14,12 +14,6 @@
 
 namespace aqo {
 
-// QO_H simulated-annealing knobs, nested in QohOptimizerOptions.
-struct QohSaKnobs {
-  int iterations = 3000;
-  int restarts = 2;
-};
-
 // SimulatedAnnealingQohOptimizer's schedule: the initial temperature (in
 // log2-cost units) and the geometric cooling factor applied per move.
 inline constexpr double kQohSaInitialTemperature = 5.0;
@@ -40,7 +34,9 @@ struct QohOptimizerOptions {
   // f_H reduction instances admit nothing else as a first relation).
   int sentinel_first = -1;
 
-  QohSaKnobs sa;
+  // SimulatedAnnealingQohOptimizer's knobs: each move prices a whole
+  // decomposition, so QO_H anneals fewer moves than QO_N does.
+  SaKnobs sa{.iterations = 3000, .restarts = 2};
 
   // Anytime limits — same semantics as OptimizerOptions.budget
   // (util/cancellation.h): a default Budget changes nothing, bit for bit.

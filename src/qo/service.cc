@@ -88,8 +88,9 @@ std::vector<typename Traits::Item> RunBatch(
     if (!hit) {
       // Per-item isolation: a throwing item (a real exception or the
       // "service.item" fault site at the item's index) is kFailed:
-      // infeasible, no run record, never cached. Its siblings are
-      // untouched.
+      // infeasible, never cached, and without a run record, since the
+      // fault fires before the run and InstrumentedRun writes its record
+      // only once the run returns. Its siblings are untouched.
       obs::InstanceShape shape{.family = std::string(Traits::kFamily),
                                .kind = "batch",
                                .side = "",
@@ -97,25 +98,20 @@ std::vector<typename Traits::Item> RunBatch(
                                .n = inst.NumRelations(),
                                .edges = inst.graph().NumEdges()};
       auto knobs = Traits::Knobs(options, c);
-      std::string log;
       try {
-        obs::RunLogBuffer buffer;
         Rng rng(MixSeed(options.seed, c.fingerprint.lo));
         FaultInjector::Get().MaybeThrow("service.item", i);
         // The canonical instance is built on a miss only: a hit needs
         // nothing but the labels.
         typename Traits::Instance canonical =
             Traits::Permute(inst, c.to_canonical);
-        auto result = obs::InstrumentedRun(
+        plan = Traits::ToPlan(obs::InstrumentedRun(
             std::string(Traits::kFamily) + "." + entry->name, shape,
-            [&] { return entry->run(canonical, knobs, &rng); });
-        plan = Traits::ToPlan(result);
-        log = buffer.Take();
+            [&] { return entry->run(canonical, knobs, &rng); }));
       } catch (const std::exception&) {
         plan = CachedPlan{};
         plan.status = PlanStatus::kFailed;
       }
-      if (obs::RunLog* run_log = obs::RunLog::Global()) run_log->WriteRaw(log);
       // Only deterministic outcomes are cacheable: complete and
       // budget-exhausted plans are pure functions of (instance, options,
       // seed). Deadline-cut plans depend on the wall clock and failed

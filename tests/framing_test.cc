@@ -1,6 +1,6 @@
 // The wire framing layer (io/framing.h): codec round trips, the precise
-// error for every malformed-stream shape, fd-level helpers, and the
-// FrameReader resynchronization contract — garbage between frames is
+// error for every malformed-stream shape, the ServerProcess client over
+// its pipes, and the FrameReader resynchronization contract — garbage between frames is
 // skipped and counted, never silently swallowed and never fatal, while a
 // truncated stream in a clean state is still a hard error. The committed
 // fixtures (examples/fixtures/frames_{valid,garbage}.bin) pin the exact
@@ -8,8 +8,9 @@
 
 #include "io/framing.h"
 
-#include <unistd.h>
+#include <sys/wait.h>
 
+#include <csignal>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,17 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include "io/serve_request.h"
+
 namespace aqo {
 namespace {
-
-// The serve protocol's resync validator (tools/aqo_serve.cc): a
-// candidate payload is plausible when it opens with a known verb.
-bool LooksLikeServePayload(const std::string& payload) {
-  for (const char* verb : {"req ", "ping ", "health ", "snapshot "}) {
-    if (payload.rfind(verb, 0) == 0) return true;
-  }
-  return false;
-}
 
 std::string Framed(const std::vector<std::string>& payloads) {
   std::ostringstream os;
@@ -75,24 +69,57 @@ TEST(Framing, ReadErrorsNameTheMalformation) {
   }
 }
 
-TEST(Framing, FdHelpersRoundTripThroughAPipe) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  ASSERT_TRUE(WriteFrameFd(fds[1], "req r0\nqon 3"));
-  ASSERT_TRUE(WriteFrameFd(fds[1], ""));
-  ::close(fds[1]);
+// ServerProcess against /bin/cat: every byte sent comes back, so frames
+// and raw frame bytes echo, an empty payload included, and closing its
+// stdin ends the echo with a clean EOF.
+TEST(ServerProcessTest, CatEchoesFramesAndCloseInputGivesACleanEof) {
+  ServerProcess cat({"/bin/cat"});
+  ASSERT_TRUE(cat.Send("req r0\nqon 3"));
+  ASSERT_TRUE(cat.Send(""));
+  ASSERT_TRUE(cat.SendBytes(Framed({"ping p0"})));
+  cat.CloseInput();
   std::string payload;
-  EXPECT_EQ(ReadFrameFd(fds[0], &payload), 1);
+  EXPECT_EQ(cat.Receive(&payload), 1);
   EXPECT_EQ(payload, "req r0\nqon 3");
-  EXPECT_EQ(ReadFrameFd(fds[0], &payload), 1);
+  EXPECT_EQ(cat.Receive(&payload), 1);
   EXPECT_EQ(payload, "");
-  EXPECT_EQ(ReadFrameFd(fds[0], &payload), 0);  // clean EOF
-  ::close(fds[0]);
+  EXPECT_EQ(cat.Receive(&payload), 1);
+  EXPECT_EQ(payload, "ping p0");
+  EXPECT_EQ(cat.Receive(&payload), 0);  // clean EOF
+  EXPECT_FALSE(cat.Send("late"));
+  int status = cat.Wait();
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+// A child that exits at once: a send larger than any pipe buffer is still
+// writing when the read end closes, and must fail instead of raising
+// SIGPIPE in the test.
+TEST(ServerProcessTest, SendToAnExitedChildFailsWithoutKillingTheClient) {
+  ServerProcess gone({"/bin/true"});
+  EXPECT_FALSE(gone.Send(std::string(size_t{4} << 20, 'x')));
+  std::string payload;
+  EXPECT_EQ(gone.Receive(&payload), 0);
+  int status = gone.Wait();
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(ServerProcessTest, KillEndsAChildBlockedOnItsInput) {
+  ServerProcess cat({"/bin/cat"});
+  ASSERT_TRUE(cat.Send("req r0"));
+  std::string payload;
+  EXPECT_EQ(cat.Receive(&payload), 1);
+  cat.Kill();
+  EXPECT_EQ(cat.Receive(&payload), 0);
+  int status = cat.Wait();
+  ASSERT_TRUE(WIFSIGNALED(status)) << status;
+  EXPECT_EQ(WTERMSIG(status), SIGKILL);
 }
 
 TEST(FrameReaderTest, CleanStreamDeliversWithoutResync) {
   std::istringstream is(Framed({"req a", "ping b", "req c"}));
-  FrameReader reader(is, LooksLikeServePayload);
+  FrameReader reader(is, StartsWithServeVerb);
   std::string payload;
   std::string error;
   for (const char* want : {"req a", "ping b", "req c"}) {
@@ -110,7 +137,7 @@ TEST(FrameReaderTest, GarbageBetweenFramesIsSkippedAndCounted) {
   bytes += "\x81\x93\xa7\xbb\xcf";
   bytes += Framed({"ping b", "req c"});
   std::istringstream is(bytes);
-  FrameReader reader(is, LooksLikeServePayload);
+  FrameReader reader(is, StartsWithServeVerb);
   std::string payload;
   std::string error;
 
@@ -143,7 +170,7 @@ TEST(FrameReaderTest, ValidatorRejectsEmbeddedFrameShapedGarbage) {
   std::string error;
   {
     std::istringstream is(bytes);
-    FrameReader reader(is, LooksLikeServePayload);
+    FrameReader reader(is, StartsWithServeVerb);
     ASSERT_EQ(reader.Next(&payload, &error), FrameRead::kFrame) << error;
     EXPECT_EQ(payload, "req a");
     ASSERT_EQ(reader.Next(&payload, &error), FrameRead::kFrame) << error;
@@ -170,7 +197,7 @@ TEST(FrameReaderTest, PlausibleOverrunningLengthMidResyncSlidesOnward) {
   bytes += std::string("\xff\x00\x00\x10\x00", 5);
   bytes += Framed({"req b"});
   std::istringstream is(bytes);
-  FrameReader reader(is, LooksLikeServePayload);
+  FrameReader reader(is, StartsWithServeVerb);
   std::string payload;
   std::string error;
   ASSERT_EQ(reader.Next(&payload, &error), FrameRead::kFrame) << error;
@@ -185,7 +212,7 @@ TEST(FrameReaderTest, CleanStateTruncationIsStillAHardError) {
   std::string bytes = Framed({"req a", "req b"});
   bytes.resize(bytes.size() - 2);  // tear the final payload
   std::istringstream is(bytes);
-  FrameReader reader(is, LooksLikeServePayload);
+  FrameReader reader(is, StartsWithServeVerb);
   std::string payload;
   std::string error;
   ASSERT_EQ(reader.Next(&payload, &error), FrameRead::kFrame) << error;
@@ -197,7 +224,7 @@ TEST(FrameReaderTest, TrailingGarbageEndsInAResyncError) {
   std::string bytes = Framed({"req a"});
   bytes += "\x81\x93\xa7\xbb";
   std::istringstream is(bytes);
-  FrameReader reader(is, LooksLikeServePayload);
+  FrameReader reader(is, StartsWithServeVerb);
   std::string payload;
   std::string error;
   ASSERT_EQ(reader.Next(&payload, &error), FrameRead::kFrame) << error;
@@ -223,7 +250,7 @@ std::string ReadFixture(const std::string& name) {
 
 TEST(FrameFixtures, ValidFixtureCarriesThreeCleanFrames) {
   std::istringstream is(ReadFixture("frames_valid.bin"));
-  FrameReader reader(is, LooksLikeServePayload);
+  FrameReader reader(is, StartsWithServeVerb);
   std::string payload;
   std::string error;
   ASSERT_EQ(reader.Next(&payload, &error), FrameRead::kFrame) << error;
@@ -240,7 +267,7 @@ TEST(FrameFixtures, ValidFixtureCarriesThreeCleanFrames) {
 
 TEST(FrameFixtures, GarbageFixtureResyncsOnceAndLosesNoFrames) {
   std::istringstream is(ReadFixture("frames_garbage.bin"));
-  FrameReader reader(is, LooksLikeServePayload);
+  FrameReader reader(is, StartsWithServeVerb);
   std::string payload;
   std::string error;
   ASSERT_EQ(reader.Next(&payload, &error), FrameRead::kFrame) << error;

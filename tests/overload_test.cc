@@ -323,8 +323,8 @@ TEST(LoadGovernor, SameStreamSameDecisions) {
 // The serve-path property: the decision trace is a pure function of the
 // request stream. Every request goes through Admit, the admission the
 // serve path runs, over a fixed synthetic stream while the admitted work
-// *actually runs* through the optimizer registry, with and without a
-// plan cache in front. The trace
+// *actually runs* as a one-instance batch (qo/service.h), with and
+// without a plan cache in front. The trace
 // (tier, pressure, charged cost, reason, effective optimizer per request)
 // must come out byte-identical in every configuration, and relabeling
 // every instance must not move a single decision.
@@ -373,27 +373,15 @@ std::string DecisionTrace(bool with_cache, bool relabel) {
           << d.cost_units << " " << effective << " " << d.reason << "\n";
     if (!admission.error.empty()) continue;
 
-    // Run the admitted (possibly degraded) work for real: its outcome —
-    // and whether it was a cache hit — must not leak into later
-    // decisions.
-    CanonicalQon canon = CanonicalizeQon(inst);
-    uint64_t seed = 17;
-    Hash128 key =
-        QonPlanCacheKey(canon.fingerprint, effective, options, seed);
-    CachedPlan cached;
-    if (with_cache && cache.Lookup(key, &cached)) continue;
-    Rng run_rng(MixSeed(seed, canon.fingerprint.lo));
-    OptimizerResult result = OptimizerRegistry::Qon().Run(
-        effective, canon.instance, options, &run_rng);
-    if (with_cache && result.feasible) {
-      CachedPlan plan;
-      plan.feasible = result.feasible;
-      plan.sequence = result.sequence;
-      plan.cost = result.cost;
-      plan.evaluations = result.evaluations;
-      plan.status = result.status;
-      cache.Insert(key, plan);
-    }
+    // Run the admitted (possibly degraded) work for real, as the serve
+    // path does: its outcome — and whether it was a cache hit — must not
+    // leak into later decisions.
+    BatchOptions batch;
+    batch.optimizer = effective;
+    batch.qon = options;
+    batch.seed = 17;
+    if (with_cache) batch.cache = &cache;
+    OptimizeQonBatch({inst}, batch);
   }
   trace << "admits=" << governor.admits() << " degrades="
         << governor.degrades() << " sheds=" << governor.sheds() << "\n";

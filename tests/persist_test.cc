@@ -1,7 +1,7 @@
 // Durable plan-cache persistence (qo/persist.h): record codec round
-// trips, precise strict-reader errors on every corruption class (the
-// committed fixtures under examples/fixtures/persist/), lenient salvage
-// of everything before a damage point, torn-tail tolerance at *every*
+// trips, the precise damage reason for every corruption class (the
+// committed fixtures under examples/fixtures/persist/), salvage of
+// everything before a damage point, torn-tail tolerance at *every*
 // truncation offset, PlanStore snapshot/journal recovery incl. a
 // 10k-entry journal, and warm-vs-cold service-batch equivalence through
 // a recovered cache (which exercises the QO_H pipeline-sentinel remap on
@@ -94,18 +94,17 @@ std::string FileWith(const std::vector<PersistedEntry>& entries,
   return bytes;
 }
 
-ParseResult<std::vector<PersistedEntry>> StrictParse(
-    const std::string& bytes,
-    PersistFileKind kind = PersistFileKind::kSnapshot) {
-  std::istringstream is(bytes);
-  return ReadPersistFile(is, kind);
+PersistFileInfo Recover(const std::string& bytes,
+                        PersistFileKind kind = PersistFileKind::kSnapshot) {
+  return RecoverPersistFile(bytes, kind);
 }
 
-PersistFileInfo LenientParse(const std::string& bytes,
-                             PersistFileKind kind =
-                                 PersistFileKind::kSnapshot) {
-  std::istringstream is(bytes);
-  return RecoverPersistFile(is, kind);
+// The entries of a file that reads whole: no damage and no torn tail.
+std::vector<PersistedEntry> ReadIntact(const std::string& bytes) {
+  PersistFileInfo info = Recover(bytes);
+  EXPECT_TRUE(info.damage.empty()) << info.damage;
+  EXPECT_FALSE(info.torn_tail);
+  return std::move(info.entries);
 }
 
 // ---------------------------------------------------------------------------
@@ -129,33 +128,31 @@ TEST(PersistCodec, RoundTripsPlansOfEveryShape) {
   budget.plan.status = PlanStatus::kBudgetExhausted;
   entries.push_back(budget);
 
-  ParseResult<std::vector<PersistedEntry>> parsed =
-      StrictParse(FileWith(entries));
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  ASSERT_EQ(parsed.value->size(), entries.size());
+  std::vector<PersistedEntry> parsed = ReadIntact(FileWith(entries));
+  ASSERT_EQ(parsed.size(), entries.size());
   for (size_t i = 0; i < entries.size(); ++i) {
     SCOPED_TRACE(i);
-    ExpectEntryEq((*parsed.value)[i], entries[i]);
+    ExpectEntryEq(parsed[i], entries[i]);
   }
 }
 
 TEST(PersistCodec, EmptyFileIsAValidEmptySet) {
-  ParseResult<std::vector<PersistedEntry>> parsed =
-      StrictParse(FileWith({}));
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  EXPECT_TRUE(parsed.value->empty());
+  EXPECT_TRUE(ReadIntact(FileWith({})).empty());
 }
 
 // ---------------------------------------------------------------------------
-// Strict-reader errors: every corruption class has a precise reason.
+// Damage reasons: every corruption class has a precise one.
 
-void ExpectStrictError(const std::string& bytes, const std::string& reason,
-                       PersistFileKind kind = PersistFileKind::kSnapshot) {
-  ParseResult<std::vector<PersistedEntry>> parsed = StrictParse(bytes, kind);
-  ASSERT_FALSE(parsed.ok()) << "accepted corrupt bytes";
-  EXPECT_NE(parsed.error.find(reason), std::string::npos)
-      << "error was: " << parsed.error << " (wanted substring: " << reason
+// Recovery of `bytes` stops on damage whose reason contains `reason`,
+// after salvaging `salvaged` entries.
+void ExpectDamage(const std::string& bytes, const std::string& reason,
+                  size_t salvaged,
+                  PersistFileKind kind = PersistFileKind::kSnapshot) {
+  PersistFileInfo info = Recover(bytes, kind);
+  EXPECT_NE(info.damage.find(reason), std::string::npos)
+      << "damage was: '" << info.damage << "' (wanted substring: " << reason
       << ")";
+  EXPECT_EQ(info.entries.size(), salvaged);
 }
 
 TEST(PersistStrict, HeaderCorruptionReasons) {
@@ -163,15 +160,15 @@ TEST(PersistStrict, HeaderCorruptionReasons) {
 
   std::string bad_magic = valid;
   bad_magic[3] ^= 0xFF;
-  ExpectStrictError(bad_magic, "bad magic");
+  ExpectDamage(bad_magic, "bad magic", 0);
 
   std::string wrong_version = valid;
   wrong_version[8] = 99;
-  ExpectStrictError(wrong_version, "unsupported format version 99");
+  ExpectDamage(wrong_version, "unsupported format version 99", 0);
 
-  ExpectStrictError(valid.substr(0, 10), "truncated header (10 of 16 bytes)");
-  ExpectStrictError(valid, "wrong file kind 1 (expected 2 = log)",
-                    PersistFileKind::kLog);
+  ExpectDamage(valid.substr(0, 10), "truncated header (10 of 16 bytes)", 0);
+  ExpectDamage(valid, "wrong file kind 1 (expected 2 = log)", 0,
+               PersistFileKind::kLog);
 }
 
 TEST(PersistStrict, RecordCorruptionReasons) {
@@ -180,17 +177,21 @@ TEST(PersistStrict, RecordCorruptionReasons) {
 
   std::string crc_flip = valid;
   crc_flip[record0_end + 8 + 2] ^= 0x01;  // inside record #1's payload
-  ExpectStrictError(crc_flip, "record #1: CRC mismatch");
+  ExpectDamage(crc_flip, "record #1: CRC mismatch", 1);
 
-  std::string torn = valid.substr(0, valid.size() - 5);
-  ExpectStrictError(torn, "torn final record");
+  PersistFileInfo torn = Recover(valid.substr(0, valid.size() - 5));
+  EXPECT_TRUE(torn.torn_tail);
+  EXPECT_TRUE(torn.damage.empty()) << torn.damage;
+  EXPECT_EQ(torn.entries.size(), 1u);
 
   // A flipped length byte makes the stored CRC cover different bytes, so
-  // it surfaces as either a CRC mismatch or a torn record — both stop a
-  // strict read.
+  // it surfaces as either a CRC mismatch or a torn record — both stop
+  // the read after record #0.
   std::string bad_len = valid;
   bad_len[record0_end] ^= 0x04;
-  EXPECT_FALSE(StrictParse(bad_len).ok());
+  PersistFileInfo info = Recover(bad_len);
+  EXPECT_TRUE(!info.damage.empty() || info.torn_tail);
+  EXPECT_EQ(info.entries.size(), 1u);
 }
 
 TEST(PersistStrict, PayloadValidationRejectsPoisonBits) {
@@ -216,27 +217,27 @@ TEST(PersistStrict, PayloadValidationRejectsPoisonBits) {
 
   std::string bad_feasible = payload;
   bad_feasible[16] = 7;
-  ExpectStrictError(reframe(bad_feasible), "invalid feasible flag 7");
+  ExpectDamage(reframe(bad_feasible), "invalid feasible flag 7", 0);
 
   std::string bad_status = payload;
   bad_status[17] = 9;
-  ExpectStrictError(reframe(bad_status), "invalid plan status 9");
+  ExpectDamage(reframe(bad_status), "invalid plan status 9", 0);
 
   std::string bad_cost = payload;
   for (int i = 0; i < 8; ++i) {
     bad_cost[36 + i] = static_cast<char>(0xFF);  // a NaN bit pattern
   }
-  ExpectStrictError(reframe(bad_cost), "invalid cost bits");
+  ExpectDamage(reframe(bad_cost), "invalid cost bits", 0);
 
   std::string bad_seq_len = payload;
   bad_seq_len[20] = 5;  // claims 5 sequence ints; payload carries 2
-  ExpectStrictError(reframe(bad_seq_len), "length mismatch");
+  ExpectDamage(reframe(bad_seq_len), "length mismatch", 0);
 
   std::string negative_id = payload;
   for (int i = 0; i < 4; ++i) {
     negative_id[44 + i] = static_cast<char>(0xFF);  // sequence[0] = -1
   }
-  ExpectStrictError(reframe(negative_id), "negative relation id");
+  ExpectDamage(reframe(negative_id), "negative relation id", 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -250,7 +251,7 @@ TEST(PersistRecover, SalvagesEveryRecordBeforeTheDamage) {
   // Flip a payload byte of record #2: records #0 and #1 must salvage.
   std::string damaged = valid;
   damaged[16 + 2 * record_size + 8 + 1] ^= 0x10;
-  PersistFileInfo info = LenientParse(damaged);
+  PersistFileInfo info = Recover(damaged);
   EXPECT_FALSE(info.torn_tail);
   EXPECT_NE(info.damage.find("record #2: CRC mismatch"), std::string::npos)
       << info.damage;
@@ -267,7 +268,7 @@ TEST(PersistRecover, ToleratesTruncationAtEveryByteOffset) {
   size_t header_end = 16;
   for (size_t cut = header_end; cut < valid.size(); ++cut) {
     SCOPED_TRACE(cut);
-    PersistFileInfo info = LenientParse(valid.substr(0, cut));
+    PersistFileInfo info = Recover(valid.substr(0, cut));
     EXPECT_TRUE(info.damage.empty()) << info.damage;
     size_t whole_records = (cut - header_end) / record_size;
     bool mid_record = (cut - header_end) % record_size != 0;
@@ -283,7 +284,7 @@ TEST(PersistRecover, HeaderDamageSalvagesNothing) {
   std::string valid = FileWith({MakeEntry(1, 2, 0)});
   std::string bad_magic = valid;
   bad_magic[0] = 'X';
-  PersistFileInfo info = LenientParse(bad_magic);
+  PersistFileInfo info = Recover(bad_magic);
   EXPECT_TRUE(info.entries.empty());
   EXPECT_NE(info.damage.find("bad magic"), std::string::npos);
 }
@@ -294,36 +295,35 @@ TEST(PersistRecover, HeaderDamageSalvagesNothing) {
 // codec changes shape, these tests fail before any deployed state breaks.
 
 TEST(PersistFixtures, ValidFixtureRoundTrips) {
-  ParseResult<std::vector<PersistedEntry>> parsed =
-      StrictParse(ReadFileBytes(FixturePath("valid.bin")));
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  ASSERT_EQ(parsed.value->size(), 2u);
-  EXPECT_EQ((*parsed.value)[0].key.lo, 0x1111111111111111ULL);
-  EXPECT_EQ((*parsed.value)[0].plan.sequence,
-            (std::vector<int>{1, 3, 2, 4}));
-  EXPECT_EQ((*parsed.value)[0].plan.pipeline_starts,
-            (std::vector<int>{1, 3}));
-  EXPECT_EQ((*parsed.value)[0].plan.cost.Log2(), 10.5);
-  EXPECT_EQ((*parsed.value)[1].plan.cost.Log2(), 11.5);
+  std::vector<PersistedEntry> parsed =
+      ReadIntact(ReadFileBytes(FixturePath("valid.bin")));
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[0].key.lo, 0x1111111111111111ULL);
+  EXPECT_EQ(parsed[0].plan.sequence, (std::vector<int>{1, 3, 2, 4}));
+  EXPECT_EQ(parsed[0].plan.pipeline_starts, (std::vector<int>{1, 3}));
+  EXPECT_EQ(parsed[0].plan.cost.Log2(), 10.5);
+  EXPECT_EQ(parsed[1].plan.cost.Log2(), 11.5);
 }
 
 TEST(PersistFixtures, EachCorruptionReportsItsPreciseReason) {
-  ExpectStrictError(ReadFileBytes(FixturePath("bad_magic.bin")),
-                    "bad magic (not an AQO plan-cache file)");
-  ExpectStrictError(ReadFileBytes(FixturePath("wrong_version.bin")),
-                    "unsupported format version 99 (expected 1)");
-  ExpectStrictError(ReadFileBytes(FixturePath("truncated_header.bin")),
-                    "truncated header (6 of 16 bytes)");
-  ExpectStrictError(ReadFileBytes(FixturePath("crc_flip.bin")),
-                    "record #1: CRC mismatch");
-  ExpectStrictError(ReadFileBytes(FixturePath("torn_tail.bin")),
-                    "torn final record");
+  ExpectDamage(ReadFileBytes(FixturePath("bad_magic.bin")),
+               "bad magic (not an AQO plan-cache file)", 0);
+  ExpectDamage(ReadFileBytes(FixturePath("wrong_version.bin")),
+               "unsupported format version 99 (expected 1)", 0);
+  ExpectDamage(ReadFileBytes(FixturePath("truncated_header.bin")),
+               "truncated header (6 of 16 bytes)", 0);
+  ExpectDamage(ReadFileBytes(FixturePath("crc_flip.bin")),
+               "record #1: CRC mismatch", 1);
+  PersistFileInfo torn = Recover(ReadFileBytes(FixturePath("torn_tail.bin")));
+  EXPECT_TRUE(torn.torn_tail);
+  EXPECT_TRUE(torn.damage.empty()) << torn.damage;
+  EXPECT_EQ(torn.entries.size(), 1u);
 }
 
 TEST(PersistFixtures, DamagedFixturesSalvageEverythingBeforeTheDamage) {
   for (const char* name : {"crc_flip.bin", "torn_tail.bin"}) {
     SCOPED_TRACE(name);
-    PersistFileInfo info = LenientParse(ReadFileBytes(FixturePath(name)));
+    PersistFileInfo info = Recover(ReadFileBytes(FixturePath(name)));
     ASSERT_EQ(info.entries.size(), 1u) << "record #0 must salvage";
     EXPECT_EQ(info.entries[0].key.lo, 0x1111111111111111ULL);
     EXPECT_EQ(info.entries[0].plan.cost.Log2(), 10.5);

@@ -1,12 +1,13 @@
 // aqo_chaos — deterministic fault-schedule driver for aqo_serve.
 //
-// Reads a pre-generated request stream (aqo_loadgen --out=) and drives a
-// forked aqo_serve through it under one of four fault scenarios, checking
-// after each that the server behaved by the robustness contract
-// (docs/robustness.md): it stays up, every surviving request's response
-// is byte-identical to a fault-free run, and recovered state replays
-// cleanly. Every schedule is a pure function of the flags — a failing
-// scenario reproduces with the same command line.
+// Reads a pre-generated request stream (aqo_loadgen --out=) and drives
+// aqo_serve, started as a ServerProcess (io/framing.h), through it under
+// one of four fault scenarios, checking after each that the server
+// behaved by the robustness contract (docs/robustness.md): it stays up,
+// every surviving request's response is byte-identical to a fault-free
+// run, and recovered state replays cleanly. Every schedule is a pure
+// function of the flags — a failing scenario reproduces with the same
+// command line.
 //
 //   --scenario=persist-sweep --site=persist.append|persist.fsync|persist.snapshot
 //       For ordinal 0, 1, ... arms --fault=<site>@<ordinal> in the
@@ -39,9 +40,7 @@
 //
 // Exit status 0 = scenario held; 1 = a check failed (details on stderr).
 
-#include <sys/types.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <csignal>
@@ -57,7 +56,6 @@
 
 #include "bench/bench_common.h"
 #include "io/framing.h"
-#include "util/check.h"
 #include "util/random.h"
 
 namespace aqo {
@@ -122,66 +120,41 @@ ServerRun RunServer(const std::string& serve_path,
                     const std::vector<std::string>& args,
                     const std::vector<std::string>& frames,
                     const RunOptions& run = {}) {
-  int to_server[2];
-  int from_server[2];
-  AQO_CHECK(::pipe(to_server) == 0 && ::pipe(from_server) == 0);
-  pid_t pid = ::fork();
-  AQO_CHECK(pid >= 0);
-  if (pid == 0) {
-    ::dup2(to_server[0], STDIN_FILENO);
-    ::dup2(from_server[1], STDOUT_FILENO);
-    ::close(to_server[0]);
-    ::close(to_server[1]);
-    ::close(from_server[0]);
-    ::close(from_server[1]);
-    std::vector<std::string> arg_strings;
-    arg_strings.push_back(serve_path);
-    arg_strings.insert(arg_strings.end(), args.begin(), args.end());
-    std::vector<char*> argv;
-    for (std::string& a : arg_strings) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    ::execv(serve_path.c_str(), argv.data());
-    std::perror("execv");
-    ::_exit(127);
-  }
-  ::close(to_server[0]);
-  ::close(from_server[1]);
+  std::vector<std::string> argv = {serve_path};
+  argv.insert(argv.end(), args.begin(), args.end());
+  ServerProcess server(argv);
 
   // Open-loop writer, like aqo_loadgen's: the whole schedule goes out
   // regardless of response progress. A SIGKILLed server turns writes into
-  // EPIPE, which the writer just swallows (SIGPIPE is ignored in main).
-  // With a kill scheduled, the server's stdin stays open after the last
-  // frame until the server is dead: a server that has answered every
-  // frame must block on stdin, not see EOF and exit before the kill
-  // lands.
+  // errors, which end the writer. With a kill scheduled, the server's
+  // stdin stays open after the last frame until the server is dead: a
+  // server that has answered every frame must block on stdin, not see
+  // EOF and exit before the kill lands.
   std::thread writer([&] {
     for (size_t i = 0; i < frames.size(); ++i) {
-      if (!WriteFrameFd(to_server[1], frames[i])) break;
+      if (!server.Send(frames[i])) break;
       if (run.garbage_every > 0 && i + 1 < frames.size() &&
           (i + 1) % static_cast<size_t>(run.garbage_every) == 0) {
-        std::string garbage =
-            GarbageBytes(run.garbage_seed, i, run.garbage_bytes);
-        if (!WriteAllFd(to_server[1], garbage.data(), garbage.size())) break;
+        if (!server.SendBytes(
+                GarbageBytes(run.garbage_seed, i, run.garbage_bytes))) {
+          break;
+        }
       }
     }
-    if (run.kill_after < 0) ::close(to_server[1]);
+    if (run.kill_after < 0) server.CloseInput();
   });
 
   ServerRun result;
   std::string payload;
-  for (;;) {
-    int read = ReadFrameFd(from_server[0], &payload);
-    if (read <= 0) break;
+  while (server.Receive(&payload) > 0) {
     result.responses.push_back(payload);
     if (run.kill_after >= 0 &&
         result.responses.size() == static_cast<size_t>(run.kill_after)) {
-      ::kill(pid, SIGKILL);
+      server.Kill();
     }
   }
   writer.join();
-  if (run.kill_after >= 0) ::close(to_server[1]);
-  ::close(from_server[0]);
-  ::waitpid(pid, &result.wait_status, 0);
+  result.wait_status = server.Wait();
   return result;
 }
 
@@ -439,7 +412,6 @@ int RunBurstShed(const std::string& serve_path,
 
 int Main(int argc, char** argv) {
   bench::Flags flags(argc, argv);
-  std::signal(SIGPIPE, SIG_IGN);  // killed servers turn writes into EPIPE
 
   std::string serve_path = flags.GetString("serve");
   std::string stream_path = flags.GetString("stream");

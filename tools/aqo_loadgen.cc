@@ -7,12 +7,15 @@
 //     aqo_serve, or save it to replay the identical byte stream against a
 //     cold and a warm server (the warm-start differential ctest does
 //     exactly that).
-//   * drive (--serve=<path-to-aqo_serve> [--serve-args="..."]): forks the
-//     server over a pipe pair, sends the same stream with open-loop
-//     pacing (--pace-ms= between arrivals, independent of response
-//     times), reads responses, and records per-request round-trip latency
-//     into the loadgen.request_us histogram — print percentiles with
-//     --latency-table, or export everything with --json-out.
+//   * drive (--serve=<path-to-aqo_serve> [--serve-args="..."]): starts the
+//     server as a ServerProcess (io/framing.h), sends the same stream with
+//     open-loop pacing (--pace-ms= between arrivals, independent of
+//     response times), reads responses, and records per-request
+//     round-trip latency into the loadgen.request_us histogram — print
+//     percentiles with --latency-table, or export everything with
+//     --json-out. A server that ends its stream early (it exited, say) is
+//     reported as `error: server stream ended after <k> of <n> responses`
+//     with exit status 1.
 //
 // The workload is a heavy-tailed duplicate mix: --bases= distinct random
 // instances (qo/workloads.h) are sampled per arrival from a Zipf(--zipf=)
@@ -26,16 +29,12 @@
 // header so the server runs that registry entry; --optimizer=help prints
 // both registries' listings.
 
-#include <sys/types.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -183,65 +182,42 @@ void PaceAfter(double pace_ms) {
 
 int Drive(const Workload& workload, const std::string& serve_path,
           const std::string& serve_args, double pace_ms) {
-  int to_server[2];
-  int from_server[2];
-  AQO_CHECK(::pipe(to_server) == 0 && ::pipe(from_server) == 0);
-  pid_t pid = ::fork();
-  AQO_CHECK(pid >= 0);
-  if (pid == 0) {
-    ::dup2(to_server[0], STDIN_FILENO);
-    ::dup2(from_server[1], STDOUT_FILENO);
-    ::close(to_server[0]);
-    ::close(to_server[1]);
-    ::close(from_server[0]);
-    ::close(from_server[1]);
-    std::vector<std::string> arg_strings;
-    arg_strings.push_back(serve_path);
-    std::istringstream split(serve_args);
-    for (std::string a; split >> a;) arg_strings.push_back(a);
-    std::vector<char*> argv;
-    for (std::string& a : arg_strings) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    ::execv(serve_path.c_str(), argv.data());
-    std::perror("execv");
-    ::_exit(127);
-  }
-  ::close(to_server[0]);
-  ::close(from_server[1]);
+  std::vector<std::string> argv = {serve_path};
+  std::istringstream split(serve_args);
+  for (std::string a; split >> a;) argv.push_back(a);
+  ServerProcess server(argv);
 
   using Clock = std::chrono::steady_clock;
   std::vector<Clock::time_point> sent(workload.frames.size());
+  std::vector<Clock::time_point> received(workload.frames.size());
 
   // Open-loop writer: arrivals are paced by the schedule alone, never by
   // response progress (a slow server just sees the queue deepen).
   std::thread writer([&] {
     for (size_t i = 0; i < workload.frames.size(); ++i) {
       sent[i] = Clock::now();
-      if (!WriteFrameFd(to_server[1], workload.frames[i])) break;
+      if (!server.Send(workload.frames[i])) break;
       PaceAfter(pace_ms);
     }
-    ::close(to_server[1]);  // EOF → graceful server shutdown
+    server.CloseInput();  // EOF → graceful server shutdown
   });
 
-  obs::Histogram& latency =
-      obs::Registry::Get().GetHistogram("loadgen.request_us");
   std::string payload;
   size_t index = 0;
-  while (index < workload.frames.size()) {
-    int read = ReadFrameFd(from_server[0], &payload);
-    if (read <= 0) break;
+  while (index < workload.frames.size() && server.Receive(&payload) > 0) {
     // Responses come back in request order (the server is serial).
-    uint64_t us = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              sent[index])
-            .count());
-    latency.Record(us);
-    ++index;
+    received[index++] = Clock::now();
   }
-  writer.join();
-  ::close(from_server[0]);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
+  writer.join();  // publishes the send times
+  obs::Histogram& latency =
+      obs::Registry::Get().GetHistogram("loadgen.request_us");
+  for (size_t i = 0; i < index; ++i) {
+    latency.Record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(received[i] -
+                                                              sent[i])
+            .count()));
+  }
+  int status = server.Wait();
   std::cerr << "aqo_loadgen: " << index << "/" << workload.frames.size()
             << " responses; server "
             << (WIFEXITED(status) ? WEXITSTATUS(status) : -1) << "\n";

@@ -1,81 +1,55 @@
 // aqo_serve — long-running optimization server over stdin/stdout.
 //
-// Speaks a length-prefixed frame protocol (io/framing.h): each request
-// frame carries a small text payload —
+// Speaks a length-prefixed frame protocol (io/framing.h) and answers
+// every frame with exactly one response frame. ServeRequest
+// (io/serve_request.h, which documents the request and response grammar)
+// answers each `req <id> ...` frame through the shared plan cache and the
+// load governor. The control verbs `ping <id>`, `health <id>` and
+// `snapshot <id>` (forces a snapshot rotation) are answered here, any
+// other header with `err ? bad request header: <line>`. `--optimizer=help`
+// prints both registries' Describe() listings and exits.
 //
-//   req <id> [deadline_ms] [optimizer=<name>]
-//   qon <n>            (or qoh — the full instance text, io/serialization.h)
-//   ...
-//
-// The optional `optimizer=` token selects any registry entry (family-
-// checked, aliases resolved) for that one request; `--optimizer=help`
-// prints both registries' Describe() listings and exits. A number that
-// strtod reads whole is that request's deadline in ms, in place of
-// --deadline-ms=; any other header token is answered `err <id> header:`.
-//
-// and produces exactly one response frame per request:
-//
-//   ok <id> <family> feasible=<0|1> status=<status> cost_log2=<g17> evaluations=<n>
-//   seq <v...>                       (feasible only)
-//   pipelines <v...>                 (qoh, feasible only)
-//
-// or `err <id> <reason>` (header and parse failures, admission
-// rejections). Control frames: `ping <id>` and `snapshot <id>` (forces a
-// snapshot rotation).
-//
-// Responses are a pure function of (instance, optimizer, knobs, seed):
-// cache hits return bit-identical bytes to a fresh computation, so a
-// warm restart reproduces a cold run's stdout byte-for-byte — the
-// warm-start differential ctest and the CI crash-recovery smoke both
-// assert exactly that. Anything nondeterministic (timings, hit counts)
-// goes to stderr and the JSONL run-log only.
+// Responses are a pure function of (instance, optimizer, knobs, seed), so
+// a warm restart reproduces a cold run's stdout byte-for-byte (the
+// warm-start differential ctest and the CI crash-recovery smoke assert
+// it); timings and hit counts go to stderr and the JSONL run-log only.
 //
 // Durability (docs/persistence.md): --cache-dir=<dir> arms plan-cache
-// persistence. On startup the cache is warmed with
-// PlanStore::LoadAndRecover (tolerating torn journal tails from a crash);
-// every insert is written through to the journal; a graceful shutdown
-// (stdin EOF, SIGTERM, SIGINT) rotates a fresh snapshot. SIGKILL loses
-// nothing but the snapshot rotation — the journal already holds every
-// insert.
+// persistence. Startup recovers with PlanStore::LoadAndRecover (torn
+// journal tails tolerated), every insert is written through to the
+// journal, and a graceful shutdown (stdin EOF, SIGTERM, SIGINT) rotates a
+// fresh snapshot; SIGKILL loses nothing but that rotation.
 //
-// Admission control (qo/overload.h Admit) answers a request its entry's
-// domain excludes with `err <id> domain: ...` before any work, then lets
-// the optional load governor degrade or shed; --deadline-ms= (or the
-// per-request number) bounds each optimizer run's wall time, so an
-// overloaded item returns its best-so-far plan with status
-// deadline_exceeded — such plans are never cached. --budget-evals= is the
-// deterministic analogue and IS cacheable (docs/robustness.md).
+// --deadline-ms= (or a request's own number) bounds each optimizer run's
+// wall time, so an overloaded item returns its best-so-far plan with
+// status deadline_exceeded; such plans are never cached. --budget-evals=
+// is the deterministic analogue and IS cacheable (docs/robustness.md).
 //
 // Telemetry: the qo.serve.request_us histogram (one sample per frame,
 // timed from the return of FrameReader::Next, after any resync frame is
-// written, through the periodic-snapshot check) and its qo.serve.parse_us
-// part (with a serve.parse trace slice); the `ping`/`health` verbs and
-// the shutdown stderr line report the governor, store and cache totals.
-// --json-out/--trace-out/--latency-table come from the shared harness
-// flags; with --json-out each computed request also emits its
-// `optimizer_run` record.
+// written, through the periodic-snapshot check); ServeRequest records its
+// qo.serve.parse_us part and a serve.parse trace slice. The `ping` and
+// `health` verbs and the shutdown stderr line report the governor, store
+// and cache totals. --json-out/--trace-out/--latency-table come from the
+// shared harness flags; with --json-out each computed request also emits
+// its `optimizer_run` record.
 
 #include <algorithm>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "bench/bench_common.h"
 #include "io/framing.h"
-#include "io/serialization.h"
+#include "io/serve_request.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/runlog.h"
-#include "obs/trace.h"
 #include "qo/overload.h"
 #include "qo/persist.h"
 #include "qo/plan_cache.h"
@@ -89,177 +63,28 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void HandleStop(int) { g_stop = 1; }
 
-// Formats a double with enough digits to round-trip, so equal bits print
-// equal bytes (the warm/cold differential depends on this).
-std::string FormatG17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-struct ServerConfig {
-  BatchOptions qon_batch;
-  BatchOptions qoh_batch;
-  int64_t snapshot_every = 0;  // optimize requests between rotations; 0 = off
-};
-
-// Emits one `overload_decision` JSONL record for a shed or degraded
-// request (admits are the common case and stay silent).
-void LogOverloadDecision(const std::string& id, const OverloadDecision& d,
-                         const std::string& requested,
-                         const std::string& effective) {
-  if (obs::RunLog* log = obs::RunLog::Global()) {
-    obs::JsonValue record = obs::JsonValue::Object();
-    record["type"] = "overload_decision";
-    record["id"] = id;
-    record["tier"] = OverloadTierName(d.tier);
-    record["pressure_permille"] = d.pressure_permille;
-    record["optimizer"] = requested;
-    if (d.tier == OverloadTier::kDegrade) record["effective"] = effective;
-    record["reason"] = d.reason;
-    log->Write(record);
-  }
-}
-
-// What differs between the QO_N and QO_H halves of ServeOptimize; the
-// request flow itself is shared, in the shape of RunBatch<Traits> in
-// qo/service.cc.
-struct QonServe {
-  using Instance = QonInstance;
-  static ParseResult<QonInstance> Parse(std::string_view body) {
-    return ParseQonInstance(body);
-  }
-  static constexpr auto Registry = &OptimizerRegistry::Qon;
-  static constexpr auto Optimize = &OptimizeQonBatch;
-  static constexpr BatchOptions ServerConfig::*kConfig =
-      &ServerConfig::qon_batch;
-  static constexpr OptimizerOptions BatchOptions::*kKnobs = &BatchOptions::qon;
-
-  static void WritePipelines(std::ostream&, const OptimizerResult&) {}
-};
-
-struct QohServe {
-  using Instance = QohInstance;
-  static ParseResult<QohInstance> Parse(std::string_view body) {
-    return ParseQohInstance(body);
-  }
-  static constexpr auto Registry = &QohOptimizerRegistry::Get;
-  static constexpr auto Optimize = &OptimizeQohBatch;
-  static constexpr BatchOptions ServerConfig::*kConfig =
-      &ServerConfig::qoh_batch;
-  static constexpr QohOptimizerOptions BatchOptions::*kKnobs =
-      &BatchOptions::qoh;
-
-  static void WritePipelines(std::ostream& out,
-                             const QohOptimizerResult& result) {
-    out << "\npipelines";
-    for (int v : result.decomposition.starts) out << " " << v;
-  }
-};
-
-// One optimize request of family `family` (the instance's first token):
-// parses `body`, admits, runs a single-instance batch through the shared
-// cache, formats the response payload. A non-empty `optimizer` (the
-// per-request `optimizer=<name>` header token) overrides the configured
-// entry, and `deadline_ms` the configured budget deadline, for this
-// request only.
-template <typename Family>
-std::string ServeFamily(const std::string& id, std::string_view family,
-                        std::optional<double> deadline_ms,
-                        const std::string& optimizer,
-                        std::string_view body, const ServerConfig& config,
-                        PlanCache* cache, LoadGovernor* governor) {
-  static obs::Histogram& parse_us =
-      obs::Registry::Get().GetHistogram("qo.serve.parse_us");
-  std::ostringstream out;
-  auto parsed = [&] {
-    obs::TraceSpan slice("serve.parse", "serve");
-    obs::ScopedLatencyTimer timer(parse_us);
-    return Family::Parse(body);
-  }();
-  if (!parsed.ok()) {
-    out << "err " << id << " parse: " << parsed.error;
-    return out.str();
-  }
-  auto& inst = *parsed.value;
-  BatchOptions options = config.*Family::kConfig;
-  auto& knobs = options.*Family::kKnobs;
-  options.cache = cache;
-  if (deadline_ms) knobs.budget.deadline_ms = *deadline_ms;
-  auto admission = Admit(Family::Registry(),
-                         optimizer.empty() ? options.optimizer : optimizer,
-                         inst.NumRelations(), *governor, &knobs);
-  const OverloadDecision& d = admission.decision;
-  if (d.tier != OverloadTier::kAdmit) {
-    LogOverloadDecision(id, d, admission.requested->name,
-                        admission.entry->name);
-  }
-  if (!admission.error.empty()) {
-    out << "err " << id << " " << admission.error;
-    return out.str();
-  }
-  options.optimizer = admission.entry->name;
-  std::vector<typename Family::Instance> batch;
-  batch.push_back(std::move(inst));
-  auto items = Family::Optimize(batch, options);
-  const auto& item = items.front();
-  out << "ok " << id << " " << family
-      << " feasible=" << (item.result.feasible ? 1 : 0)
-      << " status=" << PlanStatusName(item.result.status)
-      << " cost_log2=" << FormatG17(item.result.cost.Log2())
-      << " evaluations=" << item.result.evaluations;
-  if (d.tier == OverloadTier::kDegrade) out << " degraded=1";
-  if (item.result.feasible) {
-    out << "\nseq";
-    for (int v : item.result.sequence) out << " " << v;
-    Family::WritePipelines(out, item.result);
-  }
-  return out.str();
-}
-
-std::string ServeOptimize(const std::string& id,
-                          std::optional<double> deadline_ms,
-                          const std::string& optimizer,
-                          std::string_view body, const ServerConfig& config,
-                          PlanCache* cache, LoadGovernor* governor) {
-  // The family is the body's first whitespace-separated token, even past
-  // blank lines; a body that opens with a comment line names the
-  // comment's first word ('#', 'c') and is refused.
-  constexpr std::string_view kSpace = " \t\n\v\f\r";
-  std::string_view family = body.substr(
-      std::min(body.size(), body.find_first_not_of(kSpace)));
-  family = family.substr(0, family.find_first_of(kSpace));
-  if (family == "qon") {
-    return ServeFamily<QonServe>(id, family, deadline_ms, optimizer, body,
-                                 config, cache, governor);
-  }
-  if (family == "qoh") {
-    return ServeFamily<QohServe>(id, family, deadline_ms, optimizer, body,
-                                 config, cache, governor);
-  }
-  return "err " + id + " parse: unknown instance family '" +
-         std::string(family) + "' (expected qon or qoh)";
-}
-
 int Main(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   bench::RunLogSession session(flags, "aqo_serve", /*default_seed=*/1);
 
-  ServerConfig config;
+  // What each family's requests run with, unless a request names its own
+  // entry or deadline.
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  config.qon_batch.optimizer = flags.GetString("optimizer", "dp");
-  config.qon_batch.qon = bench::ReadQonKnobs(flags);
-  config.qon_batch.seed = seed;
-  config.qoh_batch.optimizer = flags.GetString("qoh-optimizer", "greedy");
-  config.qoh_batch.qoh = bench::ReadQohKnobs(flags);
-  config.qoh_batch.seed = seed;
-  if (config.qon_batch.optimizer == "help" ||
-      config.qoh_batch.optimizer == "help") {
+  BatchOptions qon;
+  qon.optimizer = flags.GetString("optimizer", "dp");
+  qon.qon = bench::ReadQonKnobs(flags);
+  qon.seed = seed;
+  BatchOptions qoh;
+  qoh.optimizer = flags.GetString("qoh-optimizer", "greedy");
+  qoh.qoh = bench::ReadQohKnobs(flags);
+  qoh.seed = seed;
+  if (qon.optimizer == "help" || qoh.optimizer == "help") {
     std::cout << OptimizerRegistry::Qon().Describe()
               << QohOptimizerRegistry::Get().Describe();
     return 0;
   }
-  config.snapshot_every = flags.GetInt("snapshot-every", 0);
+  // Optimize requests between snapshot rotations; 0 = off.
+  int64_t snapshot_every = flags.GetInt("snapshot-every", 0);
 
   // Load governor (qo/overload.h): disarmed unless a capacity is set, in
   // which case shed/degrade decisions are a pure function of the request
@@ -299,15 +124,12 @@ int Main(int argc, char** argv) {
     std::cerr << "aqo_serve: armed fault " << site << "@" << rest
               << " x" << times << "\n";
   }
-  if (OptimizerRegistry::Qon().Find(config.qon_batch.optimizer) == nullptr) {
-    std::cerr << "error: unknown QO_N optimizer '"
-              << config.qon_batch.optimizer << "'\n";
+  if (OptimizerRegistry::Qon().Find(qon.optimizer) == nullptr) {
+    std::cerr << "error: unknown QO_N optimizer '" << qon.optimizer << "'\n";
     return 2;
   }
-  if (QohOptimizerRegistry::Get().Find(config.qoh_batch.optimizer) ==
-      nullptr) {
-    std::cerr << "error: unknown QO_H optimizer '"
-              << config.qoh_batch.optimizer << "'\n";
+  if (QohOptimizerRegistry::Get().Find(qoh.optimizer) == nullptr) {
+    std::cerr << "error: unknown QO_H optimizer '" << qoh.optimizer << "'\n";
     return 2;
   }
 
@@ -334,6 +156,7 @@ int Main(int argc, char** argv) {
   cache_options.shards = static_cast<int>(cache_shards);
   PlanCache cache(cache_options);
   cache.LogConfig();
+  qon.cache = qoh.cache = &cache;
 
   // Durable state: recover, then write through.
   std::unique_ptr<PlanStore> store;
@@ -382,10 +205,7 @@ int Main(int argc, char** argv) {
   // reader resynchronizes on the next frame whose payload starts with a
   // known protocol verb, and the skipped garbage is answered with one
   // `err ?` frame so the client knows bytes were dropped.
-  FrameReader frames(std::cin, [](const std::string& p) {
-    return p.rfind("req ", 0) == 0 || p.rfind("ping ", 0) == 0 ||
-           p.rfind("health ", 0) == 0 || p.rfind("snapshot ", 0) == 0;
-  });
+  FrameReader frames(std::cin, StartsWithServeVerb);
   while (g_stop == 0) {
     FrameRead read = frames.Next(&payload, &frame_error);
     if (read == FrameRead::kEof) break;
@@ -403,41 +223,12 @@ int Main(int argc, char** argv) {
       std::cout.flush();
     }
     obs::ScopedLatencyTimer timer(request_us);
-    // First line: "<verb> <id> [tokens]"; the rest is the body.
-    size_t eol = payload.find('\n');
-    std::string head =
-        eol == std::string::npos ? payload : payload.substr(0, eol);
-    std::string_view body = eol == std::string::npos
-                                ? std::string_view()
-                                : std::string_view(payload).substr(eol + 1);
-    std::istringstream header(head);
-    std::string verb, id;
-    header >> verb >> id;
+    ServeFrame frame = SplitServeFrame(payload);
+    std::string_view verb = frame.verb;
+    std::string_view id = frame.id;
     std::string response;
     if (verb == "req" && !id.empty()) {
-      // Optional header tokens after the id: a number strtod reads whole
-      // is a deadline override, `optimizer=<name>` selects the registry
-      // entry for this request (aqo_loadgen --optimizer= emits it).
-      std::optional<double> deadline_ms;
-      std::string optimizer;
-      std::string bad_token;
-      for (std::string token; bad_token.empty() && header >> token;) {
-        char* end = nullptr;
-        if (token.rfind("optimizer=", 0) == 0) {
-          optimizer = token.substr(10);
-        } else if (double ms = std::strtod(token.c_str(), &end);
-                   end == token.c_str() + token.size()) {
-          deadline_ms = ms;
-        } else {
-          bad_token = token;
-        }
-      }
-      response = bad_token.empty()
-                     ? ServeOptimize(id, deadline_ms, optimizer, body,
-                                     config, &cache, &governor)
-                     : "err " + id + " header: '" + bad_token +
-                           "' is neither optimizer=<name> nor a deadline"
-                           " in ms";
+      response = ServeRequest(frame, qon, qoh, &governor);
       ++served;
       ++since_snapshot;
     } else if (verb == "ping" && !id.empty()) {
@@ -477,20 +268,22 @@ int Main(int argc, char** argv) {
       response = health.str();
     } else if (verb == "snapshot" && !id.empty()) {
       governor.OnControlFrame();
+      std::ostringstream snapshot;
       if (store == nullptr) {
-        response = "err " + id + " snapshot: no --cache-dir configured";
+        snapshot << "err " << id << " snapshot: no --cache-dir configured";
       } else if (store->SaveSnapshot(cache)) {
-        response = "ok " + id + " snapshot";
+        snapshot << "ok " << id << " snapshot";
       } else {
-        response = "err " + id + " snapshot: " + store->error();
+        snapshot << "err " << id << " snapshot: " << store->error();
       }
+      response = snapshot.str();
     } else {
-      response = "err ? bad request header: " + head;
+      response = "err ? bad request header: " + std::string(frame.line);
     }
     WriteFrame(std::cout, response);
     std::cout.flush();
-    if (store != nullptr && config.snapshot_every > 0 &&
-        since_snapshot >= config.snapshot_every) {
+    if (store != nullptr && snapshot_every > 0 &&
+        since_snapshot >= snapshot_every) {
       if (store->SaveSnapshot(cache)) since_snapshot = 0;
     }
   }
