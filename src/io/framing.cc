@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "util/check.h"
+#include "util/fd.h"
 
 namespace aqo {
 
@@ -126,13 +127,7 @@ bool ServerProcess::Send(const std::string& payload) {
 }
 
 bool ServerProcess::SendBytes(std::string_view bytes) {
-  while (!bytes.empty()) {
-    ssize_t wrote = ::write(to_, bytes.data(), bytes.size());
-    if (wrote < 0 && errno == EINTR) continue;
-    if (wrote < 0) return false;
-    bytes.remove_prefix(static_cast<size_t>(wrote));
-  }
-  return true;
+  return WriteAll(to_, bytes);
 }
 
 int ServerProcess::Receive(std::string* payload) {

@@ -219,16 +219,18 @@ ParseResult<T> Fail(const std::string& reason, std::string_view line) {
   return Fail<T>(reason + ": " + std::string(line));
 }
 
-using Edges = std::vector<std::tuple<int, int, double>>;
+// (i, j, log2 value) of w lines, in line order.
+using Costs = std::vector<std::tuple<int, int, double>>;
 
-// The rel and edge lines after a `family` header ("qon" or "qoh"), plus
-// w lines when `costs` is given: relation sizes and the raw log2 edge and
-// access-cost values, validated line by line. Returns the error, empty on
-// success.
-std::string ReadBody(std::string_view text, std::string_view family, int n,
-                     std::vector<LogDouble>* sizes, Edges* edges,
-                     Edges* costs) {
-  sizes->assign(static_cast<size_t>(n), LogDouble::One());
+// The rel and edge lines after a `family` header ("qon" or "qoh") of
+// flat->n relations, into `flat`'s sizes and edges in line order, plus w
+// lines into `costs` when it is given: log2 values, validated line by
+// line. Returns the error, empty on success.
+template <typename Flat>
+std::string ReadBody(std::string_view text, std::string_view family,
+                     Flat* flat, Costs* costs) {
+  int n = flat->n;
+  flat->sizes.assign(static_cast<size_t>(n), 0.0);  // log2 of t_i = 1
   // A line of separators alone (it holds a '\v' or '\f') reads no tag,
   // so the previous line's tag stands, as it did in operator>>'s string.
   std::string_view tag = family;
@@ -243,19 +245,22 @@ std::string ReadBody(std::string_view text, std::string_view family, int n,
           !(std::abs(lg) <= kMaxSerializedLog2)) {
         return "bad rel line: " + std::string(line);
       }
-      (*sizes)[static_cast<size_t>(i)] = LogDouble::FromLog2(lg);
+      flat->sizes[static_cast<size_t>(i)] = lg;
     } else if (tag == "edge" || (tag == "w" && costs != nullptr)) {
       if (!fields.Int(&i) || !fields.Int(&j) || !fields.Double(&lg) ||
           i < 0 || i >= n || j < 0 || j >= n || i == j ||
           !(std::abs(lg) <= kMaxSerializedLog2)) {
         return "bad " + std::string(tag) + " line: " + std::string(line);
       }
-      if (tag == "w") {
+      if (costs != nullptr && tag == "w") {
         costs->emplace_back(i, j, lg);
       } else if (lg > 0.0) {
         return "edge selectivity above 1: " + std::string(line);
       } else {
-        edges->emplace_back(i, j, lg);
+        auto& edge = flat->edges.emplace_back();
+        edge.u = i;
+        edge.v = j;
+        edge.selectivity = lg;
       }
     } else {
       return "unknown " + std::string(family) + " line: " + std::string(line);
@@ -264,31 +269,104 @@ std::string ReadBody(std::string_view text, std::string_view family, int n,
   return "";
 }
 
-// The join-graph half of both instance readers: the body after a
-// `family` header of n relations (w lines go to `costs` when it is
-// non-null), the query graph, and the instance `make(graph, sizes)`
-// builds with every edge selectivity set.
-template <typename Instance, typename Make>
-ParseResult<Instance> ReadJoinGraph(std::string_view text,
-                                    std::string_view family, int n,
-                                    Edges* costs, Make make) {
-  std::vector<LogDouble> sizes;
-  Edges edges;
-  std::string error = ReadBody(text, family, n, &sizes, &edges, costs);
-  if (!error.empty()) return Fail<Instance>(error);
-  Graph g(n);
-  for (const auto& [i, j, lg] : edges) {
-    if (g.HasEdge(i, j)) {
-      return Fail<Instance>("duplicate edge " + std::to_string(i) + " " +
-                            std::to_string(j));
+// The join-graph half of both readers: the body (ReadBody), then the
+// check that no pair has two edge lines, in line order. Returns the
+// error, empty on success.
+template <typename Flat>
+std::string ReadJoinGraph(std::string_view text, std::string_view family,
+                          Flat* flat, Costs* costs) {
+  std::string error = ReadBody(text, family, flat, costs);
+  if (!error.empty()) return error;
+  int n = flat->n;
+  // Bit min(u, v) * n + max(u, v) marks a pair already read.
+  DynamicBitset seen(n * n);
+  for (const auto& e : flat->edges) {
+    int pair = std::min(e.u, e.v) * n + std::max(e.u, e.v);
+    if (seen.Test(pair)) {
+      return "duplicate edge " + std::to_string(e.u) + " " +
+             std::to_string(e.v);
     }
-    g.AddEdge(i, j);
+    seen.Set(pair);
   }
-  ParseResult<Instance> out;
-  Instance& inst = out.value.emplace(make(std::move(g), std::move(sizes)));
-  for (const auto& [i, j, lg] : edges) {
-    inst.SetSelectivity(i, j, LogDouble::FromLog2(lg));
+  return "";
+}
+
+// Gives every edge its two access costs: the default t_j s_ij, then the
+// last w line of that direction. Each w line must lie in [t_j s_ij, t_j]
+// (s_ij = 1 off the edges), or the text fails as QonInstance's setter
+// would CHECK-fail; those off the edges go to `off_edge`, in line order.
+// Returns the error, empty on success.
+std::string ResolveAccessCosts(const Costs& costs, FlatQon* flat,
+                               Costs* off_edge) {
+  auto size = [&](int i) {
+    return LogDouble::FromLog2(flat->sizes[static_cast<size_t>(i)]);
+  };
+  for (FlatQonEdge& e : flat->edges) {
+    // log2 of t_j * s_ij: the sum LogDouble's product takes of two
+    // finite log2 values.
+    e.cost_uv = flat->sizes[static_cast<size_t>(e.v)] + e.selectivity;
+    e.cost_vu = flat->sizes[static_cast<size_t>(e.u)] + e.selectivity;
   }
+  if (costs.empty()) return "";
+  // (min(u, v) * n + max(u, v), edge index), sorted: a w line's edge.
+  int n = flat->n;
+  std::vector<std::pair<int, size_t>> index;
+  index.reserve(flat->edges.size());
+  for (size_t e = 0; e < flat->edges.size(); ++e) {
+    const FlatQonEdge& edge = flat->edges[e];
+    index.emplace_back(
+        std::min(edge.u, edge.v) * n + std::max(edge.u, edge.v), e);
+  }
+  std::sort(index.begin(), index.end());
+  for (const auto& [i, j, lg] : costs) {
+    int pair = std::min(i, j) * n + std::max(i, j);
+    auto it = std::lower_bound(index.begin(), index.end(),
+                               std::pair<int, size_t>(pair, 0));
+    FlatQonEdge* edge = it != index.end() && it->first == pair
+                            ? &flat->edges[it->second]
+                            : nullptr;
+    LogDouble w = LogDouble::FromLog2(lg);
+    LogDouble lo = size(j) * LogDouble::FromLog2(
+                                 edge != nullptr ? edge->selectivity : 0.0);
+    LogDouble hi = size(j);
+    if (!(lo <= w && w <= hi)) {
+      std::ostringstream os;
+      os << "access cost out of [t_j s, t_j] at (" << i << "," << j << ")";
+      return os.str();
+    }
+    if (edge == nullptr) {
+      off_edge->emplace_back(i, j, lg);
+    } else {
+      (edge->u == i ? edge->cost_uv : edge->cost_vu) = lg;
+    }
+  }
+  return "";
+}
+
+// The qon reader behind ParseFlatQon and ParseQonInstance: the flat form,
+// and the w lines between relations with no edge, which can differ from
+// their default only in the sign of a zero log2 and which only the parsed
+// instance keeps (a relabeling re-derives them), into `off_edge`.
+ParseResult<FlatQon> ReadQon(std::string_view text, Costs* off_edge) {
+  ParseResult<FlatQon> out;
+  if (InjectedParseFault(&out.error)) return out;
+  std::string_view line;
+  if (!NextLine(&text, &line)) return Fail<FlatQon>("missing qon header");
+  Fields header(line);
+  std::string_view tag;
+  int n = -1;
+  if (!header.Token(&tag) || !header.Int(&n) || tag != "qon" || n < 1) {
+    return Fail<FlatQon>("bad qon header", line);
+  }
+  if (n > kMaxSerializedRelations) {
+    return Fail<FlatQon>("qon header n exceeds supported maximum", line);
+  }
+  FlatQon& flat = out.value.emplace();
+  flat.n = n;
+  Costs costs;
+  std::string error = ReadJoinGraph(text, "qon", &flat, &costs);
+  if (error.empty()) error = ResolveAccessCosts(costs, &flat, off_edge);
+  if (!error.empty()) return Fail<FlatQon>(error);
   return out;
 }
 
@@ -417,40 +495,19 @@ void WriteQonInstance(const QonInstance& inst, std::ostream& os) {
   }
 }
 
-ParseResult<QonInstance> ParseQonInstance(std::string_view text) {
-  ParseResult<QonInstance> out;
-  if (InjectedParseFault(&out.error)) return out;
-  std::string_view line;
-  if (!NextLine(&text, &line)) return Fail<QonInstance>("missing qon header");
-  Fields header(line);
-  std::string_view tag;
-  int n = -1;
-  if (!header.Token(&tag) || !header.Int(&n) || tag != "qon" || n < 1) {
-    return Fail<QonInstance>("bad qon header", line);
-  }
-  if (n > kMaxSerializedRelations) {
-    return Fail<QonInstance>("qon header n exceeds supported maximum", line);
-  }
+ParseResult<FlatQon> ParseFlatQon(std::string_view text) {
+  Costs off_edge;
+  return ReadQon(text, &off_edge);
+}
 
-  Edges costs;
-  out = ReadJoinGraph<QonInstance>(
-      text, "qon", n, &costs, [](Graph g, std::vector<LogDouble> sizes) {
-        return QonInstance(std::move(g), std::move(sizes));
-      });
-  if (!out.ok()) return out;
-  QonInstance& inst = *out.value;
-  for (const auto& [i, j, lg] : costs) {
-    // SetAccessCost CHECK-fails outside [t_j s, t_j]; pre-validate so a
-    // malformed file reports instead of aborting.
-    LogDouble w = LogDouble::FromLog2(lg);
-    LogDouble lo = inst.size(j) * inst.selectivity(i, j);
-    LogDouble hi = inst.size(j);
-    if (!(lo <= w && w <= hi)) {
-      std::ostringstream os;
-      os << "access cost out of [t_j s, t_j] at (" << i << "," << j << ")";
-      return Fail<QonInstance>(os.str());
-    }
-    inst.SetAccessCost(i, j, w);
+ParseResult<QonInstance> ParseQonInstance(std::string_view text) {
+  Costs off_edge;
+  ParseResult<FlatQon> flat = ReadQon(text, &off_edge);
+  if (!flat.ok()) return Fail<QonInstance>(flat.error);
+  ParseResult<QonInstance> out;
+  QonInstance& inst = out.value.emplace(BuildQonInstance(*flat.value));
+  for (const auto& [i, j, lg] : off_edge) {
+    inst.SetAccessCost(i, j, LogDouble::FromLog2(lg));
   }
   return out;
 }
@@ -469,29 +526,36 @@ void WriteQohInstance(const QohInstance& inst, std::ostream& os) {
   WriteJoinGraph(inst, os);
 }
 
-ParseResult<QohInstance> ParseQohInstance(std::string_view text) {
-  ParseResult<QohInstance> out;
+ParseResult<FlatQoh> ParseFlatQoh(std::string_view text) {
+  ParseResult<FlatQoh> out;
   if (InjectedParseFault(&out.error)) return out;
   std::string_view line;
-  if (!NextLine(&text, &line)) return Fail<QohInstance>("missing qoh header");
+  if (!NextLine(&text, &line)) return Fail<FlatQoh>("missing qoh header");
   Fields header(line);
   std::string_view tag;
-  int n = -1;
-  double memory = 0.0, eta = 0.5;
-  if (!header.Token(&tag) || !header.Int(&n) || !header.Double(&memory) ||
-      !header.Double(&eta) || tag != "qoh" || n < 1 ||
-      !std::isfinite(memory) || memory <= 0.0 || !std::isfinite(eta) ||
-      eta <= 0.0 || eta >= 1.0) {
-    return Fail<QohInstance>("bad qoh header", line);
+  FlatQoh& flat = out.value.emplace();
+  flat.n = -1;
+  if (!header.Token(&tag) || !header.Int(&flat.n) ||
+      !header.Double(&flat.memory) || !header.Double(&flat.eta) ||
+      tag != "qoh" || flat.n < 1 || !std::isfinite(flat.memory) ||
+      flat.memory <= 0.0 || !std::isfinite(flat.eta) || flat.eta <= 0.0 ||
+      flat.eta >= 1.0) {
+    return Fail<FlatQoh>("bad qoh header", line);
   }
-  if (n > kMaxSerializedRelations) {
-    return Fail<QohInstance>("qoh header n exceeds supported maximum", line);
+  if (flat.n > kMaxSerializedRelations) {
+    return Fail<FlatQoh>("qoh header n exceeds supported maximum", line);
   }
+  std::string error = ReadJoinGraph(text, "qoh", &flat, nullptr);
+  if (!error.empty()) return Fail<FlatQoh>(error);
+  return out;
+}
 
-  return ReadJoinGraph<QohInstance>(
-      text, "qoh", n, nullptr, [&](Graph g, std::vector<LogDouble> sizes) {
-        return QohInstance(std::move(g), std::move(sizes), memory, eta);
-      });
+ParseResult<QohInstance> ParseQohInstance(std::string_view text) {
+  ParseResult<FlatQoh> flat = ParseFlatQoh(text);
+  if (!flat.ok()) return Fail<QohInstance>(flat.error);
+  ParseResult<QohInstance> out;
+  out.value.emplace(BuildQohInstance(*flat.value));
+  return out;
 }
 
 ParseResult<QohInstance> ParseQohInstance(std::istream& is) {

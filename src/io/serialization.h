@@ -64,6 +64,7 @@
 #include <utility>
 
 #include "graph/graph.h"
+#include "qo/flat_instance.h"
 #include "qo/qoh.h"
 #include "qo/qon.h"
 #include "sat/cnf.h"
@@ -103,6 +104,15 @@ ParseResult<Graph> ParseGraph(std::istream& is);
 ParseResult<CnfFormula> ParseDimacs(std::istream& is);
 ParseResult<QonInstance> ParseQonInstance(std::string_view text);
 ParseResult<QohInstance> ParseQohInstance(std::string_view text);
+// The flat form of the text (qo/flat_instance.h), with every decision and
+// error string of ParseQ*Instance, which is this read and then
+// BuildQ*Instance; no n x n matrix of values is allocated (the
+// duplicate-edge check keeps one bit per pair). (ParseQonInstance also
+// keeps a w line between relations with no edge, which can differ from
+// its default only in the sign of a zero log2; the flat form, like a
+// relabeling, drops it.)
+ParseResult<FlatQon> ParseFlatQon(std::string_view text);
+ParseResult<FlatQoh> ParseFlatQoh(std::string_view text);
 // The rest of the stream, read in bulk and parsed as text.
 ParseResult<QonInstance> ParseQonInstance(std::istream& is);
 ParseResult<QohInstance> ParseQohInstance(std::istream& is);

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -40,24 +41,30 @@ std::string FormatG17(double v) {
 // What differs between the QO_N and QO_H requests; the flow itself is
 // shared, in the shape of RunBatch<Traits> in qo/service.cc.
 struct QonRequest {
-  using Instance = QonInstance;
-  static constexpr ParseResult<QonInstance> (*Parse)(std::string_view) =
-      &ParseQonInstance;
+  using Flat = FlatQon;
+  static constexpr auto Parse = &ParseFlatQon;
   static constexpr auto Registry = &OptimizerRegistry::Qon;
-  static constexpr auto Optimize = &OptimizeQonBatch;
   static constexpr OptimizerOptions BatchOptions::*kKnobs = &BatchOptions::qon;
+
+  static QonBatchItem Optimize(const FlatQon& flat,
+                               const BatchOptions& options) {
+    return std::move(OptimizeQonBatch(std::span(&flat, 1), options).front());
+  }
 
   static void WritePipelines(std::ostream&, const OptimizerResult&) {}
 };
 
 struct QohRequest {
-  using Instance = QohInstance;
-  static constexpr ParseResult<QohInstance> (*Parse)(std::string_view) =
-      &ParseQohInstance;
+  using Flat = FlatQoh;
+  static constexpr auto Parse = &ParseFlatQoh;
   static constexpr auto Registry = &QohOptimizerRegistry::Get;
-  static constexpr auto Optimize = &OptimizeQohBatch;
   static constexpr QohOptimizerOptions BatchOptions::*kKnobs =
       &BatchOptions::qoh;
+
+  static QohBatchItem Optimize(const FlatQoh& flat,
+                               const BatchOptions& options) {
+    return std::move(OptimizeQohBatch(std::span(&flat, 1), options).front());
+  }
 
   static void WritePipelines(std::ostream& out,
                              const QohOptimizerResult& result) {
@@ -66,10 +73,11 @@ struct QohRequest {
   }
 };
 
-// One optimize request of `family`: parses `body`, admits, runs a
-// single-instance batch and formats the response. A
-// non-empty `optimizer` overrides `options.optimizer`, and `deadline_ms`
-// the budget deadline, for this request only.
+// One optimize request of `family`: reads `body` into its flat form,
+// admits on its n, runs a one-item batch (which builds the canonical
+// instance on a miss only) and formats the response. A non-empty
+// `optimizer` overrides `options.optimizer`, and `deadline_ms` the budget
+// deadline, for this request only.
 template <typename Family>
 std::string ServeFamily(std::string_view id, std::string_view family,
                         std::optional<double> deadline_ms,
@@ -87,14 +95,14 @@ std::string ServeFamily(std::string_view id, std::string_view family,
     out << "err " << id << " parse: " << parsed.error;
     return out.str();
   }
-  auto& inst = *parsed.value;
+  const typename Family::Flat& flat = *parsed.value;
   BatchOptions options = defaults;
   auto& knobs = options.*Family::kKnobs;
   if (deadline_ms) knobs.budget.deadline_ms = *deadline_ms;
   auto admission =
       Admit(Family::Registry(),
             optimizer.empty() ? std::string_view(options.optimizer) : optimizer,
-            inst.NumRelations(), *governor, &knobs);
+            flat.n, *governor, &knobs);
   const OverloadDecision& d = admission.decision;
   obs::RunLog* log = obs::RunLog::Global();
   if (d.tier != OverloadTier::kAdmit && log != nullptr) {
@@ -116,10 +124,7 @@ std::string ServeFamily(std::string_view id, std::string_view family,
     return out.str();
   }
   options.optimizer = admission.entry->name;
-  std::vector<typename Family::Instance> batch;
-  batch.push_back(std::move(inst));
-  auto items = Family::Optimize(batch, options);
-  const auto& item = items.front();
+  auto item = Family::Optimize(flat, options);
   out << "ok " << id << " " << family
       << " feasible=" << (item.result.feasible ? 1 : 0)
       << " status=" << PlanStatusName(item.result.status)

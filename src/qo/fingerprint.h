@@ -14,19 +14,26 @@
 //
 //   * Relations are relabeled into a canonical order computed by
 //     iterative key refinement (1-WL style): start each relation's key
-//     from its cardinality, then repeatedly fold in the sorted multiset
-//     of (neighbor key, selectivity, access costs) tuples until the
-//     partition stabilizes. The refined keys are label-invariant by
-//     construction, so relabeled duplicates sort into byte-identical
+//     from its size, then, while the partition keeps getting finer, mix
+//     each key with the wrapping sum of Mix64(neighbour key ^ edge
+//     attribute) over its edges, where an edge's attribute hashes its
+//     selectivity and (QO_N) its access cost out of and into the
+//     relation. A sum is order-free, so the keys are label-invariant
+//     without sorting, and relabeled duplicates sort into byte-identical
 //     canonical instances. (Keys that remain tied are broken by original
 //     index; for truly automorphic relations any choice yields the same
 //     canonical bytes, and where refinement fails to separate
 //     non-automorphic relations — possible on highly regular instances —
 //     the result is only a missed cache hit, never a wrong one.)
 //   * The fingerprint is a 128-bit hash of the *entire* canonical
-//     instance (sizes, edges, selectivities, access costs, and for QO_H
-//     the memory budget and eta), so equal fingerprints imply equal
-//     canonical instances up to hash collision (~2^-64 per pair).
+//     instance: the wrapping sum of independent 128-bit hashes of its
+//     records, which are the header (family, n, edge count, and for QO_H
+//     the memory budget and eta), each size at its canonical position,
+//     and each edge at its canonical pair (cu < cv) with its selectivity
+//     and (QO_N) its access costs cu -> cv and cv -> cu. Each record is
+//     hashed by two Mix64 chains from different seeds. Equal fingerprints
+//     imply equal canonical instances up to hash collision (~2^-64 per
+//     pair).
 //   * The permutation is retained both ways, so cached sequences — which
 //     live in canonical labels — map back to the caller's labels with
 //     MapSequenceFromCanonical. Both cost models evaluate a sequence in
@@ -35,14 +42,16 @@
 //     in the canonical one (the property test asserts exact Log2 bits).
 //
 // Canonicalization is two steps. The label step (LabelQon / LabelQoh)
-// computes the order, both permutations and the fingerprint, hashing the
-// canonical instance's words in canonical order straight from the
-// caller's instance; it builds no instance. The relabel step
-// (PermuteQ*Instance) builds the canonical instance. A plan-cache hit
-// needs only the first; CanonicalizeQon / CanonicalizeQoh run both.
+// computes the order, both permutations and the fingerprint from the
+// flat form (qo/flat_instance.h), which a reader produces from text
+// without building an instance; an instance is flattened first. The
+// relabel step (PermuteQ*Instance, or BuildQ*Instance from the flat form)
+// builds the canonical instance. A plan-cache hit needs only the first;
+// CanonicalizeQon / CanonicalizeQoh run both.
 
 #include <vector>
 
+#include "qo/flat_instance.h"
 #include "qo/qoh.h"
 #include "qo/qon.h"
 #include "util/hash.h"
@@ -50,8 +59,8 @@
 namespace aqo {
 
 // Relabels relation i as perm[i], copying sizes, selectivities and
-// (for QO_N) explicit access-path costs. perm must be a permutation of
-// 0..n-1.
+// (for QO_N) the access costs of every edge. perm must be a permutation
+// of 0..n-1.
 QonInstance PermuteQonInstance(const QonInstance& inst,
                                const std::vector<int>& perm);
 QohInstance PermuteQohInstance(const QohInstance& inst,
@@ -65,8 +74,12 @@ struct CanonicalLabels {
   Hash128 fingerprint;              // hash of the full canonical instance
 };
 
-// The label step. The fingerprint has the bits of hashing
-// PermuteQ*Instance(inst, to_canonical), without building it.
+// The label step. The fingerprint hashes PermuteQ*Instance(inst,
+// to_canonical), without building it. An instance and its flat form (from
+// FlattenQ*, or read from the instance's written text) get the same
+// labels.
+CanonicalLabels LabelQon(const FlatQon& flat);
+CanonicalLabels LabelQoh(const FlatQoh& flat);
 CanonicalLabels LabelQon(const QonInstance& inst);
 CanonicalLabels LabelQoh(const QohInstance& inst);
 

@@ -26,6 +26,7 @@
 #include "util/check.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
+#include "util/fd.h"
 #include "util/random.h"
 
 namespace aqo {
@@ -291,20 +292,6 @@ std::string SlurpStream(std::istream& is) {
   return std::move(buffer).str();
 }
 
-// Full, blocking write of `data` to `fd`; false on any error.
-bool WriteAll(int fd, const char* data, size_t len) {
-  size_t done = 0;
-  while (done < len) {
-    ssize_t n = ::write(fd, data + done, len - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 std::string EncodePersistHeader(PersistFileKind kind) {
@@ -494,7 +481,7 @@ bool PlanStore::OpenJournal(bool truncate) {
   off_t size = ::lseek(fd, 0, SEEK_END);
   if (size == 0) {
     std::string header = EncodePersistHeader(PersistFileKind::kLog);
-    if (!WriteAll(fd, header.data(), header.size())) {
+    if (!WriteAll(fd, header)) {
       return Fail(std::string("journal header write failed: ") +
                   std::strerror(errno));
     }
@@ -517,14 +504,15 @@ bool PlanStore::AppendEntry(const Hash128& key, const CachedPlan& plan) {
   // the file — exactly the torn tail a real crash leaves — and the store
   // stops writing, as the dead process would have.
   if (FaultInjector::Get().ShouldFail("persist.append", ordinal)) {
-    WriteAll(journal_fd_, record.data(), record.size() / 2);
+    WriteAll(journal_fd_,
+             std::string_view(record).substr(0, record.size() / 2));
     std::ostringstream why;
     why << "injected crash during append #" << ordinal
         << " (record torn at byte " << record.size() / 2 << " of "
         << record.size() << ")";
     return Fail(why.str());
   }
-  if (!WriteAll(journal_fd_, record.data(), record.size())) {
+  if (!WriteAll(journal_fd_, record)) {
     return Fail(std::string("journal append failed: ") +
                 std::strerror(errno));
   }
@@ -559,7 +547,7 @@ bool PlanStore::SaveSnapshot(const PlanCache& cache) {
   // written and no rename issued. The live snapshot and journal are
   // untouched, so recovery sees the pre-rotation state.
   if (FaultInjector::Get().ShouldFail("persist.snapshot", ordinal)) {
-    WriteAll(fd, bytes.data(), bytes.size() / 2);
+    WriteAll(fd, std::string_view(bytes).substr(0, bytes.size() / 2));
     ::close(fd);
     std::ostringstream why;
     why << "injected crash during snapshot rotation #" << ordinal
@@ -567,7 +555,7 @@ bool PlanStore::SaveSnapshot(const PlanCache& cache) {
         << bytes.size() << ")";
     return Fail(why.str());
   }
-  if (!WriteAll(fd, bytes.data(), bytes.size())) {
+  if (!WriteAll(fd, bytes)) {
     ::close(fd);
     return Fail(std::string("snapshot write failed: ") +
                 std::strerror(errno));

@@ -19,11 +19,12 @@ void AddString(HashAccumulator* acc, std::string_view s) {
   for (char c : s) acc->Add(static_cast<uint64_t>(static_cast<uint8_t>(c)));
 }
 
-// "qon_key2": bumped from "qon_key1" when the `cout` entry started to
-// return the QO_N cost of its plan, so no persisted entry serves the old
-// cost bits (docs/persistence.md).
-constexpr uint64_t kQonKeyTag = 0x716f6e5f6b657932ULL;
-constexpr uint64_t kQohKeyTag = 0x716f685f6b657931ULL;
+// "qon_key3" and "qoh_key2": bumped with each change to what a key's
+// plan means, last when the fingerprint format changed (qo/fingerprint.h),
+// so no persisted entry serves under a key it was not computed for
+// (docs/persistence.md).
+constexpr uint64_t kQonKeyTag = 0x716f6e5f6b657933ULL;
+constexpr uint64_t kQohKeyTag = 0x716f685f6b657932ULL;
 // Deterministic optimizers ignore the Rng; folding a fixed sentinel
 // instead of the seed lets their entries hit across seeds.
 constexpr uint64_t kDeterministicSeed = 0x64657465726d696eULL;
@@ -63,25 +64,27 @@ obs::Histogram& ItemHistogram(PlanStatus status, bool cache_hit) {
 }
 
 // Shared batch pass for both families; `Traits` supplies the
-// family-specific pieces. Items run one at a time in batch order, so cache
+// family-specific pieces. `flat_at(i)` is item i's flat form (a reader's,
+// or an instance flattened), so both sources run this one loop: label,
+// key, probe, and on a miss build the canonical instance, run, insert;
+// then map back. Items run one at a time in batch order, so cache
 // probes, inserts, counter totals and run-log records all follow that
 // order.
-template <typename Traits>
-std::vector<typename Traits::Item> RunBatch(
-    const std::vector<typename Traits::Instance>& instances,
-    const BatchOptions& options) {
+template <typename Traits, typename FlatAt>
+std::vector<typename Traits::Item> RunBatch(size_t count, FlatAt flat_at,
+                                            const BatchOptions& options) {
   const auto* entry = Traits::Registry().Find(options.optimizer);
   AQO_CHECK(entry != nullptr)
       << "unknown " << Traits::kFamily << " optimizer: " << options.optimizer;
   PlanCache* cache = options.cache;
 
-  std::vector<typename Traits::Item> out(instances.size());
-  for (size_t i = 0; i < instances.size(); ++i) {
+  std::vector<typename Traits::Item> out(count);
+  for (size_t i = 0; i < count; ++i) {
     // One trace slice and one latency sample per item.
     obs::TraceSpan slice("qo.service.item", "service");
     auto item_start = std::chrono::steady_clock::now();
-    const typename Traits::Instance& inst = instances[i];
-    CanonicalLabels c = Traits::Label(inst);
+    decltype(auto) flat = flat_at(i);
+    CanonicalLabels c = Traits::Label(flat);
     Hash128 key = Traits::Key(c, *entry, options);
     CachedPlan plan;
     bool hit = cache != nullptr && cache->Lookup(key, &plan);
@@ -95,16 +98,18 @@ std::vector<typename Traits::Item> RunBatch(
                                .kind = "batch",
                                .side = "",
                                .source = "",
-                               .n = inst.NumRelations(),
-                               .edges = inst.graph().NumEdges()};
+                               .n = flat.n,
+                               .edges = static_cast<int>(flat.edges.size())};
       auto knobs = Traits::Knobs(options, c);
       try {
         Rng rng(MixSeed(options.seed, c.fingerprint.lo));
         FaultInjector::Get().MaybeThrow("service.item", i);
-        // The canonical instance is built on a miss only: a hit needs
+        // The only instance an item builds, on a miss only: a hit needs
         // nothing but the labels.
-        typename Traits::Instance canonical =
-            Traits::Permute(inst, c.to_canonical);
+        typename Traits::Instance canonical = [&] {
+          obs::TraceSpan build("qo.service.canonical", "service");
+          return Traits::Build(flat, c.to_canonical);
+        }();
         plan = Traits::ToPlan(obs::InstrumentedRun(
             std::string(Traits::kFamily) + "." + entry->name, shape,
             [&] { return entry->run(canonical, knobs, &rng); }));
@@ -146,8 +151,10 @@ struct QonTraits {
   static const OptimizerRegistry& Registry() {
     return OptimizerRegistry::Qon();
   }
-  static constexpr auto Label = &LabelQon;
-  static constexpr auto Permute = &PermuteQonInstance;
+  static CanonicalLabels Label(const FlatQon& flat) { return LabelQon(flat); }
+  static QonInstance Build(const FlatQon& flat, const std::vector<int>& perm) {
+    return BuildQonInstance(flat, perm);
+  }
   static Hash128 Key(const CanonicalLabels& canon,
                      const QonOptimizerEntry& entry,
                      const BatchOptions& options) {
@@ -182,8 +189,10 @@ struct QohTraits {
   static const QohOptimizerRegistry& Registry() {
     return QohOptimizerRegistry::Get();
   }
-  static constexpr auto Label = &LabelQoh;
-  static constexpr auto Permute = &PermuteQohInstance;
+  static CanonicalLabels Label(const FlatQoh& flat) { return LabelQoh(flat); }
+  static QohInstance Build(const FlatQoh& flat, const std::vector<int>& perm) {
+    return BuildQohInstance(flat, perm);
+  }
   // The sentinel_first knob names a relation in *caller* labels; the
   // service runs on the canonical instance, so it is remapped per
   // instance — and folded into the cache key in canonical form, which is
@@ -227,12 +236,30 @@ struct QohTraits {
 
 std::vector<QonBatchItem> OptimizeQonBatch(
     const std::vector<QonInstance>& instances, const BatchOptions& options) {
-  return RunBatch<QonTraits>(instances, options);
+  return RunBatch<QonTraits>(
+      instances.size(), [&](size_t i) { return FlattenQon(instances[i]); },
+      options);
 }
 
 std::vector<QohBatchItem> OptimizeQohBatch(
     const std::vector<QohInstance>& instances, const BatchOptions& options) {
-  return RunBatch<QohTraits>(instances, options);
+  return RunBatch<QohTraits>(
+      instances.size(), [&](size_t i) { return FlattenQoh(instances[i]); },
+      options);
+}
+
+std::vector<QonBatchItem> OptimizeQonBatch(std::span<const FlatQon> instances,
+                                           const BatchOptions& options) {
+  return RunBatch<QonTraits>(
+      instances.size(),
+      [&](size_t i) -> const FlatQon& { return instances[i]; }, options);
+}
+
+std::vector<QohBatchItem> OptimizeQohBatch(std::span<const FlatQoh> instances,
+                                           const BatchOptions& options) {
+  return RunBatch<QohTraits>(
+      instances.size(),
+      [&](size_t i) -> const FlatQoh& { return instances[i]; }, options);
 }
 
 Hash128 QonPlanCacheKey(const Hash128& fingerprint, std::string_view optimizer,
@@ -247,9 +274,8 @@ Hash128 QonPlanCacheKey(const Hash128& fingerprint, std::string_view optimizer,
   acc.Add(static_cast<uint64_t>(options.samples));
   acc.Add(static_cast<uint64_t>(options.restarts));
   acc.Add(static_cast<uint64_t>(options.sa.iterations));
-  // The annealing and genetic constants keep the slots of the knobs they
-  // replaced, as the retired bnb_node_limit keeps its slot below, so old
-  // keys stay valid.
+  // The annealing and genetic constants are hashed too, so changing one
+  // changes every key that could have served a plan it shaped.
   acc.AddDouble(kSaInitialTemperature);
   acc.AddDouble(kSaCooling);
   acc.Add(static_cast<uint64_t>(options.sa.restarts));
@@ -259,8 +285,6 @@ Hash128 QonPlanCacheKey(const Hash128& fingerprint, std::string_view optimizer,
   acc.AddDouble(kGaMutationRate);
   acc.Add(static_cast<uint64_t>(kGaTournament));
   acc.Add(static_cast<uint64_t>(kGaElites));
-  // The slot of the retired bnb_node_limit knob: 0 keeps old keys valid.
-  acc.Add(uint64_t{0});
   // Deterministic eval cap: different caps yield different (valid)
   // best-so-far plans, so they must not alias. Deadlines are deliberately
   // absent — deadline-cut plans are never inserted in the first place.
@@ -282,7 +306,7 @@ Hash128 QohPlanCacheKey(const Hash128& fingerprint, std::string_view optimizer,
   acc.Add(static_cast<uint64_t>(
       static_cast<int64_t>(options.sentinel_first)));
   acc.Add(static_cast<uint64_t>(options.sa.iterations));
-  // The annealing constants keep their knobs' slots (see QonPlanCacheKey).
+  // The annealing constants are hashed too (see QonPlanCacheKey).
   acc.AddDouble(kQohSaInitialTemperature);
   acc.AddDouble(kQohSaCooling);
   acc.Add(static_cast<uint64_t>(options.sa.restarts));

@@ -15,8 +15,8 @@
 //     results are bit-identical (costs, sequences, evaluation counts)
 //     whether the cache is on, off, cold, warm, or shared
 //     (tests/service_differential_test.cc). The cache is keyed on the
-//     label step's fingerprint, and the canonical instance is built only
-//     on a miss.
+//     label step's fingerprint, and the canonical instance is the only
+//     instance an item builds, on a miss only.
 //   * Cache probes, inserts and run-log records follow instance order, so
 //     the cache's GetStats() totals and the run-log record stream of a
 //     batch are deterministic too.
@@ -27,6 +27,7 @@
 // sequence costs bitwise the same as the canonical one.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,16 @@ std::vector<QonBatchItem> OptimizeQonBatch(
 
 std::vector<QohBatchItem> OptimizeQohBatch(
     const std::vector<QohInstance>& instances, const BatchOptions& options);
+
+// The same batch over flat forms (qo/flat_instance.h), as the readers
+// return them: a hit builds no instance, and a miss builds only the
+// canonical one. Both overloads run one item loop, and an instance and
+// its flat form get the same item.
+std::vector<QonBatchItem> OptimizeQonBatch(std::span<const FlatQon> instances,
+                                           const BatchOptions& options);
+
+std::vector<QohBatchItem> OptimizeQohBatch(std::span<const FlatQoh> instances,
+                                           const BatchOptions& options);
 
 // The full cache key: instance fingerprint + problem family + optimizer
 // name + every knob the result depends on + the seed (deterministic

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,12 +17,15 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph.h"
+#include "io/serialization.h"
+#include "io/serve_request.h"
 #include "obs/histogram.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "obs/runlog.h"
 #include "obs/trace.h"
+#include "qo/fingerprint.h"
 #include "qo/optimizers.h"
 #include "qo/plan_cache.h"
 #include "qo/qon.h"
@@ -652,6 +656,60 @@ TEST(Trace, ServiceEmitsOneItemSlicePerBatchItem) {
   EXPECT_EQ(item_slices, batch.size());
   EXPECT_TRUE(saw_computed);  // first occurrence computed
   EXPECT_TRUE(saw_served);    // the four duplicates served from the cache
+}
+
+TEST(Trace, AServedHitBuildsNoInstance) {
+  // A served request reads its body into the flat form; the canonical
+  // instance, built under a "qo.service.canonical" slice, is the only
+  // instance it builds, and only on a miss. A hit, the same body or a
+  // relabeled one, has its parse and item slices and no build, and
+  // answers the miss's bytes (the sequence mapped for the relabeling).
+  Rng rng(5);
+  QonInstance qon_inst = SmallInstance();
+  QohInstance qoh_inst = RandomQohWorkload(6, &rng);
+  std::ostringstream qoh_text;
+  WriteQohInstance(qoh_inst, qoh_text);
+  std::ostringstream relabeled_qoh_text;
+  WriteQohInstance(PermuteQohInstance(qoh_inst, {5, 4, 3, 2, 1, 0}),
+                   relabeled_qoh_text);
+  PlanCache cache(PlanCacheOptions{});
+  BatchOptions qon;
+  qon.optimizer = "greedy";
+  qon.cache = &cache;
+  BatchOptions qoh = qon;
+  LoadGovernor governor;
+  // The response after its id, and the slice count per name.
+  auto serve = [&](const std::string& body, std::string* answer) {
+    std::ostringstream sink;
+    obs::TraceEventRecorder::AttachGlobal(&sink);
+    std::string response =
+        ServeRequest(SplitServeFrame("req 7\n" + body), qon, qoh, &governor);
+    obs::TraceEventRecorder::CloseGlobal();
+    EXPECT_TRUE(response.starts_with("ok 7 ")) << response;
+    *answer = response.substr(5);
+    std::map<std::string, int> slices;
+    for (const obs::JsonValue& e : TraceEventsOf(sink.str())) {
+      ++slices[e.Find("name")->AsString()];
+    }
+    EXPECT_EQ(slices["serve.parse"], 1);
+    EXPECT_EQ(slices["qo.service.item"], 1);
+    return slices["qo.service.canonical"];
+  };
+  for (const std::string& body : {QonToString(qon_inst), qoh_text.str()}) {
+    SCOPED_TRACE(body.substr(0, 6));
+    std::string miss, hit;
+    EXPECT_EQ(serve(body, &miss), 1);
+    EXPECT_EQ(serve(body, &hit), 0);
+    EXPECT_EQ(hit, miss);
+  }
+  std::string relabeled;
+  EXPECT_EQ(serve(relabeled_qoh_text.str(), &relabeled), 0);
+  EXPECT_EQ(relabeled.substr(0, relabeled.find('\n')),
+            [&] {
+              std::string miss;
+              serve(qoh_text.str(), &miss);
+              return miss.substr(0, miss.find('\n'));
+            }());
 }
 
 }  // namespace
