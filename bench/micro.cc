@@ -136,19 +136,6 @@ void BM_BigIntMul(benchmark::State& state) {
 }
 BENCHMARK(BM_BigIntMul)->Arg(4)->Arg(16)->Arg(64);
 
-void BM_BigIntDivMod(benchmark::State& state) {
-  Rng rng(19);
-  BigInt a = 1, b = 1;
-  for (int i = 0; i < 32; ++i) a = (a << 61) + BigInt::FromUint64(rng.Next());
-  for (int i = 0; i < 8; ++i) b = (b << 61) + BigInt::FromUint64(rng.Next());
-  for (auto _ : state) {
-    BigInt q, r;
-    BigInt::DivMod(a, b, &q, &r);
-    benchmark::DoNotOptimize(q);
-  }
-}
-BENCHMARK(BM_BigIntDivMod);
-
 // --- Telemetry-primitive overheads (docs/observability.md) ---
 //
 // The acceptance bar for the histogram layer: recording a latency sample

@@ -41,12 +41,6 @@ int Graph::MinDegree() const {
   return d;
 }
 
-int Graph::MaxDegree() const {
-  int d = 0;
-  for (int v = 0; v < n_; ++v) d = std::max(d, Degree(v));
-  return d;
-}
-
 std::vector<std::pair<int, int>> Graph::Edges() const {
   std::vector<std::pair<int, int>> edges;
   edges.reserve(static_cast<size_t>(num_edges_));
@@ -69,18 +63,6 @@ Graph Graph::Complement() const {
   return g;
 }
 
-Graph Graph::InducedSubgraph(const std::vector<int>& vertices) const {
-  Graph g(static_cast<int>(vertices.size()));
-  for (size_t i = 0; i < vertices.size(); ++i) {
-    for (size_t j = i + 1; j < vertices.size(); ++j) {
-      AQO_CHECK(vertices[i] != vertices[j]) << "duplicate vertex";
-      if (HasEdge(vertices[i], vertices[j]))
-        g.AddEdge(static_cast<int>(i), static_cast<int>(j));
-    }
-  }
-  return g;
-}
-
 bool Graph::IsClique(const std::vector<int>& vertices) const {
   for (size_t i = 0; i < vertices.size(); ++i) {
     for (size_t j = i + 1; j < vertices.size(); ++j) {
@@ -88,18 +70,6 @@ bool Graph::IsClique(const std::vector<int>& vertices) const {
     }
   }
   return true;
-}
-
-bool Graph::IsCliqueSet(const DynamicBitset& vertices) const {
-  bool ok = true;
-  vertices.ForEachSetBit([this, &vertices, &ok](int v) {
-    if (!ok) return;
-    // v must be adjacent to every other member.
-    DynamicBitset others = vertices;
-    others.Reset(v);
-    if (!others.IsSubsetOf(Neighbors(v))) ok = false;
-  });
-  return ok;
 }
 
 bool Graph::IsConnected() const {
@@ -120,14 +90,6 @@ bool Graph::IsConnected() const {
     });
   }
   return seen == n_;
-}
-
-int Graph::InducedEdgeCount(const DynamicBitset& vertices) const {
-  int twice = 0;
-  vertices.ForEachSetBit([this, &vertices, &twice](int v) {
-    twice += Neighbors(v).AndCount(vertices);
-  });
-  return twice / 2;
 }
 
 Graph DisjointUnion(const Graph& g1, const Graph& g2) {

@@ -39,7 +39,6 @@ class Graph {
 
   int Degree(int v) const { return adj_[static_cast<size_t>(v)].Count(); }
   int MinDegree() const;
-  int MaxDegree() const;
 
   const DynamicBitset& Neighbors(int v) const {
     AQO_DCHECK(InRange(v));
@@ -52,18 +51,10 @@ class Graph {
   // Graph complement (no self-loops).
   Graph Complement() const;
 
-  // Induced subgraph on `vertices`; vertex i of the result corresponds to
-  // vertices[i]. Duplicates are illegal.
-  Graph InducedSubgraph(const std::vector<int>& vertices) const;
-
   // True when every pair in `vertices` is adjacent.
   bool IsClique(const std::vector<int>& vertices) const;
-  bool IsCliqueSet(const DynamicBitset& vertices) const;
 
   bool IsConnected() const;
-
-  // Number of edges of the subgraph induced by `vertices`.
-  int InducedEdgeCount(const DynamicBitset& vertices) const;
 
   friend bool operator==(const Graph& a, const Graph& b) = default;
 

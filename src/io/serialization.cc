@@ -562,12 +562,6 @@ ParseResult<QohInstance> ParseQohInstance(std::istream& is) {
   return ParseQohInstance(ReadRest(is));
 }
 
-std::string GraphToString(const Graph& g) {
-  std::ostringstream os;
-  WriteGraph(g, os);
-  return os.str();
-}
-
 std::string QonToString(const QonInstance& inst) {
   std::ostringstream os;
   WriteQonInstance(inst, os);

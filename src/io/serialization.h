@@ -122,8 +122,7 @@ void WriteDimacs(const CnfFormula& f, std::ostream& os);
 void WriteQonInstance(const QonInstance& inst, std::ostream& os);
 void WriteQohInstance(const QohInstance& inst, std::ostream& os);
 
-// Convenience string writers (used by tests and the CLI tools).
-std::string GraphToString(const Graph& g);
+// WriteQonInstance into a string.
 std::string QonToString(const QonInstance& inst);
 
 }  // namespace aqo

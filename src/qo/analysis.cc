@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
 
 #include "util/check.h"
 
@@ -36,34 +35,6 @@ CostProfile ComputeCostProfile(const QonInstance& inst,
     }
   }
   return profile;
-}
-
-std::string PlanToString(const QonInstance& inst, const JoinSequence& seq,
-                         const std::vector<std::string>& names) {
-  AQO_CHECK(IsPermutation(seq, inst.NumRelations()));
-  auto name = [&names](int r) -> std::string {
-    if (static_cast<size_t>(r) < names.size()) {
-      return names[static_cast<size_t>(r)];
-    }
-    // Appended, not "R" + std::to_string(r): g++ 12 at -O3 reports a
-    // false -Wrestrict on the inlined operator+.
-    std::string label = "R";
-    label += std::to_string(r);
-    return label;
-  };
-  std::vector<LogDouble> prefix = PrefixSizes(inst, seq);
-  std::vector<LogDouble> h = QonJoinCosts(inst, seq);
-  std::ostringstream os;
-  os << name(seq[0]) << "  (|" << name(seq[0]) << "| = " << inst.size(seq[0])
-     << ")\n";
-  for (size_t i = 1; i < seq.size(); ++i) {
-    os << std::string(2 * i, ' ') << "|x| " << name(seq[i])
-       << "   cost " << h[i - 1] << ", result " << prefix[i + 1] << "\n";
-  }
-  LogDouble total = LogDouble::Zero();
-  for (LogDouble x : h) total += x;
-  os << "total cost: " << total << "\n";
-  return os.str();
 }
 
 LogDouble CoutSequenceCost(const QonInstance& inst, const JoinSequence& seq) {

@@ -20,7 +20,6 @@
 // order-free). bench/cost_model_ablation quantifies how much choosing one
 // model and running under the other costs.
 
-#include <string>
 #include <vector>
 
 #include "qo/optimizers.h"
@@ -42,11 +41,6 @@ struct CostProfile {
 
 CostProfile ComputeCostProfile(const QonInstance& inst,
                                const JoinSequence& seq);
-
-// ASCII rendering of the left-deep plan with per-join cost and
-// intermediate size annotations. `names` is optional (defaults to R<i>).
-std::string PlanToString(const QonInstance& inst, const JoinSequence& seq,
-                         const std::vector<std::string>& names = {});
 
 // C_out: sum over joins of the intermediate result size N(prefix).
 LogDouble CoutSequenceCost(const QonInstance& inst, const JoinSequence& seq);

@@ -96,35 +96,6 @@ LogDouble QonCostEvaluator::Cost(const JoinSequence& seq) {
   return EvaluateFrom(first);
 }
 
-LogDouble QonCostEvaluator::CostAfterSwap(int i, int j) {
-  AQO_CHECK(valid_) << "CostAfterSwap needs a prior Cost() call";
-  AQO_CHECK(0 <= i && i < n_ && 0 <= j && j < n_);
-  std::swap(seq_[static_cast<size_t>(i)], seq_[static_cast<size_t>(j)]);
-  if (cost_eval_internal::ForceNaive()) {
-    valid_ = false;
-    return QonSequenceCost(*inst_, seq_);
-  }
-  return EvaluateFrom(std::min(i, j));
-}
-
-LogDouble QonCostEvaluator::CostWithPrefix(const JoinSequence& seq,
-                                           int first_changed) {
-  AQO_CHECK(static_cast<int>(seq.size()) == n_);
-  AQO_CHECK(0 <= first_changed && first_changed <= n_);
-  AQO_CHECK(valid_ || first_changed == 0);
-  AQO_DCHECK(IsPermutation(seq, n_));
-  AQO_DCHECK(std::equal(seq.begin(), seq.begin() + first_changed,
-                        seq_.begin()));
-  if (cost_eval_internal::ForceNaive()) {
-    valid_ = false;
-    return QonSequenceCost(*inst_, seq);
-  }
-  std::copy(seq.begin() + first_changed, seq.end(),
-            seq_.begin() + first_changed);
-  valid_ = true;
-  return EvaluateFrom(first_changed);
-}
-
 LogDouble QonCostEvaluator::MinAccess(const std::vector<int>& prefix,
                                       int target) const {
   AQO_CHECK(!prefix.empty());

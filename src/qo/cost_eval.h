@@ -77,17 +77,6 @@ class QonCostEvaluator {
   // first position that changed. Zero allocations.
   LogDouble Cost(const JoinSequence& seq);
 
-  // Swaps positions i and j of the last evaluated sequence and evaluates
-  // the result, recomputing from min(i, j). Requires a prior Cost() call.
-  LogDouble CostAfterSwap(int i, int j);
-
-  // Evaluates `seq`, which must agree with the last evaluated sequence on
-  // positions [0, first_changed); recomputes from `first_changed` onward.
-  LogDouble CostWithPrefix(const JoinSequence& seq, int first_changed);
-
-  // The last evaluated sequence (valid after a Cost* call).
-  const JoinSequence& sequence() const { return seq_; }
-
   // Dense stateless primitives for constructive optimizers (greedy, branch
   // & bound). Each folds in exactly the order the naive loops do, so
   // results are bit-identical; they honor the test-only naive toggle. The
@@ -122,9 +111,7 @@ class QonCostEvaluator {
 
 class QohCostEvaluator {
  public:
-  // Requires n >= 2 (same contract as OptimalDecomposition). The
-  // instance's memory budget is captured at construction; do not call
-  // SetMemory on it while the evaluator is alive.
+  // Requires n >= 2 (same contract as OptimalDecomposition).
   explicit QohCostEvaluator(const QohInstance& inst);
 
   int NumRelations() const { return n_; }

@@ -15,11 +15,6 @@ JoinGraph::JoinGraph(Graph graph, std::vector<LogDouble> sizes)
   sel_.assign(n * n, LogDouble::One());
 }
 
-void JoinGraph::SetSize(int i, LogDouble t) {
-  AQO_CHECK(t > LogDouble::Zero());
-  sizes_[static_cast<size_t>(i)] = t;
-}
-
 void JoinGraph::SetSelectivity(int i, int j, LogDouble s) {
   AQO_CHECK(graph_.HasEdge(i, j)) << "selectivity on non-edge " << i << "," << j;
   AQO_CHECK(s > LogDouble::Zero() && s <= LogDouble::One());

@@ -16,10 +16,11 @@
 //
 // QonInstance (qo/qon.h) adds the access-path costs W, QohInstance
 // (qo/qoh.h) the memory budget and eta. JoinGraph is their shared base
-// only: its constructors, mutators and assignments are protected, so a
-// JoinGraph& reads an instance but cannot change it behind the family's
-// back (QonInstance re-derives W whenever a size or selectivity changes).
-// The constructor and the setters enforce every invariant above.
+// only: its constructors, its one mutator and its assignments are
+// protected, so a JoinGraph& reads an instance but cannot change it behind
+// the family's back (QonInstance re-derives W whenever a selectivity
+// changes). Sizes are fixed at construction. The constructor and
+// SetSelectivity enforce every invariant above.
 
 #include <cstddef>
 #include <span>
@@ -71,8 +72,6 @@ class JoinGraph {
   JoinGraph& operator=(const JoinGraph&) = default;
   JoinGraph& operator=(JoinGraph&&) = default;
 
-  // Requires t > 0.
-  void SetSize(int i, LogDouble t);
   // Sets s_ij = s_ji; requires {i, j} to be an edge and 0 < s <= 1.
   void SetSelectivity(int i, int j, LogDouble s);
 

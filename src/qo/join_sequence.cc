@@ -32,13 +32,6 @@ std::vector<int> BackEdgeCounts(const Graph& g, const JoinSequence& seq) {
   return counts;
 }
 
-std::vector<int> PrefixEdgeCounts(const Graph& g, const JoinSequence& seq) {
-  std::vector<int> back = BackEdgeCounts(g, seq);
-  std::vector<int> d(seq.size() + 1, 0);
-  for (size_t i = 0; i < seq.size(); ++i) d[i + 1] = d[i] + back[i];
-  return d;
-}
-
 bool HasCartesianProduct(const Graph& g, const JoinSequence& seq) {
   std::vector<int> back = BackEdgeCounts(g, seq);
   for (size_t i = 1; i < back.size(); ++i) {

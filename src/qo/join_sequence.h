@@ -24,10 +24,6 @@ JoinSequence IdentitySequence(int n);
 // convention.
 std::vector<int> BackEdgeCounts(const Graph& g, const JoinSequence& seq);
 
-// D_i: number of edges induced by the first i vertices of `seq`, for
-// i = 0..n (entry 0 is 0).
-std::vector<int> PrefixEdgeCounts(const Graph& g, const JoinSequence& seq);
-
 // True when some join other than the first is a cartesian product, i.e.
 // seq[i] (i >= 1) has no edge into {seq[0..i-1]}.
 bool HasCartesianProduct(const Graph& g, const JoinSequence& seq);

@@ -169,8 +169,10 @@ PersistFileInfo RecoverPersistFile(std::string_view bytes,
 
 // Manages one state directory. Not thread-safe for concurrent Save/Append
 // from multiple threads against the same store *except* AppendEntry,
-// which takes an internal mutex (the PlanCache insert observer may fire
-// from pool workers; the batch service appends serially regardless).
+// which takes an internal mutex: the PlanCache insert observer runs on
+// whichever thread inserts, outside the shard locks, and PlanCache is
+// safe to insert into from several threads. The batch service and
+// aqo_serve insert, and so append, from one thread.
 class PlanStore {
  public:
   explicit PlanStore(const PersistOptions& options);

@@ -128,11 +128,6 @@ QohInstance::QohInstance(Graph graph, std::vector<LogDouble> sizes,
   eta_ = eta;
 }
 
-void QohInstance::SetMemory(double m) {
-  AQO_CHECK(m > 0.0 && std::isfinite(m));
-  memory_ = m;
-}
-
 LogDouble QohInstance::HashJoinMinMemory(LogDouble pages) const {
   return HjMin(pages, eta_);
 }

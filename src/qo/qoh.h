@@ -54,7 +54,6 @@ class QohInstance : public JoinGraph {
   using JoinGraph::SetSelectivity;
 
   double memory() const { return memory_; }
-  void SetMemory(double m);
   double eta() const { return eta_; }
 
   // hjmin(b) = ceil(b^eta).

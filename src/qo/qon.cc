@@ -13,16 +13,6 @@ QonInstance::QonInstance(Graph graph, std::vector<LogDouble> sizes)
   }
 }
 
-void QonInstance::SetSize(int i, LogDouble t) {
-  JoinGraph::SetSize(i, t);
-  for (int k = 0; k < NumRelations(); ++k) {
-    if (k != i) {
-      ResetDefaultAccessCost(k, i);
-      ResetDefaultAccessCost(i, k);
-    }
-  }
-}
-
 void QonInstance::SetSelectivity(int i, int j, LogDouble s) {
   JoinGraph::SetSelectivity(i, j, s);
   ResetDefaultAccessCost(i, j);

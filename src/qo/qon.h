@@ -36,9 +36,6 @@ class QonInstance : public JoinGraph {
   // Selectivities are all 1 until SetSelectivity sets them per edge.
   QonInstance(Graph graph, std::vector<LogDouble> sizes);
 
-  // Sets t_i > 0 and re-derives every access cost into or out of R_i to
-  // its default, overridden or not.
-  void SetSize(int i, LogDouble t);
   // Sets s_ij = s_ji; requires {i,j} to be an edge of the query graph and
   // 0 < s <= 1. Re-derives AccessCost(i, j) and AccessCost(j, i) to their
   // defaults, overridden or not: set overrides after selectivities.

@@ -53,7 +53,7 @@ void SqoCpInstance::Validate() const {
 
 bool SqoCpInstance::InTwoPassSortRegime() const {
   // mem = n_0 / 2; require mem < b_r <= mem^2 for every relation.
-  BigInt mem = central_tuples / 2;
+  BigInt mem = central_tuples >> 1;
   if (mem.Sign() <= 0) return false;
   BigInt mem_sq = mem * mem;
   if (central_pages <= mem || central_pages > mem_sq) return false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <ostream>
 
 #include "util/check.h"
@@ -10,21 +9,6 @@
 namespace aqo {
 
 namespace {
-
-// Multiplies a magnitude by a small constant and adds a small constant, in
-// place. Used by the decimal parser.
-void MulAddSmall(std::vector<uint64_t>* limbs, uint64_t mul, uint64_t add) {
-  unsigned __int128 carry = add;
-  for (uint64_t& limb : *limbs) {
-    unsigned __int128 cur = static_cast<unsigned __int128>(limb) * mul + carry;
-    limb = static_cast<uint64_t>(cur);
-    carry = cur >> 64;
-  }
-  while (carry != 0) {
-    limbs->push_back(static_cast<uint64_t>(carry));
-    carry >>= 64;
-  }
-}
 
 // Divides a magnitude by a small constant in place, returning the remainder.
 uint64_t DivModSmall(std::vector<uint64_t>* limbs, uint64_t div) {
@@ -54,26 +38,6 @@ BigInt BigInt::FromUint64(uint64_t v) {
   return r;
 }
 
-BigInt BigInt::FromString(std::string_view s) {
-  AQO_CHECK(!s.empty()) << "empty BigInt string";
-  bool neg = false;
-  size_t i = 0;
-  if (s[0] == '-' || s[0] == '+') {
-    neg = s[0] == '-';
-    i = 1;
-  }
-  AQO_CHECK(i < s.size()) << "BigInt string has no digits";
-  BigInt r;
-  for (; i < s.size(); ++i) {
-    char c = s[i];
-    AQO_CHECK(c >= '0' && c <= '9') << "bad digit '" << c << "'";
-    MulAddSmall(&r.limbs_, 10, static_cast<uint64_t>(c - '0'));
-  }
-  r.negative_ = neg;
-  r.Canonicalize();
-  return r;
-}
-
 void BigInt::Canonicalize() {
   while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
   if (limbs_.empty()) negative_ = false;
@@ -83,24 +47,6 @@ int BigInt::BitLength() const {
   if (limbs_.empty()) return 0;
   int top = 64 - std::countl_zero(limbs_.back());
   return static_cast<int>(limbs_.size() - 1) * 64 + top;
-}
-
-double BigInt::ToDouble() const {
-  double r = 0.0;
-  for (size_t i = limbs_.size(); i-- > 0;) {
-    r = r * 18446744073709551616.0 + static_cast<double>(limbs_[i]);
-  }
-  return negative_ ? -r : r;
-}
-
-double BigInt::Log2Abs() const {
-  AQO_CHECK(!IsZero()) << "log2 of zero";
-  // Use the top (up to) 128 bits for a precise mantissa.
-  size_t n = limbs_.size();
-  double top = static_cast<double>(limbs_[n - 1]);
-  double next = n >= 2 ? static_cast<double>(limbs_[n - 2]) : 0.0;
-  double mant = top + next / 18446744073709551616.0;
-  return std::log2(mant) + 64.0 * static_cast<double>(n - 1);
 }
 
 std::string BigInt::ToString() const {
@@ -123,12 +69,6 @@ std::string BigInt::ToString() const {
 BigInt BigInt::operator-() const {
   BigInt r = *this;
   if (!r.IsZero()) r.negative_ = !r.negative_;
-  return r;
-}
-
-BigInt BigInt::Abs() const {
-  BigInt r = *this;
-  r.negative_ = false;
   return r;
 }
 
@@ -208,123 +148,27 @@ BigInt BigInt::operator+(const BigInt& o) const {
 
 BigInt BigInt::operator-(const BigInt& o) const { return *this + (-o); }
 
-namespace {
-
-using Limbs = std::vector<uint64_t>;
-
-// Karatsuba pays off once both operands have this many limbs.
-constexpr size_t kKaratsubaThreshold = 24;
-
-void TrimLimbs(Limbs* v) {
-  while (!v->empty() && v->back() == 0) v->pop_back();
-}
-
-Limbs SchoolbookMul(const Limbs& a, const Limbs& b) {
-  if (a.empty() || b.empty()) return {};
-  Limbs r(a.size() + b.size(), 0);
-  for (size_t i = 0; i < a.size(); ++i) {
+BigInt BigInt::operator*(const BigInt& o) const {
+  if (IsZero() || o.IsZero()) return BigInt();
+  BigInt r;
+  r.limbs_.assign(limbs_.size() + o.limbs_.size(), 0);
+  for (size_t i = 0; i < limbs_.size(); ++i) {
     unsigned __int128 carry = 0;
-    for (size_t j = 0; j < b.size(); ++j) {
-      unsigned __int128 cur =
-          static_cast<unsigned __int128>(a[i]) * b[j] + r[i + j] + carry;
-      r[i + j] = static_cast<uint64_t>(cur);
+    for (size_t j = 0; j < o.limbs_.size(); ++j) {
+      unsigned __int128 cur = static_cast<unsigned __int128>(limbs_[i]) *
+                                  o.limbs_[j] +
+                              r.limbs_[i + j] + carry;
+      r.limbs_[i + j] = static_cast<uint64_t>(cur);
       carry = cur >> 64;
     }
-    size_t k = i + b.size();
+    size_t k = i + o.limbs_.size();
     while (carry != 0) {
-      unsigned __int128 cur = carry + r[k];
-      r[k] = static_cast<uint64_t>(cur);
+      unsigned __int128 cur = carry + r.limbs_[k];
+      r.limbs_[k] = static_cast<uint64_t>(cur);
       carry = cur >> 64;
       ++k;
     }
   }
-  TrimLimbs(&r);
-  return r;
-}
-
-Limbs AddLimbs(const Limbs& a, const Limbs& b) {
-  const Limbs& lo = a.size() < b.size() ? a : b;
-  const Limbs& hi = a.size() < b.size() ? b : a;
-  Limbs r(hi.size());
-  unsigned __int128 carry = 0;
-  for (size_t i = 0; i < hi.size(); ++i) {
-    unsigned __int128 cur = carry + hi[i] + (i < lo.size() ? lo[i] : 0);
-    r[i] = static_cast<uint64_t>(cur);
-    carry = cur >> 64;
-  }
-  if (carry != 0) r.push_back(static_cast<uint64_t>(carry));
-  return r;
-}
-
-// r -= b; requires r >= b as magnitudes.
-void SubLimbsInPlace(Limbs* r, const Limbs& b) {
-  uint64_t borrow = 0;
-  for (size_t i = 0; i < r->size(); ++i) {
-    unsigned __int128 sub =
-        static_cast<unsigned __int128>(i < b.size() ? b[i] : 0) + borrow;
-    if (static_cast<unsigned __int128>((*r)[i]) >= sub) {
-      (*r)[i] -= static_cast<uint64_t>(sub);
-      borrow = 0;
-    } else {
-      (*r)[i] = static_cast<uint64_t>(
-          (static_cast<unsigned __int128>(1) << 64) + (*r)[i] - sub);
-      borrow = 1;
-    }
-  }
-  AQO_CHECK(borrow == 0) << "Karatsuba middle term underflow";
-  TrimLimbs(r);
-}
-
-// r += b << (64 * shift).
-void AddShiftedInPlace(Limbs* r, const Limbs& b, size_t shift) {
-  if (r->size() < b.size() + shift) r->resize(b.size() + shift, 0);
-  unsigned __int128 carry = 0;
-  size_t i = 0;
-  for (; i < b.size(); ++i) {
-    unsigned __int128 cur = carry + (*r)[i + shift] + b[i];
-    (*r)[i + shift] = static_cast<uint64_t>(cur);
-    carry = cur >> 64;
-  }
-  while (carry != 0) {
-    if (i + shift >= r->size()) r->push_back(0);
-    unsigned __int128 cur = carry + (*r)[i + shift];
-    (*r)[i + shift] = static_cast<uint64_t>(cur);
-    carry = cur >> 64;
-    ++i;
-  }
-}
-
-Limbs KaratsubaMul(const Limbs& a, const Limbs& b) {
-  if (a.size() < kKaratsubaThreshold || b.size() < kKaratsubaThreshold) {
-    return SchoolbookMul(a, b);
-  }
-  size_t h = std::max(a.size(), b.size()) / 2;
-  Limbs a0(a.begin(), a.begin() + static_cast<int64_t>(std::min(h, a.size())));
-  Limbs a1(a.begin() + static_cast<int64_t>(std::min(h, a.size())), a.end());
-  Limbs b0(b.begin(), b.begin() + static_cast<int64_t>(std::min(h, b.size())));
-  Limbs b1(b.begin() + static_cast<int64_t>(std::min(h, b.size())), b.end());
-  TrimLimbs(&a0);
-  TrimLimbs(&b0);
-
-  Limbs z0 = KaratsubaMul(a0, b0);
-  Limbs z2 = KaratsubaMul(a1, b1);
-  Limbs z1 = KaratsubaMul(AddLimbs(a0, a1), AddLimbs(b0, b1));
-  SubLimbsInPlace(&z1, z0);
-  SubLimbsInPlace(&z1, z2);
-
-  Limbs r = z0;
-  AddShiftedInPlace(&r, z1, h);
-  AddShiftedInPlace(&r, z2, 2 * h);
-  TrimLimbs(&r);
-  return r;
-}
-
-}  // namespace
-
-BigInt BigInt::operator*(const BigInt& o) const {
-  if (IsZero() || o.IsZero()) return BigInt();
-  BigInt r;
-  r.limbs_ = KaratsubaMul(limbs_, o.limbs_);
   r.negative_ = negative_ != o.negative_;
   r.Canonicalize();
   return r;
@@ -364,65 +208,6 @@ BigInt BigInt::operator>>(int bits) const {
   }
   r.Canonicalize();
   return r;
-}
-
-void BigInt::DivMod(const BigInt& num, const BigInt& den, BigInt* quot,
-                    BigInt* rem) {
-  AQO_CHECK(!den.IsZero()) << "BigInt division by zero";
-  BigInt n_abs = num.Abs();
-  BigInt d_abs = den.Abs();
-  BigInt q, r;
-  if (CompareMagnitude(n_abs, d_abs) == std::strong_ordering::less) {
-    r = n_abs;
-  } else if (d_abs.limbs_.size() == 1) {
-    // Fast path: small divisor.
-    q = n_abs;
-    uint64_t rm = DivModSmall(&q.limbs_, d_abs.limbs_[0]);
-    q.Canonicalize();
-    r = FromUint64(rm);
-  } else {
-    // Shift-subtract long division. Off the hot path; the Appendix numbers
-    // stay in the low thousands of bits.
-    int shift = n_abs.BitLength() - d_abs.BitLength();
-    BigInt d_shifted = d_abs << shift;
-    r = n_abs;
-    for (int s = shift; s >= 0; --s) {
-      q = q << 1;
-      if (CompareMagnitude(r, d_shifted) != std::strong_ordering::less) {
-        r = r - d_shifted;
-        q += 1;
-      }
-      d_shifted = d_shifted >> 1;
-    }
-  }
-  bool q_neg = num.negative_ != den.negative_;
-  if (q_neg && !q.IsZero()) q.negative_ = true;
-  if (num.negative_ && !r.IsZero()) r.negative_ = true;
-  if (quot != nullptr) *quot = std::move(q);
-  if (rem != nullptr) *rem = std::move(r);
-}
-
-BigInt BigInt::operator/(const BigInt& o) const {
-  BigInt q;
-  DivMod(*this, o, &q, nullptr);
-  return q;
-}
-
-BigInt BigInt::operator%(const BigInt& o) const {
-  BigInt r;
-  DivMod(*this, o, nullptr, &r);
-  return r;
-}
-
-BigInt BigInt::Pow(uint64_t e) const {
-  BigInt base = *this;
-  BigInt result = 1;
-  while (e != 0) {
-    if (e & 1) result *= base;
-    base *= base;
-    e >>= 1;
-  }
-  return result;
 }
 
 std::ostream& operator<<(std::ostream& os, const BigInt& v) {

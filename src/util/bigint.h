@@ -10,15 +10,14 @@
 //
 // Representation: sign + little-endian magnitude in 64-bit limbs, kept
 // canonical (no leading zero limbs; zero has an empty limb vector and
-// non-negative sign). Multiplication is schoolbook (the reduction numbers
-// stay in the thousands of bits, where schoolbook is fast); division is
-// shift-subtract long division, adequate off the hot path.
+// non-negative sign). The reductions need only +, -, *, shifts and
+// comparison, so there is no division. Multiplication is schoolbook only:
+// no operand in any table exceeds 6 limbs.
 
 #include <compare>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace aqo {
@@ -34,8 +33,6 @@ class BigInt {
   BigInt(int v) : BigInt(static_cast<int64_t>(v)) {}  // NOLINT
 
   static BigInt FromUint64(uint64_t v);
-  // Parses an optionally '-'-prefixed decimal string; aborts on bad input.
-  static BigInt FromString(std::string_view s);
 
   bool IsZero() const { return limbs_.empty(); }
   // -1, 0, or +1.
@@ -44,44 +41,25 @@ class BigInt {
   // Number of bits in the magnitude; 0 for zero.
   int BitLength() const;
 
-  // Magnitude as double (sign applied); +/-inf when out of range.
-  double ToDouble() const;
-  // log2 of the magnitude (sign ignored); requires non-zero.
-  double Log2Abs() const;
-
   std::string ToString() const;
 
   BigInt operator-() const;
-  BigInt Abs() const;
 
   BigInt operator+(const BigInt& o) const;
   BigInt operator-(const BigInt& o) const;
   BigInt operator*(const BigInt& o) const;
-  // Truncated division (C++ semantics: quotient rounds toward zero, the
-  // remainder has the dividend's sign). Aborts on division by zero.
-  BigInt operator/(const BigInt& o) const;
-  BigInt operator%(const BigInt& o) const;
 
   BigInt& operator+=(const BigInt& o) { return *this = *this + o; }
   BigInt& operator-=(const BigInt& o) { return *this = *this - o; }
   BigInt& operator*=(const BigInt& o) { return *this = *this * o; }
-  BigInt& operator/=(const BigInt& o) { return *this = *this / o; }
-  BigInt& operator%=(const BigInt& o) { return *this = *this % o; }
 
   // Shifts operate on the magnitude; sign is preserved. Shift counts are in
-  // bits and must be >= 0.
+  // bits and must be >= 0. x >> 1 is x / 2 truncated toward zero.
   BigInt operator<<(int bits) const;
   BigInt operator>>(int bits) const;
 
-  // this^e by repeated squaring; 0^0 == 1.
-  BigInt Pow(uint64_t e) const;
-
   friend bool operator==(const BigInt& a, const BigInt& b) = default;
   friend std::strong_ordering operator<=>(const BigInt& a, const BigInt& b);
-
-  // Computes quotient and remainder in one pass (same semantics as / and %).
-  static void DivMod(const BigInt& num, const BigInt& den, BigInt* quot,
-                     BigInt* rem);
 
  private:
   void Canonicalize();

@@ -10,14 +10,7 @@ void StatAccumulator::Add(double x) {
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
   ++count_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double StatAccumulator::Variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
 
 double SampleSet::Percentile(double p) const {

@@ -2,7 +2,7 @@
 #define AQO_UTIL_STATS_H_
 
 // Small statistics helpers used by the benchmark harness: streaming
-// mean/variance accumulation, percentiles over retained samples, and a
+// mean accumulation, percentiles over retained samples, and a
 // least-squares line fit used to estimate empirical growth exponents.
 
 #include <cstddef>
@@ -11,7 +11,7 @@
 
 namespace aqo {
 
-// Streaming accumulator (Welford) for count/mean/stddev/min/max.
+// Streaming accumulator for count/mean/min/max.
 class StatAccumulator {
  public:
   void Add(double x);
@@ -23,13 +23,10 @@ class StatAccumulator {
   // streams must report a negative max).
   double min() const { return min_; }
   double max() const { return max_; }
-  // Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double Variance() const;
 
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };

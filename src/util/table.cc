@@ -55,10 +55,4 @@ std::string FormatDouble(double v, int digits) {
   return buf;
 }
 
-std::string FormatLog2(double log2_value, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "2^%.*g", digits, log2_value);
-  return buf;
-}
-
 }  // namespace aqo

@@ -28,9 +28,6 @@ class TextTable {
 // Formats `v` with `digits` significant digits (general format).
 std::string FormatDouble(double v, int digits = 4);
 
-// Formats a huge value given as a log2 exponent: "2^123.4".
-std::string FormatLog2(double log2_value, int digits = 5);
-
 }  // namespace aqo
 
 #endif  // AQO_UTIL_TABLE_H_

@@ -44,16 +44,6 @@ TEST(CostProfile, GapWitnessIsUnimodalWithSmallSumOverPeak) {
   EXPECT_LE(profile.log2_sum_over_peak, params.log2_alpha);  // Lemma 6 sum
 }
 
-TEST(PlanToString, MentionsEveryRelationAndTotal) {
-  Rng rng(183);
-  QonInstance inst = RandomQonWorkload(5, &rng);
-  std::string s = PlanToString(inst, {2, 0, 1, 4, 3}, {"a", "b", "c", "d", "e"});
-  for (const char* name : {"a", "b", "c", "d", "e"}) {
-    EXPECT_NE(s.find(name), std::string::npos) << s;
-  }
-  EXPECT_NE(s.find("total cost"), std::string::npos);
-}
-
 TEST(Cout, HandComputedValue) {
   Graph g = Chain(3);
   QonInstance inst(g, {LogDouble::FromLinear(10.0), LogDouble::FromLinear(20.0),

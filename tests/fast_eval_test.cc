@@ -144,11 +144,11 @@ void ExpectEveryPairPriced(const QonInstance& inst, Regime regime,
     ASSERT_GT(eps, 0.0) << label;
   }
   fast.Load(seq);
-  exact.Cost(seq);
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
-      double want = exact.CostAfterSwap(i, j).Log2();
-      exact.CostAfterSwap(i, j);  // restore
+      std::swap(seq[static_cast<size_t>(i)], seq[static_cast<size_t>(j)]);
+      double want = exact.Cost(seq).Log2();
+      std::swap(seq[static_cast<size_t>(i)], seq[static_cast<size_t>(j)]);
       double price = fast.PriceSwap(i, j);
       if (regime == Regime::kExact) {
         ASSERT_EQ(std::bit_cast<uint64_t>(price), std::bit_cast<uint64_t>(want))
@@ -200,8 +200,13 @@ TEST(QonNeighborhoodEvaluator, FallsBackToTheBoundOutsideTheIntegerRegime) {
     // complete near-tie graph every access cost toward a relation is an
     // edge's, so a half-integer size can keep integer access costs.
     int mid = n / 2;
-    QonInstance size = NearTieQonInstance(n);
-    size.SetSize(mid, LogDouble::FromLog2(10.5));
+    std::vector<LogDouble> sizes(static_cast<size_t>(n),
+                                 LogDouble::FromLinear(1024.0));
+    sizes[static_cast<size_t>(mid)] = LogDouble::FromLog2(10.5);
+    QonInstance size(Graph::Complete(n), std::move(sizes));
+    for (const auto& [u, v] : size.graph().Edges()) {
+      size.SetSelectivity(u, v, LogDouble::FromLinear(0.125));
+    }
     for (int k = 0; k < n; ++k) {
       if (k != mid) size.SetAccessCost(k, mid, LogDouble::FromLog2(10.0));
     }

@@ -18,7 +18,6 @@ TEST(Graph, EdgesAndDegrees) {
   EXPECT_FALSE(g.HasEdge(0, 2));
   EXPECT_EQ(g.Degree(1), 2);
   EXPECT_EQ(g.MinDegree(), 1);
-  EXPECT_EQ(g.MaxDegree(), 2);
   // Adding twice is a no-op.
   g.AddEdge(0, 1);
   EXPECT_EQ(g.NumEdges(), 3);
@@ -50,28 +49,12 @@ TEST(Graph, Complement) {
   EXPECT_EQ(c.Complement(), g);
 }
 
-TEST(Graph, InducedSubgraph) {
-  Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}});
-  Graph sub = g.InducedSubgraph({0, 1, 2});
-  EXPECT_EQ(sub.NumEdges(), 3);
-  EXPECT_TRUE(sub.IsClique({0, 1, 2}));
-  Graph sub2 = g.InducedSubgraph({0, 3, 5});
-  EXPECT_EQ(sub2.NumEdges(), 0);
-}
-
 TEST(Graph, CliqueChecks) {
   Graph g = Graph::FromEdges(5, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
   EXPECT_TRUE(g.IsClique({0, 1, 2}));
   EXPECT_FALSE(g.IsClique({0, 1, 3}));
   EXPECT_TRUE(g.IsClique({}));
   EXPECT_TRUE(g.IsClique({4}));
-  DynamicBitset set(5);
-  set.Set(0);
-  set.Set(1);
-  set.Set(2);
-  EXPECT_TRUE(g.IsCliqueSet(set));
-  set.Set(3);
-  EXPECT_FALSE(g.IsCliqueSet(set));
 }
 
 TEST(Graph, Connectivity) {
@@ -82,16 +65,6 @@ TEST(Graph, Connectivity) {
   Graph g = Chain(10);
   g.RemoveEdge(4, 5);
   EXPECT_FALSE(g.IsConnected());
-}
-
-TEST(Graph, InducedEdgeCount) {
-  Graph g = Graph::Complete(6);
-  DynamicBitset s(6);
-  s.Set(0);
-  s.Set(2);
-  s.Set(4);
-  s.Set(5);
-  EXPECT_EQ(g.InducedEdgeCount(s), 6);  // K4
 }
 
 TEST(Graph, DisjointUnion) {

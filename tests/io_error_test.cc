@@ -80,11 +80,15 @@ TEST(GraphParse, ValidFixtureRoundTrips) {
   EXPECT_EQ(r.value->NumVertices(), 4);
   EXPECT_EQ(r.value->NumEdges(), 5);
   // Parse(Write(g)) == g, and the serialized bytes are a fixed point.
-  std::string text = GraphToString(*r.value);
+  std::ostringstream os;
+  WriteGraph(*r.value, os);
+  std::string text = os.str();
   ParseResult<Graph> again = ParseString(&ParseGraph, text);
   ASSERT_TRUE(again.ok()) << again.error;
   EXPECT_EQ(*again.value, *r.value);
-  EXPECT_EQ(GraphToString(*again.value), text);
+  std::ostringstream os2;
+  WriteGraph(*again.value, os2);
+  EXPECT_EQ(os2.str(), text);
 }
 
 // ---------------------------------------------------------------------------

@@ -34,7 +34,9 @@ TEST(GraphIo, RoundTrip) {
   for (int trial = 0; trial < 20; ++trial) {
     Graph g = Gnp(static_cast<int>(rng.UniformInt(1, 30)),
                   rng.UniformReal(0.0, 1.0), &rng);
-    ParseResult<Graph> copy = ParseText(&ParseGraph, GraphToString(g));
+    std::ostringstream os;
+    WriteGraph(g, os);
+    ParseResult<Graph> copy = ParseText(&ParseGraph, os.str());
     ASSERT_TRUE(copy.ok()) << copy.error;
     EXPECT_EQ(*copy.value, g);
   }

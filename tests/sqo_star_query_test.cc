@@ -84,11 +84,12 @@ TEST(SppcsToSqoCp, ConstructionConstants) {
   EXPECT_EQ(red.u_term, BigInt(11));
   const SqoCpInstance& inst = red.instance;
   EXPECT_EQ(inst.num_satellites, 3);
-  EXPECT_EQ(inst.central_tuples, BigInt(5) * red.j_term.Pow(3) * 11);
+  const BigInt& j = red.j_term;
+  EXPECT_EQ(inst.central_tuples, BigInt(5) * j * j * j * 11);
   EXPECT_EQ(inst.match[0], BigInt(2));
   EXPECT_EQ(inst.match[2], red.j_term);
   EXPECT_EQ(inst.budget,
-            inst.central_tuples * red.j_term.Pow(2) * 4 * 8 - 1);
+            inst.central_tuples * j * j * 4 * 8 - 1);
 }
 
 TEST(SppcsToSqoCp, WitnessPlanTracksSppcsValue) {

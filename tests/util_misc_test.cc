@@ -147,7 +147,6 @@ TEST(Stats, AccumulatorMoments) {
   EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
   EXPECT_DOUBLE_EQ(acc.min(), 2.0);
   EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-  EXPECT_NEAR(acc.Variance(), 32.0 / 7.0, 1e-12);
 }
 
 // Regression: min_/max_ used to start at 0.0, so streams that never cross
@@ -225,7 +224,6 @@ TEST(Table, PrintsAlignedRows) {
 
 TEST(Table, FormatHelpers) {
   EXPECT_EQ(FormatDouble(3.14159, 3), "3.14");
-  EXPECT_EQ(FormatLog2(123.456, 4), "2^123.5");
 }
 
 }  // namespace

@@ -63,9 +63,8 @@ TEST(ValidationDeathTest, QohInstanceInvariants) {
   Graph g = Graph::Complete(3);
   std::vector<LogDouble> sizes(3, LogDouble::FromLinear(16.0));
   EXPECT_DEATH(QohInstance(g, sizes, /*memory=*/-5.0), "check failed");
+  EXPECT_DEATH(QohInstance(g, sizes, /*memory=*/0.0), "check failed");
   EXPECT_DEATH(QohInstance(g, sizes, 100.0, /*eta=*/1.5), "check failed");
-  QohInstance inst(g, sizes, 100.0);
-  EXPECT_DEATH(inst.SetMemory(0.0), "check failed");
 }
 
 TEST(ValidationDeathTest, PipelineBoundsChecked) {

@@ -166,9 +166,9 @@ Row MeasureQonFull(int n, double min_seconds) {
     g_sink += QonSequenceCost(inst, pool[static_cast<size_t>(it) % 16]);
   });
   double fast = TimeNs(64, min_seconds, [&](long it) {
-    // Forces a recompute from position 0: a full, but zero-allocation,
-    // evaluation through the evaluator.
-    g_sink += eval.CostWithPrefix(pool[static_cast<size_t>(it) % 16], 0);
+    // Consecutive pool sequences are independent shuffles, so Cost
+    // recomputes (almost always) from position 0.
+    g_sink += eval.Cost(pool[static_cast<size_t>(it) % 16]);
   });
   return {"qon", "full", n, naive, fast};
 }
@@ -189,10 +189,13 @@ Row MeasureQonSwap(int n, double min_seconds) {
   });
 
   QonCostEvaluator eval(inst);
-  eval.Cost(seq);
+  JoinSequence fast_seq = seq;
+  eval.Cost(fast_seq);
   double fast = TimeNs(64, min_seconds, [&](long it) {
     auto [i, j] = swaps[static_cast<size_t>(it) % swaps.size()];
-    g_sink += eval.CostAfterSwap(i, j);
+    std::swap(fast_seq[static_cast<size_t>(i)],
+              fast_seq[static_cast<size_t>(j)]);
+    g_sink += eval.Cost(fast_seq);
   });
   return {"qon", "swap", n, naive, fast};
 }
@@ -268,10 +271,10 @@ Row MeasureQohSentinelFirst(int n, double min_seconds) {
 double g_fast_sink;
 
 // Neighborhood pricing: all n-1 adjacent transpositions of one sequence,
-// reported per candidate. "Exact" pays a CostAfterSwap probe plus the
-// restore that rebuilds the incremental state after the (typical)
-// rejection; "fast" is one Load plus a PriceSwap per candidate, the calls
-// iterative improvement makes when it ranks swaps.
+// reported per candidate. "Exact" swaps and pays a Cost probe, then swaps
+// back and pays the Cost that rebuilds the incremental state after the
+// (typical) rejection; "fast" is one Load plus a PriceSwap per candidate,
+// the calls iterative improvement makes when it ranks swaps.
 Row MeasureQonNeighborhood(const QonInstance& inst, const char* workload,
                            double min_seconds) {
   int n = inst.NumRelations();
@@ -281,11 +284,14 @@ Row MeasureQonNeighborhood(const QonInstance& inst, const char* workload,
   double candidates = static_cast<double>(n - 1);
 
   QonCostEvaluator eval(inst);
-  eval.Cost(seq);
+  JoinSequence probe = seq;
+  eval.Cost(probe);
   double exact = TimeNs(4, min_seconds, [&](long) {
-    for (int i = 0; i + 1 < n; ++i) {
-      g_sink += eval.CostAfterSwap(i, i + 1);  // probe
-      g_sink += eval.CostAfterSwap(i, i + 1);  // restore
+    for (size_t i = 0; i + 1 < probe.size(); ++i) {
+      std::swap(probe[i], probe[i + 1]);
+      g_sink += eval.Cost(probe);  // probe
+      std::swap(probe[i], probe[i + 1]);
+      g_sink += eval.Cost(probe);  // restore
     }
   }) / candidates;
 
